@@ -23,6 +23,21 @@ That integral form is this artifact's definition (the underlying claim is
 only that the local field at the moment is responsible for the phase); it
 evaluates to 4*pi*mu*lambda/(hbar*c) per winding and is path independent at
 fixed winding number.
+
+The RK4 stepper runs on a scalar kernel rather than on Vec3 objects.  The
+line field is planar (no z component, no z dependence), so its Jacobian has
+three distinct entries; ``_field_jacobian``, ``_dipole_force`` and
+``_convective_rate`` compute the field gradient, the induced-dipole force and
+the convective hidden-momentum rate from plain floats, and
+``line_field_gradient``, ``boyer_force`` and ``hidden_momentum_rate`` are
+Vec3 wrappers over them.  The kernel still carries every z component (a
+nonzero pos.z or vel.z, or the tiny transverse mu that NeutronModel admits,
+propagates as before).  Contract: each scalar expression evaluates in the
+order of the Vec3 expression it replaced (sums left to right, x then y then
+z, zero Jacobian entries kept as 0.0 factors, reciprocals 1/c and 1/m
+multiplied), so steps, bounce reports and verify reports are bit-identical
+to the Vec3 formulation; ``tests/test_boyer.py`` keeps that formulation as
+the reference.
 """
 
 from __future__ import annotations
@@ -129,34 +144,66 @@ class BounceConfig:
         _check_law(self.law)
 
 
-def _radial(lc: LineCharge, pos: Vec3) -> tuple[float, float, float]:
-    rx = pos.x - lc.axis_point.x
-    ry = pos.y - lc.axis_point.y
+def _radial(lc: LineCharge, x: float, y: float) -> tuple[float, float, float]:
+    rx = x - lc.axis_point.x
+    ry = y - lc.axis_point.y
     rho2 = rx * rx + ry * ry
     if rho2 < lc.axis_epsilon * lc.axis_epsilon:
         raise SingularityError(
-            f"position ({pos.x!r}, {pos.y!r}) lies within {lc.axis_epsilon:g} cm of the charged line"
+            f"position ({x!r}, {y!r}) lies within {lc.axis_epsilon:g} cm of the charged line"
         )
     return rx, ry, rho2
 
 
+# Scalar kernel (see the module docstring for its bit-identity contract).
+# Jacobian entries: exx = dEx/dx, exy = dEx/dy = dEy/dx, eyy = dEy/dy.
+
+
+def _field_jacobian(lc: LineCharge, x: float, y: float) -> tuple[float, float, float]:
+    rx, ry, rho2 = _radial(lc, x, y)
+    pref = 2.0 * lc.lambda_c / (rho2 * rho2)
+    x2 = rx * rx
+    y2 = ry * ry
+    xy = rx * ry
+    return pref * (y2 - x2), pref * (-2.0 * xy), pref * (x2 - y2)
+
+
+def _dipole_force(
+    jac: tuple[float, float, float], vx: float, vy: float, vz: float, mu: Vec3, inv_c: float
+) -> tuple[float, float, float]:
+    # (d . grad)E with d = (v x mu)/c; d.z meets dE/dz = 0 and drops out.
+    exx, exy, eyy = jac
+    dx = (vy * mu.z - vz * mu.y) * inv_c
+    dy = (vz * mu.x - vx * mu.z) * inv_c
+    return exx * dx + exy * dy, exy * dx + eyy * dy, 0.0 * dx + 0.0 * dy
+
+
+def _convective_rate(
+    jac: tuple[float, float, float], vx: float, vy: float, mu: Vec3, inv_c: float
+) -> tuple[float, float, float]:
+    # (v . grad)[(mu x E)/c] = mu x [(v . grad)E] / c; v.z meets dE/dz = 0.
+    exx, exy, eyy = jac
+    ex = exx * vx + exy * vy
+    ey = exy * vx + eyy * vy
+    ez = 0.0 * vx + 0.0 * vy
+    return (
+        (mu.y * ez - mu.z * ey) * inv_c,
+        (mu.z * ex - mu.x * ez) * inv_c,
+        (mu.x * ey - mu.y * ex) * inv_c,
+    )
+
+
 def line_field(lc: LineCharge, pos: Vec3) -> Vec3:
     """Electric field 2*lambda_c/rho radially outward from the line (statV/cm)."""
-    rx, ry, rho2 = _radial(lc, pos)
+    rx, ry, rho2 = _radial(lc, pos.x, pos.y)
     s = 2.0 * lc.lambda_c / rho2
     return Vec3(s * rx, s * ry, 0.0)
 
 
 def line_field_gradient(lc: LineCharge, pos: Vec3) -> tuple[Vec3, Vec3]:
     """Columns dE/dx and dE/dy of the field Jacobian (dE/dz vanishes)."""
-    rx, ry, rho2 = _radial(lc, pos)
-    pref = 2.0 * lc.lambda_c / (rho2 * rho2)
-    x2 = rx * rx
-    y2 = ry * ry
-    xy = rx * ry
-    dedx = Vec3(pref * (y2 - x2), pref * (-2.0 * xy), 0.0)
-    dedy = Vec3(pref * (-2.0 * xy), pref * (x2 - y2), 0.0)
-    return dedx, dedy
+    exx, exy, eyy = _field_jacobian(lc, pos.x, pos.y)
+    return Vec3(exx, exy, 0.0), Vec3(exy, eyy, 0.0)
 
 
 def induced_dipole(vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
@@ -166,9 +213,8 @@ def induced_dipole(vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
 
 def boyer_force(lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
     """Gradient force (d . grad)E on the induced dipole (dyn)."""
-    d = induced_dipole(vel, mu, k)
-    dedx, dedy = line_field_gradient(lc, pos)
-    return dedx * d.x + dedy * d.y  # dE/dz = 0
+    jac = _field_jacobian(lc, pos.x, pos.y)
+    return Vec3(*_dipole_force(jac, vel.x, vel.y, vel.z, mu, 1.0 / k.c))
 
 
 def hidden_momentum(lc: LineCharge, pos: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
@@ -180,19 +226,30 @@ def hidden_momentum_rate(
     lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, k: PhysicalConstants
 ) -> Vec3:
     """Convective rate (v . grad)[(mu x E)/c] along a trajectory through pos."""
-    dedx, dedy = line_field_gradient(lc, pos)
-    de_along = dedx * vel.x + dedy * vel.y  # dE/dz = 0
-    return cross(mu, de_along) * (1.0 / k.c)
+    jac = _field_jacobian(lc, pos.x, pos.y)
+    return Vec3(*_convective_rate(jac, vel.x, vel.y, mu, 1.0 / k.c))
 
 
 def _acceleration(
-    lc: LineCharge, n: NeutronModel, pos: Vec3, vel: Vec3, law: str, k: PhysicalConstants
-) -> Vec3:
-    force = boyer_force(lc, pos, vel, n.mu, k)
-    if law == NAIVE_LAW:
-        return force * (1.0 / n.mass)
-    rate = hidden_momentum_rate(lc, pos, vel, n.mu, k)
-    return (force - rate) * (1.0 / n.mass)
+    lc: LineCharge,
+    mu: Vec3,
+    inv_c: float,
+    inv_m: float,
+    naive: bool,
+    x: float,
+    y: float,
+    vx: float,
+    vy: float,
+    vz: float,
+) -> tuple[float, float, float]:
+    # The full law subtracts the two independently formed terms; it never
+    # short-circuits to zero, since their cancellation is the claim under test.
+    jac = _field_jacobian(lc, x, y)
+    fx, fy, fz = _dipole_force(jac, vx, vy, vz, mu, inv_c)
+    if naive:
+        return fx * inv_m, fy * inv_m, fz * inv_m
+    rx, ry, rz = _convective_rate(jac, vx, vy, mu, inv_c)
+    return (fx - rx) * inv_m, (fy - ry) * inv_m, (fz - rz) * inv_m
 
 
 def step_trajectory(
@@ -212,22 +269,27 @@ def step_trajectory(
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt!r}")
     _check_law(law)
+    args = (lc, n.mu, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW)
     p0, v0 = state.pos, state.vel
+    x0, y0, vx0, vy0, vz0 = p0.x, p0.y, v0.x, v0.y, v0.z
     half = 0.5 * dt
-    a1 = _acceleration(lc, n, p0, v0, law, k)
-    p2 = p0 + v0 * half
-    v2 = v0 + a1 * half
-    a2 = _acceleration(lc, n, p2, v2, law, k)
-    p3 = p0 + v2 * half
-    v3 = v0 + a2 * half
-    a3 = _acceleration(lc, n, p3, v3, law, k)
-    p4 = p0 + v3 * dt
-    v4 = v0 + a3 * dt
-    a4 = _acceleration(lc, n, p4, v4, law, k)
+    ax1, ay1, az1 = _acceleration(*args, x0, y0, vx0, vy0, vz0)
+    vx2, vy2, vz2 = vx0 + ax1 * half, vy0 + ay1 * half, vz0 + az1 * half
+    ax2, ay2, az2 = _acceleration(*args, x0 + vx0 * half, y0 + vy0 * half, vx2, vy2, vz2)
+    vx3, vy3, vz3 = vx0 + ax2 * half, vy0 + ay2 * half, vz0 + az2 * half
+    ax3, ay3, az3 = _acceleration(*args, x0 + vx2 * half, y0 + vy2 * half, vx3, vy3, vz3)
+    vx4, vy4, vz4 = vx0 + ax3 * dt, vy0 + ay3 * dt, vz0 + az3 * dt
+    ax4, ay4, az4 = _acceleration(*args, x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4, vz4)
     sixth = dt / 6.0
-    pos = p0 + (v0 + (v2 + v3) * 2.0 + v4) * sixth
-    vel = v0 + (a1 + (a2 + a3) * 2.0 + a4) * sixth
-    _radial(lc, pos)  # reject steps that land inside the axis neighbourhood
+    x = x0 + (vx0 + (vx2 + vx3) * 2.0 + vx4) * sixth
+    y = y0 + (vy0 + (vy2 + vy3) * 2.0 + vy4) * sixth
+    pos = Vec3(x, y, p0.z + (vz0 + (vz2 + vz3) * 2.0 + vz4) * sixth)
+    vel = Vec3(
+        vx0 + (ax1 + (ax2 + ax3) * 2.0 + ax4) * sixth,
+        vy0 + (ay1 + (ay2 + ay3) * 2.0 + ay4) * sixth,
+        vz0 + (az1 + (az2 + az3) * 2.0 + az4) * sixth,
+    )
+    _radial(lc, x, y)  # reject steps that land inside the axis neighbourhood
     return TrajectoryState(state.t + dt, pos, vel)
 
 
@@ -268,7 +330,11 @@ class BounceResult:
 
 def _power(lc: LineCharge, n: NeutronModel, st: TrajectoryState, law: str, k: PhysicalConstants) -> float:
     # Rate of work of the net accelerating force under the selected law.
-    return _acceleration(lc, n, st.pos, st.vel, law, k).dot(st.vel) * n.mass
+    pos, vel = st.pos, st.vel
+    ax, ay, az = _acceleration(
+        lc, n.mu, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, pos.x, pos.y, vel.x, vel.y, vel.z
+    )
+    return (ax * vel.x + ay * vel.y + az * vel.z) * n.mass
 
 
 def _work_over_substep(

@@ -46,10 +46,9 @@ import csv
 import io
 import json
 import math
-import os
+import re
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import yaml
@@ -70,8 +69,6 @@ KIND_AC_BOUNCE = "ac-bounce"
 KIND_AC_PHASE = "ac-phase"
 KIND_FIELD_FREE = "field-free"
 KINDS = (KIND_MZI, KIND_AB_SOLENOID, KIND_AC_BOUNCE, KIND_AC_PHASE, KIND_FIELD_FREE)
-
-WORKERS_ENV_VAR = "ABCLAB_MAX_WORKERS"
 
 _COLUMNS = {
     KIND_AB_SOLENOID: [
@@ -483,10 +480,23 @@ def _resolve_path(params: dict, path: str):
     return node, last
 
 
+class _ScenarioLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats such as ``5e-2`` and
+    ``3.0e6``, which YAML 1.1 resolves to strings (it needs a dot and a signed
+    exponent)."""
+
+
+_ScenarioLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; returns the normalized Scenario."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
@@ -721,16 +731,6 @@ def _merge_checks(into: dict, new: list[CheckRow]):
         existing.passed = existing.passed and check.passed
 
 
-def _max_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}")
-
-
 def run_scenario(s: Scenario) -> RunReport:
     """Execute a scenario (single point or sweep) into a deterministic report."""
     k = make_constants(s.units)
@@ -746,30 +746,17 @@ def run_scenario(s: Scenario) -> RunReport:
             rows.append({"sweep_index": 0, **row})
         _merge_checks(merged, pchecks)
     else:
-        values = s.sweep.values()
-
-        def run_point(pair):
-            index, value = pair
+        for index, value in enumerate(s.sweep.values()):
             point_params = copy.deepcopy(s.params)
             node, last = _resolve_path(point_params, s.sweep.param)
             node[last] = value
             try:
-                return index, value, point_fn(point_params, k), None
+                prows, pchecks = point_fn(point_params, k)
             except AbclabError as exc:
-                return index, value, None, f"{type(exc).__name__}: {exc}"
-
-        workers = _max_workers()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_point, enumerate(values)))
-        else:
-            outcomes = [run_point(pair) for pair in enumerate(values)]
-        for index, value, result, error in outcomes:
-            if error is not None:
                 had_error = True
+                error = f"{type(exc).__name__}: {exc}"
                 rows.append({"sweep_index": index, s.sweep.param: value, "error": error})
                 continue
-            prows, pchecks = result
             for row in prows:
                 rows.append({"sweep_index": index, s.sweep.param: value, **row})
             _merge_checks(merged, pchecks)

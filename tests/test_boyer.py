@@ -24,6 +24,7 @@ from abclab import (
     induced_dipole,
     kinetic_energy,
     line_field,
+    line_field_gradient,
     loop_winding_number,
     make_constants,
     simulate_bounce_experiment,
@@ -250,6 +251,147 @@ def test_step_validates_inputs():
         step_trajectory(LINE, NEUTRON, state, 0.0, FULL_LAW, K1)
     with pytest.raises(ValidationError):
         step_trajectory(LINE, NEUTRON, state, 0.1, "symplectic", K1)
+
+
+# Reference: the Vec3 formulation of the field Jacobian, the two force terms,
+# the acceleration and the RK4 step that the scalar kernel replaced.  The
+# kernel must reproduce it bit for bit.
+
+
+def _ref_gradient(lc, pos):
+    rx = pos.x - lc.axis_point.x
+    ry = pos.y - lc.axis_point.y
+    rho2 = rx * rx + ry * ry
+    if rho2 < lc.axis_epsilon * lc.axis_epsilon:
+        raise SingularityError("reference: inside the axis neighbourhood")
+    pref = 2.0 * lc.lambda_c / (rho2 * rho2)
+    x2 = rx * rx
+    y2 = ry * ry
+    xy = rx * ry
+    dedx = Vec3(pref * (y2 - x2), pref * (-2.0 * xy), 0.0)
+    dedy = Vec3(pref * (-2.0 * xy), pref * (x2 - y2), 0.0)
+    return dedx, dedy
+
+
+def _ref_force(lc, pos, vel, mu, k):
+    d = vel.cross(mu) * (1.0 / k.c)
+    dedx, dedy = _ref_gradient(lc, pos)
+    return dedx * d.x + dedy * d.y
+
+
+def _ref_rate(lc, pos, vel, mu, k):
+    dedx, dedy = _ref_gradient(lc, pos)
+    de_along = dedx * vel.x + dedy * vel.y
+    return mu.cross(de_along) * (1.0 / k.c)
+
+
+def _ref_acceleration(lc, n, pos, vel, law, k):
+    force = _ref_force(lc, pos, vel, n.mu, k)
+    if law == NAIVE_LAW:
+        return force * (1.0 / n.mass)
+    rate = _ref_rate(lc, pos, vel, n.mu, k)
+    return (force - rate) * (1.0 / n.mass)
+
+
+def _ref_step(lc, n, state, dt, law, k):
+    p0, v0 = state.pos, state.vel
+    half = 0.5 * dt
+    a1 = _ref_acceleration(lc, n, p0, v0, law, k)
+    p2 = p0 + v0 * half
+    v2 = v0 + a1 * half
+    a2 = _ref_acceleration(lc, n, p2, v2, law, k)
+    p3 = p0 + v2 * half
+    v3 = v0 + a2 * half
+    a3 = _ref_acceleration(lc, n, p3, v3, law, k)
+    p4 = p0 + v3 * dt
+    v4 = v0 + a3 * dt
+    a4 = _ref_acceleration(lc, n, p4, v4, law, k)
+    sixth = dt / 6.0
+    pos = p0 + (v0 + (v2 + v3) * 2.0 + v4) * sixth
+    vel = v0 + (a1 + (a2 + a3) * 2.0 + a4) * sixth
+    _ref_gradient(lc, pos)
+    return TrajectoryState(state.t + dt, pos, vel)
+
+
+def _bits(*values):
+    # float.hex also tells -0.0 from 0.0, which == does not
+    return tuple(v.hex() for v in values)
+
+
+def _state_bits(state):
+    return _bits(state.t, *state.pos.as_tuple(), *state.vel.as_tuple())
+
+
+def _random_case(rng, near_axis):
+    """A line, a moment, an off-axis state and a step length; some z components
+    nonzero and some moments tilted by a 1e-13 relative transverse part."""
+    lc = LineCharge(
+        lambda_c=float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(1e-3), np.log(10.0)))),
+        axis_point=Vec3(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), 0.0),
+        axis_epsilon=0.05 if near_axis else 1e-9,
+    )
+    mu_z = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    tilt = 1e-13 * abs(mu_z) * float(rng.integers(0, 2))
+    angle = float(rng.uniform(0.0, 2.0 * math.pi))
+    neutron = NeutronModel(
+        mass=float(np.exp(rng.uniform(np.log(0.1), np.log(10.0)))),
+        mu=Vec3(tilt * math.cos(angle), tilt * math.sin(angle), mu_z),
+    )
+    rho = float(rng.uniform(0.05, 0.3)) if near_axis else float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+    phi = float(rng.uniform(0.0, 2.0 * math.pi))
+    has_z = bool(rng.integers(0, 2))
+    pos = Vec3(
+        lc.axis_point.x + rho * math.cos(phi),
+        lc.axis_point.y + rho * math.sin(phi),
+        float(rng.uniform(-2, 2)) if has_z else 0.0,
+    )
+    vel = Vec3(
+        float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1)) if has_z else 0.0
+    )
+    dt = (0.2 if near_axis else 0.01) * float(np.exp(rng.uniform(np.log(0.1), np.log(1.0))))
+    k = K1 if rng.integers(0, 2) else make_constants("gaussian-cgs")
+    return lc, neutron, TrajectoryState(float(rng.uniform(0, 5)), pos, vel), dt, k
+
+
+@pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
+def test_scalar_kernel_matches_vec3_reference_bit_for_bit(law):
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        lc, neutron, state, dt, k = _random_case(rng, near_axis=False)
+        ours, ref = state, state
+        for _ in range(3):
+            ours = step_trajectory(lc, neutron, ours, dt, law, k)
+            ref = _ref_step(lc, neutron, ref, dt, law, k)
+            assert _state_bits(ours) == _state_bits(ref)
+        pos, vel, mu = state.pos, state.vel, neutron.mu
+        assert _bits(*boyer_force(lc, pos, vel, mu, k).as_tuple()) == _bits(
+            *_ref_force(lc, pos, vel, mu, k).as_tuple()
+        )
+        assert _bits(*hidden_momentum_rate(lc, pos, vel, mu, k).as_tuple()) == _bits(
+            *_ref_rate(lc, pos, vel, mu, k).as_tuple()
+        )
+        assert [_bits(*c.as_tuple()) for c in line_field_gradient(lc, pos)] == [
+            _bits(*c.as_tuple()) for c in _ref_gradient(lc, pos)
+        ]
+
+
+@pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
+def test_scalar_kernel_rejects_the_same_near_axis_steps(law):
+    rng = np.random.default_rng(77)
+    outcomes = set()
+    for _ in range(300):
+        lc, neutron, state, dt, k = _random_case(rng, near_axis=True)
+        try:
+            ref = _state_bits(_ref_step(lc, neutron, state, dt, law, k))
+        except SingularityError:
+            ref = "singular"
+        try:
+            ours = _state_bits(step_trajectory(lc, neutron, state, dt, law, k))
+        except SingularityError:
+            ours = "singular"
+        assert ours == ref
+        outcomes.add(ref == "singular")
+    assert outcomes == {True, False}
 
 
 BOUNCE_LINE = LineCharge(lambda_c=0.05)

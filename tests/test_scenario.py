@@ -1,6 +1,5 @@
 import json
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from abclab import (
     ScenarioParseError,
     ValidationError,
+    boyer,
     load_scenario,
     parse_scenario,
     render_csv,
@@ -68,6 +68,30 @@ def test_parse_rejects_unknown_fields():
 def test_parse_rejects_non_numeric():
     with pytest.raises(ValidationError, match="must be a number"):
         parse_scenario(AB_UNIT_DOC.replace("M_g: 1.0", "M_g: heavy"))
+
+
+def test_parse_reads_yaml12_exponent_floats():
+    # YAML 1.1 leaves 5e-2 and 3.0e6 as strings (no dot, unsigned exponent)
+    doc = """
+kind: ac-bounce
+units: scaled-unity
+params:
+  line: {lambda_statC_per_cm: %s}
+  neutron: {mass_g: 1.0, mu_z_erg_per_G: 1.0}
+  start: {x_cm: 3.0, y_cm: 0.5, vx_cm_per_s: -2.0}
+  mirrors: {a_cm: 1.5, b_cm: 3.0}
+  n_bounces: 3
+  dt_s: 0.00390625
+sweep: {param: line.lambda_statC_per_cm, from: %s, to: %s, steps: 2}
+"""
+    exponent = parse_scenario(doc % ("5e-2", "5e-2", "3.0e6"))
+    decimal = parse_scenario(doc % ("0.05", "0.05", "3000000.0"))
+    assert exponent.params["line"]["lambda_statC_per_cm"] == 0.05
+    assert (exponent.sweep.start, exponent.sweep.stop) == (0.05, 3000000.0)
+    assert exponent.to_dict() == decimal.to_dict()
+    assert parse_scenario(doc % ("-.5E+1", "1_0e-1", "+2e0")).sweep.values() == [1.0, 2.0]
+    with pytest.raises(ValidationError, match=r"lambda_statC_per_cm: must be a number, got '5e-2cm'"):
+        parse_scenario(doc % ("5e-2cm", "5e-2", "3.0e6"))
 
 
 def test_parse_orbit_must_clear_solenoid():
@@ -238,6 +262,12 @@ def test_golden_csv_matches_stored_file(tmp_path):
     assert produced.encode() == (DATA_DIR / "golden_ab_solenoid.csv").read_bytes()
 
 
+def test_golden_bounce_csv_matches_stored_file():
+    # pins both laws' bounce times, kinetic energies, work integrals and gains
+    report = run_scenario(load_scenario(str(SCENARIO_DIR / "ac_bounce.yaml")))
+    assert render_csv(report).encode() == (DATA_DIR / "golden_ac_bounce.csv").read_bytes()
+
+
 def test_verify_suite_deterministic_and_green():
     first = run_verify_suite(seed=42)
     second = run_verify_suite(seed=42)
@@ -246,6 +276,28 @@ def test_verify_suite_deterministic_and_green():
     assert first.all_passed
     names = [c.name for c in first.checks]
     assert "factor4_identity" in names and "newtons_third_law" in names
+
+
+def test_verify_suite_runs_each_bounce_law_once(monkeypatch):
+    laws = []
+    simulate = boyer.simulate_bounce_experiment
+
+    def counted(lc, n, cfg, initial, k):
+        laws.append(cfg.law)
+        return simulate(lc, n, cfg, initial, k)
+
+    monkeypatch.setattr(boyer, "simulate_bounce_experiment", counted)
+    names = [c.name for c in run_verify_suite(seed=3).checks]
+    assert sorted(laws) == sorted(boyer.LAWS)
+    # the shared naive bounce still yields its two checks, in place
+    at = names.index("energy_grows_naive_law")
+    assert names[at - 1 : at + 3] == [
+        "rk4_order4_convergence",
+        "energy_grows_naive_law",
+        "work_integral_match",
+        "energy_conserved_full_law",
+    ]
+    assert len(names) == 29
 
 
 def test_verify_csv_uses_check_table():
@@ -290,18 +342,6 @@ def test_cli_verify_deterministic(tmp_path):
     assert cli_main(["verify", "--seed", "42", "--output", str(first)]) == 0
     assert cli_main(["verify", "--seed", "42", "--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
-
-
-def test_sweep_worker_env_var_keeps_order(tmp_path):
-    doc = AB_UNIT_DOC + "sweep: {param: solenoid.v_cm_per_s, from: 0.1, to: 1.0, steps: 8}\n"
-    scenario = parse_scenario(doc)
-    sequential = run_scenario(scenario)
-    os.environ["ABCLAB_MAX_WORKERS"] = "4"
-    try:
-        threaded = run_scenario(scenario)
-    finally:
-        del os.environ["ABCLAB_MAX_WORKERS"]
-    assert render_csv(sequential) == render_csv(threaded)
 
 
 def test_shipped_scenarios_all_pass():
