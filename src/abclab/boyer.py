@@ -48,7 +48,7 @@ from typing import Callable, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
 from .quadrature import refine_gauss_legendre
-from .units import PhysicalConstants, Vec3, Z_HAT, cross
+from .units import PhysicalConstants, Vec3, cross
 
 FULL_LAW = "full"
 NAIVE_LAW = "naive-boyer"
@@ -68,22 +68,17 @@ def _check_law(law: str):
 
 @dataclass(frozen=True, slots=True)
 class LineCharge:
-    """Infinite straight line of charge: density lambda_c (statC/cm), axis
-    along +z through axis_point (only the z axis is supported in v1).
-    Positions closer than axis_epsilon to the line are treated as singular."""
+    """Infinite straight line of charge: density lambda_c (statC/cm), running
+    along +z through axis_point.  Positions closer than axis_epsilon to the
+    line are treated as singular."""
 
     lambda_c: float
-    axis: Vec3 = Z_HAT
     axis_point: Vec3 = Vec3(0.0, 0.0, 0.0)
     axis_epsilon: float = AXIS_EPSILON
 
     def __post_init__(self):
         if not math.isfinite(self.lambda_c):
             raise ValidationError(f"lambda_c must be finite, got {self.lambda_c!r}")
-        if abs(self.axis.norm() - 1.0) > 1e-12:
-            raise ValidationError(f"axis must be a unit vector, got |axis| = {self.axis.norm()!r}")
-        if (self.axis - Z_HAT).norm() > 1e-12:
-            raise ValidationError("v1 supports only a line along +z")
         self.axis_point.require_finite("axis_point")
         if not (math.isfinite(self.axis_epsilon) and self.axis_epsilon > 0.0):
             raise ValidationError(f"axis_epsilon must be positive, got {self.axis_epsilon!r}")
@@ -322,10 +317,6 @@ class BounceResult:
     @property
     def final_kinetic_energy(self) -> float:
         return self.samples[-1].kinetic_energy
-
-    @property
-    def total_work(self) -> float:
-        return sum(self.work_per_leg)
 
 
 def _power(lc: LineCharge, n: NeutronModel, st: TrajectoryState, law: str, k: PhysicalConstants) -> float:

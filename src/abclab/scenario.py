@@ -2,37 +2,16 @@
 
 A scenario is a single YAML document.  All physical parameters carry their
 unit in the key name, which is the cheapest defence against unit mistakes in
-a Gaussian-units code base.  Top-level schema:
+a Gaussian-units code base.
 
-    kind: mzi | ab-solenoid | ac-bounce | ac-phase | field-free
-    units: gaussian-cgs | scaled-unity        # default gaussian-cgs
-    params: { ... kind specific, see below ... }
-    sweep:                                     # optional
-      param: dotted.path.into.params
-      from: <number>
-      to: <number>
-      steps: <int >= 2>
-      scale: linear | log                      # default linear
-    output:                                    # optional
-      format: csv | json                       # default csv
-      path: <file path>                        # default stdout
-
-Kind parameter blocks:
-
-    mzi:         phase_rad  (or path_shift: {delta_l_cm, wavelength_cm}),
-                 visibility (default 1.0)
-    ab-solenoid: solenoid: {r_cm, L_cm, M_g, Q_statC, v_cm_per_s},
-                 orbit: {R_cm, u_cm_per_s}, visibility (default 1.0)
-    ac-bounce:   line: {lambda_statC_per_cm},
-                 neutron: {mass_g, mu_z_erg_per_G},
-                 start: {x_cm, y_cm, vx_cm_per_s, vy_cm_per_s},
-                 mirrors: {a_cm, b_cm}, n_bounces, dt_s,
-                 law: full | naive-boyer | both (default both)
-    ac-phase:    line: {lambda_statC_per_cm}, mu_z_erg_per_G,
-                 loop: {kind: circle, center_x_cm, center_y_cm, z_cm, radius_cm}
-                   or  {kind: polyline, vertices_cm: [[x, y, z], ...]},
-                 second_radius_cm (optional, circle only)
-    field-free:  d_cm, e_statC, tol (default 1e-12)
+The tables under "parsing" below are the schema reference: ``_SCENARIO``
+for the top level (kind, units, params, sweep, output), ``_PARAMS`` for the
+params block of each kind, ``_SWEEP`` and ``_OUTPUT`` for the optional
+blocks.  Each maps a key to its type and says whether it is required,
+defaulted or omitted when absent; ``_CHECKS`` adds, per kind, the rules
+that span keys or need the physics objects.  A sweep varies one float key of params, named by
+its dotted path (``solenoid.v_cm_per_s``) from ``from`` to ``to`` in
+``steps`` points; integer keys such as ``n_bounces`` cannot be swept.
 
 Reports are deterministic: identical scenario plus seed produce byte
 identical CSV/JSON output.  Floats are serialized as shortest round-trip
@@ -59,7 +38,7 @@ from .errors import (
     ScenarioParseError,
     ValidationError,
 )
-from .units import PhysicalConstants, UNIT_SYSTEMS, Vec3, make_constants
+from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, make_constants
 
 SCHEMA_VERSION = 1
 
@@ -205,101 +184,173 @@ class RunReport:
 
 # ---------------------------------------------------------------------------
 # parsing
+#
+# The schema is one table per document level: key -> (type, presence).  A type
+# is float, int, str, a tuple of allowed strings, a nested table, a _Tagged
+# choice of tables, or a function that validates the raw value itself.  A
+# presence is REQUIRED, OMITTED (left out of the normalized dict when absent)
+# or the default used when absent; a default of None also reads null as None.
+# _walk validates a mapping against its table and builds the normalized dict
+# in table order; _CHECKS holds one function per kind for the rules that span
+# keys or need the physics objects.
+
+REQUIRED = object()
+OMITTED = object()
+_ROOT = "scenario"
 
 
-def _expect_mapping(node, path: str) -> dict:
+@dataclass(frozen=True)
+class _Tagged:
+    """A block whose ``tag`` key picks the table that validates it."""
+
+    tag: str
+    tables: dict
+
+
+def _numbers(*keys: str) -> dict:
+    return {key: (float, REQUIRED) for key in keys}
+
+
+def _vertices(raw, path: str) -> list:
+    if not isinstance(raw, list) or not raw:
+        raise ValidationError(f"{path}: required list of [x, y, z] triples")
+    for i, item in enumerate(raw):
+        if (
+            not isinstance(item, list)
+            or len(item) != 3
+            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in item)
+        ):
+            raise ValidationError(f"{path}[{i}]: must be an [x, y, z] triple")
+    return [[float(c) for c in item] for item in raw]
+
+
+_LINE = (_numbers("lambda_statC_per_cm"), REQUIRED)
+_LOOP_KINDS = ("circle", "polyline")
+
+_PARAMS = {
+    KIND_MZI: {
+        "phase_rad": (float, OMITTED),  # or path_shift, exactly one (_check_mzi)
+        "path_shift": (_numbers("delta_l_cm", "wavelength_cm"), OMITTED),
+        "visibility": (float, 1.0),
+    },
+    KIND_AB_SOLENOID: {
+        "solenoid": (_numbers("r_cm", "L_cm", "M_g", "Q_statC", "v_cm_per_s"), REQUIRED),
+        "orbit": (_numbers("R_cm", "u_cm_per_s"), REQUIRED),
+        "visibility": (float, 1.0),
+    },
+    KIND_AC_BOUNCE: {
+        "line": _LINE,
+        "neutron": (_numbers("mass_g", "mu_z_erg_per_G"), REQUIRED),
+        "start": ({**_numbers("x_cm", "y_cm", "vx_cm_per_s"), "vy_cm_per_s": (float, 0.0)}, REQUIRED),
+        "mirrors": (_numbers("a_cm", "b_cm"), REQUIRED),
+        "n_bounces": (int, REQUIRED),
+        "dt_s": (float, REQUIRED),
+        "law": ((boyer.FULL_LAW, boyer.NAIVE_LAW, "both"), "both"),
+    },
+    KIND_AC_PHASE: {
+        "line": _LINE,
+        "mu_z_erg_per_G": (float, REQUIRED),
+        "loop": (
+            _Tagged("kind", {
+                "circle": {
+                    "kind": (_LOOP_KINDS, REQUIRED),
+                    "center_x_cm": (float, 0.0),
+                    "center_y_cm": (float, 0.0),
+                    "z_cm": (float, 0.0),
+                    "radius_cm": (float, REQUIRED),
+                },
+                "polyline": {"kind": (_LOOP_KINDS, REQUIRED), "vertices_cm": (_vertices, REQUIRED)},
+            }),
+            REQUIRED,
+        ),
+        "second_radius_cm": (float, OMITTED),  # circle loops only (_check_ac_phase)
+    },
+    KIND_FIELD_FREE: {**_numbers("d_cm", "e_statC"), "tol": (float, 1e-12)},
+}
+
+_SWEEP = {
+    "param": (str, REQUIRED),  # dotted path to a float key of params
+    "from": (float, REQUIRED),
+    "to": (float, REQUIRED),
+    "steps": (int, REQUIRED),
+    "scale": (("linear", "log"), "linear"),
+}
+
+_OUTPUT = {"format": (("csv", "json"), "csv"), "path": (str, OMITTED)}
+
+_SCENARIO = _Tagged("kind", {
+    kind: {
+        "kind": (KINDS, REQUIRED),
+        "units": (UNIT_SYSTEMS, GAUSSIAN_CGS),
+        "params": (_PARAMS[kind], REQUIRED),
+        "sweep": (_SWEEP, None),
+        "output": (_OUTPUT, None),
+    }
+    for kind in KINDS
+})
+
+
+def _walk(table, node, path: str) -> dict:
+    """Validate a mapping against its table; returns the normalized dict."""
     if not isinstance(node, dict):
         raise ValidationError(f"{path}: expected a mapping, got {type(node).__name__}")
-    return node
-
-
-def _reject_unknown(node: dict, allowed: set[str], path: str):
+    if isinstance(table, _Tagged):
+        table = table.tables[_field(node, table.tag, tuple(table.tables), REQUIRED, path)]
     for key in node:
-        if key not in allowed:
+        if key not in table:
             raise ValidationError(f"{path}.{key}: unknown field")
+    out = {}
+    for key, (kind, presence) in table.items():
+        value = _field(node, key, kind, presence, path)
+        if value is not OMITTED:
+            out[key] = value
+    return out
 
 
-def _get_number(node: dict, key: str, path: str, required: bool = True, default=None):
+def _field(node: dict, key: str, kind, presence, path: str):
+    """The normalized value of one key, or its presence marker when absent."""
+    block = not isinstance(kind, (type, tuple))
+    # blocks under the document root are named without the root's prefix
+    where = key if block and path == _ROOT else f"{path}.{key}"
     if key not in node:
-        if required:
-            raise ValidationError(f"{path}.{key}: required field missing")
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{key}: must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}.{key}: must be finite, got {value!r}")
-    return float(value)
-
-
-def _get_int(node: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in node:
-        if required:
-            raise ValidationError(f"{path}.{key}: required field missing")
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}.{key}: must be an integer, got {value!r}")
-    return value
-
-
-def _get_str(node: dict, key: str, path: str, choices=None, required: bool = True, default=None):
-    if key not in node:
-        if required:
-            raise ValidationError(f"{path}.{key}: required field missing")
-        return default
-    value = node[key]
+        if presence is not REQUIRED:
+            return presence
+        if not block:
+            raise ValidationError(f"{where}: required field missing")
+    value = node.get(key)  # a missing required block reads as null
+    if value is None and presence is None:
+        return None
+    if isinstance(kind, (dict, _Tagged)):
+        return _walk(kind, value, where)
+    if block:
+        return kind(value, where)
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(f"{where}: must be an integer, got {value!r}")
+        return value
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{where}: must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ValidationError(f"{where}: must be finite, got {value!r}")
+        return float(value)
     if not isinstance(value, str):
-        raise ValidationError(f"{path}.{key}: must be a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ValidationError(f"{path}.{key}: must be one of {choices}, got {value!r}")
+        raise ValidationError(f"{where}: must be a string, got {value!r}")
+    if kind is not str and value not in kind:
+        raise ValidationError(f"{where}: must be one of {kind}, got {value!r}")
     return value
 
 
-def _normalize_mzi(params: dict, collected: list[str]) -> dict:
-    _reject_unknown(params, {"phase_rad", "path_shift", "visibility"}, "params")
-    out: dict = {}
+def _check_mzi(params: dict, collected: list[str]):
     if "path_shift" in params:
         if "phase_rad" in params:
             raise ValidationError("params: give either phase_rad or path_shift, not both")
-        shift = _expect_mapping(params["path_shift"], "params.path_shift")
-        _reject_unknown(shift, {"delta_l_cm", "wavelength_cm"}, "params.path_shift")
-        out["path_shift"] = {
-            "delta_l_cm": _get_number(shift, "delta_l_cm", "params.path_shift"),
-            "wavelength_cm": _get_number(shift, "wavelength_cm", "params.path_shift"),
-        }
         interferometry.phase_from_path_shift(
-            out["path_shift"]["delta_l_cm"], out["path_shift"]["wavelength_cm"]
+            params["path_shift"]["delta_l_cm"], params["path_shift"]["wavelength_cm"]
         )
-    else:
-        out["phase_rad"] = _get_number(params, "phase_rad", "params")
-    out["visibility"] = _get_number(params, "visibility", "params", required=False, default=1.0)
-    interferometry.detector_probabilities(0.0, out["visibility"])
-    return out
-
-
-def _normalize_ab_solenoid(params: dict, collected: list[str]) -> dict:
-    _reject_unknown(params, {"solenoid", "orbit", "visibility"}, "params")
-    sol = _expect_mapping(params.get("solenoid"), "params.solenoid")
-    _reject_unknown(sol, {"r_cm", "L_cm", "M_g", "Q_statC", "v_cm_per_s"}, "params.solenoid")
-    orb = _expect_mapping(params.get("orbit"), "params.orbit")
-    _reject_unknown(orb, {"R_cm", "u_cm_per_s"}, "params.orbit")
-    out = {
-        "solenoid": {
-            "r_cm": _get_number(sol, "r_cm", "params.solenoid"),
-            "L_cm": _get_number(sol, "L_cm", "params.solenoid"),
-            "M_g": _get_number(sol, "M_g", "params.solenoid"),
-            "Q_statC": _get_number(sol, "Q_statC", "params.solenoid"),
-            "v_cm_per_s": _get_number(sol, "v_cm_per_s", "params.solenoid"),
-        },
-        "orbit": {
-            "R_cm": _get_number(orb, "R_cm", "params.orbit"),
-            "u_cm_per_s": _get_number(orb, "u_cm_per_s", "params.orbit"),
-        },
-        "visibility": _get_number(params, "visibility", "params", required=False, default=1.0),
-    }
-    _build_ab_objects(out, collected)
-    return out
+    elif "phase_rad" not in params:
+        raise ValidationError("params.phase_rad: required field missing")
+    interferometry.detector_probabilities(0.0, params["visibility"])
 
 
 def _build_ab_objects(params: dict, collected: list[str] | None):
@@ -318,46 +369,6 @@ def _build_ab_objects(params: dict, collected: list[str] | None):
             f"params.orbit.R_cm: orbit radius {o.R!r} must exceed the solenoid radius {s.r!r}"
         )
     return s, o
-
-
-def _normalize_ac_bounce(params: dict, collected: list[str]) -> dict:
-    _reject_unknown(
-        params, {"line", "neutron", "start", "mirrors", "n_bounces", "dt_s", "law"}, "params"
-    )
-    line = _expect_mapping(params.get("line"), "params.line")
-    _reject_unknown(line, {"lambda_statC_per_cm"}, "params.line")
-    neutron = _expect_mapping(params.get("neutron"), "params.neutron")
-    _reject_unknown(neutron, {"mass_g", "mu_z_erg_per_G"}, "params.neutron")
-    start = _expect_mapping(params.get("start"), "params.start")
-    _reject_unknown(start, {"x_cm", "y_cm", "vx_cm_per_s", "vy_cm_per_s"}, "params.start")
-    mirrors = _expect_mapping(params.get("mirrors"), "params.mirrors")
-    _reject_unknown(mirrors, {"a_cm", "b_cm"}, "params.mirrors")
-    out = {
-        "line": {"lambda_statC_per_cm": _get_number(line, "lambda_statC_per_cm", "params.line")},
-        "neutron": {
-            "mass_g": _get_number(neutron, "mass_g", "params.neutron"),
-            "mu_z_erg_per_G": _get_number(neutron, "mu_z_erg_per_G", "params.neutron"),
-        },
-        "start": {
-            "x_cm": _get_number(start, "x_cm", "params.start"),
-            "y_cm": _get_number(start, "y_cm", "params.start"),
-            "vx_cm_per_s": _get_number(start, "vx_cm_per_s", "params.start"),
-            "vy_cm_per_s": _get_number(start, "vy_cm_per_s", "params.start", required=False, default=0.0),
-        },
-        "mirrors": {
-            "a_cm": _get_number(mirrors, "a_cm", "params.mirrors"),
-            "b_cm": _get_number(mirrors, "b_cm", "params.mirrors"),
-        },
-        "n_bounces": _get_int(params, "n_bounces", "params"),
-        "dt_s": _get_number(params, "dt_s", "params"),
-        "law": _get_str(
-            params, "law", "params",
-            choices=(boyer.FULL_LAW, boyer.NAIVE_LAW, "both"),
-            required=False, default="both",
-        ),
-    }
-    _build_bounce_objects(out)
-    return out
 
 
 def _build_bounce_objects(params: dict):
@@ -386,47 +397,10 @@ def _build_bounce_objects(params: dict):
     return lc, n, initial, configs
 
 
-def _normalize_ac_phase(params: dict, collected: list[str]) -> dict:
-    _reject_unknown(params, {"line", "mu_z_erg_per_G", "loop", "second_radius_cm"}, "params")
-    line = _expect_mapping(params.get("line"), "params.line")
-    _reject_unknown(line, {"lambda_statC_per_cm"}, "params.line")
-    loop = _expect_mapping(params.get("loop"), "params.loop")
-    loop_kind = _get_str(loop, "kind", "params.loop", choices=("circle", "polyline"))
-    out = {
-        "line": {"lambda_statC_per_cm": _get_number(line, "lambda_statC_per_cm", "params.line")},
-        "mu_z_erg_per_G": _get_number(params, "mu_z_erg_per_G", "params"),
-    }
-    if loop_kind == "circle":
-        _reject_unknown(loop, {"kind", "center_x_cm", "center_y_cm", "z_cm", "radius_cm"}, "params.loop")
-        out["loop"] = {
-            "kind": "circle",
-            "center_x_cm": _get_number(loop, "center_x_cm", "params.loop", required=False, default=0.0),
-            "center_y_cm": _get_number(loop, "center_y_cm", "params.loop", required=False, default=0.0),
-            "z_cm": _get_number(loop, "z_cm", "params.loop", required=False, default=0.0),
-            "radius_cm": _get_number(loop, "radius_cm", "params.loop"),
-        }
-    else:
-        _reject_unknown(loop, {"kind", "vertices_cm"}, "params.loop")
-        raw = loop.get("vertices_cm")
-        if not isinstance(raw, list) or not raw:
-            raise ValidationError("params.loop.vertices_cm: required list of [x, y, z] triples")
-        vertices = []
-        for i, item in enumerate(raw):
-            if (
-                not isinstance(item, list)
-                or len(item) != 3
-                or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in item)
-            ):
-                raise ValidationError(f"params.loop.vertices_cm[{i}]: must be an [x, y, z] triple")
-            vertices.append([float(c) for c in item])
-        out["loop"] = {"kind": "polyline", "vertices_cm": vertices}
-    second = _get_number(params, "second_radius_cm", "params", required=False)
-    if second is not None:
-        if out["loop"]["kind"] != "circle":
-            raise ValidationError("params.second_radius_cm: only valid with a circle loop")
-        out["second_radius_cm"] = second
-    _build_phase_objects(out)
-    return out
+def _check_ac_phase(params: dict, collected: list[str]):
+    if "second_radius_cm" in params and params["loop"]["kind"] != "circle":
+        raise ValidationError("params.second_radius_cm: only valid with a circle loop")
+    _build_phase_objects(params)
 
 
 def _build_phase_objects(params: dict):
@@ -443,25 +417,18 @@ def _build_phase_objects(params: dict):
     return lc, mu, loop
 
 
-def _normalize_field_free(params: dict, collected: list[str]) -> dict:
-    _reject_unknown(params, {"d_cm", "e_statC", "tol"}, "params")
-    out = {
-        "d_cm": _get_number(params, "d_cm", "params"),
-        "e_statC": _get_number(params, "e_statC", "params"),
-        "tol": _get_number(params, "tol", "params", required=False, default=1e-12),
-    }
-    fieldfree.make_three_charge(out["d_cm"], out["e_statC"])
-    if not out["tol"] > 0.0:
-        raise ValidationError(f"params.tol: must be positive, got {out['tol']!r}")
-    return out
+def _check_field_free(params: dict, collected: list[str]):
+    fieldfree.make_three_charge(params["d_cm"], params["e_statC"])
+    if not params["tol"] > 0.0:
+        raise ValidationError(f"params.tol: must be positive, got {params['tol']!r}")
 
 
-_NORMALIZERS = {
-    KIND_MZI: _normalize_mzi,
-    KIND_AB_SOLENOID: _normalize_ab_solenoid,
-    KIND_AC_BOUNCE: _normalize_ac_bounce,
-    KIND_AC_PHASE: _normalize_ac_phase,
-    KIND_FIELD_FREE: _normalize_field_free,
+_CHECKS = {
+    KIND_MZI: _check_mzi,
+    KIND_AB_SOLENOID: _build_ab_objects,
+    KIND_AC_BOUNCE: lambda params, collected: _build_bounce_objects(params),
+    KIND_AC_PHASE: _check_ac_phase,
+    KIND_FIELD_FREE: _check_field_free,
 }
 
 
@@ -475,7 +442,10 @@ def _resolve_path(params: dict, path: str):
     last = keys[-1]
     if not isinstance(node, dict) or last not in node:
         raise ValidationError(f"sweep.param: path {path!r} does not exist in params")
-    if isinstance(node[last], bool) or not isinstance(node[last], (int, float)):
+    # normalized params hold float for float keys and int for int keys
+    if isinstance(node[last], int):
+        raise ValidationError(f"sweep.param: {path!r} is an integer parameter and cannot be swept")
+    if not isinstance(node[last], float):
         raise ValidationError(f"sweep.param: {path!r} is not a numeric parameter")
     return node, last
 
@@ -503,39 +473,20 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError(f"malformed scenario document{where}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")
-    _reject_unknown(doc, {"kind", "units", "params", "sweep", "output"}, "scenario")
-    kind = _get_str(doc, "kind", "scenario", choices=KINDS)
-    units = _get_str(doc, "units", "scenario", choices=UNIT_SYSTEMS, required=False, default="gaussian-cgs")
-    params_node = _expect_mapping(doc.get("params"), "params")
+    s = _walk(_SCENARIO, doc, _ROOT)
     collected: list[str] = []
-    params = _NORMALIZERS[kind](params_node, collected)
-
+    _CHECKS[s["kind"]](s["params"], collected)
     sweep = None
-    if doc.get("sweep") is not None:
-        node = _expect_mapping(doc["sweep"], "sweep")
-        _reject_unknown(node, {"param", "from", "to", "steps", "scale"}, "sweep")
-        sweep = SweepSpec(
-            param=_get_str(node, "param", "sweep"),
-            start=_get_number(node, "from", "sweep"),
-            stop=_get_number(node, "to", "sweep"),
-            steps=_get_int(node, "steps", "sweep"),
-            scale=_get_str(node, "scale", "sweep", choices=("linear", "log"), required=False, default="linear"),
-        )
+    if s["sweep"] is not None:
+        node = s["sweep"]
+        sweep = SweepSpec(node["param"], node["from"], node["to"], node["steps"], node["scale"])
         if sweep.steps < 2:
             raise ValidationError(f"sweep.steps: must be >= 2, got {sweep.steps!r}")
         if sweep.scale == "log" and (sweep.start <= 0.0 or sweep.stop <= 0.0):
             raise ValidationError("sweep: log scale requires positive 'from' and 'to'")
-        _resolve_path(params, sweep.param)
-
-    output = OutputSpec()
-    if doc.get("output") is not None:
-        node = _expect_mapping(doc["output"], "output")
-        _reject_unknown(node, {"format", "path"}, "output")
-        output = OutputSpec(
-            format=_get_str(node, "format", "output", choices=("csv", "json"), required=False, default="csv"),
-            path=_get_str(node, "path", "output", required=False),
-        )
-    return Scenario(kind=kind, units=units, params=params, sweep=sweep, output=output, warnings=collected)
+        _resolve_path(s["params"], sweep.param)
+    output = OutputSpec(**(s["output"] or {}))
+    return Scenario(s["kind"], s["units"], s["params"], sweep, output, warnings=collected)
 
 
 def load_scenario(path: str) -> Scenario:

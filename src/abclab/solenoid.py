@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError, ConsistencyError, DomainError, ValidationError
 from .quadrature import adaptive_simpson
@@ -56,7 +56,6 @@ class SolenoidParams:
     M: float
     Q: float
     v: float
-    aspect_warn_threshold: float = field(default=LONG_SOLENOID_ASPECT, compare=False)
 
     def __post_init__(self):
         _require_positive("r", self.r)
@@ -64,9 +63,9 @@ class SolenoidParams:
         _require_positive("M", self.M)
         _require_positive("Q", self.Q, allow_zero=True)
         _require_positive("v", self.v)
-        if self.r / self.L > self.aspect_warn_threshold:
+        if self.r / self.L > LONG_SOLENOID_ASPECT:
             warnings.warn(
-                f"aspect ratio r/L = {self.r / self.L:.3g} exceeds {self.aspect_warn_threshold:g}; "
+                f"aspect ratio r/L = {self.r / self.L:.3g} exceeds {LONG_SOLENOID_ASPECT:g}; "
                 "the long-solenoid flux formula is strained",
                 LongSolenoidWarning,
                 stacklevel=2,

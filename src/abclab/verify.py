@@ -8,6 +8,7 @@ reports; the CLI maps a non-empty failure set to a non-zero exit code.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import boyer, fieldfree, interferometry, solenoid
 from .scenario import CheckRow, RunReport
-from .units import GAUSSIAN_CGS, SCALED_UNITY, Vec3, cross, make_constants
+from .units import GAUSSIAN_CGS, SCALED_UNITY, PhysicalConstants, Vec3, cross, make_constants
 
 _K1 = make_constants(SCALED_UNITY)
 
@@ -42,9 +43,10 @@ def _random_vec(rng: np.random.Generator, scale: float = 1.0) -> Vec3:
     )
 
 
-def _constants(e: float, c: float, hbar: float):
-    from .units import PhysicalConstants
-
+def _random_constants(rng: np.random.Generator) -> PhysicalConstants:
+    e = _log_uniform(rng, 1e-3, 1e3)
+    c = _log_uniform(rng, 1e-3, 1e3)
+    hbar = _log_uniform(rng, 1e-3, 1e3)
     return PhysicalConstants(e=e, c=c, hbar=hbar, h=2.0 * math.pi * hbar)
 
 
@@ -190,11 +192,7 @@ def _check_factor4_identity(rng) -> CheckRow:
     for _ in range(1000):
         s = _random_solenoid(rng)
         o = _random_orbit(rng)
-        k = _constants(
-            e=_log_uniform(rng, 1e-3, 1e3),
-            c=_log_uniform(rng, 1e-3, 1e3),
-            hbar=_log_uniform(rng, 1e-3, 1e3),
-        )
+        k = _random_constants(rng)
         res = solenoid.local_model_phase(s, o, k)
         worst = max(worst, abs(res.phase_local / res.phase_ab - 1.0))
     return CheckRow("factor4_identity", 0.0, worst, 1e-12, worst < 1e-12)
@@ -205,11 +203,7 @@ def _check_velocity_kick_quadrature(rng) -> CheckRow:
     for _ in range(100):
         s = _random_solenoid(rng)
         o = _random_orbit(rng)
-        k = _constants(
-            e=_log_uniform(rng, 1e-3, 1e3),
-            c=_log_uniform(rng, 1e-3, 1e3),
-            hbar=_log_uniform(rng, 1e-3, 1e3),
-        )
+        k = _random_constants(rng)
         closed = solenoid.cylinder_velocity_change(s, o, k, method=solenoid.CLOSED_FORM)
         quad = solenoid.cylinder_velocity_change(s, o, k, method=solenoid.QUADRATURE)
         worst = max(worst, abs(quad / closed - 1.0))
@@ -238,11 +232,7 @@ def _check_displacement_invariance(rng) -> CheckRow:
     worst = 0.0
     for _ in range(100):
         s = _random_solenoid(rng)
-        k = _constants(
-            e=_log_uniform(rng, 1e-3, 1e3),
-            c=_log_uniform(rng, 1e-3, 1e3),
-            hbar=_log_uniform(rng, 1e-3, 1e3),
-        )
+        k = _random_constants(rng)
         o1, o2 = _random_orbit(rng), _random_orbit(rng)
         d1 = solenoid.cylinder_displacement(s, o1, k)
         d2 = solenoid.cylinder_displacement(s, o2, k)
@@ -254,11 +244,7 @@ def _check_flux_phase_linearity(rng) -> CheckRow:
     worst = 0.0
     for _ in range(100):
         s = _random_solenoid(rng)
-        k = _constants(
-            e=_log_uniform(rng, 1e-3, 1e3),
-            c=_log_uniform(rng, 1e-3, 1e3),
-            hbar=_log_uniform(rng, 1e-3, 1e3),
-        )
+        k = _random_constants(rng)
         factor = _log_uniform(rng, 0.1, 10.0)
         base = solenoid.ab_phase_direct(s, k)
         with warnings.catch_warnings():
@@ -270,7 +256,7 @@ def _check_flux_phase_linearity(rng) -> CheckRow:
                 (solenoid.SolenoidParams(s.r, s.L * factor, s.M, s.Q, s.v), 1.0 / factor),
             ):
                 worst = max(worst, abs(solenoid.ab_phase_direct(scaled, k) / (base * expect) - 1.0))
-        ke = _constants(e=k.e * factor, c=k.c, hbar=k.hbar)
+        ke = dataclasses.replace(k, e=k.e * factor)
         worst = max(worst, abs(solenoid.ab_phase_direct(s, ke) / (base * factor) - 1.0))
     return CheckRow("flux_phase_linearity", 0.0, worst, 1e-12, worst <= 1e-12)
 
@@ -279,11 +265,7 @@ def _check_flux_chain_consistency(rng) -> CheckRow:
     worst = 0.0
     for _ in range(1000):
         s = _random_solenoid(rng)
-        k = _constants(
-            e=_log_uniform(rng, 1e-3, 1e3),
-            c=_log_uniform(rng, 1e-3, 1e3),
-            hbar=_log_uniform(rng, 1e-3, 1e3),
-        )
+        k = _random_constants(rng)
         chained = solenoid.ab_phase_from_flux(solenoid.solenoid_flux(s, k), k)
         direct = solenoid.ab_phase_direct(s, k)
         worst = max(worst, abs(chained / direct - 1.0))

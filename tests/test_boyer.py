@@ -64,13 +64,6 @@ def test_line_field_singularity():
         line_field(LINE, Vec3(1e-10, 0.0, 0.0))
 
 
-def test_line_charge_validation():
-    with pytest.raises(ValidationError):
-        LineCharge(lambda_c=1.0, axis=Vec3(0.0, 0.0, 2.0))
-    with pytest.raises(ValidationError):
-        LineCharge(lambda_c=1.0, axis=Vec3(1.0, 0.0, 0.0))  # v1: z axis only
-
-
 def test_neutron_model_validation():
     with pytest.raises(ValidationError):
         NeutronModel(mass=0.0, mu=MU_Z)

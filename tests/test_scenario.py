@@ -1,8 +1,10 @@
+import copy
 import json
 import math
 from pathlib import Path
 
 import pytest
+import yaml
 
 from abclab import (
     ScenarioParseError,
@@ -266,6 +268,78 @@ def test_golden_bounce_csv_matches_stored_file():
     # pins both laws' bounce times, kinetic energies, work integrals and gains
     report = run_scenario(load_scenario(str(SCENARIO_DIR / "ac_bounce.yaml")))
     assert render_csv(report).encode() == (DATA_DIR / "golden_ac_bounce.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+def test_golden_json_matches_stored_file(name):
+    # pins the normalized scenario.params next to the rows and checks
+    report = run_scenario(load_scenario(str(SCENARIO_DIR / f"{name}.yaml")))
+    assert render_json(report).encode() == (DATA_DIR / f"golden_{name}.json").read_bytes()
+
+
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _mutated_documents():
+    """Every shipped scenario with one key deleted, set to a string, set to
+    null, or given an unknown sibling: (name, key path, mutation, text)."""
+    for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+        doc = yaml.safe_load(path.read_text())
+        for keys in _key_paths(doc):
+            for mutation in ("delete", "string", "null", "unknown"):
+                mutated = copy.deepcopy(doc)
+                node = mutated
+                for key in keys[:-1]:
+                    node = node[key]
+                if mutation == "delete":
+                    del node[keys[-1]]
+                elif mutation == "unknown":
+                    node["unknown_key"] = 1
+                else:
+                    node[keys[-1]] = "bogus" if mutation == "string" else None
+                yield path.name, keys, mutation, yaml.safe_dump(mutated, sort_keys=False)
+
+
+def test_validation_messages_name_the_mutated_key():
+    invalid = 0
+    for name, keys, mutation, text in _mutated_documents():
+        try:
+            parse_scenario(text)
+        except ValidationError as exc:
+            invalid += 1
+            named = str(exc).split(":")[0].split(".")[-1]
+        else:
+            continue  # an optional key, or a block that may be absent
+        wanted = "unknown_key" if mutation == "unknown" else keys[-1]
+        if (name, keys, mutation) == ("mzi_half_wavelength.yaml", ("params", "path_shift"), "delete"):
+            wanted = "phase_rad"  # the missing alternative is named
+        assert named == wanted, (name, keys, mutation, str(exc))
+    assert invalid == 296
+
+
+def test_sweep_of_integer_key_is_refused(tmp_path):
+    # a swept value is a float; n_bounces: 1.5 used to run as 2 bounces
+    doc = """
+kind: ac-bounce
+units: scaled-unity
+params:
+  line: {lambda_statC_per_cm: 0.05}
+  neutron: {mass_g: 1.0, mu_z_erg_per_G: 1.0}
+  start: {x_cm: 3.0, y_cm: 0.5, vx_cm_per_s: -2.0}
+  mirrors: {a_cm: 1.5, b_cm: 3.0}
+  n_bounces: 1
+  dt_s: 0.00390625
+sweep: {param: n_bounces, from: 1, to: 2, steps: 3}
+"""
+    with pytest.raises(ValidationError, match=r"^sweep\.param: 'n_bounces' is an integer parameter"):
+        parse_scenario(doc)
+    path = tmp_path / "int_sweep.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path)]) == 2
 
 
 def test_verify_suite_deterministic_and_green():
