@@ -26,18 +26,26 @@ fixed winding number.
 
 The RK4 stepper runs on a scalar kernel rather than on Vec3 objects.  The
 line field is planar (no z component, no z dependence), so its Jacobian has
-three distinct entries; ``_field_jacobian``, ``_dipole_force`` and
-``_convective_rate`` compute the field gradient, the induced-dipole force and
-the convective hidden-momentum rate from plain floats, and
-``line_field_gradient``, ``boyer_force`` and ``hidden_momentum_rate`` are
-Vec3 wrappers over them.  The kernel still carries every z component (a
-nonzero pos.z or vel.z, or the tiny transverse mu that NeutronModel admits,
-propagates as before).  Contract: each scalar expression evaluates in the
-order of the Vec3 expression it replaced (sums left to right, x then y then
-z, zero Jacobian entries kept as 0.0 factors, reciprocals 1/c and 1/m
-multiplied), so steps, bounce reports and verify reports are bit-identical
-to the Vec3 formulation; ``tests/test_boyer.py`` keeps that formulation as
-the reference.
+three distinct entries.  ``_acceleration`` computes the axis check, the
+Jacobian, the induced-dipole force F and the convective hidden-momentum rate
+(v . grad)p_h from plain floats in one function body, and the full law
+subtracts the two terms; ``line_field_gradient``, ``boyer_force`` and
+``hidden_momentum_rate`` are Vec3 wrappers over the same body.  The kernel
+still carries every z component (a nonzero pos.z or vel.z, or the tiny
+transverse mu that NeutronModel admits, propagates as before).  Contract:
+each scalar expression evaluates in the order of the Vec3 expression it
+replaced (sums left to right, x then y then z, zero Jacobian entries kept as
+0.0 factors, reciprocals 1/c and 1/m multiplied), so steps, bounce reports
+and verify reports are bit-identical to the Vec3 formulation;
+``tests/test_boyer.py`` keeps that formulation as the reference.
+
+The bounce loop evaluates each state's acceleration once.  That one
+evaluation is stage 1 of the advance step, of the Simpson-midpoint half-step
+and of every mirror-bisection candidate (``step_trajectory(..., accel=...)``),
+and its power m a.v ends one work panel and starts the next; only a reflected
+state, whose velocity changed, is evaluated afresh.  A stage-1 acceleration
+handed in is the very tuple the step would compute, so sharing it changes no
+bit of any step or report (``tests/test_boyer.py`` checks both laws).
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from typing import Callable, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
 from .quadrature import refine_gauss_legendre
-from .units import PhysicalConstants, Vec3, cross
+from .units import ZERO3, PhysicalConstants, Vec3, cross
 
 FULL_LAW = "full"
 NAIVE_LAW = "naive-boyer"
@@ -59,6 +67,10 @@ AXIS_EPSILON = 1e-9
 
 # Mirror-crossing events are located to this accuracy along the flight axis (cm).
 MIRROR_LOCATE_TOL = 1e-12
+
+# A bounce leg that needs more RK4 advance steps than this raises NumericalError
+# (mirror bisection does not count).  A leg's cost grows as 1/|vx|.
+MAX_STEPS_PER_LEG = 1_000_000
 
 
 def _check_law(law: str):
@@ -113,8 +125,14 @@ class TrajectoryState:
     vel: Vec3
 
     def __post_init__(self):
-        self.pos.require_finite("pos")
-        self.vel.require_finite("vel")
+        p, v = self.pos, self.vel
+        isfinite = math.isfinite
+        if not (
+            isfinite(p.x) and isfinite(p.y) and isfinite(p.z)
+            and isfinite(v.x) and isfinite(v.y) and isfinite(v.z)
+        ):
+            p.require_finite("pos")  # builds the message
+            v.require_finite("vel")
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,90 +157,35 @@ class BounceConfig:
         _check_law(self.law)
 
 
+def _axis_error(lc: LineCharge, x: float, y: float) -> SingularityError:
+    return SingularityError(
+        f"position ({x!r}, {y!r}) lies within {lc.axis_epsilon:g} cm of the charged line"
+    )
+
+
 def _radial(lc: LineCharge, x: float, y: float) -> tuple[float, float, float]:
     rx = x - lc.axis_point.x
     ry = y - lc.axis_point.y
     rho2 = rx * rx + ry * ry
     if rho2 < lc.axis_epsilon * lc.axis_epsilon:
-        raise SingularityError(
-            f"position ({x!r}, {y!r}) lies within {lc.axis_epsilon:g} cm of the charged line"
-        )
+        raise _axis_error(lc, x, y)
     return rx, ry, rho2
 
 
-# Scalar kernel (see the module docstring for its bit-identity contract).
-# Jacobian entries: exx = dEx/dx, exy = dEx/dy = dEy/dx, eyy = dEy/dy.
-
-
-def _field_jacobian(lc: LineCharge, x: float, y: float) -> tuple[float, float, float]:
+def _line_field(lc: LineCharge, x: float, y: float) -> tuple[float, float]:
     rx, ry, rho2 = _radial(lc, x, y)
-    pref = 2.0 * lc.lambda_c / (rho2 * rho2)
-    x2 = rx * rx
-    y2 = ry * ry
-    xy = rx * ry
-    return pref * (y2 - x2), pref * (-2.0 * xy), pref * (x2 - y2)
+    s = 2.0 * lc.lambda_c / rho2
+    return s * rx, s * ry
 
 
-def _dipole_force(
-    jac: tuple[float, float, float], vx: float, vy: float, vz: float, mu: Vec3, inv_c: float
-) -> tuple[float, float, float]:
-    # (d . grad)E with d = (v x mu)/c; d.z meets dE/dz = 0 and drops out.
-    exx, exy, eyy = jac
-    dx = (vy * mu.z - vz * mu.y) * inv_c
-    dy = (vz * mu.x - vx * mu.z) * inv_c
-    return exx * dx + exy * dy, exy * dx + eyy * dy, 0.0 * dx + 0.0 * dy
-
-
-def _convective_rate(
-    jac: tuple[float, float, float], vx: float, vy: float, mu: Vec3, inv_c: float
-) -> tuple[float, float, float]:
-    # (v . grad)[(mu x E)/c] = mu x [(v . grad)E] / c; v.z meets dE/dz = 0.
-    exx, exy, eyy = jac
-    ex = exx * vx + exy * vy
-    ey = exy * vx + eyy * vy
-    ez = 0.0 * vx + 0.0 * vy
+def _hidden_momentum(lc: LineCharge, mu: Vec3, inv_c: float, x: float, y: float) -> tuple[float, float, float]:
+    # (mu x E)/c; E.z = 0.0 is kept as a factor.
+    ex, ey = _line_field(lc, x, y)
     return (
-        (mu.y * ez - mu.z * ey) * inv_c,
-        (mu.z * ex - mu.x * ez) * inv_c,
+        (mu.y * 0.0 - mu.z * ey) * inv_c,
+        (mu.z * ex - mu.x * 0.0) * inv_c,
         (mu.x * ey - mu.y * ex) * inv_c,
     )
-
-
-def line_field(lc: LineCharge, pos: Vec3) -> Vec3:
-    """Electric field 2*lambda_c/rho radially outward from the line (statV/cm)."""
-    rx, ry, rho2 = _radial(lc, pos.x, pos.y)
-    s = 2.0 * lc.lambda_c / rho2
-    return Vec3(s * rx, s * ry, 0.0)
-
-
-def line_field_gradient(lc: LineCharge, pos: Vec3) -> tuple[Vec3, Vec3]:
-    """Columns dE/dx and dE/dy of the field Jacobian (dE/dz vanishes)."""
-    exx, exy, eyy = _field_jacobian(lc, pos.x, pos.y)
-    return Vec3(exx, exy, 0.0), Vec3(exy, eyy, 0.0)
-
-
-def induced_dipole(vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
-    """Electric dipole (v x mu)/c induced on a moving magnetic moment."""
-    return cross(vel, mu) * (1.0 / k.c)
-
-
-def boyer_force(lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
-    """Gradient force (d . grad)E on the induced dipole (dyn)."""
-    jac = _field_jacobian(lc, pos.x, pos.y)
-    return Vec3(*_dipole_force(jac, vel.x, vel.y, vel.z, mu, 1.0 / k.c))
-
-
-def hidden_momentum(lc: LineCharge, pos: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
-    """Hidden mechanical momentum (mu x E)/c of a current loop in the line field."""
-    return cross(mu, line_field(lc, pos)) * (1.0 / k.c)
-
-
-def hidden_momentum_rate(
-    lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, k: PhysicalConstants
-) -> Vec3:
-    """Convective rate (v . grad)[(mu x E)/c] along a trajectory through pos."""
-    jac = _field_jacobian(lc, pos.x, pos.y)
-    return Vec3(*_convective_rate(jac, vel.x, vel.y, mu, 1.0 / k.c))
 
 
 def _acceleration(
@@ -236,15 +199,84 @@ def _acceleration(
     vx: float,
     vy: float,
     vz: float,
-) -> tuple[float, float, float]:
-    # The full law subtracts the two independently formed terms; it never
-    # short-circuits to zero, since their cancellation is the claim under test.
-    jac = _field_jacobian(lc, x, y)
-    fx, fy, fz = _dipole_force(jac, vx, vy, vz, mu, inv_c)
+    terms: bool = False,
+):
+    """Acceleration (F - (v . grad)p_h)/m under the full law, F/m under the
+    naive law.  With terms=True and naive False it returns the Jacobian
+    entries (exx, exy, eyy), F and (v . grad)p_h instead, for the Vec3
+    wrappers.  One body, no helper calls: this is the RK4 hot path (see the
+    module docstring for its bit-identity contract)."""
+    rx = x - lc.axis_point.x  # _radial's axis check, inlined
+    ry = y - lc.axis_point.y
+    rho2 = rx * rx + ry * ry
+    if rho2 < lc.axis_epsilon * lc.axis_epsilon:
+        raise _axis_error(lc, x, y)
+    # Jacobian entries: exx = dEx/dx, exy = dEx/dy = dEy/dx, eyy = dEy/dy.
+    pref = 2.0 * lc.lambda_c / (rho2 * rho2)
+    x2 = rx * rx
+    y2 = ry * ry
+    xy = rx * ry
+    exx = pref * (y2 - x2)
+    exy = pref * (-2.0 * xy)
+    eyy = pref * (x2 - y2)
+    # F = (d . grad)E with d = (v x mu)/c; d.z meets dE/dz = 0 and drops out.
+    dx = (vy * mu.z - vz * mu.y) * inv_c
+    dy = (vz * mu.x - vx * mu.z) * inv_c
+    fx = exx * dx + exy * dy
+    fy = exy * dx + eyy * dy
+    fz = 0.0 * dx + 0.0 * dy
     if naive:
         return fx * inv_m, fy * inv_m, fz * inv_m
-    rx, ry, rz = _convective_rate(jac, vx, vy, mu, inv_c)
-    return (fx - rx) * inv_m, (fy - ry) * inv_m, (fz - rz) * inv_m
+    # (v . grad)[(mu x E)/c] = mu x [(v . grad)E] / c; v.z meets dE/dz = 0.
+    ex = exx * vx + exy * vy
+    ey = exy * vx + eyy * vy
+    ez = 0.0 * vx + 0.0 * vy
+    qx = (mu.y * ez - mu.z * ey) * inv_c
+    qy = (mu.z * ex - mu.x * ez) * inv_c
+    qz = (mu.x * ey - mu.y * ex) * inv_c
+    if terms:
+        return (exx, exy, eyy), (fx, fy, fz), (qx, qy, qz)
+    # The full law subtracts the two independently formed terms; it never
+    # short-circuits to zero, since their cancellation is the claim under test.
+    return (fx - qx) * inv_m, (fy - qy) * inv_m, (fz - qz) * inv_m
+
+
+def _terms(lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, inv_c: float):
+    return _acceleration(lc, mu, inv_c, 1.0, False, pos.x, pos.y, vel.x, vel.y, vel.z, True)
+
+
+def line_field(lc: LineCharge, pos: Vec3) -> Vec3:
+    """Electric field 2*lambda_c/rho radially outward from the line (statV/cm)."""
+    ex, ey = _line_field(lc, pos.x, pos.y)
+    return Vec3(ex, ey, 0.0)
+
+
+def line_field_gradient(lc: LineCharge, pos: Vec3) -> tuple[Vec3, Vec3]:
+    """Columns dE/dx and dE/dy of the field Jacobian (dE/dz vanishes)."""
+    (exx, exy, eyy), _, _ = _terms(lc, pos, ZERO3, ZERO3, 1.0)
+    return Vec3(exx, exy, 0.0), Vec3(exy, eyy, 0.0)
+
+
+def induced_dipole(vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
+    """Electric dipole (v x mu)/c induced on a moving magnetic moment."""
+    return cross(vel, mu) * (1.0 / k.c)
+
+
+def boyer_force(lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
+    """Gradient force (d . grad)E on the induced dipole (dyn)."""
+    return Vec3(*_terms(lc, pos, vel, mu, 1.0 / k.c)[1])
+
+
+def hidden_momentum(lc: LineCharge, pos: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
+    """Hidden mechanical momentum (mu x E)/c of a current loop in the line field."""
+    return Vec3(*_hidden_momentum(lc, mu, 1.0 / k.c, pos.x, pos.y))
+
+
+def hidden_momentum_rate(
+    lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, k: PhysicalConstants
+) -> Vec3:
+    """Convective rate (v . grad)[(mu x E)/c] along a trajectory through pos."""
+    return Vec3(*_terms(lc, pos, vel, mu, 1.0 / k.c)[2])
 
 
 def step_trajectory(
@@ -254,8 +286,14 @@ def step_trajectory(
     dt: float,
     law: str,
     k: PhysicalConstants,
+    *,
+    accel: tuple[float, float, float] | None = None,
 ) -> TrajectoryState:
     """Advance one fixed RK4 step under the selected law.
+
+    ``accel`` is the stage-1 acceleration at ``state``, as ``_acceleration``
+    returns it, when the caller already holds it; by default the step
+    evaluates it.  Either way the result is the same to the bit.
 
     Any stage that reaches the axis neighbourhood raises SingularityError and
     the step is rejected (the input state is returned unchanged by virtue of
@@ -264,17 +302,19 @@ def step_trajectory(
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt!r}")
     _check_law(law)
-    args = (lc, n.mu, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW)
+    mu, inv_c, inv_m, naive = n.mu, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW
     p0, v0 = state.pos, state.vel
     x0, y0, vx0, vy0, vz0 = p0.x, p0.y, v0.x, v0.y, v0.z
     half = 0.5 * dt
-    ax1, ay1, az1 = _acceleration(*args, x0, y0, vx0, vy0, vz0)
+    if accel is None:
+        accel = _acceleration(lc, mu, inv_c, inv_m, naive, x0, y0, vx0, vy0, vz0)
+    ax1, ay1, az1 = accel
     vx2, vy2, vz2 = vx0 + ax1 * half, vy0 + ay1 * half, vz0 + az1 * half
-    ax2, ay2, az2 = _acceleration(*args, x0 + vx0 * half, y0 + vy0 * half, vx2, vy2, vz2)
+    ax2, ay2, az2 = _acceleration(lc, mu, inv_c, inv_m, naive, x0 + vx0 * half, y0 + vy0 * half, vx2, vy2, vz2)
     vx3, vy3, vz3 = vx0 + ax2 * half, vy0 + ay2 * half, vz0 + az2 * half
-    ax3, ay3, az3 = _acceleration(*args, x0 + vx2 * half, y0 + vy2 * half, vx3, vy3, vz3)
+    ax3, ay3, az3 = _acceleration(lc, mu, inv_c, inv_m, naive, x0 + vx2 * half, y0 + vy2 * half, vx3, vy3, vz3)
     vx4, vy4, vz4 = vx0 + ax3 * dt, vy0 + ay3 * dt, vz0 + az3 * dt
-    ax4, ay4, az4 = _acceleration(*args, x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4, vz4)
+    ax4, ay4, az4 = _acceleration(lc, mu, inv_c, inv_m, naive, x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4, vz4)
     sixth = dt / 6.0
     x = x0 + (vx0 + (vx2 + vx3) * 2.0 + vx4) * sixth
     y = y0 + (vy0 + (vy2 + vy3) * 2.0 + vy4) * sixth
@@ -289,7 +329,8 @@ def step_trajectory(
 
 
 def kinetic_energy(n: NeutronModel, state: TrajectoryState) -> float:
-    return 0.5 * n.mass * state.vel.norm2()
+    v = state.vel
+    return 0.5 * n.mass * (v.x * v.x + v.y * v.y + v.z * v.z)
 
 
 @dataclass(frozen=True, slots=True)
@@ -319,13 +360,18 @@ class BounceResult:
         return self.samples[-1].kinetic_energy
 
 
-def _power(lc: LineCharge, n: NeutronModel, st: TrajectoryState, law: str, k: PhysicalConstants) -> float:
-    # Rate of work of the net accelerating force under the selected law.
+# The bounce loop evaluates each state's acceleration once and hands it to
+# every consumer: stage 1 of the advance step, of the Simpson half-step and of
+# each bisection candidate, and the panel-end powers.  ``kernel`` is the
+# leading argument tuple of _acceleration: (lc, mu, 1/c, 1/m, naive).
+
+
+def _evaluate(kernel: tuple, mass: float, st: TrajectoryState) -> tuple[tuple[float, float, float], float]:
+    # Acceleration at st and the rate of work m a.v of the net force.
     pos, vel = st.pos, st.vel
-    ax, ay, az = _acceleration(
-        lc, n.mu, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, pos.x, pos.y, vel.x, vel.y, vel.z
-    )
-    return (ax * vel.x + ay * vel.y + az * vel.z) * n.mass
+    accel = _acceleration(*kernel, pos.x, pos.y, vel.x, vel.y, vel.z)
+    ax, ay, az = accel
+    return accel, (ax * vel.x + ay * vel.y + az * vel.z) * mass
 
 
 def _work_over_substep(
@@ -335,20 +381,16 @@ def _work_over_substep(
     h: float,
     law: str,
     k: PhysicalConstants,
-    end: TrajectoryState,
+    kernel: tuple,
+    accel: tuple[float, float, float],
+    power_start: float,
+    power_end: float,
 ) -> float:
     # Simpson in time with an RK4 half-step midpoint; O(h^4) globally, and a
     # route to the energy gain independent of the kinetic-energy bookkeeping.
-    mid = step_trajectory(lc, n, start, 0.5 * h, law, k)
-    return (
-        h
-        / 6.0
-        * (
-            _power(lc, n, start, law, k)
-            + 4.0 * _power(lc, n, mid, law, k)
-            + _power(lc, n, end, law, k)
-        )
-    )
+    mid = step_trajectory(lc, n, start, 0.5 * h, law, k, accel=accel)
+    power_mid = _evaluate(kernel, n.mass, mid)[1]
+    return h / 6.0 * (power_start + 4.0 * power_mid + power_end)
 
 
 def _locate_crossing(
@@ -360,12 +402,13 @@ def _locate_crossing(
     inside_sign: float,
     law: str,
     k: PhysicalConstants,
+    accel: tuple[float, float, float],
 ) -> tuple[float, TrajectoryState]:
     # Bisect the substep length until the endpoint sits on the mirror plane.
     lo, hi = 0.0, dt
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        candidate = step_trajectory(lc, n, start, mid, law, k)
+        candidate = step_trajectory(lc, n, start, mid, law, k, accel=accel)
         offset = candidate.pos.x - plane
         if abs(offset) <= MIRROR_LOCATE_TOL:
             return mid, candidate
@@ -376,6 +419,12 @@ def _locate_crossing(
     raise NumericalError(
         f"mirror crossing at x = {plane!r} could not be localized to {MIRROR_LOCATE_TOL:g} cm"
     )
+
+
+def _bounce_sample(lc: LineCharge, n: NeutronModel, inv_c: float, st: TrajectoryState) -> BounceSample:
+    pos = st.pos
+    p_h = _hidden_momentum(lc, n.mu, inv_c, pos.x, pos.y)
+    return BounceSample(st.t, pos, st.vel, kinetic_energy(n, st), Vec3(*p_h))
 
 
 def simulate_bounce_experiment(
@@ -392,7 +441,8 @@ def simulate_bounce_experiment(
     position, so it is continuous across a bounce).  The returned series
     samples every step and every reflection; per-leg work integrals of the
     net force are accumulated with a Simpson rule as an independent oracle
-    for the kinetic-energy change.
+    for the kinetic-energy change.  A leg that needs more than
+    MAX_STEPS_PER_LEG RK4 steps raises NumericalError.
     """
     lo_mirror, hi_mirror = sorted((cfg.mirror_a, cfg.mirror_b))
     if not (lo_mirror <= initial.pos.x <= hi_mirror):
@@ -403,22 +453,29 @@ def simulate_bounce_experiment(
     if initial.vel.x == 0.0:
         raise ValidationError("initial velocity needs a component along the flight (x) axis")
     center = 0.5 * (lo_mirror + hi_mirror)
+    law, dt, max_steps = cfg.law, cfg.dt, MAX_STEPS_PER_LEG
+    inv_c = 1.0 / k.c
+    kernel = (lc, n.mu, inv_c, 1.0 / n.mass, law == NAIVE_LAW)
 
     state = initial
-    samples = [
-        BounceSample(
-            state.t, state.pos, state.vel, kinetic_energy(n, state), hidden_momentum(lc, state.pos, n.mu, k)
-        )
-    ]
+    samples = [_bounce_sample(lc, n, inv_c, state)]
+    accel, power = _evaluate(kernel, n.mass, state)
     bounce_times: list[float] = []
     bounce_kes: list[float] = []
     work_per_leg: list[float] = []
     gain_per_leg: list[float] = []
     leg_work = 0.0
-    leg_ke_start = kinetic_energy(n, state)
+    leg_ke_start = samples[0].kinetic_energy
+    leg_steps = 0
 
     while len(bounce_times) < cfg.n_bounces:
-        nxt = step_trajectory(lc, n, state, cfg.dt, cfg.law, k)
+        if leg_steps == max_steps:
+            raise NumericalError(
+                f"{law} law: bounce leg {len(bounce_times) + 1} exceeded {max_steps} RK4 steps "
+                f"without reaching a mirror (t = {state.t!r} s, x = {state.pos.x!r} cm)"
+            )
+        leg_steps += 1
+        nxt = step_trajectory(lc, n, state, dt, law, k, accel=accel)
         if nxt.pos.x > hi_mirror:
             plane = hi_mirror
         elif nxt.pos.x < lo_mirror:
@@ -426,31 +483,29 @@ def simulate_bounce_experiment(
         else:
             plane = None
         if plane is None:
-            leg_work += _work_over_substep(lc, n, state, cfg.dt, cfg.law, k, nxt)
-            state = nxt
+            accel_next, power_next = _evaluate(kernel, n.mass, nxt)
+            leg_work += _work_over_substep(lc, n, state, dt, law, k, kernel, accel, power, power_next)
+            state, accel, power = nxt, accel_next, power_next
+            samples.append(_bounce_sample(lc, n, inv_c, state))
         else:
             inside_sign = math.copysign(1.0, center - plane)
-            h_hit, hit = _locate_crossing(lc, n, state, cfg.dt, plane, inside_sign, cfg.law, k)
-            leg_work += _work_over_substep(lc, n, state, h_hit, cfg.law, k, hit)
+            h_hit, hit = _locate_crossing(lc, n, state, dt, plane, inside_sign, law, k, accel)
+            power_hit = _evaluate(kernel, n.mass, hit)[1]
+            leg_work += _work_over_substep(lc, n, state, h_hit, law, k, kernel, accel, power, power_hit)
+            # The reflected velocity changes the acceleration: evaluate afresh.
             state = TrajectoryState(hit.t, hit.pos, Vec3(-hit.vel.x, hit.vel.y, hit.vel.z))
-            ke_now = kinetic_energy(n, state)
+            accel, power = _evaluate(kernel, n.mass, state)
+            samples.append(_bounce_sample(lc, n, inv_c, state))
+            ke_now = samples[-1].kinetic_energy
             bounce_times.append(state.t)
             bounce_kes.append(ke_now)
             work_per_leg.append(leg_work)
             gain_per_leg.append(ke_now - leg_ke_start)
             leg_work = 0.0
             leg_ke_start = ke_now
-        samples.append(
-            BounceSample(
-                state.t,
-                state.pos,
-                state.vel,
-                kinetic_energy(n, state),
-                hidden_momentum(lc, state.pos, n.mu, k),
-            )
-        )
+            leg_steps = 0
     return BounceResult(
-        law=cfg.law,
+        law=law,
         samples=tuple(samples),
         bounce_times=tuple(bounce_times),
         bounce_kinetic_energies=tuple(bounce_kes),

@@ -211,6 +211,26 @@ def _numbers(*keys: str) -> dict:
     return {key: (float, REQUIRED) for key in keys}
 
 
+def _number(value, where: str) -> float:
+    """A finite float from a YAML int or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range; too long to quote
+        raise ValidationError(f"{where}: must be finite, got an integer beyond the float range") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: must be finite, got {value!r}")
+    return number
+
+
+def _unit_interval(raw, where: str) -> float:
+    value = _number(raw, where)
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{where}: must lie in [0, 1], got {value!r}")
+    return value
+
+
 def _vertices(raw, path: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{path}: required list of [x, y, z] triples")
@@ -221,7 +241,7 @@ def _vertices(raw, path: str) -> list:
             or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in item)
         ):
             raise ValidationError(f"{path}[{i}]: must be an [x, y, z] triple")
-    return [[float(c) for c in item] for item in raw]
+    return [[_number(c, f"{path}[{i}]") for c in item] for i, item in enumerate(raw)]
 
 
 _LINE = (_numbers("lambda_statC_per_cm"), REQUIRED)
@@ -231,12 +251,12 @@ _PARAMS = {
     KIND_MZI: {
         "phase_rad": (float, OMITTED),  # or path_shift, exactly one (_check_mzi)
         "path_shift": (_numbers("delta_l_cm", "wavelength_cm"), OMITTED),
-        "visibility": (float, 1.0),
+        "visibility": (_unit_interval, 1.0),
     },
     KIND_AB_SOLENOID: {
         "solenoid": (_numbers("r_cm", "L_cm", "M_g", "Q_statC", "v_cm_per_s"), REQUIRED),
         "orbit": (_numbers("R_cm", "u_cm_per_s"), REQUIRED),
-        "visibility": (float, 1.0),
+        "visibility": (_unit_interval, 1.0),
     },
     KIND_AC_BOUNCE: {
         "line": _LINE,
@@ -329,11 +349,7 @@ def _field(node: dict, key: str, kind, presence, path: str):
             raise ValidationError(f"{where}: must be an integer, got {value!r}")
         return value
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{where}: must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValidationError(f"{where}: must be finite, got {value!r}")
-        return float(value)
+        return _number(value, where)
     if not isinstance(value, str):
         raise ValidationError(f"{where}: must be a string, got {value!r}")
     if kind is not str and value not in kind:
@@ -350,7 +366,6 @@ def _check_mzi(params: dict, collected: list[str]):
         )
     elif "phase_rad" not in params:
         raise ValidationError("params.phase_rad: required field missing")
-    interferometry.detector_probabilities(0.0, params["visibility"])
 
 
 def _build_ab_objects(params: dict, collected: list[str] | None):
@@ -467,7 +482,9 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; returns the normalized Scenario."""
     try:
         doc = yaml.load(text, Loader=_ScenarioLoader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar the loader cannot build, such as an integer
+        # past Python's digit limit or an impossible date
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioParseError(f"malformed scenario document{where}: {exc}") from exc

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from abclab import (
     LineCharge,
     NAIVE_LAW,
     NeutronModel,
+    NumericalError,
     PolylineLoop,
     SingularityError,
     TrajectoryState,
@@ -18,6 +20,7 @@ from abclab import (
     Vec3,
     ac_phase,
     ac_phase_enclosed_value,
+    boyer,
     boyer_force,
     hidden_momentum,
     hidden_momentum_rate,
@@ -25,8 +28,10 @@ from abclab import (
     kinetic_energy,
     line_field,
     line_field_gradient,
+    load_scenario,
     loop_winding_number,
     make_constants,
+    run_scenario,
     simulate_bounce_experiment,
     step_trajectory,
 )
@@ -353,9 +358,16 @@ def test_scalar_kernel_matches_vec3_reference_bit_for_bit(law):
         lc, neutron, state, dt, k = _random_case(rng, near_axis=False)
         ours, ref = state, state
         for _ in range(3):
+            # stage 1 handed in, as the bounce loop does, must not change a bit
+            pos, vel = ours.pos, ours.vel
+            accel = boyer._acceleration(
+                lc, neutron.mu, 1.0 / k.c, 1.0 / neutron.mass, law == NAIVE_LAW, pos.x, pos.y, vel.x, vel.y, vel.z
+            )
+            shared = step_trajectory(lc, neutron, ours, dt, law, k, accel=accel)
             ours = step_trajectory(lc, neutron, ours, dt, law, k)
             ref = _ref_step(lc, neutron, ref, dt, law, k)
             assert _state_bits(ours) == _state_bits(ref)
+            assert _state_bits(shared) == _state_bits(ours)
         pos, vel, mu = state.pos, state.vel, neutron.mu
         assert _bits(*boyer_force(lc, pos, vel, mu, k).as_tuple()) == _bits(
             *_ref_force(lc, pos, vel, mu, k).as_tuple()
@@ -448,6 +460,33 @@ def test_bounce_samples_carry_hidden_momentum():
     assert sample.kinetic_energy == pytest.approx(
         kinetic_energy(NEUTRON, TrajectoryState(sample.t, sample.pos, sample.vel))
     )
+
+
+def test_bounce_leg_step_budget(monkeypatch):
+    # the first leg lands on x = 1.5 after 192 steps and crosses on the 193rd
+    monkeypatch.setattr(boyer, "MAX_STEPS_PER_LEG", 193)
+    assert len(bounce(FULL_LAW, n_bounces=1).bounce_times) == 1
+    monkeypatch.setattr(boyer, "MAX_STEPS_PER_LEG", 192)
+    with pytest.raises(NumericalError, match=r"^full law: bounce leg 1 exceeded 192 RK4 steps .*t = 0\.75 s, x = 1\.5 cm"):
+        bounce(FULL_LAW, n_bounces=1)
+
+
+def test_ac_bounce_scenario_evaluates_each_state_once(monkeypatch):
+    # Each accepted state's acceleration serves as stage 1 of the advance step,
+    # of the Simpson half-step and of every bisection candidate, and as both
+    # panel-end powers; 44,143 evaluations before that sharing, 32,183 with it.
+    calls = 0
+    acceleration = boyer._acceleration
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return acceleration(*args)
+
+    monkeypatch.setattr(boyer, "_acceleration", counted)
+    scenarios = Path(__file__).parent.parent / "scenarios"
+    run_scenario(load_scenario(str(scenarios / "ac_bounce.yaml")))
+    assert 0 < calls <= 32_183
 
 
 def test_ac_phase_circle_analytic_value():

@@ -96,6 +96,39 @@ sweep: {param: line.lambda_statC_per_cm, from: %s, to: %s, steps: 2}
         parse_scenario(doc % ("5e-2cm", "5e-2", "3.0e6"))
 
 
+def test_parse_refuses_integers_beyond_float_range(tmp_path):
+    # such a literal used to escape as OverflowError: a traceback and exit 1
+    huge = "1" + "0" * 400
+    doc = f"kind: field-free\nparams: {{d_cm: {huge}, e_statC: 1}}\n"
+    with pytest.raises(ValidationError, match=r"^params\.d_cm: must be finite") as caught:
+        parse_scenario(doc)
+    assert huge not in str(caught.value)
+    polyline = f"""
+kind: ac-phase
+params:
+  line: {{lambda_statC_per_cm: 1.0}}
+  mu_z_erg_per_G: 1.0
+  loop: {{kind: polyline, vertices_cm: [[1, 0, 0], [0, {huge}, 0], [-1, 0, 0], [1, 0, 0]]}}
+"""
+    with pytest.raises(ValidationError, match=r"^params\.loop\.vertices_cm\[1\]: must be finite"):
+        parse_scenario(polyline)
+    path = tmp_path / "huge.yaml"
+    path.write_text(doc)
+    assert cli_main(["run", str(path)]) == 2
+    # past the interpreter's integer digit limit the loader itself refuses it
+    path.write_text(doc.replace(huge, "1" + "0" * 5000))
+    assert cli_main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("doc", [AB_UNIT_DOC, "kind: mzi\nparams:\n  phase_rad: 0.5\n"], ids=["ab-solenoid", "mzi"])
+@pytest.mark.parametrize("bad", ["3", "-0.5"])
+def test_parse_range_checks_visibility(doc, bad):
+    # ab-solenoid used to accept it and fail only inside the point runner
+    assert parse_scenario(doc + "  visibility: 0.25\n").params["visibility"] == 0.25
+    with pytest.raises(ValidationError, match=rf"^params\.visibility: must lie in \[0, 1\], got {float(bad)!r}$"):
+        parse_scenario(doc + f"  visibility: {bad}\n")
+
+
 def test_parse_orbit_must_clear_solenoid():
     with pytest.raises(ValidationError, match="R_cm"):
         parse_scenario(AB_UNIT_DOC.replace("R_cm: 2.0", "R_cm: 0.5"))
@@ -408,6 +441,19 @@ def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("kind: [unclosed")
     assert cli_main(["run", str(bad)]) == 2
+
+
+def test_cli_bounce_over_step_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # vx = -0.02 needs about 19,200 steps for its first leg
+    monkeypatch.setattr(boyer, "MAX_STEPS_PER_LEG", 500)
+    path = tmp_path / "slow.yaml"
+    path.write_text(
+        (SCENARIO_DIR / "ac_bounce.yaml").read_text().replace("vx_cm_per_s: -2.0", "vx_cm_per_s: -0.02")
+    )
+    assert cli_main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "law: bounce leg 1 exceeded 500 RK4 steps" in err
+    assert "t = " in err and "x = " in err
 
 
 def test_cli_verify_deterministic(tmp_path):
