@@ -68,9 +68,10 @@ AXIS_EPSILON = 1e-9
 # Mirror-crossing events are located to this accuracy along the flight axis (cm).
 MIRROR_LOCATE_TOL = 1e-12
 
-# A bounce leg that needs more RK4 advance steps than this raises NumericalError
-# (mirror bisection does not count).  A leg's cost grows as 1/|vx|.
-MAX_STEPS_PER_LEG = 1_000_000
+# A bounce run that needs more RK4 advance steps than this, counted over all
+# its legs, raises NumericalError (mirror bisection does not count).  A run's
+# cost grows as n_bounces/|vx|.
+MAX_STEPS = 1_000_000
 
 
 def _check_law(law: str):
@@ -441,8 +442,8 @@ def simulate_bounce_experiment(
     position, so it is continuous across a bounce).  The returned series
     samples every step and every reflection; per-leg work integrals of the
     net force are accumulated with a Simpson rule as an independent oracle
-    for the kinetic-energy change.  A leg that needs more than
-    MAX_STEPS_PER_LEG RK4 steps raises NumericalError.
+    for the kinetic-energy change.  A run that needs more than MAX_STEPS
+    RK4 steps over all its legs raises NumericalError.
     """
     lo_mirror, hi_mirror = sorted((cfg.mirror_a, cfg.mirror_b))
     if not (lo_mirror <= initial.pos.x <= hi_mirror):
@@ -453,7 +454,7 @@ def simulate_bounce_experiment(
     if initial.vel.x == 0.0:
         raise ValidationError("initial velocity needs a component along the flight (x) axis")
     center = 0.5 * (lo_mirror + hi_mirror)
-    law, dt, max_steps = cfg.law, cfg.dt, MAX_STEPS_PER_LEG
+    law, dt, max_steps = cfg.law, cfg.dt, MAX_STEPS
     inv_c = 1.0 / k.c
     kernel = (lc, n.mu, inv_c, 1.0 / n.mass, law == NAIVE_LAW)
 
@@ -466,15 +467,15 @@ def simulate_bounce_experiment(
     gain_per_leg: list[float] = []
     leg_work = 0.0
     leg_ke_start = samples[0].kinetic_energy
-    leg_steps = 0
+    steps = 0
 
     while len(bounce_times) < cfg.n_bounces:
-        if leg_steps == max_steps:
+        if steps == max_steps:
             raise NumericalError(
-                f"{law} law: bounce leg {len(bounce_times) + 1} exceeded {max_steps} RK4 steps "
-                f"without reaching a mirror (t = {state.t!r} s, x = {state.pos.x!r} cm)"
+                f"{law} law: bounce leg {len(bounce_times) + 1} exceeded the run's budget of "
+                f"{max_steps} RK4 steps (t = {state.t!r} s, x = {state.pos.x!r} cm)"
             )
-        leg_steps += 1
+        steps += 1
         nxt = step_trajectory(lc, n, state, dt, law, k, accel=accel)
         if nxt.pos.x > hi_mirror:
             plane = hi_mirror
@@ -503,7 +504,6 @@ def simulate_bounce_experiment(
             gain_per_leg.append(ke_now - leg_ke_start)
             leg_work = 0.0
             leg_ke_start = ke_now
-            leg_steps = 0
     return BounceResult(
         law=law,
         samples=tuple(samples),

@@ -28,19 +28,18 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import yaml
 
-from . import boyer, fieldfree, interferometry, solenoid
+from . import boyer, fieldfree, interferometry, solenoid, verify
 from .errors import (
     AbclabError,
     ScenarioParseError,
     ValidationError,
 )
 from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, make_constants
-
-SCHEMA_VERSION = 1
+from .verify import SCHEMA_VERSION, CheckRow, RunReport  # report types, re-exported
 
 KIND_MZI = "mzi"
 KIND_AB_SOLENOID = "ab-solenoid"
@@ -85,27 +84,6 @@ _COLUMNS = {
 }
 
 CHECK_COLUMNS = ["name", "expected", "actual", "tol", "pass"]
-
-
-@dataclass
-class CheckRow:
-    """One named verification against a physics claim."""
-
-    name: str
-    expected: object
-    actual: object
-    tol: float
-    passed: bool
-    merge: str = field(default="max", compare=False)  # how sweeps aggregate 'actual'
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
 
 
 @dataclass
@@ -159,26 +137,6 @@ class Scenario:
             "sweep": self.sweep.to_dict() if self.sweep else None,
             "output": self.output.to_dict(),
             "warnings": list(self.warnings),
-        }
-
-
-@dataclass
-class RunReport:
-    scenario: dict
-    rows: list[dict]
-    checks: list[CheckRow]
-    columns: list[str]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks) and not any("error" in r and r["error"] for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "scenario": self.scenario,
-            "rows": self.rows,
-            "checks": [c.to_dict() for c in self.checks],
         }
 
 
@@ -540,13 +498,7 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants):
     s, o = _build_ab_objects(params, None)
     res = solenoid.local_model_phase(s, o, k)
     probs = interferometry.detector_probabilities(res.phase_ab, params["visibility"])
-    if res.phase_ab != 0.0:
-        residual = abs(res.phase_local / res.phase_ab - 1.0)
-    else:
-        residual = abs(res.phase_local)
-    chain = solenoid.ab_phase_from_flux(solenoid.solenoid_flux(s, k), k)
-    direct = solenoid.ab_phase_direct(s, k)
-    chain_residual = abs(chain - direct) / max(abs(direct), 1e-300) if direct != 0.0 else abs(chain)
+    residual = verify.factor4_residual(res)
     rows = [
         {
             "flux": res.flux,
@@ -561,8 +513,8 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants):
         }
     ]
     checks = [
-        CheckRow("factor4_identity", 0.0, residual, 1e-12, residual < 1e-12),
-        CheckRow("flux_chain_consistency", 0.0, chain_residual, 1e-14, chain_residual <= 1e-14),
+        verify.claim_row("factor4_identity", residual),
+        verify.claim_row("flux_chain_consistency", verify.flux_chain_residual(s, k)),
     ]
     return rows, checks
 
@@ -573,7 +525,6 @@ def _point_ac_bounce(params: dict, k: PhysicalConstants):
     checks = []
     for cfg in configs:
         result = boyer.simulate_bounce_experiment(lc, n, cfg, initial, k)
-        ke0 = result.initial_kinetic_energy
         for i, (t, ke, work, gain) in enumerate(
             zip(result.bounce_times, result.bounce_kinetic_energies, result.work_per_leg, result.ke_gain_per_leg)
         ):
@@ -587,20 +538,7 @@ def _point_ac_bounce(params: dict, k: PhysicalConstants):
                     "leg_ke_gain_erg": gain,
                 }
             )
-        if cfg.law == boyer.FULL_LAW:
-            drift = abs(result.final_kinetic_energy / ke0 - 1.0)
-            checks.append(CheckRow("energy_conserved_full_law", 0.0, drift, 1e-6, drift < 1e-6))
-        else:
-            kes = [ke0, *result.bounce_kinetic_energies]
-            min_gain = min(b - a for a, b in zip(kes, kes[1:]))
-            checks.append(
-                CheckRow("energy_grows_naive_law", "increasing", min_gain, 0.0, min_gain > 0.0, merge="min")
-            )
-            mismatch = max(
-                abs(gain / work - 1.0) if work != 0.0 else abs(gain - work)
-                for gain, work in zip(result.ke_gain_per_leg, result.work_per_leg)
-            )
-            checks.append(CheckRow("work_integral_match", 0.0, mismatch, 1e-6, mismatch < 1e-6))
+        checks.extend(verify.bounce_checks(result))
     return rows, checks
 
 
@@ -644,10 +582,10 @@ def _point_ac_phase(params: dict, k: PhysicalConstants):
 
 
 def _point_field_free(params: dict, k: PhysicalConstants):
-    cfg = fieldfree.make_three_charge(params["d_cm"], params["e_statC"])
+    d, e = params["d_cm"], params["e_statC"]
+    cfg = fieldfree.make_three_charge(d, e)
     report = fieldfree.verify_field_free(cfg, params["tol"])
     scale = fieldfree.field_scale(cfg)
-    natural = params["e_statC"] / params["d_cm"] ** 2
     rows = []
     for entry in report:
         charge = cfg.charges[entry.index]
@@ -664,13 +602,10 @@ def _point_field_free(params: dict, k: PhysicalConstants):
                 "field_free_pass": entry.passed,
             }
         )
-    worst = max(e.field_magnitude for e in report) / natural
-    v_electron = fieldfree.potential_at(cfg, 0)
-    v_expected = 8.0 * params["e_statC"] / params["d_cm"]
-    v_residual = abs(v_electron / v_expected - 1.0)
+    magnitudes = [entry.field_magnitude for entry in report]
     checks = [
-        CheckRow("field_free_three_charge", 0.0, worst, 1e-12, worst < 1e-12),
-        CheckRow("potential_at_electron", v_expected, v_electron, 1e-14, v_residual < 1e-14),
+        verify.claim_row("field_free_three_charge", verify.three_charge_residual(magnitudes, d, e)),
+        verify.claim_row("potential_at_electron", *verify.potential_residual(cfg, d, e)),
         # The qualitative corollary: vanishing fields at every particle mean
         # no phase contribution; recorded as a claim, not computed dynamics.
         CheckRow("field_free_zero_phase_claim", 0.0, 0.0, 0.0, True),

@@ -464,11 +464,23 @@ def test_bounce_samples_carry_hidden_momentum():
 
 def test_bounce_leg_step_budget(monkeypatch):
     # the first leg lands on x = 1.5 after 192 steps and crosses on the 193rd
-    monkeypatch.setattr(boyer, "MAX_STEPS_PER_LEG", 193)
+    monkeypatch.setattr(boyer, "MAX_STEPS", 193)
     assert len(bounce(FULL_LAW, n_bounces=1).bounce_times) == 1
-    monkeypatch.setattr(boyer, "MAX_STEPS_PER_LEG", 192)
-    with pytest.raises(NumericalError, match=r"^full law: bounce leg 1 exceeded 192 RK4 steps .*t = 0\.75 s, x = 1\.5 cm"):
+    monkeypatch.setattr(boyer, "MAX_STEPS", 192)
+    with pytest.raises(
+        NumericalError,
+        match=r"^full law: bounce leg 1 exceeded the run's budget of 192 RK4 steps \(t = 0\.75 s, x = 1\.5 cm\)",
+    ):
         bounce(FULL_LAW, n_bounces=1)
+
+
+def test_bounce_step_budget_counts_all_legs(monkeypatch):
+    # two legs take 193 steps each; the budget is one count over both
+    monkeypatch.setattr(boyer, "MAX_STEPS", 386)
+    assert len(bounce(FULL_LAW, n_bounces=2).bounce_times) == 2
+    monkeypatch.setattr(boyer, "MAX_STEPS", 385)
+    with pytest.raises(NumericalError, match=r"^full law: bounce leg 2 exceeded the run's budget of 385 RK4 steps"):
+        bounce(FULL_LAW, n_bounces=2)
 
 
 def test_ac_bounce_scenario_evaluates_each_state_once(monkeypatch):

@@ -16,6 +16,7 @@ from abclab import (
     render_json,
     run_scenario,
     run_verify_suite,
+    verify,
 )
 from abclab.cli import main as cli_main
 from abclab.scenario import emit
@@ -407,6 +408,45 @@ def test_verify_suite_runs_each_bounce_law_once(monkeypatch):
     assert len(names) == 29
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_golden_verify_report_matches_stored_file(fmt):
+    # pins every row of the seed-42 catalogue: names, expected, actual, tol, pass
+    render = render_json if fmt == "json" else render_csv
+    produced = render(run_verify_suite(seed=42))
+    assert produced.encode() == (DATA_DIR / f"golden_verify_seed42.{fmt}").read_bytes()
+
+
+def test_verify_rows_are_built_by_the_module_check_row(monkeypatch):
+    # Per-check timing wraps verify.CheckRow: a check ends when it builds its
+    # row, so every row must be built by one call of that module name.
+    built = []
+    check_row = verify.CheckRow
+
+    def counted(*args, **kwargs):
+        built.append(check_row(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "CheckRow", counted)
+    report = run_verify_suite(seed=3)
+    assert len(report.checks) == 29
+    assert len(built) == 29
+    assert all(a is b for a, b in zip(built, report.checks))
+
+
+def test_field_free_overflow_fails_its_checks():
+    # e/d^2 overflows: the field residual is NaN and the potential inf, and
+    # both claims must FAIL rather than report a clean worst of zero
+    doc = """
+kind: field-free
+units: scaled-unity
+params: {d_cm: 1.0e-10, e_statC: 1.0e300}
+"""
+    checks = {c.name: c for c in run_scenario(parse_scenario(doc)).checks}
+    three_charge, potential = checks["field_free_three_charge"], checks["potential_at_electron"]
+    assert not three_charge.passed and math.isnan(three_charge.actual)
+    assert not potential.passed and potential.actual == math.inf
+
+
 def test_verify_csv_uses_check_table():
     report = run_verify_suite(seed=1)
     lines = render_csv(report).split("\n")
@@ -445,15 +485,27 @@ def test_cli_parse_error_exit_code(tmp_path):
 
 def test_cli_bounce_over_step_budget_exits_3(tmp_path, monkeypatch, capsys):
     # vx = -0.02 needs about 19,200 steps for its first leg
-    monkeypatch.setattr(boyer, "MAX_STEPS_PER_LEG", 500)
+    monkeypatch.setattr(boyer, "MAX_STEPS", 500)
     path = tmp_path / "slow.yaml"
     path.write_text(
         (SCENARIO_DIR / "ac_bounce.yaml").read_text().replace("vx_cm_per_s: -2.0", "vx_cm_per_s: -0.02")
     )
     assert cli_main(["run", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "law: bounce leg 1 exceeded 500 RK4 steps" in err
+    assert "law: bounce leg 1 exceeded the run's budget of 500 RK4 steps" in err
     assert "t = " in err and "x = " in err
+
+
+def test_cli_bounce_with_huge_n_bounces_exits_3(tmp_path, monkeypatch, capsys):
+    # each leg is about 192 steps, so the budget runs out in leg 3, not never
+    monkeypatch.setattr(boyer, "MAX_STEPS", 500)
+    text = (SCENARIO_DIR / "ac_bounce.yaml").read_text()
+    assert "n_bounces: 10\n" in text
+    path = tmp_path / "endless.yaml"
+    path.write_text(text.replace("n_bounces: 10\n", "n_bounces: 1000000000000000000000000000000\n"))
+    assert cli_main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "law: bounce leg 3 exceeded the run's budget of 500 RK4 steps" in err
 
 
 def test_cli_verify_deterministic(tmp_path):
