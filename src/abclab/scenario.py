@@ -7,15 +7,16 @@ a Gaussian-units code base.
 The tables under "parsing" below are the schema reference: ``_SCENARIO``
 for the top level (kind, units, params, sweep, output), ``_PARAMS`` for the
 params block of each kind, ``_SWEEP`` and ``_OUTPUT`` for the optional
-blocks.  Each maps a key to its type and says whether it is required,
-defaulted or omitted when absent; ``_CHECKS`` adds, per kind, the rules
-that span keys or need the physics objects.  A sweep varies one float key of params, named by
-its dotted path (``solenoid.v_cm_per_s``) from ``from`` to ``to`` in
-``steps`` points; integer keys such as ``n_bounces`` cannot be swept.
+blocks.  Each maps a key to its type, range included, and says whether it is
+required, defaulted or omitted when absent; ``_CHECKS`` adds, per kind, the
+rules that span keys or need the physics objects.  A sweep varies one float
+key of params, named by its dotted path (``solenoid.v_cm_per_s``), from
+``from`` to ``to`` in ``steps`` points; integer keys cannot be swept.
 
-Reports are deterministic: identical scenario plus seed produce byte
-identical CSV/JSON output.  Floats are serialized as shortest round-trip
-decimals; CSV uses RFC-4180 quoting with LF line endings.
+Every check row is a ``verify.claim_row``; a sweep reports each check by the
+row of its worst point, kept whole.  Reports are deterministic: identical
+scenario plus seed give byte identical CSV/JSON.  Floats are shortest
+round-trip decimals; CSV uses RFC-4180 quoting with LF line endings.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ from dataclasses import dataclass
 import yaml
 
 from . import boyer, fieldfree, interferometry, solenoid, verify
-from .errors import (
-    AbclabError,
-    ScenarioParseError,
-    ValidationError,
-)
+from .errors import AbclabError, ScenarioParseError, ValidationError
 from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, make_constants
 from .verify import SCHEMA_VERSION, CheckRow, RunReport  # report types, re-exported
 
@@ -144,8 +141,9 @@ class Scenario:
 # parsing
 #
 # The schema is one table per document level: key -> (type, presence).  A type
-# is float, int, str, a tuple of allowed strings, a nested table, a _Tagged
-# choice of tables, or a function that validates the raw value itself.  A
+# is float, str, a tuple of allowed strings, a nested table, a _Tagged choice
+# of tables, or a function that validates the raw value itself and names the
+# key in its message (_bounded, _vertices).  A
 # presence is REQUIRED, OMITTED (left out of the normalized dict when absent)
 # or the default used when absent; a default of None also reads null as None.
 # _walk validates a mapping against its table and builds the normalized dict
@@ -165,8 +163,8 @@ class _Tagged:
     tables: dict
 
 
-def _numbers(*keys: str) -> dict:
-    return {key: (float, REQUIRED) for key in keys}
+def _required(**kinds) -> dict:
+    return {key: (kind, REQUIRED) for key, kind in kinds.items()}
 
 
 def _number(value, where: str) -> float:
@@ -182,11 +180,27 @@ def _number(value, where: str) -> float:
     return number
 
 
-def _unit_interval(raw, where: str) -> float:
-    value = _number(raw, where)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{where}: must lie in [0, 1], got {value!r}")
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{where}: must be an integer, got {value!r}")
     return value
+
+
+def _bounded(holds, rule: str, read=_number):
+    """The type of a value from ``read`` for which ``holds``; ``rule`` ends "<key>: must ..."."""
+
+    def check(raw, where: str):
+        value = read(raw, where)
+        if not holds(value):
+            raise ValidationError(f"{where}: must {rule}, got {value!r}")
+        return value
+
+    return check
+
+
+_unit_interval = _bounded(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_positive = _bounded(lambda v: v > 0.0, "be positive")
+_non_negative = _bounded(lambda v: v >= 0.0, "be non-negative")
 
 
 def _vertices(raw, path: str) -> list:
@@ -202,27 +216,30 @@ def _vertices(raw, path: str) -> list:
     return [[_number(c, f"{path}[{i}]") for c in item] for i, item in enumerate(raw)]
 
 
-_LINE = (_numbers("lambda_statC_per_cm"), REQUIRED)
+_LINE = (_required(lambda_statC_per_cm=float), REQUIRED)
 _LOOP_KINDS = ("circle", "polyline")
 
 _PARAMS = {
     KIND_MZI: {
         "phase_rad": (float, OMITTED),  # or path_shift, exactly one (_check_mzi)
-        "path_shift": (_numbers("delta_l_cm", "wavelength_cm"), OMITTED),
+        "path_shift": (_required(delta_l_cm=float, wavelength_cm=_positive), OMITTED),
         "visibility": (_unit_interval, 1.0),
     },
     KIND_AB_SOLENOID: {
-        "solenoid": (_numbers("r_cm", "L_cm", "M_g", "Q_statC", "v_cm_per_s"), REQUIRED),
-        "orbit": (_numbers("R_cm", "u_cm_per_s"), REQUIRED),
+        "solenoid": (
+            _required(r_cm=_positive, L_cm=_positive, M_g=_positive, Q_statC=_non_negative, v_cm_per_s=_positive),
+            REQUIRED,
+        ),
+        "orbit": (_required(R_cm=_positive, u_cm_per_s=_non_negative), REQUIRED),
         "visibility": (_unit_interval, 1.0),
     },
     KIND_AC_BOUNCE: {
         "line": _LINE,
-        "neutron": (_numbers("mass_g", "mu_z_erg_per_G"), REQUIRED),
-        "start": ({**_numbers("x_cm", "y_cm", "vx_cm_per_s"), "vy_cm_per_s": (float, 0.0)}, REQUIRED),
-        "mirrors": (_numbers("a_cm", "b_cm"), REQUIRED),
-        "n_bounces": (int, REQUIRED),
-        "dt_s": (float, REQUIRED),
+        "neutron": (_required(mass_g=_positive, mu_z_erg_per_G=float), REQUIRED),
+        "start": ({**_required(x_cm=float, y_cm=float, vx_cm_per_s=float), "vy_cm_per_s": (float, 0.0)}, REQUIRED),
+        "mirrors": (_required(a_cm=float, b_cm=float), REQUIRED),
+        "n_bounces": (_bounded(lambda n: n >= 1, "be >= 1", _integer), REQUIRED),
+        "dt_s": (_positive, REQUIRED),
         "law": ((boyer.FULL_LAW, boyer.NAIVE_LAW, "both"), "both"),
     },
     KIND_AC_PHASE: {
@@ -235,22 +252,22 @@ _PARAMS = {
                     "center_x_cm": (float, 0.0),
                     "center_y_cm": (float, 0.0),
                     "z_cm": (float, 0.0),
-                    "radius_cm": (float, REQUIRED),
+                    "radius_cm": (_positive, REQUIRED),
                 },
                 "polyline": {"kind": (_LOOP_KINDS, REQUIRED), "vertices_cm": (_vertices, REQUIRED)},
             }),
             REQUIRED,
         ),
-        "second_radius_cm": (float, OMITTED),  # circle loops only (_check_ac_phase)
+        "second_radius_cm": (_positive, OMITTED),  # circle loops only (_check_ac_phase)
     },
-    KIND_FIELD_FREE: {**_numbers("d_cm", "e_statC"), "tol": (float, 1e-12)},
+    KIND_FIELD_FREE: {**_required(d_cm=_positive, e_statC=_positive), "tol": (_positive, 1e-12)},
 }
 
 _SWEEP = {
     "param": (str, REQUIRED),  # dotted path to a float key of params
     "from": (float, REQUIRED),
     "to": (float, REQUIRED),
-    "steps": (int, REQUIRED),
+    "steps": (_bounded(lambda n: n >= 2, "be >= 2", _integer), REQUIRED),
     "scale": (("linear", "log"), "linear"),
 }
 
@@ -287,7 +304,7 @@ def _walk(table, node, path: str) -> dict:
 
 def _field(node: dict, key: str, kind, presence, path: str):
     """The normalized value of one key, or its presence marker when absent."""
-    block = not isinstance(kind, (type, tuple))
+    block = isinstance(kind, (dict, _Tagged))
     # blocks under the document root are named without the root's prefix
     where = key if block and path == _ROOT else f"{path}.{key}"
     if key not in node:
@@ -298,14 +315,10 @@ def _field(node: dict, key: str, kind, presence, path: str):
     value = node.get(key)  # a missing required block reads as null
     if value is None and presence is None:
         return None
-    if isinstance(kind, (dict, _Tagged)):
-        return _walk(kind, value, where)
     if block:
+        return _walk(kind, value, where)
+    if not isinstance(kind, (type, tuple)):
         return kind(value, where)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(f"{where}: must be an integer, got {value!r}")
-        return value
     if kind is float:
         return _number(value, where)
     if not isinstance(value, str):
@@ -316,13 +329,9 @@ def _field(node: dict, key: str, kind, presence, path: str):
 
 
 def _check_mzi(params: dict, collected: list[str]):
-    if "path_shift" in params:
-        if "phase_rad" in params:
-            raise ValidationError("params: give either phase_rad or path_shift, not both")
-        interferometry.phase_from_path_shift(
-            params["path_shift"]["delta_l_cm"], params["path_shift"]["wavelength_cm"]
-        )
-    elif "phase_rad" not in params:
+    if "path_shift" in params and "phase_rad" in params:
+        raise ValidationError("params: give either phase_rad or path_shift, not both")
+    if "path_shift" not in params and "phase_rad" not in params:
         raise ValidationError("params.phase_rad: required field missing")
 
 
@@ -342,6 +351,13 @@ def _build_ab_objects(params: dict, collected: list[str] | None):
             f"params.orbit.R_cm: orbit radius {o.R!r} must exceed the solenoid radius {s.r!r}"
         )
     return s, o
+
+
+def _check_bounce(params: dict, collected: list[str]):
+    try:  # the range types leave BounceConfig one rule: distinct mirror planes
+        _build_bounce_objects(params)
+    except ValidationError as exc:
+        raise ValidationError(f"params.mirrors: {exc}") from None
 
 
 def _build_bounce_objects(params: dict):
@@ -390,18 +406,12 @@ def _build_phase_objects(params: dict):
     return lc, mu, loop
 
 
-def _check_field_free(params: dict, collected: list[str]):
-    fieldfree.make_three_charge(params["d_cm"], params["e_statC"])
-    if not params["tol"] > 0.0:
-        raise ValidationError(f"params.tol: must be positive, got {params['tol']!r}")
-
-
 _CHECKS = {
     KIND_MZI: _check_mzi,
     KIND_AB_SOLENOID: _build_ab_objects,
-    KIND_AC_BOUNCE: lambda params, collected: _build_bounce_objects(params),
+    KIND_AC_BOUNCE: _check_bounce,
     KIND_AC_PHASE: _check_ac_phase,
-    KIND_FIELD_FREE: _check_field_free,
+    KIND_FIELD_FREE: lambda params, collected: fieldfree.make_three_charge(params["d_cm"], params["e_statC"]),
 }
 
 
@@ -455,8 +465,6 @@ def parse_scenario(text: str) -> Scenario:
     if s["sweep"] is not None:
         node = s["sweep"]
         sweep = SweepSpec(node["param"], node["from"], node["to"], node["steps"], node["scale"])
-        if sweep.steps < 2:
-            raise ValidationError(f"sweep.steps: must be >= 2, got {sweep.steps!r}")
         if sweep.scale == "log" and (sweep.start <= 0.0 or sweep.stop <= 0.0):
             raise ValidationError("sweep: log scale requires positive 'from' and 'to'")
         _resolve_path(s["params"], sweep.param)
@@ -473,6 +481,9 @@ def load_scenario(path: str) -> Scenario:
 # execution
 
 
+_ROUTING_WINDOW_RAD = 1e-9  # how near 0 or pi (mod 2 pi) the routing claims apply
+
+
 def _point_mzi(params: dict, k: PhysicalConstants):
     if "path_shift" in params:
         phase = interferometry.phase_from_path_shift(
@@ -483,14 +494,13 @@ def _point_mzi(params: dict, k: PhysicalConstants):
     vis = params["visibility"]
     probs = interferometry.detector_probabilities(phase, vis)
     rows = [{"phase_rad": phase, "visibility": vis, "p_a": probs.p_a, "p_b": probs.p_b}]
-    checks = [
-        CheckRow("probability_sum", 1.0, probs.p_a + probs.p_b, 1e-12, abs(probs.p_a + probs.p_b - 1.0) <= 1e-12)
-    ]
+    total = probs.p_a + probs.p_b
+    checks = [verify.claim_row("probability_sum", abs(total - 1.0), 1.0, total)]
     wrapped = math.remainder(phase, 2.0 * math.pi)
-    if vis == 1.0 and abs(wrapped) < 1e-9:
-        checks.append(CheckRow("routes_to_A_at_zero_phase", 1.0, probs.p_a, 1e-12, abs(probs.p_a - 1.0) <= 1e-12))
-    if vis == 1.0 and abs(abs(wrapped) - math.pi) < 1e-9:
-        checks.append(CheckRow("routes_to_B_at_pi_phase", 1.0, probs.p_b, 1e-12, abs(probs.p_b - 1.0) <= 1e-12))
+    if vis == 1.0 and abs(wrapped) < _ROUTING_WINDOW_RAD:
+        checks.append(verify.claim_row("routes_to_A_at_zero_phase", abs(probs.p_a - 1.0), 1.0, probs.p_a))
+    if vis == 1.0 and abs(abs(wrapped) - math.pi) < _ROUTING_WINDOW_RAD:
+        checks.append(verify.claim_row("routes_to_B_at_pi_phase", abs(probs.p_b - 1.0), 1.0, probs.p_b))
     return rows, checks
 
 
@@ -521,8 +531,7 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants):
 
 def _point_ac_bounce(params: dict, k: PhysicalConstants):
     lc, n, initial, configs = _build_bounce_objects(params)
-    rows = []
-    checks = []
+    rows, checks = [], []
     for cfg in configs:
         result = boyer.simulate_bounce_experiment(lc, n, cfg, initial, k)
         for i, (t, ke, work, gain) in enumerate(
@@ -550,34 +559,22 @@ def _describe_loop(loop) -> str:
 
 def _point_ac_phase(params: dict, k: PhysicalConstants):
     lc, mu, loop = _build_phase_objects(params)
-    winding = boyer.loop_winding_number(loop, lc)
-    expected = boyer.ac_phase_enclosed_value(lc, mu, k, winding)
-    phase = boyer.ac_phase(lc, mu, loop, k)
-    rows = [
-        {"loop": _describe_loop(loop), "winding": winding, "phase_rad": phase, "expected_rad": expected}
-    ]
-    if expected != 0.0:
-        residual = abs(phase / expected - 1.0)
-        checks = [CheckRow("ac_phase_loop_value", expected, phase, 1e-9, residual < 1e-9)]
-    else:
-        checks = [CheckRow("ac_phase_loop_value", 0.0, phase, 1e-10, abs(phase) <= 1e-10)]
+    # residuals are in units of the per-winding phase, absolute when it is 0
+    unit = abs(boyer.ac_phase_enclosed_value(lc, mu, k, 1)) or 1.0
+
+    def measure(path) -> dict:
+        winding = boyer.loop_winding_number(path, lc)
+        expected = boyer.ac_phase_enclosed_value(lc, mu, k, winding)
+        phase = boyer.ac_phase(lc, mu, path, k)
+        return {"loop": _describe_loop(path), "winding": winding, "phase_rad": phase, "expected_rad": expected}
+
+    rows = [measure(loop)]
+    phase, expected = rows[0]["phase_rad"], rows[0]["expected_rad"]
+    checks = [verify.claim_row("ac_phase_loop_value", abs(phase - expected) / unit, expected, phase)]
     if "second_radius_cm" in params:
-        second = boyer.CircleLoop(center=loop.center, radius=params["second_radius_cm"])
-        winding2 = boyer.loop_winding_number(second, lc)
-        phase2 = boyer.ac_phase(lc, mu, second, k)
-        rows.append(
-            {
-                "loop": _describe_loop(second),
-                "winding": winding2,
-                "phase_rad": phase2,
-                "expected_rad": boyer.ac_phase_enclosed_value(lc, mu, k, winding2),
-            }
-        )
-        if phase != 0.0 and winding == winding2:
-            residual = abs(phase2 / phase - 1.0)
-        else:
-            residual = abs(phase2 - phase)
-        checks.append(CheckRow("ac_phase_radius_independent", phase, phase2, 1e-9, residual < 1e-9))
+        rows.append(measure(boyer.CircleLoop(center=loop.center, radius=params["second_radius_cm"])))
+        phase2 = rows[1]["phase_rad"]
+        checks.append(verify.claim_row("ac_phase_radius_independent", abs(phase2 - phase) / unit, phase, phase2))
     return rows, checks
 
 
@@ -606,9 +603,8 @@ def _point_field_free(params: dict, k: PhysicalConstants):
     checks = [
         verify.claim_row("field_free_three_charge", verify.three_charge_residual(magnitudes, d, e)),
         verify.claim_row("potential_at_electron", *verify.potential_residual(cfg, d, e)),
-        # The qualitative corollary: vanishing fields at every particle mean
-        # no phase contribution; recorded as a claim, not computed dynamics.
-        CheckRow("field_free_zero_phase_claim", 0.0, 0.0, 0.0, True),
+        # the corollary (no field at any particle, no phase): stated, not computed
+        verify.claim_row("field_free_zero_phase_claim", 0.0, at_most=True),
     ]
     return rows, checks
 
@@ -623,15 +619,13 @@ _POINT_RUNNERS = {
 
 
 def _merge_checks(into: dict, new: list[CheckRow]):
+    """Keep each check's row from its worst point so far (``verify.worse``),
+    whole.  Every point judges a check against the same tolerance, so the
+    worst point's verdict is the sweep's."""
     for check in new:
-        if check.name not in into:
+        kept = into.get(check.name)
+        if kept is None or verify.worse(check.residual, kept.residual):
             into[check.name] = check
-            continue
-        existing = into[check.name]
-        if isinstance(check.actual, (int, float)) and isinstance(existing.actual, (int, float)):
-            pick = max if existing.merge == "max" else min
-            existing.actual = pick(existing.actual, check.actual)
-        existing.passed = existing.passed and check.passed
 
 
 def run_scenario(s: Scenario) -> RunReport:
@@ -645,8 +639,7 @@ def run_scenario(s: Scenario) -> RunReport:
 
     if s.sweep is None:
         prows, pchecks = point_fn(s.params, k)
-        for row in prows:
-            rows.append({"sweep_index": 0, **row})
+        rows.extend({"sweep_index": 0, **row} for row in prows)
         _merge_checks(merged, pchecks)
     else:
         for index, value in enumerate(s.sweep.values()):
@@ -660,8 +653,7 @@ def run_scenario(s: Scenario) -> RunReport:
                 error = f"{type(exc).__name__}: {exc}"
                 rows.append({"sweep_index": index, s.sweep.param: value, "error": error})
                 continue
-            for row in prows:
-                rows.append({"sweep_index": index, s.sweep.param: value, **row})
+            rows.extend({"sweep_index": index, s.sweep.param: value, **row} for row in prows)
             _merge_checks(merged, pchecks)
     if had_error:
         columns = columns + ["error"]

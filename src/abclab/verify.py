@@ -5,15 +5,17 @@ random generator and returns a RunReport whose check rows name the physics
 claims they audit.  Identical seeds produce byte-identical reports; the CLI
 maps a non-empty failure set to a non-zero exit code.
 
-``TOLERANCES`` is the one reference for check tolerances; a residual claim
-passes below its tolerance (``claim_row``).  The scenario point runners
-report the claims they share with the catalogue through the same residual
-functions, ``bounce_checks`` and ``claim_row``.
+``TOLERANCES`` holds the tolerance of every verify and scenario check.  A
+residual claim (``claim_row``) passes below it, or at it with ``at_most``, so
+NaN fails; the scenario point runners build every row with ``claim_row``.  A
+worst-of-N, over a check's draws or a sweep's points, keeps the worst residual
+by ``worse``, under which NaN is worse than any number.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -34,7 +36,7 @@ class CheckRow:
     actual: object
     tol: float
     passed: bool
-    merge: str = dataclasses.field(default="max", compare=False)  # how sweeps aggregate 'actual'
+    residual: float = dataclasses.field(default=math.nan, compare=False)  # ranked by worse(); not reported
 
     def to_dict(self) -> dict:
         return {
@@ -66,8 +68,9 @@ class RunReport:
         }
 
 
-# Tolerance of each check, in report order.  Residual claims pass below it;
-# the few checks with another comparison say so where they build their row.
+# Tolerance of each verify check, then of the claims only scenarios report.
+# Residual claims pass below it, or at it with claim_row's at_most; the one
+# check with another comparison (visibility_pipeline_monotone) says so.
 TOLERANCES = {
     "cross_antisymmetry": 1e-15,
     "cross_orthogonality": 1e-12,
@@ -98,14 +101,32 @@ TOLERANCES = {
     "potential_at_electron": 1e-14,
     "coulomb_field_rigid_covariance": 1e-12,
     "newtons_third_law": 1e-10,
+    "probability_sum": 1e-12,
+    "routes_to_A_at_zero_phase": 1e-12,
+    "routes_to_B_at_pi_phase": 1e-12,
+    "ac_phase_loop_value": 1e-9,
+    "ac_phase_radius_independent": 1e-9,
+    "field_free_zero_phase_claim": 0.0,
 }
 
 
-def claim_row(name: str, residual: float, expected: object = 0.0, actual: object = None) -> CheckRow:
-    """The row of a residual claim: it passes when residual < TOLERANCES[name].
-    ``actual`` defaults to the residual; a NaN residual fails."""
+def claim_row(name: str, residual: float, expected: object = 0.0, actual: object = None, at_most=False) -> CheckRow:
+    """The row of a residual claim: it passes when residual < TOLERANCES[name],
+    or <= with ``at_most``.  ``actual`` defaults to the residual; NaN fails."""
     tol = TOLERANCES[name]
-    return CheckRow(name, expected, residual if actual is None else actual, tol, residual < tol)
+    passed = residual <= tol if at_most else residual < tol
+    return CheckRow(name, expected, residual if actual is None else actual, tol, passed, residual=residual)
+
+
+def worse(residual: float, than: float) -> bool:
+    """Whether ``residual`` is worse than ``than``: larger, or NaN where ``than``
+    is a number.  A worst-of-N by this rule keeps NaN, and the first of ties."""
+    return residual > than or (math.isnan(residual) and not math.isnan(than))
+
+
+def _worst(residuals) -> float:
+    """The worst of some non-negative residuals by ``worse``; 0.0 for none."""
+    return functools.reduce(lambda worst, residual: residual if worse(residual, worst) else worst, residuals, 0.0)
 
 
 def _relative(actual: float, expected: float) -> float:
@@ -148,9 +169,8 @@ def bounce_checks(result: boyer.BounceResult) -> list[CheckRow]:
         return [claim_row("energy_conserved_full_law", drift)]
     kes = [result.initial_kinetic_energy, *result.bounce_kinetic_energies]
     min_gain = min(b - a for a, b in zip(kes, kes[1:]))
-    tol = TOLERANCES["energy_grows_naive_law"]
-    growth = CheckRow("energy_grows_naive_law", "increasing", min_gain, tol, min_gain > tol, merge="min")
-    mismatch = max(_relative(gain, work) for gain, work in zip(result.ke_gain_per_leg, result.work_per_leg))
+    growth = claim_row("energy_grows_naive_law", -min_gain, "increasing", min_gain)
+    mismatch = _worst(_relative(gain, work) for gain, work in zip(result.ke_gain_per_leg, result.work_per_leg))
     return [growth, claim_row("work_integral_match", mismatch)]
 
 
@@ -171,10 +191,7 @@ def _claim(name: str, draws: int, expected: object = 0.0):
 
     def register(residual):
         def check(rng) -> CheckRow:
-            worst = 0.0
-            for _ in range(draws):
-                worst = max(worst, residual(rng))
-            return claim_row(name, worst, expected)
+            return claim_row(name, _worst(residual(rng) for _ in range(draws)), expected)
 
         _CHECKS.append(check)
         return residual
@@ -197,9 +214,7 @@ def _random_vec(rng: np.random.Generator, scale: float = 1.0) -> Vec3:
 
 
 def _random_constants(rng: np.random.Generator) -> PhysicalConstants:
-    e = _log_uniform(rng, 1e-3, 1e3)
-    c = _log_uniform(rng, 1e-3, 1e3)
-    hbar = _log_uniform(rng, 1e-3, 1e3)
+    e, c, hbar = (_log_uniform(rng, 1e-3, 1e3) for _ in range(3))
     return PhysicalConstants(e=e, c=c, hbar=hbar, h=2.0 * math.pi * hbar)
 
 
@@ -232,12 +247,7 @@ def _cross_antisymmetry(rng) -> float:
 def _cross_orthogonality(rng) -> float:
     a, b = _random_vec(rng, 10.0), _random_vec(rng, 10.0)
     c = cross(a, b)
-    worst = 0.0
-    for v in (a, b):
-        norm = c.norm() * v.norm()
-        if norm > 0.0:
-            worst = max(worst, abs(c.dot(v)) / norm)
-    return worst
+    return _worst(abs(c.dot(v)) / (c.norm() * v.norm()) for v in (a, b) if c.norm() * v.norm() > 0.0)
 
 
 @_check
@@ -245,8 +255,7 @@ def _constants_deterministic(rng) -> CheckRow:
     same = all(
         make_constants(system) == make_constants(system) for system in (GAUSSIAN_CGS, SCALED_UNITY)
     )
-    tol = TOLERANCES["constants_deterministic"]
-    return CheckRow("constants_deterministic", "bit-identical", 0.0 if same else 1.0, tol, same)
+    return claim_row("constants_deterministic", 0.0 if same else 1.0, "bit-identical", at_most=True)
 
 
 @_claim("detector_probability_sum", 500)
@@ -268,15 +277,16 @@ def _phase_periodicity(rng) -> float:
 
 @_check
 def _overlap_identity(rng) -> CheckRow:
-    worst = 0.0
-    for _ in range(50):
+    def identity_miss() -> float:
         packet = interferometry.GaussianPacket(
             x0=float(rng.uniform(-2.0, 2.0)),
             p0=float(rng.uniform(-2.0, 2.0)),
             sigma_x=_log_uniform(rng, 0.1, 10.0),
             mass=1.0,
         )
-        worst = max(worst, abs(abs(interferometry.packet_overlap(packet, 0.0, 0.0, 1.0)) - 1.0))
+        return abs(abs(interferometry.packet_overlap(packet, 0.0, 0.0, 1.0)) - 1.0)
+
+    worst = _worst(identity_miss() for _ in range(50))
     return claim_row("overlap_identity_is_one", worst, expected=1.0, actual=1.0 + worst)
 
 
@@ -320,8 +330,7 @@ def _overlap_monotone(name: str, vary_shift: bool) -> CheckRow:
         if previous is not None:
             worst_rise = max(worst_rise, magnitude - previous)
         previous = magnitude
-    tol = TOLERANCES[name]
-    return CheckRow(name, "non-increasing", worst_rise, tol, worst_rise <= tol)
+    return claim_row(name, worst_rise, "non-increasing", at_most=True)
 
 
 _check(lambda rng: _overlap_monotone("overlap_monotone_in_shift", vary_shift=True))
@@ -376,16 +385,14 @@ def _flux_phase_linearity(rng) -> float:
     k = _random_constants(rng)
     factor = _log_uniform(rng, 0.1, 10.0)
     base = solenoid.ab_phase_direct(s, k)
-    worst = 0.0
-    for scaled, expect in (
-        (_solenoid(s.r, s.L, s.M, s.Q * factor, s.v), factor),
-        (_solenoid(s.r, s.L, s.M, s.Q, s.v * factor), factor),
-        (_solenoid(s.r * factor, s.L, s.M, s.Q, s.v), factor),
-        (_solenoid(s.r, s.L * factor, s.M, s.Q, s.v), 1.0 / factor),
-    ):
-        worst = max(worst, _relative(solenoid.ab_phase_direct(scaled, k), base * expect))
-    ke = dataclasses.replace(k, e=k.e * factor)
-    return max(worst, _relative(solenoid.ab_phase_direct(s, ke), base * factor))
+    scaled = (
+        (_solenoid(s.r, s.L, s.M, s.Q * factor, s.v), k, factor),
+        (_solenoid(s.r, s.L, s.M, s.Q, s.v * factor), k, factor),
+        (_solenoid(s.r * factor, s.L, s.M, s.Q, s.v), k, factor),
+        (_solenoid(s.r, s.L * factor, s.M, s.Q, s.v), k, 1.0 / factor),
+        (s, dataclasses.replace(k, e=k.e * factor), factor),
+    )
+    return _worst(_relative(solenoid.ab_phase_direct(s2, k2), base * expect) for s2, k2, expect in scaled)
 
 
 @_claim("flux_chain_consistency", 1000)
@@ -554,12 +561,12 @@ def _field_covariance(rng) -> float:
     moved = fieldfree.ChargeConfiguration(
         tuple(fieldfree.PointCharge(c.q, rotate(c.pos) + shift) for c in cfg.charges)
     )
-    worst = 0.0
-    for i in range(len(cfg.charges)):
+
+    def miss(i: int) -> float:
         original = fieldfree.field_at(cfg, i)
-        actual = fieldfree.field_at(moved, i)
-        worst = max(worst, (actual - rotate(original)).norm() / max(original.norm(), 1e-300))
-    return worst
+        return (fieldfree.field_at(moved, i) - rotate(original)).norm() / max(original.norm(), 1e-300)
+
+    return _worst(miss(i) for i in range(len(cfg.charges)))
 
 
 @_claim("newtons_third_law", 50)

@@ -284,9 +284,9 @@ def test_criterion_10_visibility_pipeline():
         assert visibilities[0] < 0.01
 
 
-def test_criterion_11_determinism_and_golden_file():
+def test_criterion_11_determinism_and_golden_file(verify_seed42):
     with criterion(11, "seeded verify reports are byte-identical; golden CSV matches"):
-        first = run_verify_suite(seed=42)
+        first = verify_seed42
         second = run_verify_suite(seed=42)
         assert render_json(first) == render_json(second)
         assert render_csv(first) == render_csv(second)

@@ -16,6 +16,7 @@ from abclab import (
     render_json,
     run_scenario,
     run_verify_suite,
+    solenoid,
     verify,
 )
 from abclab.cli import main as cli_main
@@ -128,6 +129,38 @@ def test_parse_range_checks_visibility(doc, bad):
     assert parse_scenario(doc + "  visibility: 0.25\n").params["visibility"] == 0.25
     with pytest.raises(ValidationError, match=rf"^params\.visibility: must lie in \[0, 1\], got {float(bad)!r}$"):
         parse_scenario(doc + f"  visibility: {bad}\n")
+
+
+BOUNCE_DOC = (SCENARIO_DIR / "ac_bounce.yaml").read_text()
+PHASE_DOC = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text()
+
+
+@pytest.mark.parametrize(
+    "text, old, new, key",
+    [
+        (PHASE_DOC, "radius_cm: 0.8", "radius_cm: 0", "params.loop.radius_cm"),
+        (PHASE_DOC, "second_radius_cm: 2.5", "second_radius_cm: 0", "params.second_radius_cm"),
+        (BOUNCE_DOC, "n_bounces: 10", "n_bounces: 0", "params.n_bounces"),
+        (BOUNCE_DOC, "dt_s: ", "dt_s: 0 #", "params.dt_s"),
+        (AB_UNIT_DOC, "Q_statC: 1.0", "Q_statC: -1.0", "params.solenoid.Q_statC"),
+        ("kind: field-free\nparams: {d_cm: 1.0, e_statC: 1.0}\n", "d_cm: 1.0", "d_cm: 0", "params.d_cm"),
+    ],
+    ids=["radius_cm", "second_radius_cm", "n_bounces", "dt_s", "Q_statC", "d_cm"],
+)
+def test_parse_domain_errors_name_the_key(tmp_path, text, old, new, key):
+    # the physics constructors used to raise these without the key
+    assert old in text
+    with pytest.raises(ValidationError, match="^" + key.replace(".", r"\.") + ": must "):
+        parse_scenario(text.replace(old, new))
+    path = tmp_path / "bad.yaml"
+    path.write_text(text.replace(old, new))
+    assert cli_main(["run", str(path)]) == 2
+
+
+def test_parse_equal_mirrors_name_the_block():
+    assert "b_cm: 3.0" in BOUNCE_DOC
+    with pytest.raises(ValidationError, match=r"^params\.mirrors: mirror planes must be distinct$"):
+        parse_scenario(BOUNCE_DOC.replace("b_cm: 3.0", "b_cm: 1.5"))
 
 
 def test_parse_orbit_must_clear_solenoid():
@@ -262,6 +295,78 @@ params: {d_cm: 1.0, e_statC: 1.0}
     assert report.rows[0]["potential_statV"] == pytest.approx(8.0, rel=1e-14)
 
 
+def test_sweep_keeps_the_worst_points_row_whole():
+    # expected and actual used to come from different points: 4.0 against 8.0
+    doc = """
+kind: field-free
+units: scaled-unity
+params: {d_cm: 2.0, e_statC: 1.0}
+sweep: {param: d_cm, from: 2.0, to: 1.0, steps: 2}
+"""
+    report = run_scenario(parse_scenario(doc))
+    potential = next(c for c in report.checks if c.name == "potential_at_electron")
+    point = next(r for r in report.rows if r["charge_index"] == 0 and r["potential_statV"] == potential.actual)
+    assert potential.expected == pytest.approx(8.0 / point["d_cm"], rel=1e-15)
+    assert potential.passed
+
+
+@pytest.mark.parametrize("units", ["gaussian-cgs", "scaled-unity"])
+def test_circle_off_the_line_passes(units):
+    # its phase of 0 used to be judged against an absolute 1e-10
+    doc = f"""
+kind: ac-phase
+units: {units}
+params:
+  line: {{lambda_statC_per_cm: 30.0}}
+  mu_z_erg_per_G: 20.0
+  loop: {{kind: circle, center_x_cm: 5.0, center_y_cm: 1.0, radius_cm: 1.0}}
+  second_radius_cm: 2.0
+sweep: {{param: loop.radius_cm, from: 1.0, to: 3.0, steps: 7}}
+"""
+    report = run_scenario(parse_scenario(doc))
+    assert {row["winding"] for row in report.rows} == {0}
+    assert {c.name: c.passed for c in report.checks} == {
+        "ac_phase_loop_value": True,
+        "ac_phase_radius_independent": True,
+    }
+
+
+@pytest.mark.parametrize("units", ["gaussian-cgs", "scaled-unity"])
+def test_loop_winding_twice_is_judged_per_winding(units):
+    # |phase - 2u| / u, with u the per-winding phase: |winding| times stricter
+    # than the relative |phase / (2u) - 1| it replaced
+    square = "[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]"
+    doc = f"""
+kind: ac-phase
+units: {units}
+params:
+  line: {{lambda_statC_per_cm: 30.0}}
+  mu_z_erg_per_G: 20.0
+  loop: {{kind: polyline, vertices_cm: [{square}, {square}, [1.0, 0.0, 0.0]]}}
+"""
+    report = run_scenario(parse_scenario(doc))
+    (row,) = report.rows
+    (check,) = report.checks
+    assert row["winding"] == 2 and check.name == "ac_phase_loop_value" and check.passed
+    assert check.residual == abs(row["phase_rad"] - row["expected_rad"]) / abs(row["expected_rad"] / 2)
+    assert check.residual < verify.TOLERANCES["ac_phase_loop_value"]
+
+
+def test_loop_around_an_uncharged_line_passes():
+    # lambda = 0: the per-winding phase is 0, so the residual is absolute
+    doc = PHASE_DOC.replace("lambda_statC_per_cm: 1.0", "lambda_statC_per_cm: 0.0")
+    report = run_scenario(parse_scenario(doc))
+    assert [row["phase_rad"] for row in report.rows] == [0.0, 0.0]
+    assert report.all_passed and len(report.checks) == 2
+
+
+def test_every_check_tolerance_is_catalogued(verify_seed42):
+    reports = [verify_seed42] + [run_scenario(load_scenario(str(p))) for p in sorted(SCENARIO_DIR.glob("*.yaml"))]
+    for report in reports:
+        for check in report.checks:
+            assert check.tol == verify.TOLERANCES[check.name], check.name
+
+
 def test_emit_csv_structure_and_determinism(tmp_path):
     report = run_scenario(parse_scenario(AB_UNIT_DOC))
     first = tmp_path / "a.csv"
@@ -376,8 +481,8 @@ sweep: {param: n_bounces, from: 1, to: 2, steps: 3}
     assert cli_main(["sweep", str(path)]) == 2
 
 
-def test_verify_suite_deterministic_and_green():
-    first = run_verify_suite(seed=42)
+def test_verify_suite_deterministic_and_green(verify_seed42):
+    first = verify_seed42
     second = run_verify_suite(seed=42)
     assert render_json(first) == render_json(second)
     assert render_csv(first) == render_csv(second)
@@ -409,10 +514,10 @@ def test_verify_suite_runs_each_bounce_law_once(monkeypatch):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_golden_verify_report_matches_stored_file(fmt):
+def test_golden_verify_report_matches_stored_file(fmt, verify_seed42):
     # pins every row of the seed-42 catalogue: names, expected, actual, tol, pass
     render = render_json if fmt == "json" else render_csv
-    produced = render(run_verify_suite(seed=42))
+    produced = render(verify_seed42)
     assert produced.encode() == (DATA_DIR / f"golden_verify_seed42.{fmt}").read_bytes()
 
 
@@ -433,6 +538,23 @@ def test_verify_rows_are_built_by_the_module_check_row(monkeypatch):
     assert all(a is b for a, b in zip(built, report.checks))
 
 
+def test_verify_check_fails_on_a_nan_draw(monkeypatch):
+    # the worst of the draws used to drop a NaN and read as PASS
+    calls = []
+    direct = solenoid.ab_phase_direct
+
+    def nan_on_seventh_call(s, k):
+        calls.append(s)
+        return math.nan if len(calls) == 7 else direct(s, k)
+
+    monkeypatch.setattr(solenoid, "ab_phase_direct", nan_on_seventh_call)
+    monkeypatch.setattr(verify, "_CHECKS", [])
+    verify._claim("flux_chain_consistency", 1000)(verify._flux_chain_consistency)
+    (row,) = run_verify_suite(seed=42).checks
+    assert row.name == "flux_chain_consistency" and len(calls) == 1000
+    assert not row.passed and math.isnan(row.actual)
+
+
 def test_field_free_overflow_fails_its_checks():
     # e/d^2 overflows: the field residual is NaN and the potential inf, and
     # both claims must FAIL rather than report a clean worst of zero
@@ -447,9 +569,8 @@ params: {d_cm: 1.0e-10, e_statC: 1.0e300}
     assert not potential.passed and potential.actual == math.inf
 
 
-def test_verify_csv_uses_check_table():
-    report = run_verify_suite(seed=1)
-    lines = render_csv(report).split("\n")
+def test_verify_csv_uses_check_table(verify_seed42):
+    lines = render_csv(verify_seed42).split("\n")
     assert lines[0] == "name,expected,actual,tol,pass"
 
 
@@ -508,12 +629,10 @@ def test_cli_bounce_with_huge_n_bounces_exits_3(tmp_path, monkeypatch, capsys):
     assert "law: bounce leg 3 exceeded the run's budget of 500 RK4 steps" in err
 
 
-def test_cli_verify_deterministic(tmp_path):
-    first = tmp_path / "v1.json"
-    second = tmp_path / "v2.json"
-    assert cli_main(["verify", "--seed", "42", "--output", str(first)]) == 0
-    assert cli_main(["verify", "--seed", "42", "--output", str(second)]) == 0
-    assert first.read_bytes() == second.read_bytes()
+def test_cli_verify_deterministic(tmp_path, verify_seed42):
+    path = tmp_path / "v.json"
+    assert cli_main(["verify", "--seed", "42", "--output", str(path)]) == 0
+    assert path.read_bytes() == render_json(verify_seed42).encode()
 
 
 def test_shipped_scenarios_all_pass():
