@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, ValidationError
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson  # noqa: F401  (perfbench's tracer patches this name)
+from .quadrature import refine_gauss_legendre
 
 # Tolerated overflow of |overlap| above 1 before we declare the upstream
 # computation broken.
@@ -129,9 +130,9 @@ def overlap_by_quadrature(
     """Same overlap evaluated by direct numerical integration.
 
     This is the independent route used to audit ``packet_overlap``: it
-    builds the displaced wavefunction explicitly and integrates
-    conj(chi(x)) * (D chi)(x) with adaptive Simpson, real and imaginary
-    parts separately.
+    builds the displaced wavefunction explicitly and integrates the complex
+    product conj(chi(x)) * (D chi)(x) in one pass of panel-doubling
+    Gauss-Legendre (``refine_gauss_legendre``), to max(rel_tol*|I|, abs_tol).
     """
     x0, p0, sx = packet.x0, packet.p0, packet.sigma_x
     norm2 = 1.0 / math.sqrt(2.0 * math.pi * sx * sx)  # |chi|^2 normalization
@@ -149,16 +150,7 @@ def overlap_by_quadrature(
     center = x0 + 0.5 * delta_x
     half_width = 12.0 * sx + 0.5 * abs(delta_x)
     a, b = center - half_width, center + half_width
-    # min_depth guards against accidental coarse-grid agreement on the
-    # oscillatory factor; the wide window leaves the peak unresolved at
-    # shallow depths.
-    re = adaptive_simpson(
-        lambda x: integrand(x).real, a, b, rel_tol=rel_tol, abs_tol=abs_tol, min_depth=6
-    )
-    im = adaptive_simpson(
-        lambda x: integrand(x).imag, a, b, rel_tol=rel_tol, abs_tol=abs_tol, min_depth=6
-    )
-    return complex(re, im)
+    return refine_gauss_legendre(integrand, a, b, rel_tol=rel_tol, abs_floor=abs_tol, start_panels=4)
 
 
 def visibility_from_overlap(overlap: complex) -> float:

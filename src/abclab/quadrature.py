@@ -1,11 +1,16 @@
-"""Numerical integration helpers: adaptive Simpson and composite Gauss-Legendre.
+"""Numerical integration helpers: composite Gauss-Legendre and adaptive Simpson.
 
-Adaptive Simpson splits an interval until the two-panel and one-panel
+``refine_gauss_legendre`` doubles the panels of a composite 10-point
+Gauss-Legendre rule until two successive estimates agree.  It integrates
+every smooth integrand in this package (the velocity-kick integral over
+angle, the complex Gaussian overlap integrand, the loop-phase line
+integrals), and it takes real or complex integrands alike.
+
+``adaptive_simpson`` splits an interval until the two-panel and one-panel
 estimates agree to 15x the interval's share of the tolerance, and it
-accumulates the Richardson-corrected value S2 + (S2 - S1)/15, so the
-delivered accuracy is usually far better than the requested one.  It is
-the workhorse for the smooth, non-oscillatory integrands in this package
-(induction integrals over angle, Gaussian overlap integrals).
+accumulates the Richardson-corrected value S2 + (S2 - S1)/15.  No route of
+the package calls it any more; it stays exported because the benchmark
+tracer (``perfbench/tracer.py``) still patches it by name.
 """
 
 from __future__ import annotations
@@ -79,8 +84,10 @@ _GL_NODES, _GL_WEIGHTS = (
 )
 
 
-def composite_gauss_legendre(f: Callable[[float], float], a: float, b: float, n_panels: int) -> float:
-    """10-point Gauss-Legendre on n_panels equal panels of [a, b]."""
+def composite_gauss_legendre(
+    f: Callable[[float], float | complex], a: float, b: float, n_panels: int
+) -> float | complex:
+    """10-point Gauss-Legendre on n_panels equal panels of [a, b]; f may be complex."""
     total = 0.0
     width = (b - a) / n_panels
     for i in range(n_panels):
@@ -95,19 +102,21 @@ def composite_gauss_legendre(f: Callable[[float], float], a: float, b: float, n_
 
 
 def refine_gauss_legendre(
-    f: Callable[[float], float],
+    f: Callable[[float], float | complex],
     a: float,
     b: float,
     rel_tol: float = 1e-10,
     abs_floor: float = 0.0,
     start_panels: int = 8,
     max_doublings: int = 16,
-) -> float:
+) -> float | complex:
     """Panel-doubling Gauss-Legendre until successive estimates agree.
 
     Convergence is |I_2n - I_n| <= max(rel_tol*|I_2n|, abs_floor); the
     caller supplies abs_floor as the natural zero scale of the problem so
-    integrals that vanish by symmetry still terminate.
+    integrals that vanish by symmetry still terminate.  f may return
+    complex values: the estimate is then complex, and |.| is the complex
+    modulus, so one pass converges both parts together.
     """
     n = start_panels
     prev = composite_gauss_legendre(f, a, b, n)

@@ -433,6 +433,21 @@ def _resolve_path(params: dict, path: str):
     return node, last
 
 
+def _check_sweep_ends(params: dict, sweep: SweepSpec, table: dict):
+    """Validate both ends of a sweep against the swept key's type in ``table``.
+    Every type a float key can have is an interval, so its ends bound every
+    linear and log point."""
+    node = params
+    for key in sweep.param.split("."):
+        kind = table[key][0]
+        if isinstance(kind, _Tagged):
+            kind = kind.tables[node[key][kind.tag]]
+        table, node = kind, node[key]
+    if not isinstance(kind, type):  # a bounded float; a plain float is checked already
+        for end, value in (("from", sweep.start), ("to", sweep.stop)):
+            kind(value, f"sweep.{end} for params.{sweep.param}")
+
+
 class _ScenarioLoader(yaml.SafeLoader):
     """SafeLoader that also reads YAML 1.2 exponent floats such as ``5e-2`` and
     ``3.0e6``, which YAML 1.1 resolves to strings (it needs a dot and a signed
@@ -468,6 +483,7 @@ def parse_scenario(text: str) -> Scenario:
         if sweep.scale == "log" and (sweep.start <= 0.0 or sweep.stop <= 0.0):
             raise ValidationError("sweep: log scale requires positive 'from' and 'to'")
         _resolve_path(s["params"], sweep.param)
+        _check_sweep_ends(s["params"], sweep, _PARAMS[s["kind"]])
     output = OutputSpec(**(s["output"] or {}))
     return Scenario(s["kind"], s["units"], s["params"], sweep, output, warnings=collected)
 

@@ -21,7 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, ConsistencyError, DomainError, ValidationError
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson  # noqa: F401  (perfbench's tracer patches this name)
+from .quadrature import refine_gauss_legendre
 from .units import PhysicalConstants
 
 CLOSED_FORM = "closed-form"
@@ -166,18 +167,18 @@ def cylinder_velocity_change(
     """Net change u*Q*e*r/(c^2*M*R*L) of the cylinder surface speed (cm/s).
 
     method='closed-form' evaluates the printed result; method='quadrature'
-    integrates the angular integrand with adaptive Simpson (rel tol 1e-12)
-    as the independent route.
+    integrates ``velocity_kick_integrand`` over [-pi/2, pi/2] with
+    panel-doubling Gauss-Legendre (rel tol 1e-12) as the independent route.
     """
     if method == CLOSED_FORM:
         return o.u * s.Q * k.e * s.r / (k.c ** 2 * s.M * o.R * s.L)
     if method == QUADRATURE:
-        integral = adaptive_simpson(
+        integral = refine_gauss_legendre(
             lambda theta: velocity_kick_integrand(theta, s, o, k),
             -math.pi / 2.0,
             math.pi / 2.0,
             rel_tol=1e-12,
-            max_depth=40,
+            start_panels=4,
         )
         return integral / s.M
     raise ConfigurationError(f"unknown method {method!r}; expected '{CLOSED_FORM}' or '{QUADRATURE}'")

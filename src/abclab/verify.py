@@ -8,8 +8,8 @@ maps a non-empty failure set to a non-zero exit code.
 ``TOLERANCES`` holds the tolerance of every verify and scenario check.  A
 residual claim (``claim_row``) passes below it, or at it with ``at_most``, so
 NaN fails; the scenario point runners build every row with ``claim_row``.  A
-worst-of-N, over a check's draws or a sweep's points, keeps the worst residual
-by ``worse``, under which NaN is worse than any number.
+worst-of-N, over a check's draws, a draw's parts or a sweep's points, keeps the
+worst residual by ``worse``, under which NaN is worse than any number.
 """
 
 from __future__ import annotations
@@ -124,9 +124,15 @@ def worse(residual: float, than: float) -> bool:
     return residual > than or (math.isnan(residual) and not math.isnan(than))
 
 
-def _worst(residuals) -> float:
-    """The worst of some non-negative residuals by ``worse``; 0.0 for none."""
-    return functools.reduce(lambda worst, residual: residual if worse(residual, worst) else worst, residuals, 0.0)
+def _worst(residuals, floor: float = 0.0) -> float:
+    """The worst of some residuals by ``worse``, starting from ``floor`` (the
+    value for none): NaN if any is NaN, else the largest above ``floor``."""
+    return functools.reduce(lambda worst, residual: residual if worse(residual, worst) else worst, residuals, floor)
+
+
+def _least(values) -> float:
+    """The least of some values, NaN-sticky like ``_worst``."""
+    return -_worst((-value for value in values), -math.inf)
 
 
 def _relative(actual: float, expected: float) -> float:
@@ -150,7 +156,7 @@ def flux_chain_residual(s: solenoid.SolenoidParams, k: PhysicalConstants) -> flo
 
 def three_charge_residual(field_magnitudes, d: float, e: float) -> float:
     """The largest field magnitude at the triple's charges in units of e/d^2."""
-    return max(field_magnitudes) / (e / (d * d))
+    return _worst(field_magnitudes) / (e / (d * d))
 
 
 def potential_residual(cfg: fieldfree.ChargeConfiguration, d: float, e: float) -> tuple[float, float, float]:
@@ -168,7 +174,7 @@ def bounce_checks(result: boyer.BounceResult) -> list[CheckRow]:
         drift = _relative(result.final_kinetic_energy, result.initial_kinetic_energy)
         return [claim_row("energy_conserved_full_law", drift)]
     kes = [result.initial_kinetic_energy, *result.bounce_kinetic_energies]
-    min_gain = min(b - a for a, b in zip(kes, kes[1:]))
+    min_gain = _least(b - a for a, b in zip(kes, kes[1:]))
     growth = claim_row("energy_grows_naive_law", -min_gain, "increasing", min_gain)
     mismatch = _worst(_relative(gain, work) for gain, work in zip(result.ke_gain_per_leg, result.work_per_leg))
     return [growth, claim_row("work_integral_match", mismatch)]
@@ -240,7 +246,7 @@ _UNIT_ORBIT = solenoid.OrbitParams(R=2.0, u=1.0)
 def _cross_antisymmetry(rng) -> float:
     a, b = _random_vec(rng, 10.0), _random_vec(rng, 10.0)
     residual = cross(a, b) + cross(b, a)
-    return max(abs(residual.x), abs(residual.y), abs(residual.z))
+    return _worst(abs(c) for c in residual.as_tuple())
 
 
 @_claim("cross_orthogonality", 500)
@@ -272,7 +278,7 @@ def _phase_periodicity(rng) -> float:
     vis = float(rng.uniform(0.0, 1.0))
     p1 = interferometry.detector_probabilities(phase, vis)
     p2 = interferometry.detector_probabilities(phase + 2.0 * math.pi, vis)
-    return max(abs(p1.p_a - p2.p_a), abs(p1.p_b - p2.p_b))
+    return _worst((abs(p1.p_a - p2.p_a), abs(p1.p_b - p2.p_b)))
 
 
 @_check
@@ -322,14 +328,11 @@ def _overlap_quadrature(rng) -> float:
 def _overlap_monotone(name: str, vary_shift: bool) -> CheckRow:
     # The overlap magnitude never rises along a grid of growing shifts (kicks).
     packet = interferometry.GaussianPacket(x0=0.3, p0=-0.7, sigma_x=1.3, mass=1.0)
-    worst_rise = -math.inf
-    previous = None
+    magnitudes = []
     for g in (0.25 * i for i in range(17)):
         dx, dp = (g, 0.4) if vary_shift else (0.4, g)
-        magnitude = abs(interferometry.packet_overlap(packet, dx, dp, 1.0))
-        if previous is not None:
-            worst_rise = max(worst_rise, magnitude - previous)
-        previous = magnitude
+        magnitudes.append(abs(interferometry.packet_overlap(packet, dx, dp, 1.0)))
+    worst_rise = _worst((b - a for a, b in zip(magnitudes, magnitudes[1:])), -math.inf)
     return claim_row(name, worst_rise, "non-increasing", at_most=True)
 
 
@@ -359,16 +362,16 @@ def _velocity_kick_quadrature(rng) -> float:
 def _flux_profile_shape(rng) -> CheckRow:
     s, o = _UNIT_SOLENOID, _UNIT_ORBIT
     peak = solenoid.electron_flux_at_angle(0.0, o, s, _K1)
-    worst = 0.0
+    misses = []
     for i in range(1, 41):
         theta = i * (math.pi / 2.0) / 40.0
         plus = solenoid.electron_flux_at_angle(theta, o, s, _K1)
         minus = solenoid.electron_flux_at_angle(-theta, o, s, _K1)
-        worst = max(worst, abs(plus - minus) / peak)  # even in theta
-        worst = max(worst, max(0.0, plus - peak) / peak)  # maximal at zero
+        misses.append(abs(plus - minus) / peak)  # even in theta
+        misses.append((plus - peak) / peak)  # maximal at zero; a fall stays below _worst's 0.0
     edge = solenoid.electron_flux_at_angle(math.pi / 2.0, o, s, _K1)
-    worst = max(worst, abs(edge) / peak)  # vanishes at the rim
-    return claim_row("emf_flux_profile_shape", worst)
+    misses.append(abs(edge) / peak)  # vanishes at the rim
+    return claim_row("emf_flux_profile_shape", _worst(misses))
 
 
 @_claim("displacement_orbit_invariance", 100)
@@ -431,7 +434,7 @@ def _force_equals_rate(rng) -> float:
     force = boyer.boyer_force(_UNIT_LINE, pos, vel, _UNIT_NEUTRON.mu, _K1)
     rate = boyer.hidden_momentum_rate(_UNIT_LINE, pos, vel, _UNIT_NEUTRON.mu, _K1)
     diff = force - rate
-    return max(abs(diff.x), abs(diff.y), abs(diff.z)) / max(force.norm(), 1e-300)
+    return _worst(abs(c) for c in diff.as_tuple()) / max(force.norm(), 1e-300)
 
 
 @_check
@@ -439,12 +442,12 @@ def _full_law_speed(rng) -> CheckRow:
     state = boyer.TrajectoryState(t=0.0, pos=Vec3(2.5, 0.8, 0.0), vel=Vec3(-1.2, 0.7, 0.0))
     speed0 = state.vel.norm()
     direction0 = state.vel * (1.0 / speed0)
-    worst = 0.0
+    misses = []
     for _ in range(10_000):
         state = boyer.step_trajectory(_UNIT_LINE, _UNIT_NEUTRON, state, 1e-3, boyer.FULL_LAW, _K1)
-        worst = max(worst, _relative(state.vel.norm(), speed0))
-    drift_dir = (state.vel * (1.0 / state.vel.norm()) - direction0).norm()
-    return claim_row("full_law_no_classical_lag", max(worst, drift_dir))
+        misses.append(_relative(state.vel.norm(), speed0))
+    misses.append((state.vel * (1.0 / state.vel.norm()) - direction0).norm())  # direction drift
+    return claim_row("full_law_no_classical_lag", _worst(misses))
 
 
 def _naive_endpoint(n_steps: int) -> boyer.TrajectoryState:
@@ -514,7 +517,9 @@ def _ac_phase_linearity(rng) -> float:
         return boyer.ac_phase(boyer.LineCharge(lambda_c=lam), Vec3(0.0, 0.0, muz), _UNIT_CIRCLE, _K1)
 
     base = phase(lam, muz)
-    return max(_relative(phase(lam * factor, muz), base * factor), _relative(phase(lam, muz * factor), base * factor))
+    return _worst(
+        (_relative(phase(lam * factor, muz), base * factor), _relative(phase(lam, muz * factor), base * factor))
+    )
 
 
 def _random_triple(rng) -> tuple[fieldfree.ChargeConfiguration, float, float]:

@@ -99,7 +99,7 @@ def test_criterion_01_local_phase_identity():
 
 
 def test_criterion_02_velocity_kick_quadrature_oracle():
-    with criterion(2, "adaptive-Simpson velocity kick matches the closed form (100 sets, < 1 s)"):
+    with criterion(2, "Gauss-Legendre velocity kick matches the closed form (100 sets, < 1 s)"):
         rng = np.random.default_rng(202)
         setups = [_random_setup(rng) for _ in range(100)]
         closed = [cylinder_velocity_change(s, o, k) for s, o, k in setups]

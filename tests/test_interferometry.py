@@ -161,10 +161,21 @@ def test_overlap_closed_form_vs_scipy_quadpack():
 
 
 def test_overlap_quadrature_route_matches_closed_form():
-    packet = GaussianPacket(x0=0.4, p0=-0.3, sigma_x=1.5, mass=1.0)
-    closed = packet_overlap(packet, 1.2, 0.7, 1.0)
-    numeric = overlap_by_quadrature(packet, 1.2, 0.7, 1.0, abs_tol=1e-10)
-    assert abs(closed - numeric) / abs(closed) < 1e-8
+    cases = [
+        (GaussianPacket(x0=0.4, p0=-0.3, sigma_x=1.5, mass=1.0), 1.2, 0.7),
+        # The draw of `abclab verify --seed 1549879443` whose overlap has a
+        # small real part (-0.024 of |overlap| 0.164): two adaptive-Simpson
+        # runs, one per part, accepted a coarse grid there and missed by 6.5e-8.
+        (
+            GaussianPacket(x0=-0.5804146471623093, p0=-1.113175032087792, sigma_x=0.571512196224127, mass=1.0),
+            0.1825149993647618,
+            3.312689629266306,
+        ),
+    ]
+    for packet, dx, dp in cases:
+        closed = packet_overlap(packet, dx, dp, 1.0)
+        numeric = overlap_by_quadrature(packet, dx, dp, 1.0, abs_tol=1e-10)
+        assert abs(closed - numeric) / abs(closed) <= 1e-13
 
 
 @given(

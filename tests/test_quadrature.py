@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -53,6 +54,12 @@ def test_composite_gauss_legendre_sine():
 def test_refine_gauss_legendre_converges():
     value = refine_gauss_legendre(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, rel_tol=1e-12)
     assert value == pytest.approx(math.pi / 4.0, rel=1e-12)
+
+
+def test_refine_gauss_legendre_complex_integrand():
+    value = refine_gauss_legendre(lambda x: cmath.exp(1j * x), 0.0, math.pi, rel_tol=1e-12)
+    assert isinstance(value, complex)
+    assert abs(value - 2j) <= 1e-13
 
 
 def test_refine_gauss_legendre_zero_integrand():

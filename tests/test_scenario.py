@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -460,6 +461,26 @@ def test_validation_messages_name_the_mutated_key():
     assert invalid == 296
 
 
+def test_sweep_ends_are_validated_against_the_swept_key(tmp_path):
+    # a loop radius is positive; the sweep used to fail point by point
+    doc = """
+kind: ac-phase
+units: scaled-unity
+params:
+  line: {lambda_statC_per_cm: 1.0}
+  mu_z_erg_per_G: 1.0
+  loop: {kind: circle, radius_cm: 2.0}
+sweep: {param: loop.radius_cm, from: -1.0, to: 1.0, steps: 3}
+"""
+    with pytest.raises(ValidationError, match=r"^sweep\.from for params\.loop\.radius_cm: must be positive"):
+        parse_scenario(doc)
+    path = tmp_path / "negative_radius.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path)]) == 2
+    with pytest.raises(ValidationError, match=r"^sweep\.to for params\.visibility: must lie in \[0, 1\]"):
+        parse_scenario(AB_UNIT_DOC + "sweep: {param: visibility, from: 0.5, to: 1.5, steps: 3}\n")
+
+
 def test_sweep_of_integer_key_is_refused(tmp_path):
     # a swept value is a float; n_bounces: 1.5 used to run as 2 bounces
     doc = """
@@ -627,6 +648,32 @@ def test_cli_bounce_with_huge_n_bounces_exits_3(tmp_path, monkeypatch, capsys):
     assert cli_main(["run", str(path)]) == 3
     err = capsys.readouterr().err
     assert "law: bounce leg 3 exceeded the run's budget of 500 RK4 steps" in err
+
+
+def test_cli_verify_passes_on_seed_with_small_overlap_real_part(tmp_path):
+    # this seed draws an overlap whose real part is small; the quadrature
+    # route must still meet the 1e-8 claim there
+    path = tmp_path / "v.json"
+    assert cli_main(["verify", "--seed", "1549879443", "--output", str(path)]) == 0
+    rows = {c["name"]: c for c in json.loads(path.read_text())["checks"]}
+    assert rows["overlap_closed_vs_quadrature"]["actual"] < 1e-13
+
+
+def test_worst_of_n_residuals_keep_nan():
+    residual = verify.three_charge_residual([1e-20, math.nan, 0.0], 1.0, 1.0)
+    assert math.isnan(residual)
+    assert not verify.claim_row("field_free_three_charge", residual).passed
+    # a leg whose kinetic energy is NaN fails energy growth, wherever it sits
+    naive = types.SimpleNamespace(
+        law=boyer.NAIVE_LAW,
+        initial_kinetic_energy=1.0,
+        bounce_kinetic_energies=[2.0, math.nan, 3.0],
+        ke_gain_per_leg=[1.0, math.nan, math.nan],
+        work_per_leg=[1.0, 1.0, 1.0],
+    )
+    growth, work = verify.bounce_checks(naive)
+    assert math.isnan(growth.actual) and not growth.passed
+    assert math.isnan(work.actual) and not work.passed
 
 
 def test_cli_verify_deterministic(tmp_path, verify_seed42):
