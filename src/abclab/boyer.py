@@ -46,6 +46,17 @@ and its power m a.v ends one work panel and starts the next; only a reflected
 state, whose velocity changed, is evaluated afresh.  A stage-1 acceleration
 handed in is the very tuple the step would compute, so sharing it changes no
 bit of any step or report (``tests/test_boyer.py`` checks both laws).
+
+The loop phase integrates plain floats too.  ``_loop_integrands`` gives one
+function of t per segment: a circle computes its angle, cosine and sine once
+per node, and a polyline segment closes over its start vertex and its edge
+vector as floats.  Each calls ``_hidden_momentum`` (one flat body, axis check
+inlined, so p_h is formed in one place) and returns p_h . tangent, so no Vec3
+is built per quadrature node.  Contract: every operation keeps the order of
+the Vec3 integrand it replaced, hidden_momentum(point(t)).dot(tangent(t)),
+including the circle's pz * 0.0 term and the polyline's pz * dz term, so
+every loop phase and every report is bit-identical to it;
+``tests/test_boyer.py`` keeps that integrand as the reference.
 """
 
 from __future__ import annotations
@@ -157,6 +168,12 @@ class BounceConfig:
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
         _check_law(self.law)
 
+    def check_start(self, x: float):
+        """Reject a start position x (cm) outside the mirror planes."""
+        lo, hi = sorted((self.mirror_a, self.mirror_b))
+        if not (lo <= x <= hi):
+            raise ValidationError(f"initial position x = {x!r} lies outside the mirrors [{lo!r}, {hi!r}]")
+
 
 def _axis_error(lc: LineCharge, x: float, y: float) -> SingularityError:
     return SingularityError(
@@ -180,8 +197,16 @@ def _line_field(lc: LineCharge, x: float, y: float) -> tuple[float, float]:
 
 
 def _hidden_momentum(lc: LineCharge, mu: Vec3, inv_c: float, x: float, y: float) -> tuple[float, float, float]:
-    # (mu x E)/c; E.z = 0.0 is kept as a factor.
-    ex, ey = _line_field(lc, x, y)
+    # (mu x E)/c; E.z = 0.0 is kept as a factor.  One body, no helper calls:
+    # this is the loop-phase hot path (see the module docstring).
+    rx = x - lc.axis_point.x  # _radial's axis check, inlined
+    ry = y - lc.axis_point.y
+    rho2 = rx * rx + ry * ry
+    if rho2 < lc.axis_epsilon * lc.axis_epsilon:
+        raise _axis_error(lc, x, y)
+    s = 2.0 * lc.lambda_c / rho2
+    ex = s * rx
+    ey = s * ry
     return (
         (mu.y * 0.0 - mu.z * ey) * inv_c,
         (mu.z * ex - mu.x * 0.0) * inv_c,
@@ -445,12 +470,8 @@ def simulate_bounce_experiment(
     for the kinetic-energy change.  A run that needs more than MAX_STEPS
     RK4 steps over all its legs raises NumericalError.
     """
+    cfg.check_start(initial.pos.x)
     lo_mirror, hi_mirror = sorted((cfg.mirror_a, cfg.mirror_b))
-    if not (lo_mirror <= initial.pos.x <= hi_mirror):
-        raise ValidationError(
-            f"initial position x = {initial.pos.x!r} lies outside the mirrors "
-            f"[{lo_mirror!r}, {hi_mirror!r}]"
-        )
     if initial.vel.x == 0.0:
         raise ValidationError("initial velocity needs a component along the flight (x) axis")
     center = 0.5 * (lo_mirror + hi_mirror)
@@ -546,33 +567,32 @@ class PolylineLoop:
 LoopPath = Union[CircleLoop, PolylineLoop]
 
 
-def _loop_segments(loop: LoopPath) -> list[tuple[Callable[[float], Vec3], Callable[[float], Vec3]]]:
-    """Parametrized (point(t), tangent(t)) pairs, each over t in [0, 1]."""
+def _loop_integrands(
+    loop: LoopPath, lc: LineCharge, mu: Vec3, inv_c: float
+) -> list[Callable[[float], float]]:
+    """One integrand p_h(point(t)) . tangent(t) per segment, each over t in [0, 1]."""
     if isinstance(loop, CircleLoop):
-        cx, cy, cz, rad = loop.center.x, loop.center.y, loop.center.z, loop.radius
+        cx, cy, rad = loop.center.x, loop.center.y, loop.radius
         two_pi = 2.0 * math.pi
+        speed = rad * two_pi  # |d point/dt|; -speed is (-rad) * two_pi to the bit
+        cos, sin = math.cos, math.sin
 
-        def point(t: float) -> Vec3:
+        def circle(t: float) -> float:
             ang = two_pi * t
-            return Vec3(cx + rad * math.cos(ang), cy + rad * math.sin(ang), cz)
+            c, s = cos(ang), sin(ang)
+            px, py, pz = _hidden_momentum(lc, mu, inv_c, cx + rad * c, cy + rad * s)
+            return px * (-speed * s) + py * (speed * c) + pz * 0.0
 
-        def tangent(t: float) -> Vec3:
-            ang = two_pi * t
-            return Vec3(-rad * two_pi * math.sin(ang), rad * two_pi * math.cos(ang), 0.0)
-
-        return [(point, tangent)]
+        return [circle]
     if isinstance(loop, PolylineLoop):
         segments = []
         for a, b in zip(loop.vertices, loop.vertices[1:]):
-            delta = b - a
 
-            def point(t: float, a=a, delta=delta) -> Vec3:
-                return a + delta * t
+            def segment(t: float, ax=a.x, ay=a.y, dx=b.x - a.x, dy=b.y - a.y, dz=b.z - a.z) -> float:
+                px, py, pz = _hidden_momentum(lc, mu, inv_c, ax + dx * t, ay + dy * t)
+                return px * dx + py * dy + pz * dz
 
-            def tangent(t: float, delta=delta) -> Vec3:
-                return delta
-
-            segments.append((point, tangent))
+            segments.append(segment)
         return segments
     raise ValidationError(f"unsupported loop path {loop!r}")
 
@@ -619,27 +639,18 @@ def ac_phase(
             f"loop path comes within {clearance:.3e} cm of the charged line "
             f"(minimum clearance {lc.axis_epsilon:g} cm)"
         )
-    segments = _loop_segments(loop)
-
-    def integrand_for(point, tangent):
-        def f(t: float) -> float:
-            return hidden_momentum(lc, point(t), mu, k).dot(tangent(t))
-
-        return f
+    integrands = _loop_integrands(loop, lc, mu, 1.0 / k.c)
 
     # Natural zero scale: peak |p_h| x loop scale, probed on a coarse grid.
     probe = 0.0
-    for point, tangent in segments:
+    for f in integrands:
         for i in range(8):
-            t = (i + 0.5) / 8.0
-            probe = max(probe, abs(hidden_momentum(lc, point(t), mu, k).dot(tangent(t))))
+            probe = max(probe, abs(f((i + 0.5) / 8)))
     abs_floor = rel_tol * probe * 1e-3
 
     total = 0.0
-    for point, tangent in segments:
-        total += refine_gauss_legendre(
-            integrand_for(point, tangent), 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor
-        )
+    for f in integrands:
+        total += refine_gauss_legendre(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor)
     return total / k.hbar
 
 

@@ -4,7 +4,10 @@
 Gauss-Legendre rule until two successive estimates agree.  It integrates
 every smooth integrand in this package (the velocity-kick integral over
 angle, the complex Gaussian overlap integrand, the loop-phase line
-integrals), and it takes real or complex integrands alike.
+integrals), and it takes real or complex integrands alike.  The ten nodes
+and weights are float literals equal bit for bit to numpy's
+``leggauss(10)``, so this module, and ``abclab run`` and ``abclab sweep``
+with it, never imports numpy.
 
 ``adaptive_simpson`` splits an interval until the two-panel and one-panel
 estimates agree to 15x the interval's share of the tolerance, and it
@@ -17,8 +20,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable
-
-import numpy as np
 
 from .errors import NumericalError
 
@@ -78,10 +79,21 @@ def _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth, force):
     ) + _simpson_recurse(f, m, fm, b, fb, rm, frm, right, half, depth - 1, force - 1)
 
 
-# Plain-float nodes keep downstream arithmetic in Python floats (repr-stable).
-_GL_NODES, _GL_WEIGHTS = (
-    [float(v) for v in arr] for arr in np.polynomial.legendre.leggauss(10)
-)
+# numpy.polynomial.legendre.leggauss(10), written out bit for bit so that
+# importing the package does not import numpy (tests/test_quadrature.py
+# compares them with leggauss).
+_GL_NODES = tuple(map(float.fromhex, (
+    "-0x1.f2a3e062af2d8p-1", "-0x1.bae995e9cb2f3p-1", "-0x1.5bdb9228de198p-1",
+    "-0x1.bbcc009016adcp-2", "-0x1.30e507891e27ap-3", "0x1.30e507891e27ap-3",
+    "0x1.bbcc009016adcp-2", "0x1.5bdb9228de198p-1", "0x1.bae995e9cb2f3p-1",
+    "0x1.f2a3e062af2d8p-1",
+)))
+_GL_WEIGHTS = tuple(map(float.fromhex, (
+    "0x1.1115f8b62dc1fp-4", "0x1.32138c878efdep-3", "0x1.c0b059d00bc30p-3",
+    "0x1.13baa7a559c01p-2", "0x1.2e9de7014d6eep-2", "0x1.2e9de7014d6eep-2",
+    "0x1.13baa7a559c01p-2", "0x1.c0b059d00bc30p-3", "0x1.32138c878efdep-3",
+    "0x1.1115f8b62dc1fp-4",
+)))
 
 
 def composite_gauss_legendre(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import yaml
 
 from . import boyer, fieldfree, interferometry, solenoid, verify
-from .errors import AbclabError, ScenarioParseError, ValidationError
+from .errors import AbclabError, DomainError, ScenarioParseError, ValidationError
 from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, make_constants
 from .verify import SCHEMA_VERSION, CheckRow, RunReport  # report types, re-exported
 
@@ -353,14 +353,9 @@ def _build_ab_objects(params: dict, collected: list[str] | None):
     return s, o
 
 
-def _check_bounce(params: dict, collected: list[str]):
-    try:  # the range types leave BounceConfig one rule: distinct mirror planes
-        _build_bounce_objects(params)
-    except ValidationError as exc:
-        raise ValidationError(f"params.mirrors: {exc}") from None
-
-
 def _build_bounce_objects(params: dict):
+    # The range types leave two rules: distinct mirror planes (BounceConfig)
+    # and a start between them.  A swept start.x_cm meets the second per point.
     lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
     n = boyer.NeutronModel(
         mass=params["neutron"]["mass_g"],
@@ -373,16 +368,23 @@ def _build_bounce_objects(params: dict):
         vel=Vec3(start["vx_cm_per_s"], start["vy_cm_per_s"], 0.0),
     )
     laws = [params["law"]] if params["law"] != "both" else [boyer.FULL_LAW, boyer.NAIVE_LAW]
-    configs = [
-        boyer.BounceConfig(
-            mirror_a=params["mirrors"]["a_cm"],
-            mirror_b=params["mirrors"]["b_cm"],
-            n_bounces=params["n_bounces"],
-            dt=params["dt_s"],
-            law=law,
-        )
-        for law in laws
-    ]
+    try:
+        configs = [
+            boyer.BounceConfig(
+                mirror_a=params["mirrors"]["a_cm"],
+                mirror_b=params["mirrors"]["b_cm"],
+                n_bounces=params["n_bounces"],
+                dt=params["dt_s"],
+                law=law,
+            )
+            for law in laws
+        ]
+    except ValidationError as exc:
+        raise ValidationError(f"params.mirrors: {exc}") from None
+    try:
+        configs[0].check_start(initial.pos.x)
+    except ValidationError as exc:
+        raise ValidationError(f"params.start.x_cm: {exc}") from None
     return lc, n, initial, configs
 
 
@@ -402,14 +404,17 @@ def _build_phase_objects(params: dict):
             radius=spec["radius_cm"],
         )
     else:
-        loop = boyer.PolylineLoop(tuple(Vec3(*v) for v in spec["vertices_cm"]))
+        try:  # fewer than 3 distinct vertices, or an open path
+            loop = boyer.PolylineLoop(tuple(Vec3(*v) for v in spec["vertices_cm"]))
+        except (ValidationError, DomainError) as exc:
+            raise type(exc)(f"params.loop.vertices_cm: {exc}") from None
     return lc, mu, loop
 
 
 _CHECKS = {
     KIND_MZI: _check_mzi,
     KIND_AB_SOLENOID: _build_ab_objects,
-    KIND_AC_BOUNCE: _check_bounce,
+    KIND_AC_BOUNCE: lambda params, collected: _build_bounce_objects(params),
     KIND_AC_PHASE: _check_ac_phase,
     KIND_FIELD_FREE: lambda params, collected: fieldfree.make_three_charge(params["d_cm"], params["e_statC"]),
 }

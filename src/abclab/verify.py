@@ -18,11 +18,13 @@ import dataclasses
 import functools
 import math
 import warnings
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import boyer, fieldfree, interferometry, solenoid
 from .units import GAUSSIAN_CGS, SCALED_UNITY, PhysicalConstants, Vec3, cross, make_constants
+
+if TYPE_CHECKING:
+    import numpy as np  # imported where used, so that `abclab run` starts without it
 
 SCHEMA_VERSION = 1
 
@@ -552,6 +554,8 @@ def _random_configuration(rng, count: int) -> fieldfree.ChargeConfiguration:
 
 @_claim("coulomb_field_rigid_covariance", 50)
 def _field_covariance(rng) -> float:
+    import numpy as np
+
     cfg = _random_configuration(rng, 4)
     raw = rng.normal(size=(3, 3))
     q_mat, _ = np.linalg.qr(raw)
@@ -588,6 +592,8 @@ def _newtons_third_law(rng) -> float:
 
 def run_verify_suite(seed: int = 42) -> RunReport:
     """Run every module invariant with a seeded generator; deterministic."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     checks: list[CheckRow] = []
     for check in _CHECKS:

@@ -31,6 +31,7 @@ from abclab import (
     load_scenario,
     loop_winding_number,
     make_constants,
+    quadrature,
     run_scenario,
     simulate_bounce_experiment,
     step_trajectory,
@@ -559,6 +560,123 @@ def test_ac_phase_path_through_axis_rejected():
     )
     with pytest.raises(SingularityError):
         ac_phase(LINE, MU_Z, square_through_origin, K1)
+
+
+# The Vec3 loop-phase integrand that the float integrands replaced,
+# hidden_momentum(point(t)).dot(tangent(t)), and ac_phase built on it.  The
+# float integrands must reproduce both bit for bit.
+
+
+def _ref_loop_segments(loop):
+    if isinstance(loop, CircleLoop):
+        cx, cy, cz, rad = loop.center.x, loop.center.y, loop.center.z, loop.radius
+        two_pi = 2.0 * math.pi
+
+        def point(t):
+            ang = two_pi * t
+            return Vec3(cx + rad * math.cos(ang), cy + rad * math.sin(ang), cz)
+
+        def tangent(t):
+            ang = two_pi * t
+            return Vec3(-rad * two_pi * math.sin(ang), rad * two_pi * math.cos(ang), 0.0)
+
+        return [(point, tangent)]
+    return [
+        (lambda t, a=a, delta=b - a: a + delta * t, lambda t, delta=b - a: delta)
+        for a, b in zip(loop.vertices, loop.vertices[1:])
+    ]
+
+
+def _ref_integrands(lc, mu, loop, k):
+    return [
+        lambda t, point=point, tangent=tangent: hidden_momentum(lc, point(t), mu, k).dot(tangent(t))
+        for point, tangent in _ref_loop_segments(loop)
+    ]
+
+
+def _ref_ac_phase(lc, mu, loop, k, rel_tol=1e-10):
+    integrands = _ref_integrands(lc, mu, loop, k)
+    probe = 0.0
+    for f in integrands:
+        for i in range(8):
+            probe = max(probe, abs(f((i + 0.5) / 8.0)))
+    abs_floor = rel_tol * probe * 1e-3
+    total = 0.0
+    for f in integrands:
+        total += boyer.refine_gauss_legendre(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor)
+    return total / k.hbar
+
+
+def _random_loop_case(rng):
+    """A line (one in four uncharged, where signed zeros tell the terms
+    apart), a moment (half of them with transverse components), and a circle
+    or a closed polyline at least 0.05 cm from the line; half of the
+    polylines leave the plane z = 0."""
+    magnitude = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0)))) if rng.integers(0, 4) else 0.0
+    lc = LineCharge(
+        lambda_c=float(rng.choice([-1.0, 1.0])) * magnitude,
+        axis_point=Vec3(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), 0.0),
+    )
+    mu_z = float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    tilt = abs(mu_z) * float(rng.integers(0, 2))
+    mu = Vec3(tilt * float(rng.uniform(-1, 1)), tilt * float(rng.uniform(-1, 1)), mu_z)
+    k = K1 if rng.integers(0, 2) else make_constants("gaussian-cgs")
+    while True:
+        center = Vec3(
+            lc.axis_point.x + float(rng.uniform(-3, 3)), lc.axis_point.y + float(rng.uniform(-3, 3)),
+            float(rng.uniform(-2, 2)),
+        )
+        if rng.integers(0, 2):
+            loop = CircleLoop(center=center, radius=float(rng.uniform(0.2, 4.0)))
+        else:
+            has_z = bool(rng.integers(0, 2))
+            angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, size=int(rng.integers(3, 7))))
+            ring = [
+                Vec3(
+                    center.x + r * math.cos(a), center.y + r * math.sin(a),
+                    float(rng.uniform(-2, 2)) if has_z else 0.0,
+                )
+                for a, r in zip(angles, rng.uniform(0.5, 3.0, size=len(angles)))
+            ]
+            loop = PolylineLoop(tuple(ring + ring[:1]))
+        if boyer.path_axis_clearance(loop, lc) > 0.05:
+            return lc, mu, loop, k
+
+
+def test_loop_integrands_match_vec3_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    # the probe points, every node of 16 panels and both ends
+    nodes = [(i + 0.5) / 8 for i in range(8)] + [0.0, 1.0] + [
+        (i + 0.5 + 0.5 * node) / 16 for i in range(16) for node in quadrature._GL_NODES
+    ]
+    kinds = set()
+    for _ in range(80):
+        lc, mu, loop, k = _random_loop_case(rng)
+        ours = boyer._loop_integrands(loop, lc, mu, 1.0 / k.c)
+        ref = _ref_integrands(lc, mu, loop, k)
+        assert len(ours) == len(ref)
+        for f, g in zip(ours, ref):
+            assert [f(t).hex() for t in nodes] == [g(t).hex() for t in nodes]
+        assert ac_phase(lc, mu, loop, k).hex() == _ref_ac_phase(lc, mu, loop, k).hex()
+        kinds.add((type(loop).__name__, k.c == 1.0, mu.x != 0.0, any(v.z for v in getattr(loop, "vertices", ()))))
+        kinds.add(lc.lambda_c == 0.0)
+    assert {("CircleLoop", True, True, False), ("PolylineLoop", False, True, True), True} <= kinds
+
+
+def test_ac_phase_builds_no_vec3_per_node(monkeypatch):
+    square = PolylineLoop(
+        (Vec3(1.0, 1.0, 0.5), Vec3(-1.0, 1.0, 0.0), Vec3(-1.0, -1.0, 0.0), Vec3(1.0, -1.0, 0.0), Vec3(1.0, 1.0, 0.5))
+    )
+    circle = CircleLoop(center=Vec3(0.3, -0.2, 1.0), radius=1.5)
+    mu = Vec3(0.2, -0.1, 1.0)
+    expected = [ac_phase(LINE, mu, loop, K1) for loop in (square, circle)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Vec3 was built inside ac_phase")
+
+    monkeypatch.setattr(boyer, "hidden_momentum", forbidden)
+    monkeypatch.setattr(boyer, "Vec3", forbidden)
+    assert [ac_phase(LINE, mu, loop, K1) for loop in (square, circle)] == expected
 
 
 def test_loop_winding_numbers():

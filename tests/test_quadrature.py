@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from abclab import NumericalError, adaptive_simpson, composite_gauss_legendre, refine_gauss_legendre
-from abclab.quadrature import observed_convergence_order
+from abclab.quadrature import _GL_NODES, _GL_WEIGHTS, observed_convergence_order
 
 
 def test_cosine_over_symmetric_interval():
@@ -49,6 +50,14 @@ def test_depth_exhaustion_raises_with_diagnostics():
 def test_composite_gauss_legendre_sine():
     value = composite_gauss_legendre(math.sin, 0.0, math.pi, 8)
     assert value == pytest.approx(2.0, rel=1e-13)
+
+
+def test_gauss_legendre_literals_equal_leggauss():
+    # the literals stand in for numpy at import time; they must match it bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert [v.hex() for v in _GL_NODES] == [float(v).hex() for v in nodes]
+    assert [v.hex() for v in _GL_WEIGHTS] == [float(v).hex() for v in weights]
+    assert all(type(v) is float for v in _GL_NODES + _GL_WEIGHTS)
 
 
 def test_refine_gauss_legendre_converges():

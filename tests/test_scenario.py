@@ -1,13 +1,18 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 import yaml
 
+import abclab
 from abclab import (
+    DomainError,
     ScenarioParseError,
     ValidationError,
     boyer,
@@ -162,6 +167,54 @@ def test_parse_equal_mirrors_name_the_block():
     assert "b_cm: 3.0" in BOUNCE_DOC
     with pytest.raises(ValidationError, match=r"^params\.mirrors: mirror planes must be distinct$"):
         parse_scenario(BOUNCE_DOC.replace("b_cm: 3.0", "b_cm: 1.5"))
+
+
+SQUARE = "[[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0], [1, 1, 0]]"
+POLYLINE_DOC = f"""
+kind: ac-phase
+units: scaled-unity
+params:
+  line: {{lambda_statC_per_cm: 1.0}}
+  mu_z_erg_per_G: 1.0
+  loop: {{kind: polyline, vertices_cm: {SQUARE}}}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, old, new, error, message",
+    [
+        (
+            POLYLINE_DOC, SQUARE, "[[1, 0, 0], [0, 1, 0], [1, 0, 0]]", ValidationError,
+            r"params\.loop\.vertices_cm: a closed polyline needs at least 3 distinct vertices",
+        ),
+        (
+            POLYLINE_DOC, SQUARE, "[[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]", DomainError,
+            r"params\.loop\.vertices_cm: open path: polyline must end at its starting vertex",
+        ),
+        (
+            BOUNCE_DOC, "x_cm: 3.0", "x_cm: 9.0", ValidationError,
+            r"params\.start\.x_cm: initial position x = 9\.0 lies outside the mirrors \[1\.5, 3\.0\]",
+        ),
+    ],
+    ids=["too_few_vertices", "open_polyline", "start_outside_mirrors"],
+)
+def test_parse_loop_and_start_errors_name_the_key(tmp_path, text, old, new, error, message):
+    # these used to read without the key; the start check ran only at run time
+    assert parse_scenario(text) and text.count(old) == 1
+    with pytest.raises(error, match=f"^{message}$"):
+        parse_scenario(text.replace(old, new))
+    path = tmp_path / "bad.yaml"
+    path.write_text(text.replace(old, new))
+    assert cli_main(["run", str(path)]) == 2
+
+
+def test_swept_start_outside_the_mirrors_fails_per_point():
+    doc = BOUNCE_DOC.replace("n_bounces: 10", "n_bounces: 1") + "sweep: {param: start.x_cm, from: 2.0, to: 4.0, steps: 3}\n"
+    report = run_scenario(parse_scenario(doc))
+    assert [row.get("error") for row in report.rows if row["sweep_index"] == 2] == [
+        "ValidationError: params.start.x_cm: initial position x = 4.0 lies outside the mirrors [1.5, 3.0]"
+    ]
+    assert all("error" not in row for row in report.rows if row["sweep_index"] < 2)
 
 
 def test_parse_orbit_must_clear_solenoid():
@@ -593,6 +646,15 @@ params: {d_cm: 1.0e-10, e_statC: 1.0e300}
 def test_verify_csv_uses_check_table(verify_seed42):
     lines = render_csv(verify_seed42).split("\n")
     assert lines[0] == "name,expected,actual,tol,pass"
+
+
+def test_cli_imports_without_numpy():
+    # `abclab run` and `abclab sweep` need no numpy; only verify imports it
+    src = Path(abclab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, abclab.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
