@@ -335,16 +335,14 @@ def _check_mzi(params: dict, collected: list[str]):
         raise ValidationError("params.phase_rad: required field missing")
 
 
-def _build_ab_objects(params: dict, collected: list[str] | None):
+def _build_ab_objects(params: dict, collected: list[str]):
     sol = params["solenoid"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", solenoid.LongSolenoidWarning)
         s = solenoid.SolenoidParams(
             r=sol["r_cm"], L=sol["L_cm"], M=sol["M_g"], Q=sol["Q_statC"], v=sol["v_cm_per_s"]
         )
-    if collected is not None:
-        for w in caught:
-            collected.append(str(w.message))
+    collected.extend(str(w.message) for w in caught)
     o = solenoid.OrbitParams(R=params["orbit"]["R_cm"], u=params["orbit"]["u_cm_per_s"])
     if o.R <= s.r:
         raise ValidationError(
@@ -505,7 +503,7 @@ def load_scenario(path: str) -> Scenario:
 _ROUTING_WINDOW_RAD = 1e-9  # how near 0 or pi (mod 2 pi) the routing claims apply
 
 
-def _point_mzi(params: dict, k: PhysicalConstants):
+def _point_mzi(params: dict, k: PhysicalConstants, collected: list[str]):
     if "path_shift" in params:
         phase = interferometry.phase_from_path_shift(
             params["path_shift"]["delta_l_cm"], params["path_shift"]["wavelength_cm"]
@@ -525,8 +523,8 @@ def _point_mzi(params: dict, k: PhysicalConstants):
     return rows, checks
 
 
-def _point_ab_solenoid(params: dict, k: PhysicalConstants):
-    s, o = _build_ab_objects(params, None)
+def _point_ab_solenoid(params: dict, k: PhysicalConstants, collected: list[str]):
+    s, o = _build_ab_objects(params, collected)
     res = solenoid.local_model_phase(s, o, k)
     probs = interferometry.detector_probabilities(res.phase_ab, params["visibility"])
     residual = verify.factor4_residual(res)
@@ -550,7 +548,7 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants):
     return rows, checks
 
 
-def _point_ac_bounce(params: dict, k: PhysicalConstants):
+def _point_ac_bounce(params: dict, k: PhysicalConstants, collected: list[str]):
     lc, n, initial, configs = _build_bounce_objects(params)
     rows, checks = [], []
     for cfg in configs:
@@ -578,7 +576,7 @@ def _describe_loop(loop) -> str:
     return f"polyline with {len(loop.vertices) - 1} segments"
 
 
-def _point_ac_phase(params: dict, k: PhysicalConstants):
+def _point_ac_phase(params: dict, k: PhysicalConstants, collected: list[str]):
     lc, mu, loop = _build_phase_objects(params)
     # residuals are in units of the per-winding phase, absolute when it is 0
     unit = abs(boyer.ac_phase_enclosed_value(lc, mu, k, 1)) or 1.0
@@ -599,7 +597,7 @@ def _point_ac_phase(params: dict, k: PhysicalConstants):
     return rows, checks
 
 
-def _point_field_free(params: dict, k: PhysicalConstants):
+def _point_field_free(params: dict, k: PhysicalConstants, collected: list[str]):
     d, e = params["d_cm"], params["e_statC"]
     cfg = fieldfree.make_three_charge(d, e)
     report = fieldfree.verify_field_free(cfg, params["tol"])
@@ -630,6 +628,8 @@ def _point_field_free(params: dict, k: PhysicalConstants):
     return rows, checks
 
 
+# point(params, k, collected) -> (rows, checks); it appends its warning
+# messages to collected, as the parse-time checks (_CHECKS) do.
 _POINT_RUNNERS = {
     KIND_MZI: _point_mzi,
     KIND_AB_SOLENOID: _point_ab_solenoid,
@@ -657,9 +657,11 @@ def run_scenario(s: Scenario) -> RunReport:
     rows: list[dict] = []
     merged: dict[str, CheckRow] = {}
     had_error = False
+    scenario = s.to_dict()
 
     if s.sweep is None:
-        prows, pchecks = point_fn(s.params, k)
+        # the point's warnings are the parse-time ones
+        prows, pchecks = point_fn(s.params, k, [])
         rows.extend({"sweep_index": 0, **row} for row in prows)
         _merge_checks(merged, pchecks)
     else:
@@ -667,18 +669,21 @@ def run_scenario(s: Scenario) -> RunReport:
             point_params = copy.deepcopy(s.params)
             node, last = _resolve_path(point_params, s.sweep.param)
             node[last] = value
+            warned: list[str] = []
             try:
-                prows, pchecks = point_fn(point_params, k)
+                prows, pchecks = point_fn(point_params, k, warned)
             except AbclabError as exc:
                 had_error = True
                 error = f"{type(exc).__name__}: {exc}"
                 rows.append({"sweep_index": index, s.sweep.param: value, "error": error})
-                continue
-            rows.extend({"sweep_index": index, s.sweep.param: value, **row} for row in prows)
-            _merge_checks(merged, pchecks)
+            else:
+                rows.extend({"sweep_index": index, s.sweep.param: value, **row} for row in prows)
+                _merge_checks(merged, pchecks)
+            # a point's warning that the parse already reported is not repeated
+            scenario["warnings"].extend(f"sweep_index {index}: {w}" for w in warned if w not in s.warnings)
     if had_error:
         columns = columns + ["error"]
-    return RunReport(scenario=s.to_dict(), rows=rows, checks=list(merged.values()), columns=columns)
+    return RunReport(scenario=scenario, rows=rows, checks=list(merged.values()), columns=columns)
 
 
 # ---------------------------------------------------------------------------

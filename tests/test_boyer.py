@@ -35,6 +35,7 @@ from abclab import (
     run_scenario,
     simulate_bounce_experiment,
     step_trajectory,
+    verify,
 )
 
 K1 = make_constants("scaled-unity")
@@ -361,14 +362,15 @@ def test_scalar_kernel_matches_vec3_reference_bit_for_bit(law):
         for _ in range(3):
             # stage 1 handed in, as the bounce loop does, must not change a bit
             pos, vel = ours.pos, ours.vel
-            accel = boyer._acceleration(
-                lc, neutron.mu, 1.0 / k.c, 1.0 / neutron.mass, law == NAIVE_LAW, pos.x, pos.y, vel.x, vel.y, vel.z
-            )
+            kernel = (lc, neutron.mu, 1.0 / k.c, 1.0 / neutron.mass, law == NAIVE_LAW)
+            accel = boyer._acceleration(*kernel, pos.x, pos.y, vel.x, vel.y, vel.z)
+            floats = [boyer._rk4(*kernel, dt, *pos.as_tuple(), *vel.as_tuple(), a) for a in (None, accel)]
             shared = step_trajectory(lc, neutron, ours, dt, law, k, accel=accel)
             ours = step_trajectory(lc, neutron, ours, dt, law, k)
             ref = _ref_step(lc, neutron, ref, dt, law, k)
             assert _state_bits(ours) == _state_bits(ref)
             assert _state_bits(shared) == _state_bits(ours)
+            assert [_bits(*f) for f in floats] == [_state_bits(ours)[1:]] * 2
         pos, vel, mu = state.pos, state.vel, neutron.mu
         assert _bits(*boyer_force(lc, pos, vel, mu, k).as_tuple()) == _bits(
             *_ref_force(lc, pos, vel, mu, k).as_tuple()
@@ -395,9 +397,23 @@ def test_scalar_kernel_rejects_the_same_near_axis_steps(law):
             ours = _state_bits(step_trajectory(lc, neutron, state, dt, law, k))
         except SingularityError:
             ours = "singular"
+        kernel = (lc, neutron.mu, 1.0 / k.c, 1.0 / neutron.mass, law == NAIVE_LAW)
+        try:
+            floats = _bits(*boyer._rk4(*kernel, dt, *state.pos.as_tuple(), *state.vel.as_tuple()))
+        except SingularityError:
+            floats = "singular"
         assert ours == ref
+        assert floats == (ref if ref == "singular" else ref[1:])
         outcomes.add(ref == "singular")
     assert outcomes == {True, False}
+
+
+def test_verify_unit_flight_matches_step_trajectory_bit_for_bit():
+    # verify steps boyer's float kernel directly; it must land where step_trajectory does
+    state = TrajectoryState(t=0.0, pos=Vec3(2.0, 0.6, 0.0), vel=Vec3(-1.0, 0.3, 0.0))
+    for _ in range(128):
+        state = step_trajectory(LINE, NEUTRON, state, 1.0 / 128, NAIVE_LAW, K1)
+    assert _state_bits(verify._naive_endpoint(128)) == _state_bits(state)
 
 
 BOUNCE_LINE = LineCharge(lambda_c=0.05)

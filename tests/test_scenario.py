@@ -268,6 +268,22 @@ def test_sweep_point_failure_isolated():
     assert good["identity_residual"] < 1e-12
 
 
+def test_sweep_points_report_their_own_warnings(tmp_path, capsys):
+    # r/L passes 0.1 at four of five points; the parsed r_cm = 0.01 does not warn
+    doc = AB_UNIT_DOC.replace("r_cm: 1.0", "r_cm: 0.01") + (
+        "sweep: {param: solenoid.r_cm, from: 0.01, to: 0.5, steps: 5}\n"
+    )
+    report = run_scenario(parse_scenario(doc))
+    warned = report.to_dict()["scenario"]["warnings"]
+    assert [w.split(":")[0] for w in warned] == [f"sweep_index {i}" for i in (1, 2, 3, 4)]
+    assert all("r/L" in w for w in warned)
+    assert "r/L = 0.5 exceeds" in warned[-1]
+    path = tmp_path / "r_sweep.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().out.count("WARN sweep_index") == 4
+
+
 def test_mzi_path_shift_run():
     doc = """
 kind: mzi
