@@ -50,11 +50,21 @@ it onto ``_rk4`` waits for the benchmark to count those calls another way.
 
 The bounce loop evaluates each state's acceleration once.  That one
 evaluation is stage 1 of the advance step, of the Simpson-midpoint half-step
-and of every mirror-bisection candidate (``step_trajectory(..., accel=...)``),
+and of every mirror-landing iterate (``step_trajectory(..., accel=...)``),
 and its power m a.v ends one work panel and starts the next; only a reflected
 state, whose velocity changed, is evaluated afresh.  A stage-1 acceleration
 handed in is the very tuple the step would compute, so sharing it changes no
 bit of any step or report (``tests/test_boyer.py`` checks both laws).
+
+A step that lands on or beyond a mirror ends the leg.  ``_locate_crossing``
+then solves x(h) = plane for the substep length h by Newton's method with
+slope vx(h), from the straight-line guess and inside the bracket [0, dt],
+bisecting whenever an iterate leaves it.  The hit is within two float
+spacings of the plane, a bound that holds at any distance of the cavity from
+the origin; it usually takes one to three RK4 steps, and at most
+MAX_LANDING_STEPS.  The loop keeps only the TrajectoryState of each step and
+each reflection: ``BounceResult.samples`` builds the BounceSample series from
+them when it is read.
 
 The loop phase integrates plain floats too.  ``_loop_integrands`` gives one
 function of t per segment: a circle computes its angle, cosine and sine once
@@ -85,13 +95,15 @@ LAWS = (FULL_LAW, NAIVE_LAW)
 # Positions closer than this to the line axis are treated as singular (cm).
 AXIS_EPSILON = 1e-9
 
-# Mirror-crossing events are located to this accuracy along the flight axis (cm).
-MIRROR_LOCATE_TOL = 1e-12
-
 # A bounce run that needs more RK4 advance steps than this, counted over all
-# its legs, raises NumericalError (mirror bisection does not count).  A run's
-# cost grows as n_bounces/|vx|.
+# its legs, raises NumericalError (the steps that land on a mirror do not
+# count).  A run's cost grows as n_bounces/|vx|.
 MAX_STEPS = 1_000_000
+
+# A mirror landing that needs more RK4 steps than this raises NumericalError.
+# Newton takes one to three; bisection alone resolves the substep to the float
+# spacing of x within about 54 halvings.
+MAX_LANDING_STEPS = 64
 
 
 def _check_law(law: str):
@@ -403,25 +415,37 @@ class BounceSample:
 
 @dataclass(frozen=True, slots=True)
 class BounceResult:
+    """One bounce run: the state after every step and every reflection, and
+    per leg the bounce time, kinetic energy, work integral and energy gain."""
+
     law: str
-    samples: tuple[BounceSample, ...]
+    states: tuple[TrajectoryState, ...]
     bounce_times: tuple[float, ...]
     bounce_kinetic_energies: tuple[float, ...]
     work_per_leg: tuple[float, ...]
     ke_gain_per_leg: tuple[float, ...]
+    line: LineCharge
+    neutron: NeutronModel
+    constants: PhysicalConstants
+
+    @property
+    def samples(self) -> tuple[BounceSample, ...]:
+        """One BounceSample per state, built anew on each access."""
+        inv_c = 1.0 / self.constants.c
+        return tuple(_bounce_sample(self.line, self.neutron, inv_c, st) for st in self.states)
 
     @property
     def initial_kinetic_energy(self) -> float:
-        return self.samples[0].kinetic_energy
+        return kinetic_energy(self.neutron, self.states[0])
 
     @property
     def final_kinetic_energy(self) -> float:
-        return self.samples[-1].kinetic_energy
+        return kinetic_energy(self.neutron, self.states[-1])
 
 
 # The bounce loop evaluates each state's acceleration once and hands it to
 # every consumer: stage 1 of the advance step, of the Simpson half-step and of
-# each bisection candidate, and the panel-end powers.  ``kernel`` is the
+# each landing iterate, and the panel-end powers.  ``kernel`` is the
 # leading argument tuple of _acceleration: (lc, mu, 1/c, 1/m, naive).
 
 
@@ -456,6 +480,7 @@ def _locate_crossing(
     lc: LineCharge,
     n: NeutronModel,
     start: TrajectoryState,
+    end: TrajectoryState,
     dt: float,
     plane: float,
     inside_sign: float,
@@ -463,20 +488,31 @@ def _locate_crossing(
     k: PhysicalConstants,
     accel: tuple[float, float, float],
 ) -> tuple[float, TrajectoryState]:
-    # Bisect the substep length until the endpoint sits on the mirror plane.
+    # Land the step from start, whose full length dt reaches end on or beyond
+    # the plane, within two float spacings of the plane: safeguarded Newton
+    # on x(h) = plane with slope vx(h).  The spacing is that of the larger of
+    # plane and start x, since x is their sum with the step's increment.
+    tol = 2.0 * math.ulp(max(abs(plane), abs(start.pos.x)))
+    if abs(end.pos.x - plane) <= tol:
+        return dt, end
     lo, hi = 0.0, dt
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        candidate = step_trajectory(lc, n, start, mid, law, k, accel=accel)
-        offset = candidate.pos.x - plane
-        if abs(offset) <= MIRROR_LOCATE_TOL:
-            return mid, candidate
+    h, hit = 0.0, start  # the first Newton step is the straight-line guess
+    for _ in range(MAX_LANDING_STEPS):
+        vx = hit.vel.x
+        h = h - (hit.pos.x - plane) / vx if vx else lo
+        if not lo < h < hi:  # outside the bracket: bisect
+            h = 0.5 * (lo + hi)
+        hit = step_trajectory(lc, n, start, h, law, k, accel=accel)
+        offset = hit.pos.x - plane
+        if abs(offset) <= tol:
+            return h, hit
         if offset * inside_sign > 0.0:  # still inside the cavity
-            lo = mid
+            lo = h
         else:
-            hi = mid
+            hi = h
     raise NumericalError(
-        f"mirror crossing at x = {plane!r} could not be localized to {MIRROR_LOCATE_TOL:g} cm"
+        f"{law} law: mirror crossing at x = {plane!r} cm not landed within {tol!r} cm in "
+        f"{MAX_LANDING_STEPS} RK4 steps (t = {hit.t!r} s, x = {hit.pos.x!r} cm)"
     )
 
 
@@ -497,11 +533,15 @@ def simulate_bounce_experiment(
 
     Mirrors are planes perpendicular to the x axis; an elastic reflection
     flips the x velocity component (the hidden momentum depends only on
-    position, so it is continuous across a bounce).  The returned series
-    samples every step and every reflection; per-leg work integrals of the
-    net force are accumulated with a Simpson rule as an independent oracle
-    for the kinetic-energy change.  A run that needs more than MAX_STEPS
-    RK4 steps over all its legs raises NumericalError.
+    position, so it is continuous across a bounce).  A step that lands on or
+    beyond a mirror ends the leg: its substep is shortened by safeguarded
+    Newton until the hit is within two float spacings of the plane, and a run
+    whose landing needs more than MAX_LANDING_STEPS RK4 steps raises
+    NumericalError.  The result keeps the state after every step and every
+    reflection; per-leg work integrals of the net force are accumulated with
+    a Simpson rule as an independent oracle for the kinetic-energy change.  A
+    run that needs more than MAX_STEPS RK4 steps over all its legs raises
+    NumericalError.
     """
     cfg.check_start(initial.pos.x)
     lo_mirror, hi_mirror = sorted((cfg.mirror_a, cfg.mirror_b))
@@ -509,18 +549,17 @@ def simulate_bounce_experiment(
         raise ValidationError("initial velocity needs a component along the flight (x) axis")
     center = 0.5 * (lo_mirror + hi_mirror)
     law, dt, max_steps = cfg.law, cfg.dt, MAX_STEPS
-    inv_c = 1.0 / k.c
-    kernel = (lc, n.mu, inv_c, 1.0 / n.mass, law == NAIVE_LAW)
+    kernel = (lc, n.mu, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW)
 
     state = initial
-    samples = [_bounce_sample(lc, n, inv_c, state)]
+    states = [state]
     accel, power = _evaluate(kernel, n.mass, state)
     bounce_times: list[float] = []
     bounce_kes: list[float] = []
     work_per_leg: list[float] = []
     gain_per_leg: list[float] = []
     leg_work = 0.0
-    leg_ke_start = samples[0].kinetic_energy
+    leg_ke_start = kinetic_energy(n, state)
     steps = 0
 
     while len(bounce_times) < cfg.n_bounces:
@@ -531,40 +570,39 @@ def simulate_bounce_experiment(
             )
         steps += 1
         nxt = step_trajectory(lc, n, state, dt, law, k, accel=accel)
-        if nxt.pos.x > hi_mirror:
-            plane = hi_mirror
-        elif nxt.pos.x < lo_mirror:
-            plane = lo_mirror
-        else:
-            plane = None
-        if plane is None:
+        x = nxt.pos.x
+        if lo_mirror < x < hi_mirror:
             accel_next, power_next = _evaluate(kernel, n.mass, nxt)
             leg_work += _work_over_substep(lc, n, state, dt, law, k, kernel, accel, power, power_next)
             state, accel, power = nxt, accel_next, power_next
-            samples.append(_bounce_sample(lc, n, inv_c, state))
-        else:
-            inside_sign = math.copysign(1.0, center - plane)
-            h_hit, hit = _locate_crossing(lc, n, state, dt, plane, inside_sign, law, k, accel)
-            power_hit = _evaluate(kernel, n.mass, hit)[1]
-            leg_work += _work_over_substep(lc, n, state, h_hit, law, k, kernel, accel, power, power_hit)
-            # The reflected velocity changes the acceleration: evaluate afresh.
-            state = TrajectoryState(hit.t, hit.pos, Vec3(-hit.vel.x, hit.vel.y, hit.vel.z))
-            accel, power = _evaluate(kernel, n.mass, state)
-            samples.append(_bounce_sample(lc, n, inv_c, state))
-            ke_now = samples[-1].kinetic_energy
-            bounce_times.append(state.t)
-            bounce_kes.append(ke_now)
-            work_per_leg.append(leg_work)
-            gain_per_leg.append(ke_now - leg_ke_start)
-            leg_work = 0.0
-            leg_ke_start = ke_now
+            states.append(state)
+            continue
+        plane = hi_mirror if x >= hi_mirror else lo_mirror
+        inside_sign = math.copysign(1.0, center - plane)
+        h_hit, hit = _locate_crossing(lc, n, state, nxt, dt, plane, inside_sign, law, k, accel)
+        power_hit = _evaluate(kernel, n.mass, hit)[1]
+        leg_work += _work_over_substep(lc, n, state, h_hit, law, k, kernel, accel, power, power_hit)
+        # The reflected velocity changes the acceleration: evaluate afresh.
+        state = TrajectoryState(hit.t, hit.pos, Vec3(-hit.vel.x, hit.vel.y, hit.vel.z))
+        accel, power = _evaluate(kernel, n.mass, state)
+        states.append(state)
+        ke_now = kinetic_energy(n, state)
+        bounce_times.append(state.t)
+        bounce_kes.append(ke_now)
+        work_per_leg.append(leg_work)
+        gain_per_leg.append(ke_now - leg_ke_start)
+        leg_work = 0.0
+        leg_ke_start = ke_now
     return BounceResult(
         law=law,
-        samples=tuple(samples),
+        states=tuple(states),
         bounce_times=tuple(bounce_times),
         bounce_kinetic_energies=tuple(bounce_kes),
         work_per_leg=tuple(work_per_leg),
         ke_gain_per_leg=tuple(gain_per_leg),
+        line=lc,
+        neutron=n,
+        constants=k,
     )
 
 

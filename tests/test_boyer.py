@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -480,30 +481,32 @@ def test_bounce_samples_carry_hidden_momentum():
 
 
 def test_bounce_leg_step_budget(monkeypatch):
-    # the first leg lands on x = 1.5 after 192 steps and crosses on the 193rd
-    monkeypatch.setattr(boyer, "MAX_STEPS", 193)
-    assert len(bounce(FULL_LAW, n_bounces=1).bounce_times) == 1
+    # the first leg's 192nd step lands on x = 1.5, and that step is the hit
     monkeypatch.setattr(boyer, "MAX_STEPS", 192)
+    assert len(bounce(FULL_LAW, n_bounces=1).bounce_times) == 1
+    monkeypatch.setattr(boyer, "MAX_STEPS", 191)
     with pytest.raises(
         NumericalError,
-        match=r"^full law: bounce leg 1 exceeded the run's budget of 192 RK4 steps \(t = 0\.75 s, x = 1\.5 cm\)",
+        match=r"^full law: bounce leg 1 exceeded the run's budget of 191 RK4 steps "
+        r"\(t = 0\.74609375 s, x = 1\.5078125 cm\)",
     ):
         bounce(FULL_LAW, n_bounces=1)
 
 
 def test_bounce_step_budget_counts_all_legs(monkeypatch):
-    # two legs take 193 steps each; the budget is one count over both
-    monkeypatch.setattr(boyer, "MAX_STEPS", 386)
+    # two legs take 192 steps each; the budget is one count over both
+    monkeypatch.setattr(boyer, "MAX_STEPS", 384)
     assert len(bounce(FULL_LAW, n_bounces=2).bounce_times) == 2
-    monkeypatch.setattr(boyer, "MAX_STEPS", 385)
-    with pytest.raises(NumericalError, match=r"^full law: bounce leg 2 exceeded the run's budget of 385 RK4 steps"):
+    monkeypatch.setattr(boyer, "MAX_STEPS", 383)
+    with pytest.raises(NumericalError, match=r"^full law: bounce leg 2 exceeded the run's budget of 383 RK4 steps"):
         bounce(FULL_LAW, n_bounces=2)
 
 
 def test_ac_bounce_scenario_evaluates_each_state_once(monkeypatch):
     # Each accepted state's acceleration serves as stage 1 of the advance step,
-    # of the Simpson half-step and of every bisection candidate, and as both
-    # panel-end powers; 44,143 evaluations before that sharing, 32,183 with it.
+    # of the Simpson half-step and of every landing iterate, and as both
+    # panel-end powers; 44,143 evaluations before that sharing, 32,183 with it
+    # and a 200-step mirror bisection, 30,285 with the Newton landing.
     calls = 0
     acceleration = boyer._acceleration
 
@@ -515,7 +518,148 @@ def test_ac_bounce_scenario_evaluates_each_state_once(monkeypatch):
     monkeypatch.setattr(boyer, "_acceleration", counted)
     scenarios = Path(__file__).parent.parent / "scenarios"
     run_scenario(load_scenario(str(scenarios / "ac_bounce.yaml")))
-    assert 0 < calls <= 32_183
+    assert 0 < calls <= 30_285
+
+
+def _count_landing_steps(monkeypatch) -> list[int]:
+    """Patch boyer so that each _locate_crossing call appends the number of
+    RK4 steps it makes to the returned list."""
+    per_crossing: list[int] = []
+    step, locate = boyer.step_trajectory, boyer._locate_crossing
+
+    def counted_step(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_locate_crossing":
+            per_crossing[-1] += 1
+        return step(*args, **kwargs)
+
+    def counted_locate(*args, **kwargs):
+        per_crossing.append(0)
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(boyer, "step_trajectory", counted_step)
+    monkeypatch.setattr(boyer, "_locate_crossing", counted_locate)
+    return per_crossing
+
+
+def _hits(result):
+    # a reflected sample keeps the position of its hit
+    times = set(result.bounce_times)
+    return [s for s in result.samples if s.t in times]
+
+
+@pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
+@pytest.mark.parametrize("offset", [1.5e4, 1.5e5])
+def test_mirror_landing_far_from_the_origin(monkeypatch, law, offset):
+    # ac_bounce.yaml's cavity moved to x = offset: the float spacing there is
+    # 1.8e-12 or 2.9e-11 cm, so an absolute landing tolerance cannot be met
+    per_crossing = _count_landing_steps(monkeypatch)
+    lo, hi = offset, offset + 1.5
+    cfg = BounceConfig(mirror_a=lo, mirror_b=hi, n_bounces=4, dt=1.0 / 256.0, law=law)
+    start = TrajectoryState(t=0.0, pos=Vec3(hi, 0.5, 0.0), vel=Vec3(-2.0, 0.0, 0.0))
+    result = simulate_bounce_experiment(BOUNCE_LINE, NEUTRON, cfg, start, K1)
+    hits = _hits(result)
+    assert len(hits) == 4
+    for st, plane in zip(hits, [lo, hi, lo, hi]):
+        assert abs(st.pos.x - plane) <= 2.0 * math.ulp(plane)
+    assert len(per_crossing) == 4
+    assert max(per_crossing) <= 4
+
+
+@pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
+def test_mirror_landing_on_a_plane_at_the_origin(law):
+    # Two float spacings of 0.0 are subnormal, out of reach of a sum x0 + dx;
+    # there the landing works to the spacing of the start x instead.
+    cfg = BounceConfig(mirror_a=0.0, mirror_b=1.5, n_bounces=6, dt=1.0 / 256.0, law=law)
+    start = TrajectoryState(t=0.0, pos=Vec3(1.499, 0.5, 0.0), vel=Vec3(-2.0, 0.0, 0.0))
+    line = LineCharge(lambda_c=0.05, axis_point=Vec3(-1.5, 0.0, 0.0))
+    hits = _hits(simulate_bounce_experiment(line, NEUTRON, cfg, start, K1))
+    assert len(hits) == 6
+    for st, plane in zip(hits, [0.0, 1.5] * 3):
+        assert abs(st.pos.x - plane) <= (1e-17 if plane == 0.0 else 2.0 * math.ulp(plane))
+
+
+def test_ac_bounce_scenario_lands_on_the_mirrors(monkeypatch):
+    # Under the full law the 192nd step of a leg lands on the mirror, so every
+    # hit is a whole number of steps; the naive law lands by Newton.  The
+    # 200-step bisection made 627 landing steps here.
+    per_crossing = _count_landing_steps(monkeypatch)
+    scenarios = Path(__file__).parent.parent / "scenarios"
+    report = run_scenario(load_scenario(str(scenarios / "ac_bounce.yaml")))
+    full = [row["t_s"] for row in report.rows if row["law"] == FULL_LAW]
+    assert full == [0.75 * k for k in range(1, 11)]
+    assert len(per_crossing) == 20
+    assert sum(per_crossing) <= 60
+    assert max(per_crossing) <= 4
+
+
+def test_mirror_landing_budget(monkeypatch):
+    # a landing step that never moves never reaches the plane
+    step = boyer.step_trajectory
+
+    def stuck(lc, n, state, dt, law, k, *, accel=None):
+        if sys._getframe(1).f_code.co_name == "_locate_crossing":
+            return TrajectoryState(state.t + dt, state.pos, state.vel)
+        return step(lc, n, state, dt, law, k, accel=accel)
+
+    monkeypatch.setattr(boyer, "step_trajectory", stuck)
+    start = TrajectoryState(t=0.0, pos=Vec3(2.999, 0.5, 0.0), vel=Vec3(-2.0, 0.0, 0.0))
+    with pytest.raises(
+        NumericalError,
+        match=r"^full law: mirror crossing at x = 1\.5 cm not landed within 4\.44\d*e-16 cm in 64 RK4 steps "
+        r"\(t = 0\.7\d* s, x = 1\.50\d* cm\)$",
+    ):
+        bounce(FULL_LAW, n_bounces=1, start=start)
+
+
+@pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
+def test_bounce_samples_match_an_eager_per_step_build(law):
+    # Re-step every accepted state from its predecessor and build its sample
+    # there, as a loop that samples each step would; reflected states are
+    # taken from the result.
+    result = bounce(law, n_bounces=4)
+    states, times = result.states, set(result.bounce_times)
+    eager = []
+    for i, st in enumerate(states):
+        if i and st.t not in times:
+            stepped = step_trajectory(BOUNCE_LINE, NEUTRON, states[i - 1], 1.0 / 256.0, law, K1)
+            assert _state_bits(stepped) == _state_bits(st)
+        p_h = hidden_momentum(BOUNCE_LINE, st.pos, MU_Z, K1)
+        eager.append(boyer.BounceSample(st.t, st.pos, st.vel, kinetic_energy(NEUTRON, st), p_h))
+
+    def sample_bits(s):
+        return _state_bits(s) + _bits(s.kinetic_energy, *s.hidden_momentum.as_tuple())
+
+    assert [sample_bits(s) for s in result.samples] == [sample_bits(s) for s in eager]
+
+
+@pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
+def test_bounce_hidden_momentum_is_continuous_across_each_bounce(law):
+    # The reflection flips vx but keeps the position, so p_h moves across a
+    # bounce by no more than across a step, while the velocity jumps.
+    result = bounce(law, n_bounces=4)
+    samples, times = result.samples, set(result.bounce_times)
+    bounces = [i for i, s in enumerate(samples) if s.t in times]
+    assert len(bounces) == 4
+    jumps = [(b.hidden_momentum - a.hidden_momentum).norm() for a, b in zip(samples, samples[1:])]
+    in_leg = max(j for i, j in enumerate(jumps) if i + 1 not in bounces and i not in bounces)
+    for i in bounces:
+        assert samples[i].vel.x * samples[i - 1].vel.x < 0.0
+        assert jumps[i - 1] <= 2.0 * in_leg
+        if i < len(jumps):
+            assert jumps[i] <= 2.0 * in_leg
+
+
+def test_bounce_kinetic_energies_build_no_samples(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a BounceSample was built")
+
+    monkeypatch.setattr(boyer, "BounceSample", refuse)
+    for law in (FULL_LAW, NAIVE_LAW):
+        result = bounce(law, n_bounces=2)
+        assert result.initial_kinetic_energy == kinetic_energy(NEUTRON, BOUNCE_START)
+        assert result.final_kinetic_energy == kinetic_energy(NEUTRON, result.states[-1])
+    with pytest.raises(AssertionError, match="a BounceSample was built"):
+        result.samples
 
 
 def test_ac_phase_circle_analytic_value():

@@ -716,6 +716,24 @@ def test_cli_bounce_over_step_budget_exits_3(tmp_path, monkeypatch, capsys):
     assert "t = " in err and "x = " in err
 
 
+def test_cli_bounce_over_landing_budget_exits_3(tmp_path, monkeypatch, capsys):
+    # a landing step that never moves never reaches the mirror
+    step = boyer.step_trajectory
+
+    def stuck(lc, n, state, dt, law, k, *, accel=None):
+        if sys._getframe(1).f_code.co_name == "_locate_crossing":
+            return boyer.TrajectoryState(state.t + dt, state.pos, state.vel)
+        return step(lc, n, state, dt, law, k, accel=accel)
+
+    monkeypatch.setattr(boyer, "step_trajectory", stuck)
+    path = tmp_path / "stuck.yaml"
+    path.write_text((SCENARIO_DIR / "ac_bounce.yaml").read_text().replace("x_cm: 3.0", "x_cm: 2.999"))
+    assert cli_main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "law: mirror crossing at x = 1.5 cm not landed within" in err
+    assert f"in {boyer.MAX_LANDING_STEPS} RK4 steps (t = " in err and ", x = " in err
+
+
 def test_cli_bounce_with_huge_n_bounces_exits_3(tmp_path, monkeypatch, capsys):
     # each leg is about 192 steps, so the budget runs out in leg 3, not never
     monkeypatch.setattr(boyer, "MAX_STEPS", 500)
