@@ -87,7 +87,6 @@ from .scenario import (
 )
 from .solenoid import (
     ABResult,
-    LongSolenoidWarning,
     OrbitParams,
     PhaseContribution,
     SolenoidParams,
@@ -98,6 +97,7 @@ from .solenoid import (
     de_broglie_wavelength,
     electron_flux_at_angle,
     local_model_phase,
+    long_solenoid_note,
     solenoid_flux,
     source_momentum_kick,
     velocity_kick_integrand,
@@ -107,9 +107,6 @@ from .units import (
     PhysicalConstants,
     SCALED_UNITY,
     Vec3,
-    X_HAT,
-    Y_HAT,
-    Z_HAT,
     ZERO3,
     cross,
     make_constants,

@@ -105,6 +105,9 @@ MAX_STEPS = 1_000_000
 # spacing of x within about 54 halvings.
 MAX_LANDING_STEPS = 64
 
+# Relative tolerance of each segment integral in ac_phase.
+AC_PHASE_REL_TOL = 1e-10
+
 
 def _check_law(law: str):
     if law not in LAWS:
@@ -691,18 +694,12 @@ def path_axis_clearance(loop: LoopPath, lc: LineCharge) -> float:
     )
 
 
-def ac_phase(
-    lc: LineCharge,
-    mu: Vec3,
-    loop: LoopPath,
-    k: PhysicalConstants,
-    rel_tol: float = 1e-10,
-) -> float:
+def ac_phase(lc: LineCharge, mu: Vec3, loop: LoopPath, k: PhysicalConstants) -> float:
     """Phase (1/hbar) contour_integral (mu x E)/c . dl around a closed path.
 
     Evaluated per segment by panel-doubling composite Gauss-Legendre to
-    rel_tol, with an absolute floor tied to the integrand magnitude so loops
-    that enclose no charge (integral zero by symmetry) still converge.
+    AC_PHASE_REL_TOL, with an absolute floor tied to the integrand magnitude
+    so loops that enclose no charge (integral zero by symmetry) still converge.
     """
     clearance = path_axis_clearance(loop, lc)
     if clearance < lc.axis_epsilon:
@@ -717,11 +714,11 @@ def ac_phase(
     for f in integrands:
         for i in range(8):
             probe = max(probe, abs(f((i + 0.5) / 8)))
-    abs_floor = rel_tol * probe * 1e-3
+    abs_floor = AC_PHASE_REL_TOL * probe * 1e-3
 
     total = 0.0
     for f in integrands:
-        total += refine_gauss_legendre(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor)
+        total += refine_gauss_legendre(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
     return total / k.hbar
 
 

@@ -28,7 +28,6 @@ import json
 import math
 import re
 import sys
-import warnings
 from dataclasses import dataclass
 
 import yaml
@@ -94,9 +93,17 @@ class SweepSpec:
     def values(self) -> list[float]:
         if self.scale == "log":
             ratio = self.stop / self.start
-            return [self.start * ratio ** (i / (self.steps - 1)) for i in range(self.steps)]
-        span = self.stop - self.start
-        return [self.start + span * i / (self.steps - 1) for i in range(self.steps)]
+            points = [self.start * ratio ** (i / (self.steps - 1)) for i in range(self.steps)]
+        else:
+            span = self.stop - self.start
+            points = [self.start + span * i / (self.steps - 1) for i in range(self.steps)]
+        # The formula can round its last point a float step past ``stop``, and
+        # so past a closed bound such as visibility 1.0; such a point is
+        # ``stop``.  A larger miss, from cancellation when |from| >> |to| in a
+        # linear sweep, stays as the formula gives it (perfbench's oracle).
+        if math.isclose(points[-1], self.stop, rel_tol=2.0 * sys.float_info.epsilon):
+            points[-1] = self.stop
+        return points
 
     def to_dict(self) -> dict:
         return {
@@ -148,7 +155,7 @@ class Scenario:
 # or the default used when absent; a default of None also reads null as None.
 # _walk validates a mapping against its table and builds the normalized dict
 # in table order; _CHECKS holds one function per kind for the rules that span
-# keys or need the physics objects.
+# keys or need the physics objects, and _notes gives a point's report notes.
 
 REQUIRED = object()
 OMITTED = object()
@@ -328,21 +335,16 @@ def _field(node: dict, key: str, kind, presence, path: str):
     return value
 
 
-def _check_mzi(params: dict, collected: list[str]):
+def _check_mzi(params: dict):
     if "path_shift" in params and "phase_rad" in params:
         raise ValidationError("params: give either phase_rad or path_shift, not both")
     if "path_shift" not in params and "phase_rad" not in params:
         raise ValidationError("params.phase_rad: required field missing")
 
 
-def _build_ab_objects(params: dict, collected: list[str]):
+def _build_ab_objects(params: dict):
     sol = params["solenoid"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", solenoid.LongSolenoidWarning)
-        s = solenoid.SolenoidParams(
-            r=sol["r_cm"], L=sol["L_cm"], M=sol["M_g"], Q=sol["Q_statC"], v=sol["v_cm_per_s"]
-        )
-    collected.extend(str(w.message) for w in caught)
+    s = solenoid.SolenoidParams(r=sol["r_cm"], L=sol["L_cm"], M=sol["M_g"], Q=sol["Q_statC"], v=sol["v_cm_per_s"])
     o = solenoid.OrbitParams(R=params["orbit"]["R_cm"], u=params["orbit"]["u_cm_per_s"])
     if o.R <= s.r:
         raise ValidationError(
@@ -386,7 +388,7 @@ def _build_bounce_objects(params: dict):
     return lc, n, initial, configs
 
 
-def _check_ac_phase(params: dict, collected: list[str]):
+def _check_ac_phase(params: dict):
     if "second_radius_cm" in params and params["loop"]["kind"] != "circle":
         raise ValidationError("params.second_radius_cm: only valid with a circle loop")
     _build_phase_objects(params)
@@ -412,10 +414,18 @@ def _build_phase_objects(params: dict):
 _CHECKS = {
     KIND_MZI: _check_mzi,
     KIND_AB_SOLENOID: _build_ab_objects,
-    KIND_AC_BOUNCE: lambda params, collected: _build_bounce_objects(params),
+    KIND_AC_BOUNCE: _build_bounce_objects,
     KIND_AC_PHASE: _check_ac_phase,
-    KIND_FIELD_FREE: lambda params, collected: fieldfree.make_three_charge(params["d_cm"], params["e_statC"]),
+    KIND_FIELD_FREE: lambda params: fieldfree.make_three_charge(params["d_cm"], params["e_statC"]),
 }
+
+
+def _notes(kind: str, params: dict) -> list[str]:
+    """The notes a point reports: the long-solenoid strain of an ab-solenoid point."""
+    if kind != KIND_AB_SOLENOID:
+        return []
+    note = solenoid.long_solenoid_note(params["solenoid"]["r_cm"], params["solenoid"]["L_cm"])
+    return [note] if note else []
 
 
 def _resolve_path(params: dict, path: str):
@@ -477,8 +487,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")
     s = _walk(_SCENARIO, doc, _ROOT)
-    collected: list[str] = []
-    _CHECKS[s["kind"]](s["params"], collected)
+    _CHECKS[s["kind"]](s["params"])
     sweep = None
     if s["sweep"] is not None:
         node = s["sweep"]
@@ -488,7 +497,7 @@ def parse_scenario(text: str) -> Scenario:
         _resolve_path(s["params"], sweep.param)
         _check_sweep_ends(s["params"], sweep, _PARAMS[s["kind"]])
     output = OutputSpec(**(s["output"] or {}))
-    return Scenario(s["kind"], s["units"], s["params"], sweep, output, warnings=collected)
+    return Scenario(s["kind"], s["units"], s["params"], sweep, output, warnings=_notes(s["kind"], s["params"]))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -503,7 +512,7 @@ def load_scenario(path: str) -> Scenario:
 _ROUTING_WINDOW_RAD = 1e-9  # how near 0 or pi (mod 2 pi) the routing claims apply
 
 
-def _point_mzi(params: dict, k: PhysicalConstants, collected: list[str]):
+def _point_mzi(params: dict, k: PhysicalConstants):
     if "path_shift" in params:
         phase = interferometry.phase_from_path_shift(
             params["path_shift"]["delta_l_cm"], params["path_shift"]["wavelength_cm"]
@@ -523,8 +532,8 @@ def _point_mzi(params: dict, k: PhysicalConstants, collected: list[str]):
     return rows, checks
 
 
-def _point_ab_solenoid(params: dict, k: PhysicalConstants, collected: list[str]):
-    s, o = _build_ab_objects(params, collected)
+def _point_ab_solenoid(params: dict, k: PhysicalConstants):
+    s, o = _build_ab_objects(params)
     res = solenoid.local_model_phase(s, o, k)
     probs = interferometry.detector_probabilities(res.phase_ab, params["visibility"])
     residual = verify.factor4_residual(res)
@@ -548,7 +557,7 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants, collected: list[str])
     return rows, checks
 
 
-def _point_ac_bounce(params: dict, k: PhysicalConstants, collected: list[str]):
+def _point_ac_bounce(params: dict, k: PhysicalConstants):
     lc, n, initial, configs = _build_bounce_objects(params)
     rows, checks = [], []
     for cfg in configs:
@@ -576,7 +585,7 @@ def _describe_loop(loop) -> str:
     return f"polyline with {len(loop.vertices) - 1} segments"
 
 
-def _point_ac_phase(params: dict, k: PhysicalConstants, collected: list[str]):
+def _point_ac_phase(params: dict, k: PhysicalConstants):
     lc, mu, loop = _build_phase_objects(params)
     # residuals are in units of the per-winding phase, absolute when it is 0
     unit = abs(boyer.ac_phase_enclosed_value(lc, mu, k, 1)) or 1.0
@@ -597,7 +606,7 @@ def _point_ac_phase(params: dict, k: PhysicalConstants, collected: list[str]):
     return rows, checks
 
 
-def _point_field_free(params: dict, k: PhysicalConstants, collected: list[str]):
+def _point_field_free(params: dict, k: PhysicalConstants):
     d, e = params["d_cm"], params["e_statC"]
     cfg = fieldfree.make_three_charge(d, e)
     report = fieldfree.verify_field_free(cfg, params["tol"])
@@ -628,8 +637,7 @@ def _point_field_free(params: dict, k: PhysicalConstants, collected: list[str]):
     return rows, checks
 
 
-# point(params, k, collected) -> (rows, checks); it appends its warning
-# messages to collected, as the parse-time checks (_CHECKS) do.
+# point(params, k) -> (rows, checks)
 _POINT_RUNNERS = {
     KIND_MZI: _point_mzi,
     KIND_AB_SOLENOID: _point_ab_solenoid,
@@ -660,8 +668,7 @@ def run_scenario(s: Scenario) -> RunReport:
     scenario = s.to_dict()
 
     if s.sweep is None:
-        # the point's warnings are the parse-time ones
-        prows, pchecks = point_fn(s.params, k, [])
+        prows, pchecks = point_fn(s.params, k)
         rows.extend({"sweep_index": 0, **row} for row in prows)
         _merge_checks(merged, pchecks)
     else:
@@ -669,9 +676,8 @@ def run_scenario(s: Scenario) -> RunReport:
             point_params = copy.deepcopy(s.params)
             node, last = _resolve_path(point_params, s.sweep.param)
             node[last] = value
-            warned: list[str] = []
             try:
-                prows, pchecks = point_fn(point_params, k, warned)
+                prows, pchecks = point_fn(point_params, k)
             except AbclabError as exc:
                 had_error = True
                 error = f"{type(exc).__name__}: {exc}"
@@ -679,8 +685,9 @@ def run_scenario(s: Scenario) -> RunReport:
             else:
                 rows.extend({"sweep_index": index, s.sweep.param: value, **row} for row in prows)
                 _merge_checks(merged, pchecks)
-            # a point's warning that the parse already reported is not repeated
-            scenario["warnings"].extend(f"sweep_index {index}: {w}" for w in warned if w not in s.warnings)
+            # a point's note that the parse already reported is not repeated
+            notes = _notes(s.kind, point_params)
+            scenario["warnings"].extend(f"sweep_index {index}: {w}" for w in notes if w not in s.warnings)
     if had_error:
         columns = columns + ["error"]
     return RunReport(scenario=scenario, rows=rows, checks=list(merged.values()), columns=columns)

@@ -17,7 +17,6 @@ be audited term by term.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, ConsistencyError, DomainError, ValidationError
@@ -32,8 +31,15 @@ QUADRATURE = "quadrature"
 LONG_SOLENOID_ASPECT = 0.1
 
 
-class LongSolenoidWarning(UserWarning):
-    """The cylinder aspect ratio strains the long-solenoid approximation."""
+def long_solenoid_note(r: float, L: float) -> str | None:
+    """The note a report carries when r/L strains the long-solenoid flux
+    formula, or None inside the regime.  The formulas stay evaluable either way."""
+    if r / L > LONG_SOLENOID_ASPECT:
+        return (
+            f"aspect ratio r/L = {r / L:.3g} exceeds {LONG_SOLENOID_ASPECT:g}; "
+            "the long-solenoid flux formula is strained"
+        )
+    return None
 
 
 def _require_positive(name: str, value: float, allow_zero: bool = False):
@@ -48,8 +54,8 @@ class SolenoidParams:
     """Two-cylinder solenoid: radius r (cm), length L (cm), mass M (g),
     charge magnitude Q per cylinder (statC), surface speed v (cm/s).
 
-    Q = 0 is accepted as the switched-off source limit.  Construction warns
-    (but does not fail) when r/L exceeds the long-solenoid threshold.
+    Q = 0 is accepted as the switched-off source limit.  Any aspect ratio
+    builds; ``long_solenoid_note`` says when r/L strains the flux formula.
     """
 
     r: float
@@ -64,13 +70,6 @@ class SolenoidParams:
         _require_positive("M", self.M)
         _require_positive("Q", self.Q, allow_zero=True)
         _require_positive("v", self.v)
-        if self.r / self.L > LONG_SOLENOID_ASPECT:
-            warnings.warn(
-                f"aspect ratio r/L = {self.r / self.L:.3g} exceeds {LONG_SOLENOID_ASPECT:g}; "
-                "the long-solenoid flux formula is strained",
-                LongSolenoidWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -107,9 +107,6 @@ class Vec3:
 
 
 ZERO3 = Vec3(0.0, 0.0, 0.0)
-X_HAT = Vec3(1.0, 0.0, 0.0)
-Y_HAT = Vec3(0.0, 1.0, 0.0)
-Z_HAT = Vec3(0.0, 0.0, 1.0)
 
 
 def cross(a: Vec3, b: Vec3) -> Vec3:

@@ -16,10 +16,6 @@ numpy's ``Generator.uniform(lo, hi)`` computes ``lo + (hi - lo) * d`` from the
 same next double ``d`` that ``random()`` returns, so each draw and the stream
 position after it are bit-identical to ``float(rng.uniform(lo, hi))`` at about
 a third of the cost; ``tests/test_verify.py`` pins that by ``float.hex``.
-The draws span every solenoid aspect ratio, so ``run_verify_suite`` ignores
-``LongSolenoidWarning`` under one filter for the whole catalogue, entered once
-per suite and restored on exit.  It filters no other warning, and the suite
-raises none (``tests/test_verify.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import warnings
 from typing import TYPE_CHECKING
 
 from . import boyer, fieldfree, interferometry, solenoid
@@ -250,9 +245,7 @@ def _random_orbit(rng: np.random.Generator) -> solenoid.OrbitParams:
     return solenoid.OrbitParams(R=_log_uniform(rng, 1e-3, 1e3), u=_log_uniform(rng, 1e-3, 1e3))
 
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", solenoid.LongSolenoidWarning)
-    _UNIT_SOLENOID = solenoid.SolenoidParams(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
+_UNIT_SOLENOID = solenoid.SolenoidParams(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
 _UNIT_ORBIT = solenoid.OrbitParams(R=2.0, u=1.0)
 
 
@@ -618,12 +611,9 @@ def run_verify_suite(seed: int = 42) -> RunReport:
 
     rng = np.random.default_rng(seed)
     checks: list[CheckRow] = []
-    with warnings.catch_warnings():
-        # the draws span every aspect ratio; the claims hold outside the long-solenoid regime too
-        warnings.simplefilter("ignore", solenoid.LongSolenoidWarning)
-        for check in _CHECKS:
-            rows = check(rng)
-            checks.extend(rows if isinstance(rows, list) else (rows,))
+    for check in _CHECKS:
+        rows = check(rng)
+        checks.extend(rows if isinstance(rows, list) else (rows,))
     return RunReport(
         scenario={"kind": "verify", "seed": seed},
         rows=[],

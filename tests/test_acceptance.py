@@ -7,7 +7,6 @@ criterion.  Tolerances are pinned here and nowhere looser.
 import cmath
 import math
 import time
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from abclab import (
     FULL_LAW,
     GaussianPacket,
     LineCharge,
-    LongSolenoidWarning,
     NAIVE_LAW,
     NeutronModel,
     OrbitParams,
@@ -75,12 +73,10 @@ def _log_uniform(rng, lo=1e-3, hi=1e3):
 
 
 def _random_setup(rng):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LongSolenoidWarning)
-        s = SolenoidParams(
-            r=_log_uniform(rng), L=_log_uniform(rng), M=_log_uniform(rng),
-            Q=_log_uniform(rng), v=_log_uniform(rng),
-        )
+    s = SolenoidParams(
+        r=_log_uniform(rng), L=_log_uniform(rng), M=_log_uniform(rng),
+        Q=_log_uniform(rng), v=_log_uniform(rng),
+    )
     o = OrbitParams(R=_log_uniform(rng), u=_log_uniform(rng))
     hbar = _log_uniform(rng)
     k = PhysicalConstants(e=_log_uniform(rng), c=_log_uniform(rng), hbar=hbar, h=2.0 * math.pi * hbar)
@@ -268,9 +264,7 @@ def test_criterion_10_visibility_pipeline():
             numeric = overlap_by_quadrature(packet, dx, dp, 1.0, abs_tol=1e-10)
             assert abs(closed - numeric) / abs(closed) < 1e-8
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LongSolenoidWarning)
-            s = SolenoidParams(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
+        s = SolenoidParams(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
         kick = source_momentum_kick(s, OrbitParams(R=2.0, u=1.0), K1)
         ratios = [10.0 ** x for x in np.linspace(-2.0, 2.0, 20)]
         visibilities = []

@@ -550,6 +550,20 @@ sweep: {param: loop.radius_cm, from: -1.0, to: 1.0, steps: 3}
         parse_scenario(AB_UNIT_DOC + "sweep: {param: visibility, from: 0.5, to: 1.5, steps: 3}\n")
 
 
+def test_sweep_that_rounds_past_to_ends_on_it(tmp_path):
+    # 0.059 + (1.0 - 0.059) * 6 / 6 rounds to 1.0000000000000002, past the closed bound
+    doc = "kind: mzi\nparams: {phase_rad: 0.3}\nsweep: {param: visibility, from: 0.059, to: 1.0, steps: 7}\n"
+    values = parse_scenario(doc).sweep.values()
+    assert values[-1] == 1.0
+    assert values[1:-1] == [0.059 + (1.0 - 0.059) * i / 6 for i in range(1, 6)]
+    path = tmp_path / "visibility.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 0
+    # 7.0 * (0.45 / 7.0) rounds to 0.45000000000000007
+    log_doc = AB_UNIT_DOC + "sweep: {param: solenoid.v_cm_per_s, from: 7.0, to: 0.45, steps: 4, scale: log}\n"
+    assert parse_scenario(log_doc).sweep.values()[-1] == 0.45
+
+
 def test_sweep_of_integer_key_is_refused(tmp_path):
     # a swept value is a float; n_bounces: 1.5 used to run as 2 bounces
     doc = """

@@ -9,7 +9,6 @@ from abclab import (
     ConfigurationError,
     DomainError,
     GaussianPacket,
-    LongSolenoidWarning,
     OrbitParams,
     PhysicalConstants,
     SolenoidParams,
@@ -22,6 +21,7 @@ from abclab import (
     detector_probabilities,
     electron_flux_at_angle,
     local_model_phase,
+    long_solenoid_note,
     make_constants,
     packet_overlap,
     solenoid_flux,
@@ -37,9 +37,7 @@ FOUR_PI = 4.0 * math.pi
 def unit_solenoid(**overrides):
     values = dict(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
     values.update(overrides)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LongSolenoidWarning)
-        return SolenoidParams(**values)
+    return SolenoidParams(**values)
 
 
 def random_constants(rng):
@@ -262,12 +260,18 @@ def test_visibility_pipeline_limits():
     assert visibilities[-1] > 0.9999
 
 
-def test_long_solenoid_warning_threshold():
-    with pytest.warns(LongSolenoidWarning):
-        SolenoidParams(r=1.0, L=2.0, M=1.0, Q=1.0, v=1.0)
+def test_long_solenoid_note_threshold():
+    assert long_solenoid_note(1.0, 2.0) == (
+        "aspect ratio r/L = 0.5 exceeds 0.1; the long-solenoid flux formula is strained"
+    )
+    assert long_solenoid_note(1.0, 20.0) is None  # r/L = 0.05
+
+
+def test_strained_solenoid_builds_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        SolenoidParams(r=1.0, L=20.0, M=1.0, Q=1.0, v=1.0)  # r/L = 0.05, no warning
+        s = SolenoidParams(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
+    assert s.r / s.L == 1.0
 
 
 def test_parameter_validation():
