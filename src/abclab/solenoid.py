@@ -33,8 +33,9 @@ LONG_SOLENOID_ASPECT = 0.1
 
 def long_solenoid_note(r: float, L: float) -> str | None:
     """The note a report carries when r/L strains the long-solenoid flux
-    formula, or None inside the regime.  The formulas stay evaluable either way."""
-    if r / L > LONG_SOLENOID_ASPECT:
+    formula, or None inside the regime.  The formulas stay evaluable either way.
+    An L that is not positive gives None: such a solenoid does not build."""
+    if L > 0.0 and r / L > LONG_SOLENOID_ASPECT:
         return (
             f"aspect ratio r/L = {r / L:.3g} exceeds {LONG_SOLENOID_ASPECT:g}; "
             "the long-solenoid flux formula is strained"

@@ -564,6 +564,18 @@ def test_sweep_that_rounds_past_to_ends_on_it(tmp_path):
     assert parse_scenario(log_doc).sweep.values()[-1] == 0.45
 
 
+def test_sweep_point_with_zero_length_is_an_error_row(tmp_path):
+    # 1.0 + (1e-20 - 1.0) * 1 is 0.0: the point is refused, and its note is not computed from r / 0
+    doc = AB_UNIT_DOC + "sweep: {param: solenoid.L_cm, from: 1.0, to: 1.0e-20, steps: 2}\n"
+    report = run_scenario(parse_scenario(doc))
+    assert report.rows[-1]["solenoid.L_cm"] == 0.0
+    assert report.rows[-1]["error"] == "ValidationError: L must be positive and finite, got 0.0"
+    assert report.to_dict()["scenario"]["warnings"] == parse_scenario(doc).warnings
+    path = tmp_path / "zero_length.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+
+
 def test_sweep_of_integer_key_is_refused(tmp_path):
     # a swept value is a float; n_bounces: 1.5 used to run as 2 bounces
     doc = """

@@ -265,6 +265,8 @@ def test_long_solenoid_note_threshold():
         "aspect ratio r/L = 0.5 exceeds 0.1; the long-solenoid flux formula is strained"
     )
     assert long_solenoid_note(1.0, 20.0) is None  # r/L = 0.05
+    assert long_solenoid_note(1.0, 0.0) is None
+    assert long_solenoid_note(1.0, math.nan) is None
 
 
 def test_strained_solenoid_builds_without_warning():
