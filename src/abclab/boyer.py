@@ -1,13 +1,16 @@
 """Current-loop magnetic moment near a charged line: forces, hidden momentum,
 mirror-bounce dynamics, and the moment-around-charge phase.
 
-Geometry (v1): the charged line runs along z through ``axis_point``, the
-moment is polarized along z, and motion stays in the x-y plane.  A moving
-current loop acquires an electric dipole d = (v x mu)/c and therefore feels
-the gradient force (d . grad)E in the line's field.  The loop also carries a
-hidden mechanical momentum p_h = (mu x E)/c, and in this geometry the force
-equals the convective rate (v . grad)p_h at every point.  Two laws of motion
-are offered:
+Geometry: the charged line is the z axis, the moment mu_z points along it,
+and the moment moves in the x-y plane, the planar setup in which the
+Aharonov-Casher phase is topological.  A trajectory state is (t, x, y, vx,
+vy) and a moment is the one float mu_z; the field has no z component and no
+z dependence, so a loop's z coordinates drop out.  A moving current loop
+acquires an electric dipole d = (v x mu)/c and therefore feels the gradient
+force (d . grad)E in the line's field.  The loop also carries a hidden
+mechanical momentum p_h = (mu x E)/c, and in this geometry the force equals
+the convective rate (v . grad)p_h at every point.  Two laws of motion are
+offered:
 
 * ``full``: m dv/dt = F - (v . grad)p_h, the corrected law.  The right side
   cancels identically, so the kinetic velocity never changes and a bouncing
@@ -24,29 +27,30 @@ only that the local field at the moment is responsible for the phase); it
 evaluates to 4*pi*mu*lambda/(hbar*c) per winding and is path independent at
 fixed winding number.
 
-The RK4 stepper runs on a scalar kernel rather than on Vec3 objects.  The
-line field is planar (no z component, no z dependence), so its Jacobian has
-three distinct entries.  ``_acceleration`` computes the axis check, the
-Jacobian, the induced-dipole force F and the convective hidden-momentum rate
-(v . grad)p_h from plain floats in one function body, and the full law
-subtracts the two terms; ``line_field_gradient``, ``boyer_force`` and
-``hidden_momentum_rate`` are Vec3 wrappers over the same body.  The kernel
-still carries every z component (a nonzero pos.z or vel.z, or the tiny
-transverse mu that NeutronModel admits, propagates as before).  Contract:
-each scalar expression evaluates in the order of the Vec3 expression it
-replaced (sums left to right, x then y then z, zero Jacobian entries kept as
-0.0 factors, reciprocals 1/c and 1/m multiplied), so steps, bounce reports
-and verify reports are bit-identical to the Vec3 formulation;
-``tests/test_boyer.py`` keeps that formulation as the reference.
+Everything runs on plain floats.  ``_acceleration`` computes the axis check,
+the field Jacobian (three distinct entries), the induced-dipole force F and
+the convective rate (v . grad)p_h in one function body, and the full law
+subtracts the two terms; ``_rk4`` steps (x, y, vx, vy) with it, and
+``_hidden_momentum`` gives (px, py) to the loop integrands and the bounce
+samples.  ``line_field_gradient``, ``boyer_force``, ``hidden_momentum`` and
+``hidden_momentum_rate`` are Vec3 wrappers over the same bodies.
 
-The RK4 update is written once, in ``_rk4``, which steps plain floats
-(x, y, z, vx, vy, vz) and rejects a landing point inside the axis
-neighbourhood.  ``step_trajectory`` validates its input and wraps ``_rk4`` in
-TrajectoryState and Vec3 objects.  The verify flights (``verify._full_law_speed``
-and ``verify._naive_endpoint``) call ``_rk4`` directly and build objects only
-at the end.  The bounce loop still calls ``step_trajectory`` from its three
-functions, whose calls the benchmark's tracer counts by caller name; moving
-it onto ``_rk4`` waits for the benchmark to count those calls another way.
+Contract: each body is the Vec3 formulation with mu = (0, 0, mu_z) and
+position and velocity in the x-y plane, less the terms that vanish in this
+geometry, with every other operation in its order (sums left to right, x
+before y, reciprocals 1/c and 1/m multiplied).  So every step, loop phase
+and report is bit-identical to that formulation, which
+``tests/test_boyer.py`` keeps as the reference.  A
+dropped term is a signed zero, so a force term, acceleration or integrand
+value that is itself zero may differ from the reference in its sign only.  A
+step shows that only when it starts from a velocity component of -0.0; a
+loop phase never does, since its quadrature sums start from 0.0.
+
+``step_trajectory`` validates its input and wraps ``_rk4`` in
+TrajectoryState objects.  The verify flights (``verify._full_law_speed`` and
+``verify._naive_endpoint``) call ``_rk4`` directly.  The bounce loop still
+calls ``step_trajectory`` from its three functions, whose calls the
+benchmark's tracer counts by caller name.
 
 The bounce loop evaluates each state's acceleration once.  That one
 evaluation is stage 1 of the advance step, of the Simpson-midpoint half-step
@@ -66,16 +70,10 @@ MAX_LANDING_STEPS.  The loop keeps only the TrajectoryState of each step and
 each reflection: ``BounceResult.samples`` builds the BounceSample series from
 them when it is read.
 
-The loop phase integrates plain floats too.  ``_loop_integrands`` gives one
-function of t per segment: a circle computes its angle, cosine and sine once
-per node, and a polyline segment closes over its start vertex and its edge
-vector as floats.  Each calls ``_hidden_momentum`` (one flat body, axis check
-inlined, so p_h is formed in one place) and returns p_h . tangent, so no Vec3
-is built per quadrature node.  Contract: every operation keeps the order of
-the Vec3 integrand it replaced, hidden_momentum(point(t)).dot(tangent(t)),
-including the circle's pz * 0.0 term and the polyline's pz * dz term, so
-every loop phase and every report is bit-identical to it;
-``tests/test_boyer.py`` keeps that integrand as the reference.
+The loop phase integrates one function of t per segment
+(``_loop_integrands``): a circle computes its angle, cosine and sine once per
+node, and a polyline segment closes over its start vertex and its edge as
+floats.  Each returns p_h . tangent, so no Vec3 is built per quadrature node.
 """
 
 from __future__ import annotations
@@ -94,6 +92,7 @@ LAWS = (FULL_LAW, NAIVE_LAW)
 
 # Positions closer than this to the line axis are treated as singular (cm).
 AXIS_EPSILON = 1e-9
+_AXIS_EPSILON2 = AXIS_EPSILON * AXIS_EPSILON
 
 # A bounce run that needs more RK4 advance steps than this, counted over all
 # its legs, raises NumericalError (the steps that land on a mirror do not
@@ -116,59 +115,46 @@ def _check_law(law: str):
 
 @dataclass(frozen=True, slots=True)
 class LineCharge:
-    """Infinite straight line of charge: density lambda_c (statC/cm), running
-    along +z through axis_point.  Positions closer than axis_epsilon to the
-    line are treated as singular."""
+    """Infinite straight line of charge along the z axis, density lambda_c
+    (statC/cm).  Positions closer than AXIS_EPSILON to it are singular."""
 
     lambda_c: float
-    axis_point: Vec3 = Vec3(0.0, 0.0, 0.0)
-    axis_epsilon: float = AXIS_EPSILON
 
     def __post_init__(self):
         if not math.isfinite(self.lambda_c):
             raise ValidationError(f"lambda_c must be finite, got {self.lambda_c!r}")
-        self.axis_point.require_finite("axis_point")
-        if not (math.isfinite(self.axis_epsilon) and self.axis_epsilon > 0.0):
-            raise ValidationError(f"axis_epsilon must be positive, got {self.axis_epsilon!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class NeutronModel:
-    """Current-loop model of the neutron: mass (g) and magnetic moment mu
-    (erg/G), restricted in v1 to polarization along the line axis (+-z)."""
+    """Current-loop model of the neutron: mass (g) and magnetic moment mu_z
+    (erg/G) along the line axis."""
 
     mass: float
-    mu: Vec3
+    mu_z: float
 
     def __post_init__(self):
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise ValidationError(f"mass must be positive, got {self.mass!r}")
-        self.mu.require_finite("mu")
-        transverse = math.hypot(self.mu.x, self.mu.y)
-        if transverse > 1e-12 * self.mu.norm():
-            raise ValidationError(
-                "v1 requires mu parallel to the line axis (z); "
-                f"got transverse component {transverse!r}"
-            )
+        if not math.isfinite(self.mu_z):
+            raise ValidationError(f"mu_z must be finite, got {self.mu_z!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class TrajectoryState:
-    """Integrator state: time t (s), position (cm), kinetic velocity (cm/s)."""
+    """Integrator state: time t (s), position (x, y) (cm), kinetic velocity
+    (vx, vy) (cm/s)."""
 
     t: float
-    pos: Vec3
-    vel: Vec3
+    x: float
+    y: float
+    vx: float
+    vy: float
 
     def __post_init__(self):
-        p, v = self.pos, self.vel
         isfinite = math.isfinite
-        if not (
-            isfinite(p.x) and isfinite(p.y) and isfinite(p.z)
-            and isfinite(v.x) and isfinite(v.y) and isfinite(v.z)
-        ):
-            p.require_finite("pos")  # builds the message
-            v.require_finite("vel")
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.vx) and isfinite(self.vy)):
+            raise ValidationError(f"state has non-finite components: {self}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,48 +185,30 @@ class BounceConfig:
             raise ValidationError(f"initial position x = {x!r} lies outside the mirrors [{lo!r}, {hi!r}]")
 
 
-def _axis_error(lc: LineCharge, x: float, y: float) -> SingularityError:
-    return SingularityError(
-        f"position ({x!r}, {y!r}) lies within {lc.axis_epsilon:g} cm of the charged line"
-    )
+def _axis_error(x: float, y: float) -> SingularityError:
+    return SingularityError(f"position ({x!r}, {y!r}) lies within {AXIS_EPSILON:g} cm of the charged line")
 
 
-def _radial(lc: LineCharge, x: float, y: float) -> tuple[float, float, float]:
-    rx = x - lc.axis_point.x
-    ry = y - lc.axis_point.y
-    rho2 = rx * rx + ry * ry
-    if rho2 < lc.axis_epsilon * lc.axis_epsilon:
-        raise _axis_error(lc, x, y)
-    return rx, ry, rho2
+def _check_axis(x: float, y: float) -> float:
+    # rho^2 of (x, y), rejected inside the axis neighbourhood
+    rho2 = x * x + y * y
+    if rho2 < _AXIS_EPSILON2:
+        raise _axis_error(x, y)
+    return rho2
 
 
-def _line_field(lc: LineCharge, x: float, y: float) -> tuple[float, float]:
-    rx, ry, rho2 = _radial(lc, x, y)
+def _hidden_momentum(lc: LineCharge, mu_z: float, inv_c: float, x: float, y: float) -> tuple[float, float]:
+    # (mu x E)/c.  One body, no helper calls: this is the loop-phase hot path.
+    rho2 = x * x + y * y  # _check_axis, inlined
+    if rho2 < _AXIS_EPSILON2:
+        raise _axis_error(x, y)
     s = 2.0 * lc.lambda_c / rho2
-    return s * rx, s * ry
-
-
-def _hidden_momentum(lc: LineCharge, mu: Vec3, inv_c: float, x: float, y: float) -> tuple[float, float, float]:
-    # (mu x E)/c; E.z = 0.0 is kept as a factor.  One body, no helper calls:
-    # this is the loop-phase hot path (see the module docstring).
-    rx = x - lc.axis_point.x  # _radial's axis check, inlined
-    ry = y - lc.axis_point.y
-    rho2 = rx * rx + ry * ry
-    if rho2 < lc.axis_epsilon * lc.axis_epsilon:
-        raise _axis_error(lc, x, y)
-    s = 2.0 * lc.lambda_c / rho2
-    ex = s * rx
-    ey = s * ry
-    return (
-        (mu.y * 0.0 - mu.z * ey) * inv_c,
-        (mu.z * ex - mu.x * 0.0) * inv_c,
-        (mu.x * ey - mu.y * ex) * inv_c,
-    )
+    return (0.0 - mu_z * (s * y)) * inv_c, mu_z * (s * x) * inv_c
 
 
 def _acceleration(
     lc: LineCharge,
-    mu: Vec3,
+    mu_z: float,
     inv_c: float,
     inv_m: float,
     naive: bool,
@@ -248,7 +216,6 @@ def _acceleration(
     y: float,
     vx: float,
     vy: float,
-    vz: float,
     terms: bool = False,
 ):
     """Acceleration (F - (v . grad)p_h)/m under the full law, F/m under the
@@ -256,119 +223,107 @@ def _acceleration(
     entries (exx, exy, eyy), F and (v . grad)p_h instead, for the Vec3
     wrappers.  One body, no helper calls: this is the RK4 hot path (see the
     module docstring for its bit-identity contract)."""
-    rx = x - lc.axis_point.x  # _radial's axis check, inlined
-    ry = y - lc.axis_point.y
-    rho2 = rx * rx + ry * ry
-    if rho2 < lc.axis_epsilon * lc.axis_epsilon:
-        raise _axis_error(lc, x, y)
+    x2 = x * x
+    y2 = y * y
+    rho2 = x2 + y2  # _check_axis, inlined
+    if rho2 < _AXIS_EPSILON2:
+        raise _axis_error(x, y)
     # Jacobian entries: exx = dEx/dx, exy = dEx/dy = dEy/dx, eyy = dEy/dy.
     pref = 2.0 * lc.lambda_c / (rho2 * rho2)
-    x2 = rx * rx
-    y2 = ry * ry
-    xy = rx * ry
     exx = pref * (y2 - x2)
-    exy = pref * (-2.0 * xy)
+    exy = pref * (-2.0 * (x * y))
     eyy = pref * (x2 - y2)
-    # F = (d . grad)E with d = (v x mu)/c; d.z meets dE/dz = 0 and drops out.
-    dx = (vy * mu.z - vz * mu.y) * inv_c
-    dy = (vz * mu.x - vx * mu.z) * inv_c
+    # F = (d . grad)E with d = (v x mu)/c.
+    dx = vy * mu_z * inv_c
+    dy = (0.0 - vx * mu_z) * inv_c
     fx = exx * dx + exy * dy
     fy = exy * dx + eyy * dy
-    fz = 0.0 * dx + 0.0 * dy
     if naive:
-        return fx * inv_m, fy * inv_m, fz * inv_m
-    # (v . grad)[(mu x E)/c] = mu x [(v . grad)E] / c; v.z meets dE/dz = 0.
+        return fx * inv_m, fy * inv_m
+    # (v . grad)[(mu x E)/c] = mu x [(v . grad)E] / c.
     ex = exx * vx + exy * vy
     ey = exy * vx + eyy * vy
-    ez = 0.0 * vx + 0.0 * vy
-    qx = (mu.y * ez - mu.z * ey) * inv_c
-    qy = (mu.z * ex - mu.x * ez) * inv_c
-    qz = (mu.x * ey - mu.y * ex) * inv_c
+    qx = (0.0 - mu_z * ey) * inv_c
+    qy = mu_z * ex * inv_c
     if terms:
-        return (exx, exy, eyy), (fx, fy, fz), (qx, qy, qz)
+        return (exx, exy, eyy), (fx, fy), (qx, qy)
     # The full law subtracts the two independently formed terms; it never
     # short-circuits to zero, since their cancellation is the claim under test.
-    return (fx - qx) * inv_m, (fy - qy) * inv_m, (fz - qz) * inv_m
+    return (fx - qx) * inv_m, (fy - qy) * inv_m
 
 
-def _terms(lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, inv_c: float):
-    return _acceleration(lc, mu, inv_c, 1.0, False, pos.x, pos.y, vel.x, vel.y, vel.z, True)
+def _terms(lc: LineCharge, pos: Vec3, vel: Vec3, mu_z: float, inv_c: float):
+    return _acceleration(lc, mu_z, inv_c, 1.0, False, pos.x, pos.y, vel.x, vel.y, True)
 
 
 def line_field(lc: LineCharge, pos: Vec3) -> Vec3:
     """Electric field 2*lambda_c/rho radially outward from the line (statV/cm)."""
-    ex, ey = _line_field(lc, pos.x, pos.y)
-    return Vec3(ex, ey, 0.0)
+    s = 2.0 * lc.lambda_c / _check_axis(pos.x, pos.y)
+    return Vec3(s * pos.x, s * pos.y, 0.0)
 
 
 def line_field_gradient(lc: LineCharge, pos: Vec3) -> tuple[Vec3, Vec3]:
     """Columns dE/dx and dE/dy of the field Jacobian (dE/dz vanishes)."""
-    (exx, exy, eyy), _, _ = _terms(lc, pos, ZERO3, ZERO3, 1.0)
+    (exx, exy, eyy), _, _ = _terms(lc, pos, ZERO3, 0.0, 1.0)
     return Vec3(exx, exy, 0.0), Vec3(exy, eyy, 0.0)
 
 
-def induced_dipole(vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
+def induced_dipole(vel: Vec3, mu_z: float, k: PhysicalConstants) -> Vec3:
     """Electric dipole (v x mu)/c induced on a moving magnetic moment."""
-    return cross(vel, mu) * (1.0 / k.c)
+    return cross(vel, Vec3(0.0, 0.0, mu_z)) * (1.0 / k.c)
 
 
-def boyer_force(lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
+def boyer_force(lc: LineCharge, pos: Vec3, vel: Vec3, mu_z: float, k: PhysicalConstants) -> Vec3:
     """Gradient force (d . grad)E on the induced dipole (dyn)."""
-    return Vec3(*_terms(lc, pos, vel, mu, 1.0 / k.c)[1])
+    return Vec3(*_terms(lc, pos, vel, mu_z, 1.0 / k.c)[1], 0.0)
 
 
-def hidden_momentum(lc: LineCharge, pos: Vec3, mu: Vec3, k: PhysicalConstants) -> Vec3:
+def hidden_momentum(lc: LineCharge, pos: Vec3, mu_z: float, k: PhysicalConstants) -> Vec3:
     """Hidden mechanical momentum (mu x E)/c of a current loop in the line field."""
-    return Vec3(*_hidden_momentum(lc, mu, 1.0 / k.c, pos.x, pos.y))
+    return Vec3(*_hidden_momentum(lc, mu_z, 1.0 / k.c, pos.x, pos.y), 0.0)
 
 
-def hidden_momentum_rate(
-    lc: LineCharge, pos: Vec3, vel: Vec3, mu: Vec3, k: PhysicalConstants
-) -> Vec3:
+def hidden_momentum_rate(lc: LineCharge, pos: Vec3, vel: Vec3, mu_z: float, k: PhysicalConstants) -> Vec3:
     """Convective rate (v . grad)[(mu x E)/c] along a trajectory through pos."""
-    return Vec3(*_terms(lc, pos, vel, mu, 1.0 / k.c)[2])
+    return Vec3(*_terms(lc, pos, vel, mu_z, 1.0 / k.c)[2], 0.0)
 
 
 def _rk4(
     lc: LineCharge,
-    mu: Vec3,
+    mu_z: float,
     inv_c: float,
     inv_m: float,
     naive: bool,
     dt: float,
     x0: float,
     y0: float,
-    z0: float,
     vx0: float,
     vy0: float,
-    vz0: float,
-    accel: tuple[float, float, float] | None = None,
-) -> tuple[float, float, float, float, float, float]:
-    """One RK4 step of the state (x, y, z, vx, vy, vz) on plain floats; the
+    accel: tuple[float, float] | None = None,
+) -> tuple[float, float, float, float]:
+    """One RK4 step of the state (x, y, vx, vy) on plain floats; the
     arguments before ``dt`` are _acceleration's.  ``accel`` is the stage-1
     acceleration when the caller holds it.  Raises SingularityError when a
     stage or the landing point is inside the axis neighbourhood."""
     half = 0.5 * dt
     if accel is None:
-        accel = _acceleration(lc, mu, inv_c, inv_m, naive, x0, y0, vx0, vy0, vz0)
-    ax1, ay1, az1 = accel
-    vx2, vy2, vz2 = vx0 + ax1 * half, vy0 + ay1 * half, vz0 + az1 * half
-    ax2, ay2, az2 = _acceleration(lc, mu, inv_c, inv_m, naive, x0 + vx0 * half, y0 + vy0 * half, vx2, vy2, vz2)
-    vx3, vy3, vz3 = vx0 + ax2 * half, vy0 + ay2 * half, vz0 + az2 * half
-    ax3, ay3, az3 = _acceleration(lc, mu, inv_c, inv_m, naive, x0 + vx2 * half, y0 + vy2 * half, vx3, vy3, vz3)
-    vx4, vy4, vz4 = vx0 + ax3 * dt, vy0 + ay3 * dt, vz0 + az3 * dt
-    ax4, ay4, az4 = _acceleration(lc, mu, inv_c, inv_m, naive, x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4, vz4)
+        accel = _acceleration(lc, mu_z, inv_c, inv_m, naive, x0, y0, vx0, vy0)
+    ax1, ay1 = accel
+    vx2, vy2 = vx0 + ax1 * half, vy0 + ay1 * half
+    ax2, ay2 = _acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx0 * half, y0 + vy0 * half, vx2, vy2)
+    vx3, vy3 = vx0 + ax2 * half, vy0 + ay2 * half
+    ax3, ay3 = _acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx2 * half, y0 + vy2 * half, vx3, vy3)
+    vx4, vy4 = vx0 + ax3 * dt, vy0 + ay3 * dt
+    ax4, ay4 = _acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4)
     sixth = dt / 6.0
     x = x0 + (vx0 + (vx2 + vx3) * 2.0 + vx4) * sixth
     y = y0 + (vy0 + (vy2 + vy3) * 2.0 + vy4) * sixth
-    _radial(lc, x, y)  # reject steps that land inside the axis neighbourhood
+    _check_axis(x, y)  # reject steps that land inside the axis neighbourhood
     return (
         x,
         y,
-        z0 + (vz0 + (vz2 + vz3) * 2.0 + vz4) * sixth,
         vx0 + (ax1 + (ax2 + ax3) * 2.0 + ax4) * sixth,
         vy0 + (ay1 + (ay2 + ay3) * 2.0 + ay4) * sixth,
-        vz0 + (az1 + (az2 + az3) * 2.0 + az4) * sixth,
     )
 
 
@@ -380,7 +335,7 @@ def step_trajectory(
     law: str,
     k: PhysicalConstants,
     *,
-    accel: tuple[float, float, float] | None = None,
+    accel: tuple[float, float] | None = None,
 ) -> TrajectoryState:
     """Advance one fixed RK4 step under the selected law.
 
@@ -395,25 +350,27 @@ def step_trajectory(
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt!r}")
     _check_law(law)
-    p, v = state.pos, state.vel
-    x, y, z, vx, vy, vz = _rk4(
-        lc, n.mu, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, dt, p.x, p.y, p.z, v.x, v.y, v.z, accel
+    return TrajectoryState(
+        state.t + dt,
+        *_rk4(lc, n.mu_z, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, dt, state.x, state.y, state.vx, state.vy, accel),
     )
-    return TrajectoryState(state.t + dt, Vec3(x, y, z), Vec3(vx, vy, vz))
 
 
 def kinetic_energy(n: NeutronModel, state: TrajectoryState) -> float:
-    v = state.vel
-    return 0.5 * n.mass * (v.x * v.x + v.y * v.y + v.z * v.z)
+    return 0.5 * n.mass * (state.vx * state.vx + state.vy * state.vy)
 
 
 @dataclass(frozen=True, slots=True)
 class BounceSample:
+    """A TrajectoryState's floats, its kinetic energy and its hidden momentum (px, py)."""
+
     t: float
-    pos: Vec3
-    vel: Vec3
+    x: float
+    y: float
+    vx: float
+    vy: float
     kinetic_energy: float
-    hidden_momentum: Vec3
+    hidden_momentum: tuple[float, float]
 
 
 @dataclass(frozen=True, slots=True)
@@ -449,15 +406,15 @@ class BounceResult:
 # The bounce loop evaluates each state's acceleration once and hands it to
 # every consumer: stage 1 of the advance step, of the Simpson half-step and of
 # each landing iterate, and the panel-end powers.  ``kernel`` is the
-# leading argument tuple of _acceleration: (lc, mu, 1/c, 1/m, naive).
+# leading argument tuple of _acceleration: (lc, mu_z, 1/c, 1/m, naive).
 
 
-def _evaluate(kernel: tuple, mass: float, st: TrajectoryState) -> tuple[tuple[float, float, float], float]:
+def _evaluate(kernel: tuple, mass: float, st: TrajectoryState) -> tuple[tuple[float, float], float]:
     # Acceleration at st and the rate of work m a.v of the net force.
-    pos, vel = st.pos, st.vel
-    accel = _acceleration(*kernel, pos.x, pos.y, vel.x, vel.y, vel.z)
-    ax, ay, az = accel
-    return accel, (ax * vel.x + ay * vel.y + az * vel.z) * mass
+    vx, vy = st.vx, st.vy
+    accel = _acceleration(*kernel, st.x, st.y, vx, vy)
+    ax, ay = accel
+    return accel, (ax * vx + ay * vy) * mass
 
 
 def _work_over_substep(
@@ -468,7 +425,7 @@ def _work_over_substep(
     law: str,
     k: PhysicalConstants,
     kernel: tuple,
-    accel: tuple[float, float, float],
+    accel: tuple[float, float],
     power_start: float,
     power_end: float,
 ) -> float:
@@ -489,24 +446,24 @@ def _locate_crossing(
     inside_sign: float,
     law: str,
     k: PhysicalConstants,
-    accel: tuple[float, float, float],
+    accel: tuple[float, float],
 ) -> tuple[float, TrajectoryState]:
     # Land the step from start, whose full length dt reaches end on or beyond
     # the plane, within two float spacings of the plane: safeguarded Newton
     # on x(h) = plane with slope vx(h).  The spacing is that of the larger of
     # plane and start x, since x is their sum with the step's increment.
-    tol = 2.0 * math.ulp(max(abs(plane), abs(start.pos.x)))
-    if abs(end.pos.x - plane) <= tol:
+    tol = 2.0 * math.ulp(max(abs(plane), abs(start.x)))
+    if abs(end.x - plane) <= tol:
         return dt, end
     lo, hi = 0.0, dt
     h, hit = 0.0, start  # the first Newton step is the straight-line guess
     for _ in range(MAX_LANDING_STEPS):
-        vx = hit.vel.x
-        h = h - (hit.pos.x - plane) / vx if vx else lo
+        vx = hit.vx
+        h = h - (hit.x - plane) / vx if vx else lo
         if not lo < h < hi:  # outside the bracket: bisect
             h = 0.5 * (lo + hi)
         hit = step_trajectory(lc, n, start, h, law, k, accel=accel)
-        offset = hit.pos.x - plane
+        offset = hit.x - plane
         if abs(offset) <= tol:
             return h, hit
         if offset * inside_sign > 0.0:  # still inside the cavity
@@ -515,14 +472,14 @@ def _locate_crossing(
             hi = h
     raise NumericalError(
         f"{law} law: mirror crossing at x = {plane!r} cm not landed within {tol!r} cm in "
-        f"{MAX_LANDING_STEPS} RK4 steps (t = {hit.t!r} s, x = {hit.pos.x!r} cm)"
+        f"{MAX_LANDING_STEPS} RK4 steps (t = {hit.t!r} s, x = {hit.x!r} cm)"
     )
 
 
 def _bounce_sample(lc: LineCharge, n: NeutronModel, inv_c: float, st: TrajectoryState) -> BounceSample:
-    pos = st.pos
-    p_h = _hidden_momentum(lc, n.mu, inv_c, pos.x, pos.y)
-    return BounceSample(st.t, pos, st.vel, kinetic_energy(n, st), Vec3(*p_h))
+    x, y = st.x, st.y
+    p_h = _hidden_momentum(lc, n.mu_z, inv_c, x, y)
+    return BounceSample(st.t, x, y, st.vx, st.vy, kinetic_energy(n, st), p_h)
 
 
 def simulate_bounce_experiment(
@@ -546,13 +503,13 @@ def simulate_bounce_experiment(
     run that needs more than MAX_STEPS RK4 steps over all its legs raises
     NumericalError.
     """
-    cfg.check_start(initial.pos.x)
+    cfg.check_start(initial.x)
     lo_mirror, hi_mirror = sorted((cfg.mirror_a, cfg.mirror_b))
-    if initial.vel.x == 0.0:
+    if initial.vx == 0.0:
         raise ValidationError("initial velocity needs a component along the flight (x) axis")
     center = 0.5 * (lo_mirror + hi_mirror)
     law, dt, max_steps = cfg.law, cfg.dt, MAX_STEPS
-    kernel = (lc, n.mu, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW)
+    kernel = (lc, n.mu_z, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW)
 
     state = initial
     states = [state]
@@ -569,11 +526,11 @@ def simulate_bounce_experiment(
         if steps == max_steps:
             raise NumericalError(
                 f"{law} law: bounce leg {len(bounce_times) + 1} exceeded the run's budget of "
-                f"{max_steps} RK4 steps (t = {state.t!r} s, x = {state.pos.x!r} cm)"
+                f"{max_steps} RK4 steps (t = {state.t!r} s, x = {state.x!r} cm)"
             )
         steps += 1
         nxt = step_trajectory(lc, n, state, dt, law, k, accel=accel)
-        x = nxt.pos.x
+        x = nxt.x
         if lo_mirror < x < hi_mirror:
             accel_next, power_next = _evaluate(kernel, n.mass, nxt)
             leg_work += _work_over_substep(lc, n, state, dt, law, k, kernel, accel, power, power_next)
@@ -586,7 +543,7 @@ def simulate_bounce_experiment(
         power_hit = _evaluate(kernel, n.mass, hit)[1]
         leg_work += _work_over_substep(lc, n, state, h_hit, law, k, kernel, accel, power, power_hit)
         # The reflected velocity changes the acceleration: evaluate afresh.
-        state = TrajectoryState(hit.t, hit.pos, Vec3(-hit.vel.x, hit.vel.y, hit.vel.z))
+        state = TrajectoryState(hit.t, hit.x, hit.y, -hit.vx, hit.vy)
         accel, power = _evaluate(kernel, n.mass, state)
         states.append(state)
         ke_now = kinetic_energy(n, state)
@@ -611,7 +568,8 @@ def simulate_bounce_experiment(
 
 @dataclass(frozen=True, slots=True)
 class CircleLoop:
-    """Counterclockwise circle of given radius in the plane z = center.z."""
+    """Counterclockwise circle of given radius around (center.x, center.y);
+    center.z, the plane of the circle, does not enter the phase."""
 
     center: Vec3
     radius: float
@@ -641,9 +599,7 @@ class PolylineLoop:
 LoopPath = Union[CircleLoop, PolylineLoop]
 
 
-def _loop_integrands(
-    loop: LoopPath, lc: LineCharge, mu: Vec3, inv_c: float
-) -> list[Callable[[float], float]]:
+def _loop_integrands(loop: LoopPath, lc: LineCharge, mu_z: float, inv_c: float) -> list[Callable[[float], float]]:
     """One integrand p_h(point(t)) . tangent(t) per segment, each over t in [0, 1]."""
     if isinstance(loop, CircleLoop):
         cx, cy, rad = loop.center.x, loop.center.y, loop.radius
@@ -654,28 +610,27 @@ def _loop_integrands(
         def circle(t: float) -> float:
             ang = two_pi * t
             c, s = cos(ang), sin(ang)
-            px, py, pz = _hidden_momentum(lc, mu, inv_c, cx + rad * c, cy + rad * s)
-            return px * (-speed * s) + py * (speed * c) + pz * 0.0
+            px, py = _hidden_momentum(lc, mu_z, inv_c, cx + rad * c, cy + rad * s)
+            return px * (-speed * s) + py * (speed * c)
 
         return [circle]
     if isinstance(loop, PolylineLoop):
         segments = []
         for a, b in zip(loop.vertices, loop.vertices[1:]):
 
-            def segment(t: float, ax=a.x, ay=a.y, dx=b.x - a.x, dy=b.y - a.y, dz=b.z - a.z) -> float:
-                px, py, pz = _hidden_momentum(lc, mu, inv_c, ax + dx * t, ay + dy * t)
-                return px * dx + py * dy + pz * dz
+            def segment(t: float, ax=a.x, ay=a.y, dx=b.x - a.x, dy=b.y - a.y) -> float:
+                px, py = _hidden_momentum(lc, mu_z, inv_c, ax + dx * t, ay + dy * t)
+                return px * dx + py * dy
 
             segments.append(segment)
         return segments
     raise ValidationError(f"unsupported loop path {loop!r}")
 
 
-def _point_segment_clearance(a: Vec3, b: Vec3, px: float, py: float) -> float:
-    # distance in the x-y plane from (px, py) to the segment [a, b]
-    ax, ay = a.x - px, a.y - py
-    bx, by = b.x - px, b.y - py
-    dx, dy = bx - ax, by - ay
+def _axis_segment_clearance(a: Vec3, b: Vec3) -> float:
+    # distance in the x-y plane from the line to the segment [a, b]
+    ax, ay = a.x, a.y
+    dx, dy = b.x - ax, b.y - ay
     len2 = dx * dx + dy * dy
     if len2 == 0.0:
         return math.hypot(ax, ay)
@@ -683,31 +638,27 @@ def _point_segment_clearance(a: Vec3, b: Vec3, px: float, py: float) -> float:
     return math.hypot(ax + t * dx, ay + t * dy)
 
 
-def path_axis_clearance(loop: LoopPath, lc: LineCharge) -> float:
+def path_axis_clearance(loop: LoopPath) -> float:
     """Minimum distance from the loop to the charged line (in the x-y plane)."""
-    px, py = lc.axis_point.x, lc.axis_point.y
     if isinstance(loop, CircleLoop):
-        return abs(math.hypot(loop.center.x - px, loop.center.y - py) - loop.radius)
-    return min(
-        _point_segment_clearance(a, b, px, py)
-        for a, b in zip(loop.vertices, loop.vertices[1:])
-    )
+        return abs(math.hypot(loop.center.x, loop.center.y) - loop.radius)
+    return min(_axis_segment_clearance(a, b) for a, b in zip(loop.vertices, loop.vertices[1:]))
 
 
-def ac_phase(lc: LineCharge, mu: Vec3, loop: LoopPath, k: PhysicalConstants) -> float:
+def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) -> float:
     """Phase (1/hbar) contour_integral (mu x E)/c . dl around a closed path.
 
     Evaluated per segment by panel-doubling composite Gauss-Legendre to
     AC_PHASE_REL_TOL, with an absolute floor tied to the integrand magnitude
     so loops that enclose no charge (integral zero by symmetry) still converge.
     """
-    clearance = path_axis_clearance(loop, lc)
-    if clearance < lc.axis_epsilon:
+    clearance = path_axis_clearance(loop)
+    if clearance < AXIS_EPSILON:
         raise SingularityError(
             f"loop path comes within {clearance:.3e} cm of the charged line "
-            f"(minimum clearance {lc.axis_epsilon:g} cm)"
+            f"(minimum clearance {AXIS_EPSILON:g} cm)"
         )
-    integrands = _loop_integrands(loop, lc, mu, 1.0 / k.c)
+    integrands = _loop_integrands(loop, lc, mu_z, 1.0 / k.c)
 
     # Natural zero scale: peak |p_h| x loop scale, probed on a coarse grid.
     probe = 0.0
@@ -722,22 +673,19 @@ def ac_phase(lc: LineCharge, mu: Vec3, loop: LoopPath, k: PhysicalConstants) -> 
     return total / k.hbar
 
 
-def ac_phase_enclosed_value(lc: LineCharge, mu: Vec3, k: PhysicalConstants, winding: int = 1) -> float:
+def ac_phase_enclosed_value(lc: LineCharge, mu_z: float, k: PhysicalConstants, winding: int = 1) -> float:
     """Analytic per-winding value 4*pi*mu_z*lambda_c/(hbar*c) of the loop phase."""
-    return winding * 4.0 * math.pi * mu.z * lc.lambda_c / (k.hbar * k.c)
+    return winding * 4.0 * math.pi * mu_z * lc.lambda_c / (k.hbar * k.c)
 
 
-def loop_winding_number(loop: LoopPath, lc: LineCharge) -> int:
+def loop_winding_number(loop: LoopPath) -> int:
     """Winding number of the loop around the charged line."""
     if isinstance(loop, CircleLoop):
-        offset = math.hypot(
-            loop.center.x - lc.axis_point.x, loop.center.y - lc.axis_point.y
-        )
-        return 1 if offset < loop.radius else 0
+        return 1 if math.hypot(loop.center.x, loop.center.y) < loop.radius else 0
     total = 0.0
     for a, b in zip(loop.vertices, loop.vertices[1:]):
-        ang_a = math.atan2(a.y - lc.axis_point.y, a.x - lc.axis_point.x)
-        ang_b = math.atan2(b.y - lc.axis_point.y, b.x - lc.axis_point.x)
+        ang_a = math.atan2(a.y, a.x)
+        ang_b = math.atan2(b.y, b.x)
         delta = ang_b - ang_a
         while delta > math.pi:
             delta -= 2.0 * math.pi

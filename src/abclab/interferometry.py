@@ -34,6 +34,10 @@ from .quadrature import refine_gauss_legendre
 # computation broken.
 OVERLAP_MAGNITUDE_SLACK = 1e-9
 
+# Relative tolerance of overlap_by_quadrature; its absolute floor is this
+# times the integrand's peak norm2 times the integration interval.
+OVERLAP_QUADRATURE_REL_TOL = 1e-12
+
 
 @dataclass(frozen=True, slots=True)
 class GaussianPacket:
@@ -124,15 +128,16 @@ def overlap_by_quadrature(
     delta_x: float,
     delta_p: float,
     hbar: float,
-    abs_tol: float = 1e-10,
-    rel_tol: float = 1e-12,
 ) -> complex:
     """Same overlap evaluated by direct numerical integration.
 
     This is the independent route used to audit ``packet_overlap``: it
     builds the displaced wavefunction explicitly and integrates the complex
     product conj(chi(x)) * (D chi)(x) in one pass of panel-doubling
-    Gauss-Legendre (``refine_gauss_legendre``), to max(rel_tol*|I|, abs_tol).
+    Gauss-Legendre (``refine_gauss_legendre``) on [a, b], to
+    OVERLAP_QUADRATURE_REL_TOL times max(|I|, norm2 * (b - a)): the floor is
+    the integrand's peak norm2 times the interval, a scale taken from the
+    integrand, never from the closed form.
     """
     x0, p0, sx = packet.x0, packet.p0, packet.sigma_x
     norm2 = 1.0 / math.sqrt(2.0 * math.pi * sx * sx)  # |chi|^2 normalization
@@ -150,7 +155,8 @@ def overlap_by_quadrature(
     center = x0 + 0.5 * delta_x
     half_width = 12.0 * sx + 0.5 * abs(delta_x)
     a, b = center - half_width, center + half_width
-    return refine_gauss_legendre(integrand, a, b, rel_tol=rel_tol, abs_floor=abs_tol, start_panels=4)
+    rel_tol = OVERLAP_QUADRATURE_REL_TOL
+    return refine_gauss_legendre(integrand, a, b, rel_tol=rel_tol, abs_floor=rel_tol * norm2 * (b - a), start_panels=4)
 
 
 def visibility_from_overlap(overlap: complex) -> float:

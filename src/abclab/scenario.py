@@ -357,16 +357,9 @@ def _build_bounce_objects(params: dict):
     # The range types leave two rules: distinct mirror planes (BounceConfig)
     # and a start between them.  A swept start.x_cm meets the second per point.
     lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
-    n = boyer.NeutronModel(
-        mass=params["neutron"]["mass_g"],
-        mu=Vec3(0.0, 0.0, params["neutron"]["mu_z_erg_per_G"]),
-    )
+    n = boyer.NeutronModel(mass=params["neutron"]["mass_g"], mu_z=params["neutron"]["mu_z_erg_per_G"])
     start = params["start"]
-    initial = boyer.TrajectoryState(
-        t=0.0,
-        pos=Vec3(start["x_cm"], start["y_cm"], 0.0),
-        vel=Vec3(start["vx_cm_per_s"], start["vy_cm_per_s"], 0.0),
-    )
+    initial = boyer.TrajectoryState(0.0, start["x_cm"], start["y_cm"], start["vx_cm_per_s"], start["vy_cm_per_s"])
     laws = [params["law"]] if params["law"] != "both" else [boyer.FULL_LAW, boyer.NAIVE_LAW]
     try:
         configs = [
@@ -382,7 +375,7 @@ def _build_bounce_objects(params: dict):
     except ValidationError as exc:
         raise ValidationError(f"params.mirrors: {exc}") from None
     try:
-        configs[0].check_start(initial.pos.x)
+        configs[0].check_start(initial.x)
     except ValidationError as exc:
         raise ValidationError(f"params.start.x_cm: {exc}") from None
     return lc, n, initial, configs
@@ -396,7 +389,6 @@ def _check_ac_phase(params: dict):
 
 def _build_phase_objects(params: dict):
     lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
-    mu = Vec3(0.0, 0.0, params["mu_z_erg_per_G"])
     spec = params["loop"]
     if spec["kind"] == "circle":
         loop = boyer.CircleLoop(
@@ -408,7 +400,7 @@ def _build_phase_objects(params: dict):
             loop = boyer.PolylineLoop(tuple(Vec3(*v) for v in spec["vertices_cm"]))
         except (ValidationError, DomainError) as exc:
             raise type(exc)(f"params.loop.vertices_cm: {exc}") from None
-    return lc, mu, loop
+    return lc, params["mu_z_erg_per_G"], loop
 
 
 _CHECKS = {
@@ -461,6 +453,18 @@ def _check_sweep_ends(params: dict, sweep: SweepSpec, table: dict):
             kind(value, f"sweep.{end} for params.{sweep.param}")
 
 
+def _check_sweep_span(sweep: SweepSpec):
+    """Reject a sweep whose points SweepSpec.values() cannot form: a log
+    ratio to/from that overflows or underflows to 0, or a linear span
+    to - from that overflows when multiplied by the largest point index."""
+    if sweep.scale == "log":
+        ratio = sweep.stop / sweep.start
+        if not (math.isfinite(ratio) and ratio > 0.0):
+            raise ValidationError(f"sweep: the ratio to/from of a log sweep must be finite and nonzero, got {ratio!r}")
+    elif not math.isfinite((sweep.stop - sweep.start) * (sweep.steps - 1)):
+        raise ValidationError(f"sweep: the span to - from of a linear sweep overflows over {sweep.steps} points")
+
+
 class _ScenarioLoader(yaml.SafeLoader):
     """SafeLoader that also reads YAML 1.2 exponent floats such as ``5e-2`` and
     ``3.0e6``, which YAML 1.1 resolves to strings (it needs a dot and a signed
@@ -494,6 +498,7 @@ def parse_scenario(text: str) -> Scenario:
         sweep = SweepSpec(node["param"], node["from"], node["to"], node["steps"], node["scale"])
         if sweep.scale == "log" and (sweep.start <= 0.0 or sweep.stop <= 0.0):
             raise ValidationError("sweep: log scale requires positive 'from' and 'to'")
+        _check_sweep_span(sweep)
         _resolve_path(s["params"], sweep.param)
         _check_sweep_ends(s["params"], sweep, _PARAMS[s["kind"]])
     output = OutputSpec(**(s["output"] or {}))
@@ -586,14 +591,14 @@ def _describe_loop(loop) -> str:
 
 
 def _point_ac_phase(params: dict, k: PhysicalConstants):
-    lc, mu, loop = _build_phase_objects(params)
+    lc, mu_z, loop = _build_phase_objects(params)
     # residuals are in units of the per-winding phase, absolute when it is 0
-    unit = abs(boyer.ac_phase_enclosed_value(lc, mu, k, 1)) or 1.0
+    unit = abs(boyer.ac_phase_enclosed_value(lc, mu_z, k, 1)) or 1.0
 
     def measure(path) -> dict:
-        winding = boyer.loop_winding_number(path, lc)
-        expected = boyer.ac_phase_enclosed_value(lc, mu, k, winding)
-        phase = boyer.ac_phase(lc, mu, path, k)
+        winding = boyer.loop_winding_number(path)
+        expected = boyer.ac_phase_enclosed_value(lc, mu_z, k, winding)
+        phase = boyer.ac_phase(lc, mu_z, path, k)
         return {"loop": _describe_loop(path), "winding": winding, "phase_rad": phase, "expected_rad": expected}
 
     rows = [measure(loop)]

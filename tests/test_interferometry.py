@@ -174,8 +174,18 @@ def test_overlap_quadrature_route_matches_closed_form():
     ]
     for packet, dx, dp in cases:
         closed = packet_overlap(packet, dx, dp, 1.0)
-        numeric = overlap_by_quadrature(packet, dx, dp, 1.0, abs_tol=1e-10)
+        numeric = overlap_by_quadrature(packet, dx, dp, 1.0)
         assert abs(closed - numeric) / abs(closed) <= 1e-13
+
+
+def test_overlap_quadrature_floor_follows_the_integrand():
+    # The worst overlap draw of `abclab verify --seed 24`.  A fixed absolute
+    # floor of 1e-10 stopped the panel doubling at 8 panels, 1.1e-11 off; the
+    # floor 1e-12 * norm2 * (b - a) scales with the integrand instead.
+    packet = GaussianPacket(x0=-1.681303764138367, p0=-0.450378576695702, sigma_x=1.9309347193570017, mass=1.0)
+    dx, dp = -1.5532197535112873, -0.6845073918713619
+    closed = packet_overlap(packet, dx, dp, 1.0)
+    assert abs(closed - overlap_by_quadrature(packet, dx, dp, 1.0)) / abs(closed) <= 1e-13
 
 
 @given(

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -550,6 +551,36 @@ sweep: {param: loop.radius_cm, from: -1.0, to: 1.0, steps: 3}
         parse_scenario(AB_UNIT_DOC + "sweep: {param: visibility, from: 0.5, to: 1.5, steps: 3}\n")
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        # the span overflows: the points were nan/inf and the mzi point raised ValueError
+        ("{param: phase_rad, from: -1.5e308, to: 1.5e308, steps: 3}", "the span to - from of a linear sweep overflows"),
+        # the span is finite, but span * 2 is not
+        ("{param: phase_rad, from: -8.0e307, to: 8.0e307, steps: 3}", "the span to - from of a linear sweep overflows"),
+        # the ratio overflows: the points were inf and the JSON held Infinity
+        (
+            "{param: path_shift.wavelength_cm, from: 1.0e-300, to: 1.0e300, steps: 3, scale: log}",
+            "the ratio to/from of a log sweep must be finite and nonzero, got inf",
+        ),
+        # the ratio underflows to 0: the last point was 0.0
+        (
+            "{param: path_shift.wavelength_cm, from: 1.0e300, to: 1.0e-300, steps: 3, scale: log}",
+            "the ratio to/from of a log sweep must be finite and nonzero, got 0.0",
+        ),
+    ],
+    ids=["linear-span", "linear-span-times-index", "log-ratio", "log-ratio-underflow"],
+)
+def test_sweep_whose_points_overflow_is_rejected(tmp_path, sweep, message):
+    params = "{path_shift: {delta_l_cm: 0.5, wavelength_cm: 1.0}}" if "path_shift" in sweep else "{phase_rad: 0.3}"
+    doc = f"kind: mzi\nparams: {params}\nsweep: {sweep}\n"
+    with pytest.raises(ValidationError, match="^sweep: " + re.escape(message)):
+        parse_scenario(doc)
+    path = tmp_path / "overflow.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.json")]) == 2
+
+
 def test_sweep_that_rounds_past_to_ends_on_it(tmp_path):
     # 0.059 + (1.0 - 0.059) * 6 / 6 rounds to 1.0000000000000002, past the closed bound
     doc = "kind: mzi\nparams: {phase_rad: 0.3}\nsweep: {param: visibility, from: 0.059, to: 1.0, steps: 7}\n"
@@ -748,7 +779,7 @@ def test_cli_bounce_over_landing_budget_exits_3(tmp_path, monkeypatch, capsys):
 
     def stuck(lc, n, state, dt, law, k, *, accel=None):
         if sys._getframe(1).f_code.co_name == "_locate_crossing":
-            return boyer.TrajectoryState(state.t + dt, state.pos, state.vel)
+            return boyer.TrajectoryState(state.t + dt, state.x, state.y, state.vx, state.vy)
         return step(lc, n, state, dt, law, k, accel=accel)
 
     monkeypatch.setattr(boyer, "step_trajectory", stuck)
