@@ -100,6 +100,7 @@ from .solenoid import (
     long_solenoid_note,
     solenoid_flux,
     source_momentum_kick,
+    velocity_change_by_quadrature,
     velocity_kick_integrand,
 )
 from .units import (

@@ -6,7 +6,7 @@ class AbclabError(Exception):
 
 
 class ConfigurationError(AbclabError):
-    """A configuration value (unit system id, method name, ...) is not recognized."""
+    """A configuration value, such as a unit system id, is not recognized."""
 
 
 class ValidationError(AbclabError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import DomainError, ValidationError
 from .units import Vec3
 
 MIN_SEPARATION = 1e-12  # cm
@@ -60,8 +60,6 @@ def field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
             continue
         sep = target.pos - source.pos
         dist = sep.norm()
-        if dist <= MIN_SEPARATION:
-            raise SingularityError(f"charges {target_index} and {j} are coincident")
         scale = source.q / (dist * dist * dist)
         ex += scale * sep.x
         ey += scale * sep.y
@@ -77,10 +75,7 @@ def potential_at(cfg: ChargeConfiguration, target_index: int) -> float:
     for j, source in enumerate(cfg.charges):
         if j == target_index:
             continue
-        dist = (target.pos - source.pos).norm()
-        if dist <= MIN_SEPARATION:
-            raise SingularityError(f"charges {target_index} and {j} are coincident")
-        total += source.q / dist
+        total += source.q / (target.pos - source.pos).norm()
     return total
 
 

@@ -67,13 +67,6 @@ class DetectionProbabilities:
     p_a: float
     p_b: float
 
-    def __post_init__(self):
-        for name, p in (("p_a", self.p_a), ("p_b", self.p_b)):
-            if not (-1e-12 <= p <= 1.0 + 1e-12):
-                raise ValidationError(f"{name} out of [0, 1]: {p!r}")
-        if abs(self.p_a + self.p_b - 1.0) > 1e-12:
-            raise ValidationError(f"probabilities must sum to 1, got {self.p_a + self.p_b!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class TwoPathState:
@@ -104,6 +97,8 @@ def detector_probabilities(phase: float, visibility: float = 1.0) -> DetectionPr
     """Detector probabilities for a relative phase (rad) and fringe visibility in [0, 1]."""
     if not (0.0 <= visibility <= 1.0):
         raise DomainError(f"visibility must lie in [0, 1], got {visibility!r}")
+    if not math.isfinite(phase):
+        raise DomainError(f"phase must be finite, got {phase!r}")
     c = visibility * math.cos(phase)
     return DetectionProbabilities(0.5 * (1.0 + c), 0.5 * (1.0 - c))
 
@@ -112,7 +107,10 @@ def phase_from_path_shift(delta_l: float, wavelength: float) -> float:
     """Relative phase 2*pi*delta_l/wavelength produced by lengthening one arm."""
     if not (wavelength > 0.0):
         raise DomainError(f"wavelength must be positive, got {wavelength!r}")
-    return 2.0 * math.pi * delta_l / wavelength
+    phase = 2.0 * math.pi * delta_l / wavelength
+    if not math.isfinite(phase):
+        raise DomainError(f"phase 2*pi*delta_l/wavelength must be finite, got {phase!r}")
+    return phase
 
 
 def packet_overlap(packet: GaussianPacket, delta_x: float, delta_p: float, hbar: float) -> complex:

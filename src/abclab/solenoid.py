@@ -19,13 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, ConsistencyError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .quadrature import adaptive_simpson  # noqa: F401  (perfbench's tracer patches this name)
 from .quadrature import refine_gauss_legendre
 from .units import PhysicalConstants
-
-CLOSED_FORM = "closed-form"
-QUADRATURE = "quadrature"
 
 # r/L above this is outside the long-solenoid regime the flux formula assumes.
 LONG_SOLENOID_ASPECT = 0.1
@@ -104,16 +101,6 @@ class ABResult:
     phase_local: float
     per_contribution: tuple[PhaseContribution, ...]
 
-    def __post_init__(self):
-        total = sum(c.phase_rad for c in self.per_contribution)
-        scale = max(abs(self.phase_local), abs(self.phase_ab))
-        if abs(total - self.phase_local) > 1e-12 * max(scale, 1e-300):
-            raise ConsistencyError("phase_local does not equal the sum of its contributions")
-        if abs(self.phase_local - self.phase_ab) > 1e-10 * max(scale, 1e-300):
-            raise ConsistencyError(
-                f"local-model phase {self.phase_local!r} disagrees with flux phase {self.phase_ab!r}"
-            )
-
 
 def solenoid_flux(s: SolenoidParams, k: PhysicalConstants) -> float:
     """Magnetic flux 4*pi*Q*v*r/(c*L) of the two counter-rotating cylinders (G cm^2)."""
@@ -158,46 +145,32 @@ def velocity_kick_integrand(
     )
 
 
-def cylinder_velocity_change(
-    s: SolenoidParams,
-    o: OrbitParams,
-    k: PhysicalConstants,
-    method: str = CLOSED_FORM,
-) -> float:
-    """Net change u*Q*e*r/(c^2*M*R*L) of the cylinder surface speed (cm/s).
-
-    method='closed-form' evaluates the printed result; method='quadrature'
-    integrates ``velocity_kick_integrand`` over [-pi/2, pi/2] with
-    panel-doubling Gauss-Legendre (rel tol 1e-12) as the independent route.
-    """
-    if method == CLOSED_FORM:
-        return o.u * s.Q * k.e * s.r / (k.c ** 2 * s.M * o.R * s.L)
-    if method == QUADRATURE:
-        integral = refine_gauss_legendre(
-            lambda theta: velocity_kick_integrand(theta, s, o, k),
-            -math.pi / 2.0,
-            math.pi / 2.0,
-            rel_tol=1e-12,
-            start_panels=4,
-        )
-        return integral / s.M
-    raise ConfigurationError(f"unknown method {method!r}; expected '{CLOSED_FORM}' or '{QUADRATURE}'")
+def cylinder_velocity_change(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -> float:
+    """Net change u*Q*e*r/(c^2*M*R*L) of the cylinder surface speed (cm/s),
+    the printed closed form.  ``velocity_change_by_quadrature`` is the
+    independent route; the catalogue row velocity_kick_quadrature compares them."""
+    return o.u * s.Q * k.e * s.r / (k.c ** 2 * s.M * o.R * s.L)
 
 
-def cylinder_displacement(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -> float:
-    """Cylinder wave-packet shift pi*Q*e*r/(c^2*M*L) over the electron's half circle.
+def velocity_change_by_quadrature(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -> float:
+    """Same velocity change by integrating ``velocity_kick_integrand`` over
+    [-pi/2, pi/2] with panel-doubling Gauss-Legendre (rel tol 1e-12)."""
+    integral = refine_gauss_legendre(
+        lambda theta: velocity_kick_integrand(theta, s, o, k),
+        -math.pi / 2.0,
+        math.pi / 2.0,
+        rel_tol=1e-12,
+        start_panels=4,
+    )
+    return integral / s.M
 
-    Also derivable as delta_v * (pi*R/u); the two routes are cross-checked to
-    1e-14 relative (the orbit radius and speed cancel).
-    """
-    direct = math.pi * s.Q * k.e * s.r / (k.c ** 2 * s.M * s.L)
-    if o.u > 0.0:
-        via_kick = cylinder_velocity_change(s, o, k) * (math.pi * o.R / o.u)
-        if abs(via_kick - direct) > 1e-14 * max(abs(direct), 1e-300):
-            raise ConsistencyError(
-                f"displacement routes disagree: {via_kick!r} (via delta_v) vs {direct!r}"
-            )
-    return direct
+
+def cylinder_displacement(s: SolenoidParams, k: PhysicalConstants) -> float:
+    """Cylinder wave-packet shift pi*Q*e*r/(c^2*M*L) over the electron's half
+    circle, the same for every orbit.  It equals delta_v * (pi*R/u), where the
+    orbit radius and speed cancel; the catalogue row
+    displacement_orbit_invariance checks that route against this one to 1e-14."""
+    return math.pi * s.Q * k.e * s.r / (k.c ** 2 * s.M * s.L)
 
 
 def de_broglie_wavelength(M: float, v: float, k: PhysicalConstants) -> float:
@@ -206,7 +179,11 @@ def de_broglie_wavelength(M: float, v: float, k: PhysicalConstants) -> float:
         raise DomainError(f"mass must be positive, got {M!r}")
     if not (v > 0.0 and math.isfinite(v)):
         raise DomainError(f"speed must be positive, got {v!r}")
-    return k.h / (M * v)
+    momentum = M * v  # may overflow to inf or underflow to 0
+    wavelength = k.h / momentum if momentum > 0.0 else math.inf
+    if not (0.0 < wavelength < math.inf):
+        raise DomainError(f"h/(M*v) must be positive and finite, got {wavelength!r} at M*v = {momentum!r}")
+    return wavelength
 
 
 def source_momentum_kick(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -> float:
@@ -225,7 +202,7 @@ def local_model_phase(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -
     flux = solenoid_flux(s, k)
     phase_ab = ab_phase_direct(s, k)
     delta_v = cylinder_velocity_change(s, o, k)
-    delta_x = cylinder_displacement(s, o, k)
+    delta_x = cylinder_displacement(s, k)
     lambda_db = de_broglie_wavelength(s.M, s.v, k)
     term = 2.0 * math.pi * delta_x / lambda_db
     per = (

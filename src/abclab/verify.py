@@ -360,9 +360,7 @@ def _velocity_kick_quadrature(rng) -> float:
     s = _random_solenoid(rng)
     o = _random_orbit(rng)
     k = _random_constants(rng)
-    closed = solenoid.cylinder_velocity_change(s, o, k, method=solenoid.CLOSED_FORM)
-    quad = solenoid.cylinder_velocity_change(s, o, k, method=solenoid.QUADRATURE)
-    return _relative(quad, closed)
+    return _relative(solenoid.velocity_change_by_quadrature(s, o, k), solenoid.cylinder_velocity_change(s, o, k))
 
 
 @_check
@@ -386,7 +384,11 @@ def _displacement_invariance(rng) -> float:
     s = _random_solenoid(rng)
     k = _random_constants(rng)
     o1, o2 = _random_orbit(rng), _random_orbit(rng)
-    return _relative(solenoid.cylinder_displacement(s, o1, k), solenoid.cylinder_displacement(s, o2, k))
+    direct = solenoid.cylinder_displacement(s, k)
+    # the route through the kick, delta_v * (pi*R/u), against the orbit-free closed form
+    return _worst(
+        _relative(solenoid.cylinder_velocity_change(s, o, k) * (math.pi * o.R / o.u), direct) for o in (o1, o2)
+    )
 
 
 @_claim("flux_phase_linearity", 100)

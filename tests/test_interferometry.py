@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from abclab import (
     ConsistencyError,
-    DetectionProbabilities,
     DomainError,
     GaussianPacket,
     TwoPathState,
@@ -87,9 +86,12 @@ def test_nonpositive_wavelength_rejected():
         phase_from_path_shift(0.1, -1.0)
 
 
-def test_detection_probabilities_validate():
-    with pytest.raises(ValidationError):
-        DetectionProbabilities(0.7, 0.7)
+def test_non_finite_phase_rejected():
+    with pytest.raises(DomainError, match="must be finite"):
+        phase_from_path_shift(1e300, 1e-300)
+    for phase in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="must be finite"):
+            detector_probabilities(phase, 1.0)
 
 
 def test_packet_validation():

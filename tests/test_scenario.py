@@ -702,6 +702,87 @@ def test_verify_check_fails_on_a_nan_draw(monkeypatch):
     assert not row.passed and math.isnan(row.actual)
 
 
+def test_broken_kick_route_fails_its_catalogue_row(monkeypatch):
+    # displacement_orbit_invariance audits delta_v * (pi*R/u) against the
+    # orbit-free closed form; a kick off by 1e-12 is a FAIL row, not a crash
+    kick = solenoid.cylinder_velocity_change
+    monkeypatch.setattr(solenoid, "cylinder_velocity_change", lambda s, o, k: kick(s, o, k) * (1.0 + 1e-12))
+    checks = run_verify_suite(seed=42).checks
+    assert [c.name for c in checks if not c.passed] == ["displacement_orbit_invariance"]
+    assert len(checks) == 29
+
+
+def test_broken_wavelength_fails_factor4_identity(monkeypatch, tmp_path):
+    # a wrong matter wavelength breaks the factor-4 identity: a FAIL row and
+    # exit 1, where ABResult used to raise (exit 3)
+    wavelength = solenoid.de_broglie_wavelength
+    monkeypatch.setattr(solenoid, "de_broglie_wavelength", lambda M, v, k: 2.0 * wavelength(M, v, k))
+    checks = {c.name: c for c in run_scenario(load_scenario(SCENARIO_DIR / "ab_solenoid_unit.yaml")).checks}
+    assert not checks["factor4_identity"].passed
+    assert checks["factor4_identity"].actual == pytest.approx(0.5)
+    assert checks["flux_chain_consistency"].passed
+    out = tmp_path / "report.csv"
+    assert cli_main(["run", str(SCENARIO_DIR / "ab_solenoid_unit.yaml"), "--output", str(out)]) == 1
+
+
+MZI_OVERFLOW_DOC = """
+kind: mzi
+units: scaled-unity
+params:
+  path_shift: {delta_l_cm: 1.0e300, wavelength_cm: 1.0e-300}
+  visibility: 1.0
+"""
+
+
+def _ab_unit_doc(**values: str) -> str:
+    doc = (SCENARIO_DIR / "ab_solenoid_unit.yaml").read_text()
+    for key, value in values.items():
+        doc = doc.replace(f"{key}: 1.0\n", f"{key}: {value}\n")
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (MZI_OVERFLOW_DOC, "phase 2*pi*delta_l/wavelength must be finite, got inf"),
+        (_ab_unit_doc(M_g="1.0e200", v_cm_per_s="1.0e200"), "h/(M*v) must be positive and finite, got 0.0 at M*v = inf"),
+        (_ab_unit_doc(M_g="1.0e-200", v_cm_per_s="1.0e-200"), "h/(M*v) must be positive and finite, got inf at M*v = 0.0"),
+        (_ab_unit_doc(Q_statC="1.0e300", v_cm_per_s="1.0e300"), "phase must be finite, got inf"),
+    ],
+    ids=["mzi-phase", "ab-momentum-inf", "ab-momentum-zero", "ab-phase"],
+)
+def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
+    # a math domain error or a division by zero used to end in a traceback, exit 1
+    path = tmp_path / "overflow.yaml"
+    path.write_text(doc)
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (
+            MZI_OVERFLOW_DOC + "sweep: {param: path_shift.delta_l_cm, from: 1.0, to: 1.0e300, steps: 3}\n",
+            "DomainError: phase 2*pi*delta_l/wavelength must be finite, got inf",
+        ),
+        (
+            _ab_unit_doc(M_g="1.0e200") + "sweep: {param: solenoid.v_cm_per_s, from: 1.0, to: 1.0e200, steps: 3}\n",
+            "DomainError: h/(M*v) must be positive and finite, got 0.0 at M*v = inf",
+        ),
+    ],
+    ids=["mzi-phase", "ab-momentum-inf"],
+)
+def test_sweep_point_whose_arithmetic_overflows_is_an_error_row(tmp_path, doc, error):
+    # the first point runs; the two that overflow become error rows
+    report = run_scenario(parse_scenario(doc))
+    assert [row.get("error") for row in report.rows] == [None, error, error]
+    assert all(c.passed for c in report.checks)
+    path = tmp_path / "overflow_sweep.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+
+
 def test_field_free_overflow_fails_its_checks():
     # e/d^2 overflows: the field residual is NaN and the potential inf, and
     # both claims must FAIL rather than report a clean worst of zero

@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import quad
 
 from abclab import (
-    ConfigurationError,
     DomainError,
     GaussianPacket,
     OrbitParams,
@@ -26,6 +25,7 @@ from abclab import (
     packet_overlap,
     solenoid_flux,
     source_momentum_kick,
+    velocity_change_by_quadrature,
     velocity_kick_integrand,
     visibility_from_overlap,
 )
@@ -131,7 +131,7 @@ def test_velocity_change_unit_parameters():
 
 def test_velocity_change_quadrature_route():
     s, o = unit_solenoid(), OrbitParams(R=1.0, u=1.0)
-    quad_value = cylinder_velocity_change(s, o, K1, method="quadrature")
+    quad_value = velocity_change_by_quadrature(s, o, K1)
     assert quad_value == pytest.approx(1.0, rel=1e-9)
 
 
@@ -140,7 +140,7 @@ def test_velocity_change_quadrature_vs_closed_random():
     for _ in range(100):
         s, o, k = random_solenoid(rng), random_orbit(rng), random_constants(rng)
         closed = cylinder_velocity_change(s, o, k)
-        numeric = cylinder_velocity_change(s, o, k, method="quadrature")
+        numeric = velocity_change_by_quadrature(s, o, k)
         assert abs(numeric / closed - 1.0) < 1e-9
 
 
@@ -163,25 +163,21 @@ def test_doubling_mass_halves_velocity_change():
     assert cylinder_velocity_change(unit_solenoid(M=2.0), o, K1) == pytest.approx(base / 2.0, rel=1e-15)
 
 
-def test_unknown_method_rejected():
-    with pytest.raises(ConfigurationError):
-        cylinder_velocity_change(unit_solenoid(), OrbitParams(R=1.0, u=1.0), K1, method="mc")
-
-
 def test_displacement_unit_parameters():
-    s, o = unit_solenoid(), OrbitParams(R=1.0, u=1.0)
-    assert cylinder_displacement(s, o, K1) == pytest.approx(math.pi, rel=1e-15)
+    assert cylinder_displacement(unit_solenoid(), K1) == pytest.approx(math.pi, rel=1e-15)
 
 
 def test_displacement_independent_of_orbit():
+    # delta_v * (pi*R/u), the route through the kick, gives the same shift for every orbit
     s = unit_solenoid()
-    d1 = cylinder_displacement(s, OrbitParams(R=1.0, u=1.0), K1)
-    d2 = cylinder_displacement(s, OrbitParams(R=57.0, u=0.003), K1)
-    assert abs(d1 / d2 - 1.0) <= 1e-14
+    direct = cylinder_displacement(s, K1)
+    for o in (OrbitParams(R=1.0, u=1.0), OrbitParams(R=57.0, u=0.003)):
+        via_kick = cylinder_velocity_change(s, o, K1) * (math.pi * o.R / o.u)
+        assert abs(via_kick / direct - 1.0) <= 1e-14
 
 
 def test_displacement_zero_for_uncharged_cylinder():
-    assert cylinder_displacement(unit_solenoid(Q=0.0), OrbitParams(R=1.0, u=1.0), K1) == 0.0
+    assert cylinder_displacement(unit_solenoid(Q=0.0), K1) == 0.0
 
 
 def test_de_broglie_scaled_unit_mass():
@@ -203,6 +199,10 @@ def test_de_broglie_domain():
         de_broglie_wavelength(0.0, 1.0, K1)
     with pytest.raises(DomainError):
         de_broglie_wavelength(1.0, -1.0, K1)
+    # M*v overflows to inf, underflows to 0, or is so small that h/(M*v) overflows
+    for mass in (1e200, 1e-200, 1e-160):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            de_broglie_wavelength(mass, mass, K1)
 
 
 def test_momentum_kick_unit_parameters():
