@@ -53,13 +53,10 @@ from .errors import (
 )
 from .fieldfree import (
     ChargeConfiguration,
-    FieldFreeEntry,
     PointCharge,
     field_at,
-    field_scale,
     make_three_charge,
     potential_at,
-    verify_field_free,
 )
 from .interferometry import (
     DetectionProbabilities,
@@ -88,7 +85,6 @@ from .scenario import (
 from .solenoid import (
     ABResult,
     OrbitParams,
-    PhaseContribution,
     SolenoidParams,
     ab_phase_direct,
     ab_phase_from_flux,

@@ -3,8 +3,9 @@
 The canonical example puts an electron of charge -e at the origin and two
 charges +4e at +-d on a straight line: the field from any two particles
 cancels at the third (4e/(2d)^2 balances e/d^2), while the potential at the
-electron stays at a healthy 8e/d.  ``verify_field_free`` audits any
-configuration against the natural field scale max |q|/d^2.
+electron stays at a healthy 8e/d.  This module only computes fields and
+potentials; the catalogue rows ``field_free_three_charge`` and
+``potential_at_electron`` in ``verify`` judge the claim.
 """
 
 from __future__ import annotations
@@ -92,34 +93,3 @@ def make_three_charge(d: float, e: float) -> ChargeConfiguration:
             PointCharge(4.0 * e, Vec3(-d, 0.0, 0.0)),
         )
     )
-
-
-@dataclass(frozen=True, slots=True)
-class FieldFreeEntry:
-    index: int
-    field_magnitude: float
-    passed: bool
-
-
-def field_scale(cfg: ChargeConfiguration) -> float:
-    """Largest single-source field magnitude max over pairs of |q_j|/d_ij^2."""
-    scale = 0.0
-    for i, a in enumerate(cfg.charges):
-        for j, b in enumerate(cfg.charges):
-            if i == j:
-                continue
-            d2 = (a.pos - b.pos).norm2()
-            scale = max(scale, abs(b.q) / d2)
-    return scale
-
-
-def verify_field_free(cfg: ChargeConfiguration, tol: float) -> list[FieldFreeEntry]:
-    """Per-particle report: does |E| stay below tol times the natural scale?"""
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    scale = field_scale(cfg)
-    report = []
-    for i in range(len(cfg.charges)):
-        magnitude = field_at(cfg, i).norm()
-        report.append(FieldFreeEntry(index=i, field_magnitude=magnitude, passed=magnitude <= tol * scale))
-    return report

@@ -57,10 +57,6 @@ class GaussianPacket:
         if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
             raise ValidationError("packet center and momentum must be finite")
 
-    def momentum_spread(self, hbar: float) -> float:
-        """Minimum-uncertainty momentum spread sigma_p = hbar/(2 sigma_x)."""
-        return hbar / (2.0 * self.sigma_x)
-
 
 @dataclass(frozen=True, slots=True)
 class DetectionProbabilities:

@@ -18,7 +18,6 @@ tracer (``perfbench/tracer.py``) still patches it by name.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from .errors import NumericalError
@@ -143,15 +142,3 @@ def refine_gauss_legendre(
         f"last change {abs(cur - prev):.3e}"
     )
 
-
-def observed_convergence_order(errors: list[float]) -> float:
-    """Least order exhibited by a sequence of errors at h, h/2, h/4, ...
-
-    Returns +inf when an error underflows to zero (already converged).
-    """
-    orders = []
-    for e0, e1 in zip(errors, errors[1:]):
-        if e1 == 0.0:
-            return math.inf
-        orders.append(math.log2(e0 / e1))
-    return min(orders)

@@ -75,7 +75,6 @@ _COLUMNS = {
         "field_statV_per_cm",
         "field_residual",
         "potential_statV",
-        "field_free_pass",
     ],
 }
 
@@ -267,7 +266,10 @@ _PARAMS = {
         ),
         "second_radius_cm": (_positive, OMITTED),  # circle loops only (_check_ac_phase)
     },
-    KIND_FIELD_FREE: {**_required(d_cm=_positive, e_statC=_positive), "tol": (_positive, 1e-12)},
+    KIND_FIELD_FREE: _required(
+        d_cm=_bounded(lambda v: v > fieldfree.MIN_SEPARATION, f"exceed {fieldfree.MIN_SEPARATION:g}"),
+        e_statC=_positive,
+    ),
 }
 
 _SWEEP = {
@@ -527,8 +529,8 @@ def _point_mzi(params: dict, k: PhysicalConstants):
     vis = params["visibility"]
     probs = interferometry.detector_probabilities(phase, vis)
     rows = [{"phase_rad": phase, "visibility": vis, "p_a": probs.p_a, "p_b": probs.p_b}]
-    total = probs.p_a + probs.p_b
-    checks = [verify.claim_row("probability_sum", abs(total - 1.0), 1.0, total)]
+    residual = verify.detector_sum_residual(probs)
+    checks = [verify.claim_row("detector_probability_sum", residual, 1.0, probs.p_a + probs.p_b)]
     wrapped = math.remainder(phase, 2.0 * math.pi)
     if vis == 1.0 and abs(wrapped) < _ROUTING_WINDOW_RAD:
         checks.append(verify.claim_row("routes_to_A_at_zero_phase", abs(probs.p_a - 1.0), 1.0, probs.p_a))
@@ -614,25 +616,20 @@ def _point_ac_phase(params: dict, k: PhysicalConstants):
 def _point_field_free(params: dict, k: PhysicalConstants):
     d, e = params["d_cm"], params["e_statC"]
     cfg = fieldfree.make_three_charge(d, e)
-    report = fieldfree.verify_field_free(cfg, params["tol"])
-    scale = fieldfree.field_scale(cfg)
-    rows = []
-    for entry in report:
-        charge = cfg.charges[entry.index]
-        rows.append(
-            {
-                "charge_index": entry.index,
-                "q_statC": charge.q,
-                "x_cm": charge.pos.x,
-                "y_cm": charge.pos.y,
-                "z_cm": charge.pos.z,
-                "field_statV_per_cm": entry.field_magnitude,
-                "field_residual": entry.field_magnitude / scale if scale > 0.0 else 0.0,
-                "potential_statV": fieldfree.potential_at(cfg, entry.index),
-                "field_free_pass": entry.passed,
-            }
-        )
-    magnitudes = [entry.field_magnitude for entry in report]
+    magnitudes = [fieldfree.field_at(cfg, i).norm() for i in range(len(cfg))]
+    rows = [
+        {
+            "charge_index": i,
+            "q_statC": charge.q,
+            "x_cm": charge.pos.x,
+            "y_cm": charge.pos.y,
+            "z_cm": charge.pos.z,
+            "field_statV_per_cm": magnitude,
+            "field_residual": verify.field_residual(magnitude, d, e),
+            "potential_statV": fieldfree.potential_at(cfg, i),
+        }
+        for i, (charge, magnitude) in enumerate(zip(cfg.charges, magnitudes))
+    ]
     checks = [
         verify.claim_row("field_free_three_charge", verify.three_charge_residual(magnitudes, d, e)),
         verify.claim_row("potential_at_electron", *verify.potential_residual(cfg, d, e)),

@@ -10,8 +10,11 @@ cylinder surface speed by delta_v, and the accumulated displacement delta_x of
 each cylinder, measured against its matter-wave wavelength h/(M*v), reproduces
 the enclosed-flux phase e*Phi/(c*hbar) exactly.  Four equal contributions
 (two cylinders, shifted oppositely in the two electron branches) add
-constructively; the sign bookkeeping lives in ``local_model_phase`` so it can
-be audited term by term.
+constructively, so ``local_model_phase`` is four times one term.
+
+The closed forms divide by products of the inputs.  When such a product
+underflows to 0.0 the formula raises a DomainError that names its quotient,
+as ``de_broglie_wavelength`` does for h/(M*v), rather than dividing by zero.
 """
 
 from __future__ import annotations
@@ -83,15 +86,6 @@ class OrbitParams:
 
 
 @dataclass(frozen=True, slots=True)
-class PhaseContribution:
-    """One signed matter-wave phase term, labelled by cylinder and branch."""
-
-    cylinder: str
-    branch: str
-    phase_rad: float
-
-
-@dataclass(frozen=True, slots=True)
 class ABResult:
     flux: float
     phase_ab: float
@@ -99,12 +93,19 @@ class ABResult:
     delta_x: float
     lambda_db: float
     phase_local: float
-    per_contribution: tuple[PhaseContribution, ...]
+
+
+def _quotient(name: str, numerator: float, denominator: float) -> float:
+    """numerator/denominator, or a DomainError naming the quotient ``name``
+    when its denominator, a product of positive inputs, underflows to 0.0."""
+    if denominator == 0.0:
+        raise DomainError(f"{name}: its denominator underflows to 0.0")
+    return numerator / denominator
 
 
 def solenoid_flux(s: SolenoidParams, k: PhysicalConstants) -> float:
     """Magnetic flux 4*pi*Q*v*r/(c*L) of the two counter-rotating cylinders (G cm^2)."""
-    return 4.0 * math.pi * s.Q * s.v * s.r / (k.c * s.L)
+    return _quotient("4*pi*Q*v*r/(c*L)", 4.0 * math.pi * s.Q * s.v * s.r, k.c * s.L)
 
 
 def ab_phase_from_flux(flux: float, k: PhysicalConstants) -> float:
@@ -114,7 +115,7 @@ def ab_phase_from_flux(flux: float, k: PhysicalConstants) -> float:
 
 def ab_phase_direct(s: SolenoidParams, k: PhysicalConstants) -> float:
     """The same phase written out: 4*pi*e*Q*v*r/(c^2*L*hbar)."""
-    return 4.0 * math.pi * k.e * s.Q * s.v * s.r / (k.c ** 2 * s.L * k.hbar)
+    return _quotient("4*pi*e*Q*v*r/(c^2*L*hbar)", 4.0 * math.pi * k.e * s.Q * s.v * s.r, k.c ** 2 * s.L * k.hbar)
 
 
 def electron_flux_at_angle(
@@ -149,7 +150,7 @@ def cylinder_velocity_change(s: SolenoidParams, o: OrbitParams, k: PhysicalConst
     """Net change u*Q*e*r/(c^2*M*R*L) of the cylinder surface speed (cm/s),
     the printed closed form.  ``velocity_change_by_quadrature`` is the
     independent route; the catalogue row velocity_kick_quadrature compares them."""
-    return o.u * s.Q * k.e * s.r / (k.c ** 2 * s.M * o.R * s.L)
+    return _quotient("u*Q*e*r/(c^2*M*R*L)", o.u * s.Q * k.e * s.r, k.c ** 2 * s.M * o.R * s.L)
 
 
 def velocity_change_by_quadrature(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -> float:
@@ -170,7 +171,7 @@ def cylinder_displacement(s: SolenoidParams, k: PhysicalConstants) -> float:
     circle, the same for every orbit.  It equals delta_v * (pi*R/u), where the
     orbit radius and speed cancel; the catalogue row
     displacement_orbit_invariance checks that route against this one to 1e-14."""
-    return math.pi * s.Q * k.e * s.r / (k.c ** 2 * s.M * s.L)
+    return _quotient("pi*Q*e*r/(c^2*M*L)", math.pi * s.Q * k.e * s.r, k.c ** 2 * s.M * s.L)
 
 
 def de_broglie_wavelength(M: float, v: float, k: PhysicalConstants) -> float:
@@ -192,7 +193,7 @@ def source_momentum_kick(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants
 
 
 def local_model_phase(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -> ABResult:
-    """Assemble the full local-model chain and its per-term bookkeeping.
+    """Assemble the full local-model chain.
 
     Each of the four (cylinder, branch) combinations contributes one
     matter-wave phase of magnitude 2*pi*delta_x/lambda; both cylinders shift,
@@ -205,19 +206,11 @@ def local_model_phase(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -
     delta_x = cylinder_displacement(s, k)
     lambda_db = de_broglie_wavelength(s.M, s.v, k)
     term = 2.0 * math.pi * delta_x / lambda_db
-    per = (
-        PhaseContribution("+Q", "left", term),
-        PhaseContribution("+Q", "right", term),
-        PhaseContribution("-Q", "left", term),
-        PhaseContribution("-Q", "right", term),
-    )
-    phase_local = sum(c.phase_rad for c in per)
     return ABResult(
         flux=flux,
         phase_ab=phase_ab,
         delta_v=delta_v,
         delta_x=delta_x,
         lambda_db=lambda_db,
-        phase_local=phase_local,
-        per_contribution=per,
+        phase_local=4.0 * term,
     )

@@ -12,7 +12,6 @@ from abclab import (
     field_at,
     make_three_charge,
     potential_at,
-    verify_field_free,
 )
 
 
@@ -97,12 +96,7 @@ def test_index_domain():
         potential_at(cfg, -1)
 
 
-def test_verify_field_free_passes_canonical_triple():
-    report = verify_field_free(make_three_charge(1.0, 1.0), tol=1e-12)
-    assert [entry.passed for entry in report] == [True, True, True]
-
-
-def test_verify_field_free_detects_perturbation():
+def test_field_at_detects_perturbation():
     d, e = 1.0, 1.0
     cfg = ChargeConfiguration(
         (
@@ -111,21 +105,13 @@ def test_verify_field_free_detects_perturbation():
             PointCharge(4.0 * e, Vec3(-d, 0.0, 0.0)),
         )
     )
-    report = verify_field_free(cfg, tol=1e-12)
-    assert report[0].passed is False
     # residual field at the center from the hand expansion 4e/d^2 - 4e/(1.01 d)^2
     expected = 4.0 * e / d ** 2 - 4.0 * e / (1.01 * d) ** 2
-    assert report[0].field_magnitude == pytest.approx(expected, rel=1e-12)
+    assert field_at(cfg, 0).norm() == pytest.approx(expected, rel=1e-12)
 
 
-def test_verify_field_free_single_charge_trivially_passes():
-    report = verify_field_free(ChargeConfiguration((PointCharge(1.0, Vec3(0.0, 0.0, 0.0)),)), tol=1e-12)
-    assert report[0].passed is True and report[0].field_magnitude == 0.0
-
-
-def test_verify_field_free_tolerance_domain():
-    with pytest.raises(DomainError):
-        verify_field_free(make_three_charge(1.0, 1.0), tol=0.0)
+def test_field_at_single_charge_is_zero():
+    assert field_at(ChargeConfiguration((PointCharge(1.0, Vec3(0.0, 0.0, 0.0)),)), 0).norm() == 0.0
 
 
 def test_field_translation_rotation_covariance():

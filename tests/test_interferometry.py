@@ -101,11 +101,6 @@ def test_packet_validation():
         GaussianPacket(x0=0.0, p0=0.0, sigma_x=1.0, mass=-2.0)
 
 
-def test_momentum_spread_is_minimum_uncertainty():
-    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=0.25, mass=1.0)
-    assert packet.momentum_spread(1.0) == pytest.approx(2.0)
-
-
 def test_overlap_identity_displacement():
     packet = GaussianPacket(x0=0.7, p0=-0.2, sigma_x=1.1, mass=1.0)
     assert packet_overlap(packet, 0.0, 0.0, 1.0) == 1.0 + 0.0j

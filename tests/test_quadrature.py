@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from abclab import NumericalError, adaptive_simpson, composite_gauss_legendre, refine_gauss_legendre
-from abclab.quadrature import _GL_NODES, _GL_WEIGHTS, observed_convergence_order
+from abclab.quadrature import _GL_NODES, _GL_WEIGHTS
 
 
 def test_cosine_over_symmetric_interval():
@@ -73,8 +73,3 @@ def test_refine_gauss_legendre_complex_integrand():
 
 def test_refine_gauss_legendre_zero_integrand():
     assert refine_gauss_legendre(lambda x: 0.0, 0.0, 1.0, rel_tol=1e-12) == 0.0
-
-
-def test_observed_convergence_order():
-    assert observed_convergence_order([1.0, 0.25, 0.0625]) == pytest.approx(2.0)
-    assert observed_convergence_order([1e-3, 0.0]) == math.inf

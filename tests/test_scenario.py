@@ -528,7 +528,7 @@ def test_validation_messages_name_the_mutated_key():
         if (name, keys, mutation) == ("mzi_half_wavelength.yaml", ("params", "path_shift"), "delete"):
             wanted = "phase_rad"  # the missing alternative is named
         assert named == wanted, (name, keys, mutation, str(exc))
-    assert invalid == 296
+    assert invalid == 293
 
 
 def test_sweep_ends_are_validated_against_the_swept_key(tmp_path):
@@ -748,8 +748,16 @@ def _ab_unit_doc(**values: str) -> str:
         (_ab_unit_doc(M_g="1.0e200", v_cm_per_s="1.0e200"), "h/(M*v) must be positive and finite, got 0.0 at M*v = inf"),
         (_ab_unit_doc(M_g="1.0e-200", v_cm_per_s="1.0e-200"), "h/(M*v) must be positive and finite, got inf at M*v = 0.0"),
         (_ab_unit_doc(Q_statC="1.0e300", v_cm_per_s="1.0e300"), "phase must be finite, got inf"),
+        (
+            _ab_unit_doc(L_cm="1.0e-300", M_g="1.0e-30"),
+            "u*Q*e*r/(c^2*M*R*L): its denominator underflows to 0.0",
+        ),
+        (
+            _ab_unit_doc(L_cm="1.0e-320", M_g="1.0e-10").replace("units: scaled-unity", "units: gaussian-cgs"),
+            "4*pi*e*Q*v*r/(c^2*L*hbar): its denominator underflows to 0.0",
+        ),
     ],
-    ids=["mzi-phase", "ab-momentum-inf", "ab-momentum-zero", "ab-phase"],
+    ids=["mzi-phase", "ab-momentum-inf", "ab-momentum-zero", "ab-phase", "ab-kick-underflow", "ab-phase-underflow"],
 )
 def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
     # a math domain error or a division by zero used to end in a traceback, exit 1
@@ -781,6 +789,90 @@ def test_sweep_point_whose_arithmetic_overflows_is_an_error_row(tmp_path, doc, e
     path = tmp_path / "overflow_sweep.yaml"
     path.write_text(doc)
     assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+
+
+def test_sweep_point_whose_denominator_underflows_is_an_error_row(tmp_path):
+    # c^2*M*R*L underflows at the last length; it used to crash every point
+    doc = _ab_unit_doc(M_g="1.0e-30") + "sweep: {param: solenoid.L_cm, from: 1.0, to: 1.0e-300, steps: 3, scale: log}\n"
+    report = run_scenario(parse_scenario(doc))
+    assert [row.get("error") for row in report.rows] == [
+        None,
+        None,
+        "DomainError: u*Q*e*r/(c^2*M*R*L): its denominator underflows to 0.0",
+    ]
+    assert all(c.passed for c in report.checks)
+    path = tmp_path / "underflow_sweep.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+
+
+FIELD_FREE_DOC = "kind: field-free\nunits: scaled-unity\nparams: {d_cm: %s, e_statC: %s}\n"
+
+
+@pytest.mark.parametrize("d, e", [("1.0e160", "1.0"), ("1.0e200", "1.0e-300")], ids=["d2-overflows", "unit-underflows"])
+def test_field_free_without_a_field_unit_fails_its_check(tmp_path, d, e):
+    # e/d^2 is not a positive finite float: the residual is NaN and the row
+    # FAILs, where a ZeroDivisionError used to end the run with a traceback
+    path = tmp_path / "far.yaml"
+    path.write_text(FIELD_FREE_DOC % (d, e))
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", str(path), "--output", str(out)]) == 1
+    checks = {c.name: c for c in run_scenario(load_scenario(str(path))).checks}
+    assert not checks["field_free_three_charge"].passed
+    assert math.isnan(checks["field_free_three_charge"].actual)
+
+
+def test_field_free_sweep_past_the_field_unit_keeps_its_points(tmp_path):
+    doc = FIELD_FREE_DOC % ("1.0", "1.0") + "sweep: {param: d_cm, from: 1.0, to: 1.0e160, steps: 3, scale: log}\n"
+    report = run_scenario(parse_scenario(doc))
+    assert len(report.rows) == 9 and not any("error" in row for row in report.rows)
+    checks = {c.name: c for c in report.checks}
+    assert not checks["field_free_three_charge"].passed
+    path = tmp_path / "far_sweep.yaml"
+    path.write_text(doc)
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+
+
+@pytest.mark.parametrize(
+    "doc, command, message",
+    [
+        (FIELD_FREE_DOC % ("1.0e-13", "1.0"), "run", "params.d_cm: must exceed 1e-12, got 1e-13"),
+        (
+            FIELD_FREE_DOC % ("1.0", "1.0") + "sweep: {param: d_cm, from: 1.0, to: 1.0e-13, steps: 3, scale: log}\n",
+            "sweep",
+            "sweep.to for params.d_cm: must exceed 1e-12, got 1e-13",
+        ),
+    ],
+    ids=["run", "sweep"],
+)
+def test_field_free_spacing_at_the_separation_floor_names_the_key(tmp_path, capsys, doc, command, message):
+    # the charge configuration used to refuse it without a key, and a sweep
+    # wrote that text as an error row
+    path = tmp_path / "close.yaml"
+    path.write_text(doc)
+    assert cli_main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_field_free_report_carries_the_catalogue_residual(tmp_path, capsys):
+    report = run_scenario(parse_scenario(FIELD_FREE_DOC % ("2.0", "3.0")))
+    assert "field_free_pass" not in report.columns
+    assert all("field_free_pass" not in row for row in report.rows)
+    for row in report.rows:
+        assert row["field_residual"] == verify.field_residual(row["field_statV_per_cm"], 2.0, 3.0)
+    assert verify.field_residual(1.5, 2.0, 3.0) == 1.5 / (3.0 / 4.0)
+    path = tmp_path / "tol.yaml"
+    path.write_text((FIELD_FREE_DOC % ("1.0", "1.0")).replace("}", ", tol: 1.0e-12}"))
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "error: params.tol: unknown field\n"
+
+
+def test_mzi_reports_the_catalogue_probability_sum():
+    report = run_scenario(load_scenario(str(SCENARIO_DIR / "mzi_half_wavelength.yaml")))
+    first = report.checks[0]
+    assert first.name == "detector_probability_sum"
+    assert first.tol == verify.TOLERANCES["detector_probability_sum"] == 1e-15
+    assert "probability_sum" not in verify.TOLERANCES
 
 
 def test_field_free_overflow_fails_its_checks():

@@ -2,8 +2,9 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 
-from abclab import run_verify_suite, verify
+from abclab import boyer, run_verify_suite, verify
 
 
 def test_uniform_draw_is_generator_uniform_bit_for_bit():
@@ -29,3 +30,12 @@ def test_verify_suite_lets_no_warning_escape():
         report = run_verify_suite(7)
         assert warnings.filters == before
     assert report.all_passed
+
+
+@pytest.mark.parametrize("flight", [verify._full_law_speed, verify._rk4_order], ids=["full_law", "rk4_order"])
+def test_non_finite_flight_fails_its_row(monkeypatch, flight):
+    # a flight that goes non-finite is a FAIL row (exit 1); it used to raise
+    # ValidationError, which verify reports as invalid input (exit 2)
+    monkeypatch.setattr(boyer, "_rk4", lambda *args: (math.nan,) * 4)
+    row = flight(np.random.default_rng(0))
+    assert not row.passed and math.isnan(row.actual)
