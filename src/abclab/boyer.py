@@ -345,15 +345,19 @@ def step_trajectory(
 
     Any stage that reaches the axis neighbourhood raises SingularityError and
     the step is rejected (the input state is returned unchanged by virtue of
-    never being mutated).
+    never being mutated).  A step whose result is not finite raises
+    NumericalError.
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt!r}")
     _check_law(law)
-    return TrajectoryState(
-        state.t + dt,
-        *_rk4(lc, n.mu_z, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, dt, state.x, state.y, state.vx, state.vy, accel),
-    )
+    end = _rk4(lc, n.mu_z, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, dt, state.x, state.y, state.vx, state.vy, accel)
+    try:
+        return TrajectoryState(state.t + dt, *end)
+    except ValidationError as exc:  # the step overflowed, from a finite state
+        raise NumericalError(
+            f"{law} law: the RK4 step of dt = {dt!r} s from t = {state.t!r} s overflowed: {exc}"
+        ) from None
 
 
 def kinetic_energy(n: NeutronModel, state: TrajectoryState) -> float:

@@ -11,17 +11,20 @@ blocks.  Each maps a key to its type, range included, and says whether it is
 required, defaulted or omitted when absent; ``_CHECKS`` adds, per kind, the
 rules that span keys or need the physics objects.  A sweep varies one float
 key of params, named by its dotted path (``solenoid.v_cm_per_s``), from
-``from`` to ``to`` in ``steps`` points; integer keys cannot be swept.
+``from`` to ``to`` in ``steps`` points; integer keys cannot be swept.  The
+parse resolves the path once and checks every point against the key's type;
+a point's params copy only the mappings on that path.
 
 Every check row is a ``verify.claim_row``; a sweep reports each check by the
-row of its worst point, kept whole.  Reports are deterministic: identical
-scenario plus seed give byte identical CSV/JSON.  Floats are shortest
-round-trip decimals; CSV uses RFC-4180 quoting with LF line endings.
+row of its worst point, kept whole.  The rows are the only definition of a
+report's columns: the CSV header is the keys of its rows (or of its checks)
+in order of first appearance, ``error`` last.  Reports are deterministic:
+identical scenario plus seed give byte identical CSV/JSON.  Floats are
+shortest round-trip decimals; CSV uses RFC-4180 quoting with LF line endings.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import json
@@ -43,43 +46,6 @@ KIND_AC_BOUNCE = "ac-bounce"
 KIND_AC_PHASE = "ac-phase"
 KIND_FIELD_FREE = "field-free"
 KINDS = (KIND_MZI, KIND_AB_SOLENOID, KIND_AC_BOUNCE, KIND_AC_PHASE, KIND_FIELD_FREE)
-
-_COLUMNS = {
-    KIND_AB_SOLENOID: [
-        "flux",
-        "phase_ab_rad",
-        "delta_v_cm_per_s",
-        "delta_x_cm",
-        "lambda_db_cm",
-        "phase_local_rad",
-        "p_a",
-        "p_b",
-        "identity_residual",
-    ],
-    KIND_MZI: ["phase_rad", "visibility", "p_a", "p_b"],
-    KIND_AC_BOUNCE: [
-        "law",
-        "bounce_index",
-        "t_s",
-        "kinetic_energy_erg",
-        "leg_work_erg",
-        "leg_ke_gain_erg",
-    ],
-    KIND_AC_PHASE: ["loop", "winding", "phase_rad", "expected_rad"],
-    KIND_FIELD_FREE: [
-        "charge_index",
-        "q_statC",
-        "x_cm",
-        "y_cm",
-        "z_cm",
-        "field_statV_per_cm",
-        "field_residual",
-        "potential_statV",
-    ],
-}
-
-CHECK_COLUMNS = ["name", "expected", "actual", "tol", "pass"]
-
 
 @dataclass
 class SweepSpec:
@@ -422,37 +388,30 @@ def _notes(kind: str, params: dict) -> list[str]:
     return [note] if note else []
 
 
-def _resolve_path(params: dict, path: str):
-    node = params
-    keys = path.split(".")
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ValidationError(f"sweep.param: path {path!r} does not exist in params")
-        node = node[key]
-    last = keys[-1]
-    if not isinstance(node, dict) or last not in node:
-        raise ValidationError(f"sweep.param: path {path!r} does not exist in params")
-    # normalized params hold float for float keys and int for int keys
-    if isinstance(node[last], int):
-        raise ValidationError(f"sweep.param: {path!r} is an integer parameter and cannot be swept")
-    if not isinstance(node[last], float):
-        raise ValidationError(f"sweep.param: {path!r} is not a numeric parameter")
-    return node, last
-
-
-def _check_sweep_ends(params: dict, sweep: SweepSpec, table: dict):
-    """Validate both ends of a sweep against the swept key's type in ``table``.
-    Every type a float key can have is an interval, so its ends bound every
-    linear and log point."""
-    node = params
+def _check_swept_key(params: dict, table: dict, sweep: SweepSpec):
+    """Walk ``sweep.param`` through the normalized params and the kind's
+    ``table`` together: the path must name a float key, and its ends and every
+    point of ``SweepSpec.values()`` must meet that key's type."""
+    node, kind = params, table
     for key in sweep.param.split("."):
-        kind = table[key][0]
+        if not isinstance(node, dict) or key not in node:
+            raise ValidationError(f"sweep.param: path {sweep.param!r} does not exist in params")
+        kind = kind[key][0]
         if isinstance(kind, _Tagged):
             kind = kind.tables[node[key][kind.tag]]
-        table, node = kind, node[key]
-    if not isinstance(kind, type):  # a bounded float; a plain float is checked already
-        for end, value in (("from", sweep.start), ("to", sweep.stop)):
-            kind(value, f"sweep.{end} for params.{sweep.param}")
+        node = node[key]
+    # normalized params hold float for float keys and int for int keys
+    if isinstance(node, int):
+        raise ValidationError(f"sweep.param: {sweep.param!r} is an integer parameter and cannot be swept")
+    if not isinstance(node, float):
+        raise ValidationError(f"sweep.param: {sweep.param!r} is not a numeric parameter")
+    if kind is float:  # every point is finite already (_check_sweep_span)
+        return
+    for end, value in (("sweep.from", sweep.start), ("sweep.to", sweep.stop)):
+        kind(value, f"{end} for params.{sweep.param}")
+    # cancellation can put a linear point outside the ends: 1.0 + (1e-20 - 1.0) is 0.0
+    for index, value in enumerate(sweep.values()):
+        kind(value, f"sweep point {index} for params.{sweep.param}")
 
 
 def _check_sweep_span(sweep: SweepSpec):
@@ -501,8 +460,7 @@ def parse_scenario(text: str) -> Scenario:
         if sweep.scale == "log" and (sweep.start <= 0.0 or sweep.stop <= 0.0):
             raise ValidationError("sweep: log scale requires positive 'from' and 'to'")
         _check_sweep_span(sweep)
-        _resolve_path(s["params"], sweep.param)
-        _check_sweep_ends(s["params"], sweep, _PARAMS[s["kind"]])
+        _check_swept_key(s["params"], _PARAMS[s["kind"]], sweep)
     output = OutputSpec(**(s["output"] or {}))
     return Scenario(s["kind"], s["units"], s["params"], sweep, output, warnings=_notes(s["kind"], s["params"]))
 
@@ -659,14 +617,24 @@ def _merge_checks(into: dict, new: list[CheckRow]):
             into[check.name] = check
 
 
+def _with_value(params: dict, keys: list[str], value: float) -> dict:
+    """``params`` with the key at the path ``keys`` set to ``value``.  Only the
+    mappings on the path are copied; the rest is shared with ``params``, which
+    is safe because point runners only read their params."""
+    top = node = dict(params)
+    for key in keys[:-1]:
+        node[key] = dict(node[key])
+        node = node[key]
+    node[keys[-1]] = value
+    return top
+
+
 def run_scenario(s: Scenario) -> RunReport:
     """Execute a scenario (single point or sweep) into a deterministic report."""
     k = make_constants(s.units)
     point_fn = _POINT_RUNNERS[s.kind]
-    columns = ["sweep_index"] + ([s.sweep.param] if s.sweep else []) + list(_COLUMNS[s.kind])
     rows: list[dict] = []
     merged: dict[str, CheckRow] = {}
-    had_error = False
     scenario = s.to_dict()
 
     if s.sweep is None:
@@ -674,25 +642,22 @@ def run_scenario(s: Scenario) -> RunReport:
         rows.extend({"sweep_index": 0, **row} for row in prows)
         _merge_checks(merged, pchecks)
     else:
+        keys = s.sweep.param.split(".")
         for index, value in enumerate(s.sweep.values()):
-            point_params = copy.deepcopy(s.params)
-            node, last = _resolve_path(point_params, s.sweep.param)
-            node[last] = value
+            point_params = _with_value(s.params, keys, value)
             try:
                 prows, pchecks = point_fn(point_params, k)
             except AbclabError as exc:
-                had_error = True
                 error = f"{type(exc).__name__}: {exc}"
                 rows.append({"sweep_index": index, s.sweep.param: value, "error": error})
             else:
+                # a swept key that is also a row column keeps the swept key's place
                 rows.extend({"sweep_index": index, s.sweep.param: value, **row} for row in prows)
                 _merge_checks(merged, pchecks)
             # a point's note that the parse already reported is not repeated
             notes = _notes(s.kind, point_params)
             scenario["warnings"].extend(f"sweep_index {index}: {w}" for w in notes if w not in s.warnings)
-    if had_error:
-        columns = columns + ["error"]
-    return RunReport(scenario=scenario, rows=rows, checks=list(merged.values()), columns=columns)
+    return RunReport(scenario=scenario, rows=rows, checks=list(merged.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -710,18 +675,19 @@ def _format_cell(value) -> str:
 
 
 def render_csv(report: RunReport) -> str:
-    """CSV text: the row table, or the check table when there are no rows."""
+    """CSV text of one table: the rows, or the checks when there are no rows.
+    The header is the table's keys in order of first appearance, with ``error``
+    last."""
+    table = report.rows or [check.to_dict() for check in report.checks]
+    columns = list(dict.fromkeys(key for row in table for key in row))
+    if "error" in columns:
+        columns.remove("error")
+        columns.append("error")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if report.rows:
-        writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([_format_cell(row.get(col)) for col in report.columns])
-    else:
-        writer.writerow(CHECK_COLUMNS)
-        for check in report.checks:
-            data = check.to_dict()
-            writer.writerow([_format_cell(data[col]) for col in CHECK_COLUMNS])
+    writer.writerow(columns)
+    for row in table:
+        writer.writerow([_format_cell(row.get(col)) for col in columns])
     return buffer.getvalue()
 
 

@@ -27,30 +27,29 @@ _H_ERG_S = 6.62607015e-27
 
 @dataclass(frozen=True, slots=True)
 class PhysicalConstants:
-    """e (statC), c (cm/s), hbar (erg s), h (erg s); all strictly positive."""
+    """e (statC), c (cm/s), hbar (erg s); all strictly positive.  h = 2*pi*hbar."""
 
     e: float
     c: float
     hbar: float
-    h: float
 
     def __post_init__(self):
-        for name in ("e", "c", "hbar", "h"):
+        for name in ("e", "c", "hbar"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"constant {name} must be finite and positive, got {value!r}")
-        if abs(self.h - 2.0 * math.pi * self.hbar) > 1e-15 * self.h:
-            raise ValidationError("inconsistent constants: h must equal 2*pi*hbar")
+
+    @property
+    def h(self) -> float:
+        return 2.0 * math.pi * self.hbar
 
 
 def make_constants(system: str = GAUSSIAN_CGS) -> PhysicalConstants:
     """Return the constants of a unit system id ('gaussian-cgs' or 'scaled-unity')."""
     if system == GAUSSIAN_CGS:
-        return PhysicalConstants(
-            e=_E_STATC, c=_C_CM_PER_S, hbar=_H_ERG_S / (2.0 * math.pi), h=_H_ERG_S
-        )
+        return PhysicalConstants(e=_E_STATC, c=_C_CM_PER_S, hbar=_H_ERG_S / (2.0 * math.pi))
     if system == SCALED_UNITY:
-        return PhysicalConstants(e=1.0, c=1.0, hbar=1.0, h=2.0 * math.pi)
+        return PhysicalConstants(e=1.0, c=1.0, hbar=1.0)
     raise ConfigurationError(
         f"unknown unit system {system!r}; expected one of {', '.join(UNIT_SYSTEMS)}"
     )

@@ -7,9 +7,9 @@ maps a non-empty failure set to a non-zero exit code.
 
 ``TOLERANCES`` holds the tolerance of every verify and scenario check.  A
 residual claim (``claim_row``) passes below it, or at it with ``at_most``, so
-NaN fails; the scenario point runners build every row with ``claim_row``.  A
-worst-of-N, over a check's draws, a draw's parts or a sweep's points, keeps the
-worst residual by ``worse``, under which NaN is worse than any number.
+NaN fails; every check row, of verify and of the scenarios, is a claim row.
+A worst-of-N, over a check's draws, a draw's parts or a sweep's points, keeps
+the worst residual by ``worse``, under which NaN is worse than any number.
 
 Every uniform draw is ``_uniform(rng, lo, hi) = lo + (hi - lo) * rng.random()``.
 numpy's ``Generator.uniform(lo, hi)`` computes ``lo + (hi - lo) * d`` from the
@@ -60,7 +60,6 @@ class RunReport:
     scenario: dict
     rows: list[dict]
     checks: list[CheckRow]
-    columns: list[str]
 
     @property
     def all_passed(self) -> bool:
@@ -76,8 +75,7 @@ class RunReport:
 
 
 # Tolerance of each verify check, then of the claims only scenarios report.
-# Residual claims pass below it, or at it with claim_row's at_most; the one
-# check with another comparison (visibility_pipeline_monotone) says so.
+# Residual claims pass below it, or at it with claim_row's at_most.
 TOLERANCES = {
     "cross_antisymmetry": 1e-15,
     "cross_orthogonality": 1e-12,
@@ -246,7 +244,7 @@ def _random_vec(rng: np.random.Generator, scale: float = 1.0) -> Vec3:
 
 def _random_constants(rng: np.random.Generator) -> PhysicalConstants:
     e, c, hbar = (_log_uniform(rng, 1e-3, 1e3) for _ in range(3))
-    return PhysicalConstants(e=e, c=c, hbar=hbar, h=2.0 * math.pi * hbar)
+    return PhysicalConstants(e=e, c=c, hbar=hbar)
 
 
 def _random_solenoid(rng: np.random.Generator) -> solenoid.SolenoidParams:
@@ -440,8 +438,8 @@ def _visibility_pipeline(rng) -> CheckRow:
     monotone = all(b >= a for a, b in zip(visibilities, visibilities[1:]))
     ok = monotone and visibilities[-1] > 0.999 and visibilities[0] < 0.01
     summary = f"V({ratios[0]:g})={visibilities[0]:.3g}, V({ratios[-1]:g})={visibilities[-1]:.6g}"
-    tol = TOLERANCES["visibility_pipeline_monotone"]
-    return CheckRow("visibility_pipeline_monotone", "0 -> 1 with spread/kick", summary, tol, ok)
+    verdict = 0.0 if ok else 1.0
+    return claim_row("visibility_pipeline_monotone", verdict, "0 -> 1 with spread/kick", summary, at_most=True)
 
 
 @_claim("boyer_force_equals_momentum_rate", 1000)
@@ -628,9 +626,4 @@ def run_verify_suite(seed: int = 42) -> RunReport:
     for check in _CHECKS:
         rows = check(rng)
         checks.extend(rows if isinstance(rows, list) else (rows,))
-    return RunReport(
-        scenario={"kind": "verify", "seed": seed},
-        rows=[],
-        checks=checks,
-        columns=[],
-    )
+    return RunReport(scenario={"kind": "verify", "seed": seed}, rows=[], checks=checks)

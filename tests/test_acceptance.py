@@ -80,7 +80,7 @@ def _random_setup(rng):
     )
     o = OrbitParams(R=_log_uniform(rng), u=_log_uniform(rng))
     hbar = _log_uniform(rng)
-    k = PhysicalConstants(e=_log_uniform(rng), c=_log_uniform(rng), hbar=hbar, h=2.0 * math.pi * hbar)
+    k = PhysicalConstants(e=_log_uniform(rng), c=_log_uniform(rng), hbar=hbar)
     return s, o, k
 
 

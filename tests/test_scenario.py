@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -39,6 +41,10 @@ params:
   solenoid: {r_cm: 1.0, L_cm: 1.0, M_g: 1.0, Q_statC: 1.0, v_cm_per_s: 1.0}
   orbit: {R_cm: 2.0, u_cm_per_s: 1.0}
 """
+
+
+def _csv_header(report) -> list[str]:
+    return next(csv.reader(io.StringIO(render_csv(report))))
 
 
 def test_parse_minimal_applies_defaults():
@@ -255,7 +261,7 @@ def test_sweep_crossing_pi_routes_to_b():
     assert [row["sweep_index"] for row in report.rows] == list(range(9))
     at_pi = report.rows[4]  # v = 0.25 makes the flux phase pi
     assert at_pi["p_b"] == pytest.approx(1.0, abs=1e-12)
-    assert report.columns[1] == "solenoid.v_cm_per_s"
+    assert _csv_header(report)[1] == "solenoid.v_cm_per_s"
 
 
 def test_sweep_point_failure_isolated():
@@ -264,7 +270,7 @@ def test_sweep_point_failure_isolated():
     report = run_scenario(parse_scenario(doc))
     errors = [bool(row.get("error")) for row in report.rows]
     assert errors == [True, True, False, False]
-    assert "error" in report.columns
+    assert "error" in _csv_header(report)
     good = report.rows[2]
     assert good["identity_residual"] < 1e-12
 
@@ -467,6 +473,63 @@ def test_emit_rejects_unknown_format():
         emit(report, "xml", None)
 
 
+MZI_SWEEPS = {
+    "visibility": "kind: mzi\nparams: {phase_rad: 0.3}\nsweep: {param: visibility, from: 0.0, to: 1.0, steps: 3}\n",
+    "phase_rad": "kind: mzi\nparams: {phase_rad: 0.3}\nsweep: {param: phase_rad, from: 0.0, to: 3.0, steps: 3}\n",
+}
+
+
+@pytest.mark.parametrize("swept", sorted(MZI_SWEEPS))
+def test_mzi_sweep_of_a_row_column_names_it_once(swept):
+    # the swept key is also an mzi row column; the CSV used to write it twice
+    report = run_scenario(parse_scenario(MZI_SWEEPS[swept]))
+    header = _csv_header(report)
+    assert header == ["sweep_index", swept] + [c for c in ("phase_rad", "visibility", "p_a", "p_b") if c != swept]
+    json_rows = json.loads(render_json(report))["rows"]
+    assert all(list(row) == header for row in json_rows)
+    assert [row[swept] for row in json_rows] == parse_scenario(MZI_SWEEPS[swept]).sweep.values()
+    cells = list(csv.reader(io.StringIO(render_csv(report))))[1:]
+    assert all(len(line) == len(header) for line in cells)
+
+
+def test_all_error_sweep_header_names_only_the_error():
+    # every orbit lies inside the solenoid (r_cm: 1.0)
+    report = run_scenario(parse_scenario(AB_UNIT_DOC + "sweep: {param: orbit.R_cm, from: 0.5, to: 0.8, steps: 3}\n"))
+    assert all("error" in row for row in report.rows)
+    assert render_csv(report).split("\n")[0] == "sweep_index,orbit.R_cm,error"
+
+
+def test_sweep_whose_first_point_fails_keeps_error_last():
+    report = run_scenario(parse_scenario(AB_UNIT_DOC + "sweep: {param: orbit.R_cm, from: 0.5, to: 2.0, steps: 3}\n"))
+    assert "error" in report.rows[0] and "error" not in report.rows[-1]
+    header = _csv_header(report)
+    assert header[:2] == ["sweep_index", "orbit.R_cm"] and header[-1] == "error"
+    assert header[2:-1] == list(report.rows[-1])[2:]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
+def test_csv_header_is_the_json_row_keys(name):
+    report = run_scenario(load_scenario(str(SCENARIO_DIR / f"{name}.yaml")))
+    header = _csv_header(report)
+    assert len(set(header)) == len(header)
+    assert all(list(row) == header for row in json.loads(render_json(report))["rows"])
+
+
+def test_verify_csv_header_is_the_check_keys(verify_seed42):
+    header = _csv_header(verify_seed42)
+    assert all(list(check) == header for check in json.loads(render_json(verify_seed42))["checks"])
+
+
+def test_sweep_leaves_the_parsed_params_unchanged():
+    # each point copies only the mappings on the swept path
+    s = parse_scenario(AB_UNIT_DOC + "sweep: {param: solenoid.v_cm_per_s, from: 0.05, to: 0.45, steps: 3}\n")
+    before = copy.deepcopy(s.params)
+    report = run_scenario(s)
+    assert s.params == before
+    assert [row["solenoid.v_cm_per_s"] for row in report.rows] == s.sweep.values()
+    assert report.scenario["params"] == before
+
+
 def test_golden_csv_matches_stored_file(tmp_path):
     scenario = load_scenario(str(SCENARIO_DIR / "ab_solenoid_unit.yaml"))
     report = run_scenario(scenario)
@@ -595,16 +658,17 @@ def test_sweep_that_rounds_past_to_ends_on_it(tmp_path):
     assert parse_scenario(log_doc).sweep.values()[-1] == 0.45
 
 
-def test_sweep_point_with_zero_length_is_an_error_row(tmp_path):
-    # 1.0 + (1e-20 - 1.0) * 1 is 0.0: the point is refused, and its note is not computed from r / 0
+def test_sweep_point_with_zero_length_is_refused_at_parse(tmp_path, capsys):
+    # 1.0 + (1e-20 - 1.0) * 1 is 0.0 although both ends are positive; the
+    # point used to run into an error row
     doc = AB_UNIT_DOC + "sweep: {param: solenoid.L_cm, from: 1.0, to: 1.0e-20, steps: 2}\n"
-    report = run_scenario(parse_scenario(doc))
-    assert report.rows[-1]["solenoid.L_cm"] == 0.0
-    assert report.rows[-1]["error"] == "ValidationError: L must be positive and finite, got 0.0"
-    assert report.to_dict()["scenario"]["warnings"] == parse_scenario(doc).warnings
+    message = "sweep point 1 for params.solenoid.L_cm: must be positive, got 0.0"
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        parse_scenario(doc)
     path = tmp_path / "zero_length.yaml"
     path.write_text(doc)
-    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sweep_of_integer_key_is_refused(tmp_path):
@@ -856,7 +920,7 @@ def test_field_free_spacing_at_the_separation_floor_names_the_key(tmp_path, caps
 
 def test_field_free_report_carries_the_catalogue_residual(tmp_path, capsys):
     report = run_scenario(parse_scenario(FIELD_FREE_DOC % ("2.0", "3.0")))
-    assert "field_free_pass" not in report.columns
+    assert "field_free_pass" not in _csv_header(report)
     assert all("field_free_pass" not in row for row in report.rows)
     for row in report.rows:
         assert row["field_residual"] == verify.field_residual(row["field_statV_per_cm"], 2.0, 3.0)
@@ -974,6 +1038,33 @@ def test_cli_bounce_with_huge_n_bounces_exits_3(tmp_path, monkeypatch, capsys):
     assert cli_main(["run", str(path)]) == 3
     err = capsys.readouterr().err
     assert "law: bounce leg 3 exceeded the run's budget of 500 RK4 steps" in err
+
+
+OVERFLOWING_BOUNCE_DOC = (SCENARIO_DIR / "ac_bounce.yaml").read_text().replace(
+    "lambda_statC_per_cm: 0.05", "lambda_statC_per_cm: 1.0e100"
+)
+OVERFLOW_MESSAGE = (
+    "naive-boyer law: the RK4 step of dt = 0.00390625 s from t = 0.0 s overflowed: state has non-finite "
+    "components: TrajectoryState(t=0.00390625, x=-4.655929839174909e+190, y=-1.9686807810910624e+187, vx=nan, vy=nan)"
+)
+
+
+def test_cli_bounce_whose_step_overflows_exits_3(tmp_path, capsys):
+    # the naive law's first step overflows: a numerical failure, not invalid input (it exited 2)
+    path = tmp_path / "strong_line.yaml"
+    path.write_text(OVERFLOWING_BOUNCE_DOC)
+    assert cli_main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {OVERFLOW_MESSAGE}\n"
+
+
+def test_sweep_point_whose_bounce_overflows_is_an_error_row():
+    doc = (SCENARIO_DIR / "ac_bounce.yaml").read_text() + (
+        "sweep: {param: line.lambda_statC_per_cm, from: 0.05, to: 1.0e100, steps: 2, scale: log}\n"
+    )
+    report = run_scenario(parse_scenario(doc))
+    assert report.rows[-1] == {"sweep_index": 1, "line.lambda_statC_per_cm": 1.0e100,
+                               "error": f"NumericalError: {OVERFLOW_MESSAGE}"}
+    assert not any("error" in row for row in report.rows[:-1])
 
 
 def test_cli_verify_passes_on_seed_with_small_overlap_real_part(tmp_path):

@@ -48,7 +48,6 @@ def random_constants(rng):
         e=float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))),
         c=float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))),
         hbar=hbar,
-        h=2.0 * math.pi * hbar,
     )
 
 

@@ -51,12 +51,7 @@ def test_make_constants_bit_for_bit_deterministic(system):
 
 def test_constants_must_be_positive():
     with pytest.raises(ValidationError):
-        PhysicalConstants(e=-1.0, c=1.0, hbar=1.0, h=2.0 * math.pi)
-
-
-def test_constants_h_hbar_consistency_enforced():
-    with pytest.raises(ValidationError):
-        PhysicalConstants(e=1.0, c=1.0, hbar=1.0, h=6.0)
+        PhysicalConstants(e=-1.0, c=1.0, hbar=1.0)
 
 
 def test_cross_basis_identity():
