@@ -29,13 +29,8 @@ from .boyer import (
     TrajectoryState,
     ac_phase,
     ac_phase_enclosed_value,
-    boyer_force,
-    hidden_momentum,
-    hidden_momentum_rate,
-    induced_dipole,
     kinetic_energy,
     line_field,
-    line_field_gradient,
     loop_winding_number,
     path_axis_clearance,
     simulate_bounce_experiment,
@@ -104,7 +99,6 @@ from .units import (
     PhysicalConstants,
     SCALED_UNITY,
     Vec3,
-    ZERO3,
     cross,
     make_constants,
 )

@@ -32,8 +32,9 @@ the field Jacobian (three distinct entries), the induced-dipole force F and
 the convective rate (v . grad)p_h in one function body, and the full law
 subtracts the two terms; ``_rk4`` steps (x, y, vx, vy) with it, and
 ``_hidden_momentum`` gives (px, py) to the loop integrands and the bounce
-samples.  ``line_field_gradient``, ``boyer_force``, ``hidden_momentum`` and
-``hidden_momentum_rate`` are Vec3 wrappers over the same bodies.
+samples.  These are the only implementations of the two force terms and of
+p_h: the catalogue row ``boyer_force_equals_momentum_rate`` reads F and
+F - (v . grad)p_h from ``_acceleration`` itself, at unit inverse mass.
 
 Contract: each body is the Vec3 formulation with mu = (0, 0, mu_z) and
 position and velocity in the x-y plane, less the terms that vanish in this
@@ -84,7 +85,7 @@ from typing import Callable, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
 from .quadrature import refine_gauss_legendre
-from .units import ZERO3, PhysicalConstants, Vec3, cross
+from .units import PhysicalConstants, Vec3
 
 FULL_LAW = "full"
 NAIVE_LAW = "naive-boyer"
@@ -216,12 +217,9 @@ def _acceleration(
     y: float,
     vx: float,
     vy: float,
-    terms: bool = False,
 ):
     """Acceleration (F - (v . grad)p_h)/m under the full law, F/m under the
-    naive law.  With terms=True and naive False it returns the Jacobian
-    entries (exx, exy, eyy), F and (v . grad)p_h instead, for the Vec3
-    wrappers.  One body, no helper calls: this is the RK4 hot path (see the
+    naive law.  One body, no helper calls: this is the RK4 hot path (see the
     module docstring for its bit-identity contract)."""
     x2 = x * x
     y2 = y * y
@@ -245,47 +243,15 @@ def _acceleration(
     ey = exy * vx + eyy * vy
     qx = (0.0 - mu_z * ey) * inv_c
     qy = mu_z * ex * inv_c
-    if terms:
-        return (exx, exy, eyy), (fx, fy), (qx, qy)
     # The full law subtracts the two independently formed terms; it never
     # short-circuits to zero, since their cancellation is the claim under test.
     return (fx - qx) * inv_m, (fy - qy) * inv_m
-
-
-def _terms(lc: LineCharge, pos: Vec3, vel: Vec3, mu_z: float, inv_c: float):
-    return _acceleration(lc, mu_z, inv_c, 1.0, False, pos.x, pos.y, vel.x, vel.y, True)
 
 
 def line_field(lc: LineCharge, pos: Vec3) -> Vec3:
     """Electric field 2*lambda_c/rho radially outward from the line (statV/cm)."""
     s = 2.0 * lc.lambda_c / _check_axis(pos.x, pos.y)
     return Vec3(s * pos.x, s * pos.y, 0.0)
-
-
-def line_field_gradient(lc: LineCharge, pos: Vec3) -> tuple[Vec3, Vec3]:
-    """Columns dE/dx and dE/dy of the field Jacobian (dE/dz vanishes)."""
-    (exx, exy, eyy), _, _ = _terms(lc, pos, ZERO3, 0.0, 1.0)
-    return Vec3(exx, exy, 0.0), Vec3(exy, eyy, 0.0)
-
-
-def induced_dipole(vel: Vec3, mu_z: float, k: PhysicalConstants) -> Vec3:
-    """Electric dipole (v x mu)/c induced on a moving magnetic moment."""
-    return cross(vel, Vec3(0.0, 0.0, mu_z)) * (1.0 / k.c)
-
-
-def boyer_force(lc: LineCharge, pos: Vec3, vel: Vec3, mu_z: float, k: PhysicalConstants) -> Vec3:
-    """Gradient force (d . grad)E on the induced dipole (dyn)."""
-    return Vec3(*_terms(lc, pos, vel, mu_z, 1.0 / k.c)[1], 0.0)
-
-
-def hidden_momentum(lc: LineCharge, pos: Vec3, mu_z: float, k: PhysicalConstants) -> Vec3:
-    """Hidden mechanical momentum (mu x E)/c of a current loop in the line field."""
-    return Vec3(*_hidden_momentum(lc, mu_z, 1.0 / k.c, pos.x, pos.y), 0.0)
-
-
-def hidden_momentum_rate(lc: LineCharge, pos: Vec3, vel: Vec3, mu_z: float, k: PhysicalConstants) -> Vec3:
-    """Convective rate (v . grad)[(mu x E)/c] along a trajectory through pos."""
-    return Vec3(*_terms(lc, pos, vel, mu_z, 1.0 / k.c)[2], 0.0)
 
 
 def _rk4(

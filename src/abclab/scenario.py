@@ -38,7 +38,7 @@ import yaml
 from . import boyer, fieldfree, interferometry, solenoid, verify
 from .errors import AbclabError, DomainError, ScenarioParseError, ValidationError
 from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, make_constants
-from .verify import SCHEMA_VERSION, CheckRow, RunReport  # report types, re-exported
+from .verify import CheckRow, RunReport  # report types, re-exported
 
 KIND_MZI = "mzi"
 KIND_AB_SOLENOID = "ab-solenoid"

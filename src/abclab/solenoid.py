@@ -135,10 +135,10 @@ def velocity_kick_integrand(
     theta: float, s: SolenoidParams, o: OrbitParams, k: PhysicalConstants
 ) -> float:
     """Angular integrand behind the cylinder velocity change, factor by factor:
-    EMF flux profile, per-circumference share, path stretch R/cos^2, full
-    circumference, and charge per unit length."""
+    EMF flux profile ``electron_flux_at_angle``/c, per-circumference share,
+    path stretch R/cos^2, full circumference, and charge per unit length."""
     return (
-        math.pi * s.r ** 2 * k.e * o.u * math.cos(theta) ** 3 / (k.c ** 2 * o.R ** 2)
+        electron_flux_at_angle(theta, o, s, k) / k.c
         * (1.0 / (2.0 * math.pi * s.r))
         * (o.R / math.cos(theta) ** 2)
         * (2.0 * math.pi * s.r)

@@ -105,9 +105,6 @@ class Vec3:
         return (self.x, self.y, self.z)
 
 
-ZERO3 = Vec3(0.0, 0.0, 0.0)
-
-
 def cross(a: Vec3, b: Vec3) -> Vec3:
     """Right-handed cross product a x b."""
     return a.cross(b)

@@ -186,7 +186,12 @@ def potential_residual(cfg: fieldfree.ChargeConfiguration, d: float, e: float) -
 
 def bounce_checks(result: boyer.BounceResult) -> list[CheckRow]:
     """The energy claims of one bounce run.  The full law conserves kinetic
-    energy.  The naive law gains it on every leg, by the work of its force."""
+    energy.  The naive law gains it on every leg, by the work of its force.
+
+    The work integral is not fully independent of the kinetic energies: on a
+    nearly straight path, RK4 and the Simpson work rule sample the force at
+    the same nodes.  So at vanishing coupling ``work_integral_match`` guards
+    the energy bookkeeping, not the physics."""
     if result.law == boyer.FULL_LAW:
         drift = _relative(result.final_kinetic_energy, result.initial_kinetic_energy)
         return [claim_row("energy_conserved_full_law", drift)]
@@ -446,14 +451,16 @@ def _visibility_pipeline(rng) -> CheckRow:
 def _force_equals_rate(rng) -> float:
     rho = _log_uniform(rng, 0.1, 10.0)
     angle = _uniform(rng, 0.0, 2.0 * math.pi)
-    # z is drawn to keep the stream in place; the line field does not depend on it
-    pos = Vec3(rho * math.cos(angle), rho * math.sin(angle), _uniform(rng, -1.0, 1.0))
-    vel = Vec3(_uniform(rng, -3.0, 3.0), _uniform(rng, -3.0, 3.0), 0.0)
-    # The two routes are formed separately; their cancellation is the claim.
-    force = boyer.boyer_force(_UNIT_LINE, pos, vel, _UNIT_NEUTRON.mu_z, _K1)
-    rate = boyer.hidden_momentum_rate(_UNIT_LINE, pos, vel, _UNIT_NEUTRON.mu_z, _K1)
-    diff = force - rate
-    return _worst(abs(c) for c in diff.as_tuple()) / max(force.norm(), 1e-300)
+    x, y = rho * math.cos(angle), rho * math.sin(angle)
+    _uniform(rng, -1.0, 1.0)  # a z, drawn to keep the stream in place; the line field does not depend on it
+    vx, vy = _uniform(rng, -3.0, 3.0), _uniform(rng, -3.0, 3.0)
+    # At unit inverse mass the naive law returns F, and the full law returns
+    # F - (v . grad)p_h from the two separately formed terms, the expression
+    # RK4 integrates; that it cancels is the claim.
+    kernel = (_UNIT_LINE, _UNIT_NEUTRON.mu_z, 1.0 / _K1.c, 1.0)
+    fx, fy = boyer._acceleration(*kernel, True, x, y, vx, vy)
+    net_x, net_y = boyer._acceleration(*kernel, False, x, y, vx, vy)
+    return _worst((abs(net_x), abs(net_y))) / max(math.sqrt(fx * fx + fy * fy), 1e-300)
 
 
 # The two unit flights step boyer's float kernel with the arguments that

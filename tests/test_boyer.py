@@ -22,13 +22,8 @@ from abclab import (
     ac_phase,
     ac_phase_enclosed_value,
     boyer,
-    boyer_force,
-    hidden_momentum,
-    hidden_momentum_rate,
-    induced_dipole,
     kinetic_energy,
     line_field,
-    line_field_gradient,
     load_scenario,
     loop_winding_number,
     make_constants,
@@ -73,51 +68,67 @@ def test_neutron_model_validation():
         NeutronModel(mass=1.0, mu_z=math.nan)
 
 
-def test_induced_dipole_static():
-    assert induced_dipole(Vec3(0.0, 0.0, 0.0), MU_Z, K1) == Vec3(0.0, 0.0, 0.0)
+# The force terms and p_h at unit inverse mass, from the kernel the dynamics
+# integrates: the naive law's acceleration is F, the full law's F - (v . grad)p_h.
+
+
+def _force(x, y, vx, vy):
+    return boyer._acceleration(LINE, MU_Z, 1.0 / K1.c, 1.0, True, x, y, vx, vy)
+
+
+def _net_force(x, y, vx, vy):
+    return boyer._acceleration(LINE, MU_Z, 1.0 / K1.c, 1.0, False, x, y, vx, vy)
+
+
+def _p_h(x, y, mu_z=MU_Z):
+    return boyer._hidden_momentum(LINE, mu_z, 1.0 / K1.c, x, y)
 
 
 def test_induced_dipole_x_cross_z():
-    assert induced_dipole(Vec3(5.0, 0.0, 0.0), MU_Z, K1) == Vec3(0.0, -5.0, 0.0)
+    # at (1, 0) the field Jacobian is diag(-2, 2), so F = (-2 d_x, 2 d_y)
+    # reads the dipole d = (v x mu)/c: v = 5 x-hat gives d = -5 y-hat
+    assert _force(1.0, 0.0, 5.0, 0.0) == (0.0, -10.0)
 
 
 def test_induced_dipole_flips_with_velocity():
-    d_fwd = induced_dipole(Vec3(2.0, -1.0, 0.0), MU_Z, K1)
-    d_back = induced_dipole(Vec3(-2.0, 1.0, 0.0), MU_Z, K1)
-    assert d_back == -d_fwd
+    # the dipole, and with it the force, is odd in the velocity
+    fwd = _force(1.3, -0.4, 2.0, -1.0)
+    back = _force(1.3, -0.4, -2.0, 1.0)
+    assert back == (-fwd[0], -fwd[1]) and fwd != (0.0, 0.0)
 
 
 def test_boyer_force_closed_form_anchor():
-    force = boyer_force(LINE, Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0), MU_Z, K1)
-    assert force.x == pytest.approx(-2.0, rel=1e-15)
-    assert abs(force.y) <= 1e-15 and force.z == 0.0
+    fx, fy = _force(1.0, 0.0, 0.0, 1.0)
+    assert fx == pytest.approx(-2.0, rel=1e-15)
+    assert abs(fy) <= 1e-15
 
 
 def test_boyer_force_zero_velocity():
-    assert boyer_force(LINE, Vec3(1.0, 2.0, 0.0), Vec3(0.0, 0.0, 0.0), MU_Z, K1) == Vec3(0.0, 0.0, 0.0)
+    assert _force(1.0, 2.0, 0.0, 0.0) == (0.0, 0.0)
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
 
 
 def test_boyer_force_accelerates_in_bounce_orientation():
     # approach along the flight line offset from the charged line: the force
     # has a positive component along the velocity, and reversing the velocity
     # (which reverses the induced dipole too) keeps the power positive
-    pos, vel = Vec3(3.0, 0.5, 0.0), Vec3(-2.0, 0.0, 0.0)
-    assert boyer_force(LINE, pos, vel, MU_Z, K1).dot(vel) > 0.0
-    back = Vec3(2.0, 0.0, 0.0)
-    assert boyer_force(LINE, pos, back, MU_Z, K1).dot(back) > 0.0
+    assert _dot(_force(3.0, 0.5, -2.0, 0.0), (-2.0, 0.0)) > 0.0
+    assert _dot(_force(3.0, 0.5, 2.0, 0.0), (2.0, 0.0)) > 0.0
 
 
 def test_boyer_force_radial_power_vanishes():
     # head-on radial motion: the induced dipole is azimuthal and the force is
     # exactly perpendicular to the velocity
-    vel = Vec3(-1.0, 0.0, 0.0)
-    force = boyer_force(LINE, Vec3(2.0, 0.0, 0.0), vel, MU_Z, K1)
-    assert force.dot(vel) == 0.0
-    assert force.y > 0.0
+    force = _force(2.0, 0.0, -1.0, 0.0)
+    assert _dot(force, (-1.0, 0.0)) == 0.0
+    assert force[1] > 0.0
 
 
 def _fd_force(lc, pos, vel, mu, k, h):
-    d = induced_dipole(vel, mu, k)
+    d = vel.cross(Vec3(0.0, 0.0, mu)) * (1.0 / k.c)
     dedx = (line_field(lc, Vec3(pos.x + h, pos.y, pos.z)) - line_field(lc, Vec3(pos.x - h, pos.y, pos.z))) * (
         1.0 / (2.0 * h)
     )
@@ -129,7 +140,7 @@ def _fd_force(lc, pos, vel, mu, k, h):
 
 def test_boyer_force_matches_finite_differences():
     pos, vel = Vec3(1.1, 0.7, 0.0), Vec3(0.8, -0.5, 0.0)
-    exact = boyer_force(LINE, pos, vel, MU_Z, K1)
+    exact = Vec3(*_force(pos.x, pos.y, vel.x, vel.y), 0.0)
     errors = [(_fd_force(LINE, pos, vel, MU_Z, K1, h) - exact).norm() for h in (0.04, 0.02, 0.01)]
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     # second order up to the O(h^2) width of the order estimate itself
@@ -141,45 +152,43 @@ def test_boyer_force_matches_finite_differences():
 
 
 def test_hidden_momentum_anchor():
-    assert hidden_momentum(LINE, Vec3(1.0, 0.0, 0.0), MU_Z, K1) == Vec3(0.0, 2.0, 0.0)
+    assert _p_h(1.0, 0.0) == (0.0, 2.0)
 
 
 def test_hidden_momentum_zero_moment():
-    assert hidden_momentum(LINE, Vec3(1.0, 0.0, 0.0), 0.0, K1) == Vec3(0.0, 0.0, 0.0)
+    assert _p_h(1.0, 0.0, mu_z=0.0) == (0.0, 0.0)
 
 
 def test_hidden_momentum_magnitude_azimuth_independent():
     # |p_h| = 2 mu lambda / (c rho) around the line
     rho = 1.7
     for angle in (0.0, 0.9, 2.3, 4.0):
-        pos = Vec3(rho * math.cos(angle), rho * math.sin(angle), 0.0)
-        assert hidden_momentum(LINE, pos, MU_Z, K1).norm() == pytest.approx(2.0 / rho, rel=1e-14)
+        assert math.hypot(*_p_h(rho * math.cos(angle), rho * math.sin(angle))) == pytest.approx(2.0 / rho, rel=1e-14)
 
 
 def test_momentum_rate_equals_force_anchor():
-    pos, vel = Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)
-    rate = hidden_momentum_rate(LINE, pos, vel, MU_Z, K1)
-    force = boyer_force(LINE, pos, vel, MU_Z, K1)
-    assert rate.x == pytest.approx(-2.0, rel=1e-15)
-    assert (rate - force).norm() <= 1e-15
+    force, net = _force(1.0, 0.0, 0.0, 1.0), _net_force(1.0, 0.0, 0.0, 1.0)
+    assert force[0] == pytest.approx(-2.0, rel=1e-15)
+    assert math.hypot(*net) <= 1e-15
 
 
 def test_momentum_rate_zero_velocity():
-    assert hidden_momentum_rate(LINE, Vec3(0.5, 0.5, 0.0), Vec3(0.0, 0.0, 0.0), MU_Z, K1) == Vec3(
-        0.0, 0.0, 0.0
-    )
+    assert _net_force(0.5, 0.5, 0.0, 0.0) == (0.0, 0.0)
 
 
-def test_momentum_rate_matches_directional_finite_difference():
-    pos, vel = Vec3(0.9, -1.3, 0.0), Vec3(0.6, 0.4, 0.0)
-    exact = hidden_momentum_rate(LINE, pos, vel, MU_Z, K1)
+def test_directional_difference_of_hidden_momentum_converges_to_force():
+    # (p_h(r + v h) - p_h(r - v h)) / 2h -> (v . grad)p_h at second order; its
+    # limit is the naive-law force F, a route that shares no code with the
+    # kernel's Jacobian
+    x, y, vx, vy = 0.9, -1.3, 0.6, 0.4
+    fx, fy = _force(x, y, vx, vy)
     errors = []
     for h in (0.02, 0.01, 0.005):
-        ahead = hidden_momentum(LINE, pos + vel * h, MU_Z, K1)
-        behind = hidden_momentum(LINE, pos - vel * h, MU_Z, K1)
-        errors.append(((ahead - behind) * (1.0 / (2.0 * h)) - exact).norm())
+        (ax, ay), (bx, by) = _p_h(x + vx * h, y + vy * h), _p_h(x - vx * h, y - vy * h)
+        errors.append(math.hypot((ax - bx) / (2.0 * h) - fx, (ay - by) / (2.0 * h) - fy))
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     assert min(orders) >= 1.99
+    assert errors[-1] <= 1e-5 * math.hypot(fx, fy)
 
 
 def test_force_equals_momentum_rate_randomized():
@@ -187,12 +196,11 @@ def test_force_equals_momentum_rate_randomized():
     for _ in range(1000):
         rho = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        pos = Vec3(rho * math.cos(angle), rho * math.sin(angle), float(rng.uniform(-1, 1)))
-        vel = Vec3(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)), 0.0)
-        force = boyer_force(LINE, pos, vel, MU_Z, K1)
-        rate = hidden_momentum_rate(LINE, pos, vel, MU_Z, K1)
-        diff = force - rate
-        assert max(abs(diff.x), abs(diff.y), abs(diff.z)) <= 1e-10 * max(force.norm(), 1e-300)
+        x, y = rho * math.cos(angle), rho * math.sin(angle)
+        rng.uniform(-1, 1)  # a z; the line field does not depend on it
+        vx, vy = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
+        force, net = _force(x, y, vx, vy), _net_force(x, y, vx, vy)
+        assert max(abs(net[0]), abs(net[1])) <= 1e-10 * max(math.hypot(*force), 1e-300)
 
 
 def _speed(state):
@@ -392,14 +400,19 @@ def test_scalar_kernel_matches_vec3_reference_bit_for_bit(law):
             assert _state_bits(ours) == _ref_state_bits(ref)
             assert _state_bits(shared) == _state_bits(ours)
             assert [_bits(*f) for f in floats] == [_state_bits(ours)[1:]] * 2
+        # at unit inverse mass: F, F - (v . grad)p_h, and the Jacobian's
+        # columns as F at the unit dipoles d = (1, 0) and d = (0, 1)
+        x, y, vx, vy = state.x, state.y, state.vx, state.vy
         pos, vel = _ref_state(state)[1:]
-        force, ref_force = boyer_force(lc, pos, vel, mu.z, k), _ref_force(lc, pos, vel, mu, k)
-        assert _bits(force.x, force.y) == _bits(ref_force.x, ref_force.y)
-        rate, ref_rate = hidden_momentum_rate(lc, pos, vel, mu.z, k), _ref_rate(lc, pos, vel, mu, k)
-        assert _bits_but_zero_sign(rate.x, rate.y) == _bits_but_zero_sign(ref_rate.x, ref_rate.y)
-        assert force.z == rate.z == 0.0
-        assert [_bits(*c.as_tuple()) for c in line_field_gradient(lc, pos)] == [
-            _bits(*c.as_tuple()) for c in _ref_gradient(lc, pos)
+        unit = (lc, mu.z, 1.0 / k.c, 1.0)
+        ref_force = _ref_force(lc, pos, vel, mu, k)
+        assert _bits(*boyer._acceleration(*unit, True, x, y, vx, vy)) == _bits(ref_force.x, ref_force.y)
+        ref_net = ref_force - _ref_rate(lc, pos, vel, mu, k)
+        net = boyer._acceleration(*unit, False, x, y, vx, vy)
+        assert _bits_but_zero_sign(*net) == _bits_but_zero_sign(ref_net.x, ref_net.y)
+        columns = [boyer._acceleration(lc, 1.0, 1.0, 1.0, True, x, y, *v) for v in ((0.0, 1.0), (-1.0, 0.0))]
+        assert [_bits_but_zero_sign(*c) for c in columns] == [
+            _bits_but_zero_sign(c.x, c.y) for c in _ref_gradient(lc, pos)
         ]
     assert zeros == {"lambda", "mu_z", "y", "vy"}
 
@@ -494,7 +507,7 @@ def test_naive_law_gain_matches_work_integral():
 def test_bounce_samples_carry_hidden_momentum():
     result = bounce(FULL_LAW, n_bounces=2)
     sample = result.samples[10]
-    expected = hidden_momentum(BOUNCE_LINE, Vec3(sample.x, sample.y, 0.0), MU_Z, K1)
+    expected = _ref_hidden_momentum(BOUNCE_LINE, Vec3(sample.x, sample.y, 0.0), Vec3(0.0, 0.0, MU_Z), K1)
     assert sample.hidden_momentum == (expected.x, expected.y)
     assert sample.kinetic_energy == pytest.approx(
         kinetic_energy(NEUTRON, TrajectoryState(sample.t, sample.x, sample.y, sample.vx, sample.vy))
@@ -644,8 +657,8 @@ def test_bounce_samples_match_an_eager_per_step_build(law):
         if i and st.t not in times:
             stepped = step_trajectory(BOUNCE_LINE, NEUTRON, states[i - 1], 1.0 / 256.0, law, K1)
             assert _state_bits(stepped) == _state_bits(st)
-        p_h = hidden_momentum(BOUNCE_LINE, Vec3(st.x, st.y, 0.0), MU_Z, K1)
-        eager.append(boyer.BounceSample(st.t, st.x, st.y, st.vx, st.vy, kinetic_energy(NEUTRON, st), (p_h.x, p_h.y)))
+        p_h = boyer._hidden_momentum(BOUNCE_LINE, MU_Z, 1.0 / K1.c, st.x, st.y)
+        eager.append(boyer.BounceSample(st.t, st.x, st.y, st.vx, st.vy, kinetic_energy(NEUTRON, st), p_h))
 
     def sample_bits(s):
         return _state_bits(s) + _bits(s.kinetic_energy, *s.hidden_momentum)
@@ -858,7 +871,6 @@ def test_ac_phase_builds_no_vec3_per_node(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a Vec3 was built inside ac_phase")
 
-    monkeypatch.setattr(boyer, "hidden_momentum", forbidden)
     monkeypatch.setattr(boyer, "Vec3", forbidden)
     assert [ac_phase(LINE, mu, loop, K1) for loop in (square, circle)] == expected
 

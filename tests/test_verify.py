@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from abclab import boyer, run_verify_suite, verify
+from abclab import boyer, run_verify_suite, solenoid, verify
 
 
 def test_uniform_draw_is_generator_uniform_bit_for_bit():
@@ -39,3 +39,12 @@ def test_non_finite_flight_fails_its_row(monkeypatch, flight):
     monkeypatch.setattr(boyer, "_rk4", lambda *args: (math.nan,) * 4)
     row = flight(np.random.default_rng(0))
     assert not row.passed and math.isnan(row.actual)
+
+
+def test_scaled_emf_flux_profile_fails_only_the_kick_quadrature(monkeypatch):
+    # the kick integrand is built from electron_flux_at_angle, so the
+    # quadrature row also judges the profile's magnitude; its shape rows are
+    # blind to a uniform scale
+    flux = solenoid.electron_flux_at_angle
+    monkeypatch.setattr(solenoid, "electron_flux_at_angle", lambda *args: flux(*args) * (1.0 + 1e-6))
+    assert [c.name for c in run_verify_suite(42).checks if not c.passed] == ["velocity_kick_quadrature"]
