@@ -4,8 +4,11 @@
 Gauss-Legendre rule until two successive estimates agree.  It integrates
 every smooth integrand in this package (the velocity-kick integral over
 angle, the complex Gaussian overlap integrand, the loop-phase line
-integrals), and it takes real or complex integrands alike.  The ten nodes
-and weights are float literals equal bit for bit to numpy's
+integrals), and it takes real or complex integrands alike.  It stops at the
+first estimate that is not finite, such as that of an integrand that
+overflows, since an inf or NaN estimate never agrees with the next one; its
+``NumericalError`` names the interval, the estimate and the panel count.
+The ten nodes and weights are float literals equal bit for bit to numpy's
 ``leggauss(10)``, so this module, and ``abclab run`` and ``abclab sweep``
 with it, never imports numpy.
 
@@ -18,6 +21,7 @@ tracer (``perfbench/tracer.py``) still patches it by name.
 
 from __future__ import annotations
 
+import cmath
 from typing import Callable
 
 from .errors import NumericalError
@@ -112,6 +116,17 @@ def composite_gauss_legendre(
     return total
 
 
+def _finite_estimate(f, a: float, b: float, n_panels: int) -> float | complex:
+    """The composite estimate on n_panels, refused when it is not finite: no
+    refinement makes an inf or NaN estimate agree with the next one."""
+    estimate = composite_gauss_legendre(f, a, b, n_panels)
+    if not cmath.isfinite(estimate):
+        raise NumericalError(
+            f"Gauss-Legendre refinement stopped on [{a!r}, {b!r}]: the estimate at {n_panels} panels is {estimate!r}"
+        )
+    return estimate
+
+
 def refine_gauss_legendre(
     f: Callable[[float], float | complex],
     a: float,
@@ -127,13 +142,15 @@ def refine_gauss_legendre(
     caller supplies abs_floor as the natural zero scale of the problem so
     integrals that vanish by symmetry still terminate.  f may return
     complex values: the estimate is then complex, and |.| is the complex
-    modulus, so one pass converges both parts together.
+    modulus, so one pass converges both parts together.  Raises
+    NumericalError at the first estimate that is not finite, and after
+    max_doublings doublings that do not converge.
     """
     n = start_panels
-    prev = composite_gauss_legendre(f, a, b, n)
+    prev = _finite_estimate(f, a, b, n)
     for _ in range(max_doublings):
         n *= 2
-        cur = composite_gauss_legendre(f, a, b, n)
+        cur = _finite_estimate(f, a, b, n)
         if abs(cur - prev) <= max(rel_tol * abs(cur), abs_floor):
             return cur
         prev = cur

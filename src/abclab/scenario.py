@@ -426,10 +426,15 @@ def _check_sweep_span(sweep: SweepSpec):
         raise ValidationError(f"sweep: the span to - from of a linear sweep overflows over {sweep.steps} points")
 
 
-class _ScenarioLoader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 exponent floats such as ``5e-2`` and
-    ``3.0e6``, which YAML 1.1 resolves to strings (it needs a dot and a signed
-    exponent)."""
+class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader on libyaml's C parser, or on PyYAML's pure-Python one
+    when PyYAML was built without libyaml; both build the same objects.  It
+    also reads YAML 1.2 exponent floats such as ``5e-2`` and ``3.0e6``, which
+    YAML 1.1 resolves to strings (it needs a dot and a signed exponent).
+
+    libyaml composes nested nodes by C recursion, which Python's recursion
+    limit does not bound, so ``parse_scenario`` refuses a document nested
+    deeper than ``MAX_NESTING`` from its events before it loads it."""
 
 
 _ScenarioLoader.add_implicit_resolver(
@@ -438,10 +443,28 @@ _ScenarioLoader.add_implicit_resolver(
     list("-+.0123456789"),
 )
 
+# Sequences and mappings a document may nest; the deepest legal one has 5
+# levels: root, params, loop, vertices_cm, vertex.
+MAX_NESTING = 32
+
+
+def _check_nesting(text: str):
+    """Refuse at its first event past MAX_NESTING a document that nests too
+    deep; the walk stops there, since libyaml's scan is quadratic in flow depth."""
+    depth = 0
+    for event in yaml.parse(text, Loader=_ScenarioLoader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ScenarioParseError(f"scenario document nests deeper than {MAX_NESTING} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; returns the normalized Scenario."""
     try:
+        _check_nesting(text)
         doc = yaml.load(text, Loader=_ScenarioLoader)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: a scalar the loader cannot build, such as an integer

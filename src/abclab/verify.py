@@ -94,7 +94,7 @@ TOLERANCES = {
     "flux_phase_linearity": 1e-12,
     "flux_chain_consistency": 1e-14,
     "visibility_pipeline_monotone": 0.0,
-    "boyer_force_equals_momentum_rate": 1e-10,
+    "boyer_force_equals_momentum_rate": 1e-15,
     "full_law_no_classical_lag": 1e-8,
     "rk4_order4_convergence": 0.5,
     "energy_grows_naive_law": 0.0,

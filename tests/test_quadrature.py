@@ -73,3 +73,23 @@ def test_refine_gauss_legendre_complex_integrand():
 
 def test_refine_gauss_legendre_zero_integrand():
     assert refine_gauss_legendre(lambda x: 0.0, 0.0, 1.0, rel_tol=1e-12) == 0.0
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, complex(math.inf, 0.0)], ids=["inf", "nan", "complex-inf"])
+def test_refine_gauss_legendre_stops_at_the_first_non_finite_estimate(value):
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return value
+
+    stopped = r"^Gauss-Legendre refinement stopped on \[0\.0, 2\.0\]: the estimate at 8 panels is "
+    with pytest.raises(NumericalError, match=stopped):
+        refine_gauss_legendre(f, 0.0, 2.0)
+    assert len(calls) == 8 * 10  # the first estimate only
+
+
+def test_refine_gauss_legendre_stops_when_a_refined_estimate_overflows():
+    # the last node is 1.99674 on 8 panels of [0, 2] and 1.99837 on 16
+    with pytest.raises(NumericalError, match=r"the estimate at 16 panels is inf$"):
+        refine_gauss_legendre(lambda x: math.inf if x > 1.998 else 1.0, 0.0, 2.0)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from abclab import (
     verify,
 )
 from abclab.cli import main as cli_main
-from abclab.scenario import emit
+from abclab.scenario import _ScenarioLoader, emit
 
 DATA_DIR = Path(__file__).parent / "data"
 SCENARIO_DIR = Path(__file__).parent.parent / "scenarios"
@@ -69,8 +70,91 @@ def test_parse_attaches_long_solenoid_warning():
 
 
 def test_parse_malformed_yaml_reports_location():
-    with pytest.raises(ScenarioParseError, match="line"):
-        parse_scenario("kind: [unclosed")
+    for text, where in [
+        ("kind: [unclosed", r"line \d+, column \d+"),  # libyaml: 2, 1; the pure-Python parser: 1, 16
+        ("kind: [unclosed\n", "line 2, column 1"),
+        ("a: b: c", "line 1, column 5"),
+        ("kind: mzi\nparams:\n\tphase_rad: 0.5\n", "line 3, column 1"),  # a tab indent
+    ]:
+        with pytest.raises(ScenarioParseError, match=rf"^malformed scenario document at {where}: "):
+            parse_scenario(text)
+
+
+@pytest.mark.parametrize("depth", [1200, 100_000])
+def test_parse_refuses_deep_nesting(tmp_path, depth):
+    # libyaml composes by C recursion, which Python's recursion limit does
+    # not bound, and scans a deep flow in quadratic time: the guard refuses
+    # the document at its 33rd level, before either runs
+    text = "x: " + "[" * depth + "]" * depth + "\n"
+    start = time.perf_counter()
+    with pytest.raises(ScenarioParseError, match=r"^scenario document nests deeper than 32 levels$"):
+        parse_scenario(text)
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / "deep.yaml"
+    path.write_text(text)
+    assert cli_main(["run", str(path)]) == 2
+
+
+def test_nesting_limit_admits_32_levels():
+    # the root mapping is level 1; past the guard the schema judges the document
+    with pytest.raises(ValidationError):
+        parse_scenario("x: " + "[" * 31 + "]" * 31 + "\n")
+    with pytest.raises(ScenarioParseError, match="deeper than 32"):
+        parse_scenario("x: " + "[" * 32 + "]" * 32 + "\n")
+
+
+class _PythonLoader(yaml.SafeLoader):
+    """PyYAML's pure-Python safe loader with the scenario loader's resolvers."""
+
+    yaml_implicit_resolvers = _ScenarioLoader.yaml_implicit_resolvers
+
+
+_EDGE_DOCUMENTS = [
+    "a: .inf\nb: -.Inf\nc: .NaN\n",
+    "a: 0x10\nb: 0o17\nc: 017\nd: 0b101\n",
+    "a: yes\nb: No\nc: on\nd: ~\ne: null\n",
+    "a: 1_000\nb: 1_000.5\nc: 5e-2\nd: 1e400\ne: -1e400\nf: 3.0e6\ng: -.5E+1\n",
+    "a: 2001-12-14\nb: 2001-12-14t21:59:43.10-05:00\nc: 12:30:00\nd: 190:20:30.15\n",
+    "base: &b {x: 1.0, y: [1, 2]}\nuse: *b\nmerged: {<<: *b, z: 3}\n",
+    "kind: [unclosed",
+    "kind: [unclosed\n",
+    "kind: {unclosed: 1\n",
+    "a: b: c",
+    "kind: mzi\nparams:\n\tphase_rad: 0.5\n",
+    "a: 2020-02-30\n",
+    "a: !!float x\n",
+    "a: !!python/object:os.system x\n",
+    "a: 1\n---\nb: 2\n",
+]
+
+
+def _exactly(node):
+    """A value that compares equal only for equal types, key order and float bits."""
+    if isinstance(node, dict):
+        return ("dict", [(_exactly(key), _exactly(value)) for key, value in node.items()])
+    if isinstance(node, list):
+        return ("list", [_exactly(item) for item in node])
+    return (type(node).__name__, node.hex() if isinstance(node, float) else repr(node))
+
+
+def _loaded(text, loader):
+    try:
+        return _exactly(yaml.load(text, Loader=loader))
+    except (yaml.YAMLError, ValueError) as exc:
+        return type(exc)
+
+
+def test_scenario_loader_matches_the_python_safe_loader():
+    shipped = [path.read_text() for path in sorted(SCENARIO_DIR.glob("*.yaml"))]
+    corpus = [text for *_, text in _mutated_documents()]
+    for text in shipped + corpus + _EDGE_DOCUMENTS:
+        assert _loaded(text, _ScenarioLoader) == _loaded(text, _PythonLoader), text
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_scenario_loader_parses_with_libyaml():
+    # the pure-Python parser takes about eight times as long per sweep document
+    assert issubclass(_ScenarioLoader, yaml.CSafeLoader)
 
 
 def test_parse_rejects_unknown_fields():
@@ -1055,6 +1139,29 @@ def test_cli_bounce_whose_step_overflows_exits_3(tmp_path, capsys):
     path.write_text(OVERFLOWING_BOUNCE_DOC)
     assert cli_main(["run", str(path)]) == 3
     assert capsys.readouterr().err == f"error: {OVERFLOW_MESSAGE}\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, estimate",
+    [
+        ("lambda_statC_per_cm: 1.0", "lambda_statC_per_cm: 1.0e308", "inf"),
+        ("radius_cm: 0.8", "radius_cm: 1.0e308", "nan"),
+    ],
+    ids=["strong-line", "huge-radius"],
+)
+def test_cli_ac_phase_whose_integrand_overflows_exits_3_at_once(tmp_path, capsys, old, new, estimate):
+    # the integrand is not finite from the first estimate on, so no doubling
+    # can converge; the refinement stops there, not at 524,288 panels
+    text = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text()
+    assert old in text
+    path = tmp_path / "overflowing_loop.yaml"
+    path.write_text(text.replace(old, new))
+    start = time.perf_counter()
+    assert cli_main(["run", str(path)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: Gauss-Legendre refinement stopped on [0.0, 1.0]: the estimate at 8 panels is {estimate}\n"
+    )
 
 
 def test_sweep_point_whose_bounce_overflows_is_an_error_row():

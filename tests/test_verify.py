@@ -48,3 +48,20 @@ def test_scaled_emf_flux_profile_fails_only_the_kick_quadrature(monkeypatch):
     flux = solenoid.electron_flux_at_angle
     monkeypatch.setattr(solenoid, "electron_flux_at_angle", lambda *args: flux(*args) * (1.0 + 1e-6))
     assert [c.name for c in run_verify_suite(42).checks if not c.passed] == ["velocity_kick_quadrature"]
+
+
+def test_force_equals_rate_row_fails_a_full_law_off_by_1e_11(monkeypatch):
+    # the row reads exactly 0.0 at every seed tried, so its tolerance is a few
+    # ulps, and a full law off by 1e-11 of |F| is a FAIL
+    acceleration = boyer._acceleration
+
+    def off(lc, mu_z, inv_c, inv_m, naive, x, y, vx, vy):
+        ax, ay = acceleration(lc, mu_z, inv_c, inv_m, naive, x, y, vx, vy)
+        if naive:
+            return ax, ay
+        fx, fy = acceleration(lc, mu_z, inv_c, inv_m, True, x, y, vx, vy)
+        return ax + 1e-11 * math.hypot(fx, fy) * inv_m, ay
+
+    monkeypatch.setattr(boyer, "_acceleration", off)
+    [row] = [c for c in run_verify_suite(42).checks if c.name == "boyer_force_equals_momentum_rate"]
+    assert not row.passed and row.actual == pytest.approx(1e-11, rel=1e-3)
