@@ -63,7 +63,7 @@ from .interferometry import (
     phase_from_path_shift,
     visibility_from_overlap,
 )
-from .quadrature import adaptive_simpson, composite_gauss_legendre, refine_gauss_legendre
+from .quadrature import adaptive_simpson, composite_gauss_legendre, refine_gauss_legendre, refine_periodic_trapezoid
 from .scenario import (
     CheckRow,
     OutputSpec,

@@ -75,6 +75,9 @@ The loop phase integrates one function of t per segment
 (``_loop_integrands``): a circle computes its angle, cosine and sine once per
 node, and a polyline segment closes over its start vertex and its edge as
 floats.  Each returns p_h . tangent, so no Vec3 is built per quadrature node.
+A circle's integrand is smooth and periodic in t, so ``ac_phase`` integrates
+it with the periodic trapezoid rule from 8 points; a polyline side's is not
+periodic, and it gets composite Gauss-Legendre from 2 panels.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
-from .quadrature import refine_gauss_legendre
+from .quadrature import refine_gauss_legendre, refine_periodic_trapezoid
 from .units import PhysicalConstants, Vec3
 
 FULL_LAW = "full"
@@ -618,9 +621,10 @@ def path_axis_clearance(loop: LoopPath) -> float:
 def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) -> float:
     """Phase (1/hbar) contour_integral (mu x E)/c . dl around a closed path.
 
-    Evaluated per segment by panel-doubling composite Gauss-Legendre to
-    AC_PHASE_REL_TOL, with an absolute floor tied to the integrand magnitude
-    so loops that enclose no charge (integral zero by symmetry) still converge.
+    Evaluated per segment to AC_PHASE_REL_TOL, a circle by the point-doubling
+    periodic trapezoid rule and each polyline side by panel-doubling composite
+    Gauss-Legendre, with an absolute floor tied to the integrand magnitude so
+    loops that enclose no charge (integral zero by symmetry) still converge.
     """
     clearance = path_axis_clearance(loop)
     if clearance < AXIS_EPSILON:
@@ -639,7 +643,10 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
 
     total = 0.0
     for f in integrands:
-        total += refine_gauss_legendre(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
+        if isinstance(loop, CircleLoop):
+            total += refine_periodic_trapezoid(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
+        else:
+            total += refine_gauss_legendre(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor, start_panels=2)
     return total / k.hbar
 
 

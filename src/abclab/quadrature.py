@@ -1,16 +1,26 @@
-"""Numerical integration helpers: composite Gauss-Legendre and adaptive Simpson.
+"""Numerical integration helpers: composite Gauss-Legendre, the periodic
+trapezoid rule and adaptive Simpson.
 
-``refine_gauss_legendre`` doubles the panels of a composite 10-point
-Gauss-Legendre rule until two successive estimates agree.  It integrates
-every smooth integrand in this package (the velocity-kick integral over
-angle, the complex Gaussian overlap integrand, the loop-phase line
-integrals), and it takes real or complex integrands alike.  It stops at the
-first estimate that is not finite, such as that of an integrand that
-overflows, since an inf or NaN estimate never agrees with the next one; its
-``NumericalError`` names the interval, the estimate and the panel count.
-The ten nodes and weights are float literals equal bit for bit to numpy's
-``leggauss(10)``, so this module, and ``abclab run`` and ``abclab sweep``
-with it, never imports numpy.
+Two refinements double a rule's level until two successive estimates agree:
+
+* ``refine_gauss_legendre`` doubles the panels of a composite 10-point
+  Gauss-Legendre rule.  It integrates every smooth integrand in this package
+  that is not periodic: the velocity-kick integral over angle, the complex
+  Gaussian overlap integrand and each side of a polyline loop phase.
+* ``refine_periodic_trapezoid`` doubles the points of the trapezoid rule on
+  one period.  It integrates the circle loop phase, whose integrand is smooth
+  and periodic, so the rule converges geometrically; each level evaluates
+  only the midpoints of the last and adds them to its running sum.
+
+Both feed their estimates to one driver, ``_refine``, which holds the
+convergence test, the budget (the finest level, ``MAX_LEVEL`` panels or
+points) and the errors.  It stops at the first estimate that is not finite,
+such as that of an integrand that overflows, since an inf or NaN estimate
+never agrees with the next one; its ``NumericalError`` names the rule, the
+interval, the estimate and the level.  Integrands may be real or complex.
+The ten Gauss-Legendre nodes and weights are float literals equal bit for
+bit to numpy's ``leggauss(10)``, so this module, and ``abclab run`` and
+``abclab sweep`` with it, never imports numpy.
 
 ``adaptive_simpson`` splits an interval until the two-panel and one-panel
 estimates agree to 15x the interval's share of the tolerance, and it
@@ -116,15 +126,57 @@ def composite_gauss_legendre(
     return total
 
 
-def _finite_estimate(f, a: float, b: float, n_panels: int) -> float | complex:
-    """The composite estimate on n_panels, refused when it is not finite: no
-    refinement makes an inf or NaN estimate agree with the next one."""
-    estimate = composite_gauss_legendre(f, a, b, n_panels)
-    if not cmath.isfinite(estimate):
-        raise NumericalError(
-            f"Gauss-Legendre refinement stopped on [{a!r}, {b!r}]: the estimate at {n_panels} panels is {estimate!r}"
-        )
-    return estimate
+# The budget of either refinement: it gives up after the first level of at
+# least this many panels or points, 524,288 from any power-of-two start.
+MAX_LEVEL = 524_288
+
+
+def _refine(rule: str, unit: str, estimates, a: float, b: float, rel_tol: float, abs_floor: float) -> float | complex:
+    """Read (level, estimate) pairs until two successive estimates agree.
+
+    Convergence is |I_2n - I_n| <= max(rel_tol*|I_2n|, abs_floor).  Raises
+    NumericalError at the first estimate that is not finite, since no
+    refinement makes an inf or NaN estimate agree with the next one, and after
+    the first level of at least MAX_LEVEL that does not converge.
+    """
+    prev = None
+    for n, cur in estimates:
+        if not cmath.isfinite(cur):
+            raise NumericalError(
+                f"{rule} refinement stopped on [{a!r}, {b!r}]: the estimate at {n} {unit} is {cur!r}"
+            )
+        if prev is not None:
+            change = abs(cur - prev)
+            if change <= max(rel_tol * abs(cur), abs_floor):
+                return cur
+            if n >= MAX_LEVEL:
+                raise NumericalError(
+                    f"{rule} refinement did not converge after {n} {unit} on [{a!r}, {b!r}]; "
+                    f"last change {change:.3e}"
+                )
+        prev = cur
+
+
+def _gauss_legendre_levels(f, a: float, b: float, n_panels: int):
+    while True:
+        yield n_panels, composite_gauss_legendre(f, a, b, n_panels)
+        n_panels *= 2
+
+
+def _trapezoid_levels(f, a: float, b: float, n_points: int):
+    """Trapezoid estimates of f, periodic with period b - a, on n_points
+    equispaced points of [a, b), then on twice as many, and so on.  Each level
+    evaluates only the midpoints of the last one and adds them to its sum."""
+    step = (b - a) / n_points
+    total = 0.0
+    for i in range(n_points):
+        total += f(a + i * step)
+    while True:
+        yield n_points, total * step
+        for i in range(n_points):
+            total += f(a + (i + 0.5) * step)
+        n_points *= 2
+        step *= 0.5
 
 
 def refine_gauss_legendre(
@@ -134,28 +186,27 @@ def refine_gauss_legendre(
     rel_tol: float = 1e-10,
     abs_floor: float = 0.0,
     start_panels: int = 8,
-    max_doublings: int = 16,
 ) -> float | complex:
-    """Panel-doubling Gauss-Legendre until successive estimates agree.
+    """Panel-doubling composite Gauss-Legendre from start_panels until two
+    successive estimates agree; ``_refine`` states the test, the budget and
+    the errors.
 
-    Convergence is |I_2n - I_n| <= max(rel_tol*|I_2n|, abs_floor); the
-    caller supplies abs_floor as the natural zero scale of the problem so
-    integrals that vanish by symmetry still terminate.  f may return
-    complex values: the estimate is then complex, and |.| is the complex
-    modulus, so one pass converges both parts together.  Raises
-    NumericalError at the first estimate that is not finite, and after
-    max_doublings doublings that do not converge.
+    The caller supplies abs_floor as the natural zero scale of the problem so
+    integrals that vanish by symmetry still terminate.  f may return complex
+    values: the estimate is then complex, and |.| is the complex modulus, so
+    one pass converges both parts together.
     """
-    n = start_panels
-    prev = _finite_estimate(f, a, b, n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = _finite_estimate(f, a, b, n)
-        if abs(cur - prev) <= max(rel_tol * abs(cur), abs_floor):
-            return cur
-        prev = cur
-    raise NumericalError(
-        f"Gauss-Legendre refinement did not converge after {n} panels on [{a!r}, {b!r}]; "
-        f"last change {abs(cur - prev):.3e}"
-    )
+    estimates = _gauss_legendre_levels(f, a, b, start_panels)
+    return _refine("Gauss-Legendre", "panels", estimates, a, b, rel_tol, abs_floor)
 
+
+def refine_periodic_trapezoid(
+    f: Callable[[float], float | complex], a: float, b: float, rel_tol: float, abs_floor: float
+) -> float | complex:
+    """Point-doubling trapezoid rule from 8 points, for an f that is smooth and
+    periodic with period b - a, until successive estimates agree; it converges
+    geometrically there, and each level reuses every point of the last.
+    Convergence, budget and errors are those of ``refine_gauss_legendre``,
+    counted in points."""
+    estimates = _trapezoid_levels(f, a, b, 8)
+    return _refine("periodic trapezoid", "points", estimates, a, b, rel_tol, abs_floor)

@@ -448,6 +448,10 @@ _ScenarioLoader.add_implicit_resolver(
 MAX_NESTING = 32
 
 
+# An alias token; both PyYAML scanners take anchor names of letters, digits, '-' and '_'.
+_ALIAS = re.compile(r"\*([0-9A-Za-z_-]+)")
+
+
 def _check_nesting(text: str):
     """Refuse at its first event past MAX_NESTING a document that nests too
     deep; the walk stops there, since libyaml's scan is quadratic in flow depth."""
@@ -471,6 +475,11 @@ def parse_scenario(text: str) -> Scenario:
         # past Python's digit limit or an impossible date
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        if getattr(exc, "problem", None) == "found undefined alias":
+            # libyaml leaves the alias's name out, and its index skips a BOM
+            alias = _ALIAS.match(text, mark.index + text.startswith("\ufeff"))
+            if alias:
+                exc.problem += f" {alias.group(1)!r}"
         raise ScenarioParseError(f"malformed scenario document{where}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")

@@ -807,7 +807,10 @@ def _ref_ac_phase(lc, mu, loop, k, rel_tol=1e-10):
     abs_floor = rel_tol * probe * 1e-3
     total = 0.0
     for f in integrands:
-        total += boyer.refine_gauss_legendre(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor)
+        if isinstance(loop, CircleLoop):
+            total += quadrature.refine_periodic_trapezoid(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor)
+        else:
+            total += boyer.refine_gauss_legendre(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor, start_panels=2)
     return total / k.hbar
 
 
@@ -841,9 +844,10 @@ def _random_loop_case(rng):
 
 def test_loop_integrands_match_vec3_reference_bit_for_bit():
     rng = np.random.default_rng(8)
-    # the probe points, every node of 16 panels and both ends
-    nodes = [(i + 0.5) / 8 for i in range(8)] + [0.0, 1.0] + [
-        (i + 0.5 + 0.5 * node) / 16 for i in range(16) for node in quadrature._GL_NODES
+    # both ends, every trapezoid point up to 32 points (the probe points among
+    # them) and every Gauss-Legendre node of 2 and 4 panels
+    nodes = [1.0] + [i / 32 for i in range(32)] + [
+        (i + 0.5 + 0.5 * node) / panels for panels in (2, 4) for i in range(panels) for node in quadrature._GL_NODES
     ]
     kinds = set()
     for _ in range(80):
@@ -858,6 +862,36 @@ def test_loop_integrands_match_vec3_reference_bit_for_bit():
         kinds.add((type(loop).__name__, k.c == 1.0, any(v.z for v in getattr(loop, "vertices", ()))))
         kinds.update(name for name, v in (("lambda", lc.lambda_c), ("mu_z", mu_z)) if v == 0.0)
     assert {("CircleLoop", True, False), ("PolylineLoop", False, True), "lambda", "mu_z"} <= kinds
+
+
+def _fixed_gauss_legendre_phase(lc, mu_z, loop, k, panels):
+    integrands = boyer._loop_integrands(loop, lc, mu_z, 1.0 / k.c)
+    return sum(quadrature.composite_gauss_legendre(f, 0.0, 1.0, panels) for f in integrands) / k.hbar
+
+
+def _near_line_circles():
+    # the line 1e-2 R and 1e-3 R inside and outside a circle of radius R = 1.5
+    # cm, with the fixed Gauss-Legendre panels that resolve it to 1e-13 of 4*pi
+    radius = 1.5
+    for gap, panels in ((1e-2, 1024), (1e-3, 8192)):
+        for side in (-1.0, 1.0):
+            yield CircleLoop(center=Vec3(0.0, radius * (1.0 + side * gap), 0.0), radius=radius), panels
+
+
+def test_ac_phase_agrees_with_a_fixed_gauss_legendre_rule():
+    # the adaptive rules (trapezoid on circles, Gauss-Legendre from 2 panels
+    # on polyline sides) stop at the first two estimates that agree; a fixed
+    # fine rule checks that no loop stops at a false early agreement
+    rng = np.random.default_rng(18)
+    cases = [(*_random_loop_case(rng), 256) for _ in range(40)]
+    cases += [(LINE, MU_Z, loop, K1, panels) for loop, panels in _near_line_circles()]
+    kinds = set()
+    for lc, mu_z, loop, k, panels in cases:
+        scale = abs(ac_phase_enclosed_value(lc, mu_z, k))
+        reference = _fixed_gauss_legendre_phase(lc, mu_z, loop, k, panels)
+        assert abs(ac_phase(lc, mu_z, loop, k) - reference) <= 1e-12 * scale
+        kinds.add((type(loop).__name__, loop_winding_number(loop), scale > 0.0))
+    assert {(kind, winding, True) for kind in ("CircleLoop", "PolylineLoop") for winding in (0, 1)} <= kinds
 
 
 def test_ac_phase_builds_no_vec3_per_node(monkeypatch):

@@ -4,9 +4,17 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import i0
 
-from abclab import NumericalError, adaptive_simpson, composite_gauss_legendre, refine_gauss_legendre
-from abclab.quadrature import _GL_NODES, _GL_WEIGHTS
+from abclab import (
+    NumericalError,
+    adaptive_simpson,
+    composite_gauss_legendre,
+    quadrature,
+    refine_gauss_legendre,
+    refine_periodic_trapezoid,
+)
+from abclab.quadrature import _GL_NODES, _GL_WEIGHTS, MAX_LEVEL
 
 
 def test_cosine_over_symmetric_interval():
@@ -93,3 +101,95 @@ def test_refine_gauss_legendre_stops_when_a_refined_estimate_overflows():
     # the last node is 1.99674 on 8 panels of [0, 2] and 1.99837 on 16
     with pytest.raises(NumericalError, match=r"the estimate at 16 panels is inf$"):
         refine_gauss_legendre(lambda x: math.inf if x > 1.998 else 1.0, 0.0, 2.0)
+
+
+def _counted_composite(monkeypatch, estimate=None):
+    """Record the panel count and estimate of every composite rule that the
+    refinement asks for; ``estimate(n_panels)`` replaces the rule's value."""
+    levels = []
+    real = quadrature.composite_gauss_legendre
+
+    def composite(f, a, b, n_panels):
+        value = real(f, a, b, n_panels) if estimate is None else estimate(n_panels)
+        levels.append((n_panels, value))
+        return value
+
+    monkeypatch.setattr(quadrature, "composite_gauss_legendre", composite)
+    return levels
+
+
+@pytest.mark.parametrize("start", [2, 4, 8])
+def test_refine_gauss_legendre_stops_at_the_finest_level(monkeypatch, start):
+    # the budget is the finest level, whatever level refinement starts from;
+    # each estimate is the panel count, so no two of them agree
+    levels = _counted_composite(monkeypatch, estimate=float)
+    failed = r"did not converge after 524288 panels on \[0\.0, 1\.0\]; last change 2\.621e\+05$"
+    with pytest.raises(NumericalError, match=failed):
+        refine_gauss_legendre(math.sin, 0.0, 1.0, start_panels=start)
+    assert [n for n, _ in levels] == [start * 2 ** i for i in range(len(levels))]
+    assert levels[-1][0] == MAX_LEVEL == 524_288
+
+
+def test_non_convergence_reports_the_last_change_compared(monkeypatch):
+    # a sawtooth of 1e6 teeth does not converge by 64 panels
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 64)
+    levels = _counted_composite(monkeypatch)
+    with pytest.raises(NumericalError) as failure:
+        refine_gauss_legendre(lambda x: (1e6 * x) % 1.0, 0.0, 1.0, rel_tol=1e-15)
+    (_, before), (n, last) = levels[-2:]
+    change = abs(last - before)
+    assert n == 64 and change > 0.0
+    assert str(failure.value) == (
+        f"Gauss-Legendre refinement did not converge after 64 panels on [0.0, 1.0]; last change {change:.3e}"
+    )
+
+
+@pytest.mark.parametrize("n_points", [8, 16])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0)])
+def test_trapezoid_is_exact_for_trigonometric_polynomials_below_its_point_count(n_points, a, b):
+    # on n equispaced points the rule integrates every frequency below n exactly
+    rng = np.random.default_rng(n_points)
+    mean = float(rng.normal())
+    coefficients = [(k, float(c), float(s)) for k, (c, s) in enumerate(rng.normal(size=(n_points - 1, 2)), 1)]
+    omega = 2.0 * math.pi / (b - a)
+
+    def f(t):
+        return mean + sum(c * math.cos(k * omega * t) + s * math.sin(k * omega * t) for k, c, s in coefficients)
+
+    _, first = next(quadrature._trapezoid_levels(f, a, b, n_points))
+    assert first == pytest.approx(mean * (b - a), abs=1e-14 * (b - a) * n_points)
+    # frequency n aliases onto the mean at n points, and is resolved at 2n
+    levels = quadrature._trapezoid_levels(lambda t: math.cos(n_points * omega * (t - a)), a, b, n_points)
+    assert next(levels)[1] == pytest.approx(b - a, rel=1e-13)
+    assert next(levels)[1] == pytest.approx(0.0, abs=1e-13)
+
+
+def test_trapezoid_levels_reuse_every_point():
+    points = []
+
+    def f(t):
+        points.append(t)
+        return math.exp(math.sin(2.0 * math.pi * t))
+
+    levels = quadrature._trapezoid_levels(f, 0.0, 1.0, 8)
+    for n in (8, 16, 32):
+        assert next(levels)[0] == n
+        assert sorted(points) == [i / n for i in range(n)]
+    value = refine_periodic_trapezoid(lambda t: math.exp(math.sin(2.0 * math.pi * t)), 0.0, 1.0, 1e-14, 0.0)
+    assert value == pytest.approx(i0(1.0), rel=1e-14)  # the mean of exp(sin) over a period
+
+
+def test_refine_periodic_trapezoid_stops_at_the_finest_level():
+    # an isolated spike at t = 0 halves each estimate: it never converges
+    with pytest.raises(NumericalError) as failure:
+        refine_periodic_trapezoid(lambda t: 1.0 if t == 0.0 else 0.0, 0.0, 1.0, 1e-10, 0.0)
+    assert str(failure.value) == (
+        "periodic trapezoid refinement did not converge after 524288 points on [0.0, 1.0]; "
+        f"last change {1.0 / 262_144 - 1.0 / 524_288:.3e}"
+    )
+
+
+def test_refine_periodic_trapezoid_stops_at_the_first_non_finite_estimate():
+    stopped = r"^periodic trapezoid refinement stopped on \[0\.0, 1\.0\]: the estimate at 16 points is inf$"
+    with pytest.raises(NumericalError, match=stopped):
+        refine_periodic_trapezoid(lambda t: math.inf if t == 0.0625 else 1.0, 0.0, 1.0, 1e-10, 0.0)

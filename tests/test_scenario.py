@@ -151,6 +151,26 @@ def test_scenario_loader_matches_the_python_safe_loader():
         assert _loaded(text, _ScenarioLoader) == _loaded(text, _PythonLoader), text
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kind: *nope\n", "at line 1, column 7: found undefined alias 'nope'"),
+        ("\ufeffkind: mzi\nparams: {phase_rad: [1, *x2_y]}\n", "at line 2, column 25: found undefined alias 'x2_y'"),
+    ],
+    ids=["plain", "bom-flow"],
+)
+def test_undefined_alias_is_named_on_both_loaders(monkeypatch, text, message):
+    # libyaml's message leaves the name out; parse_scenario adds it back
+    def first_line():
+        with pytest.raises(ScenarioParseError) as caught:
+            parse_scenario(text)
+        return str(caught.value).splitlines()[0]
+
+    ours = first_line()
+    monkeypatch.setattr(abclab.scenario, "_ScenarioLoader", _PythonLoader)
+    assert first_line() == ours == f"malformed scenario document {message}"
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
 def test_scenario_loader_parses_with_libyaml():
     # the pure-Python parser takes about eight times as long per sweep document
@@ -1144,14 +1164,14 @@ def test_cli_bounce_whose_step_overflows_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize(
     "old, new, estimate",
     [
-        ("lambda_statC_per_cm: 1.0", "lambda_statC_per_cm: 1.0e308", "inf"),
+        ("lambda_statC_per_cm: 1.0", "lambda_statC_per_cm: 1.0e308", "nan"),
         ("radius_cm: 0.8", "radius_cm: 1.0e308", "nan"),
     ],
     ids=["strong-line", "huge-radius"],
 )
 def test_cli_ac_phase_whose_integrand_overflows_exits_3_at_once(tmp_path, capsys, old, new, estimate):
     # the integrand is not finite from the first estimate on, so no doubling
-    # can converge; the refinement stops there, not at 524,288 panels
+    # can converge; the refinement stops there, not at 524,288 points
     text = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text()
     assert old in text
     path = tmp_path / "overflowing_loop.yaml"
@@ -1160,7 +1180,7 @@ def test_cli_ac_phase_whose_integrand_overflows_exits_3_at_once(tmp_path, capsys
     assert cli_main(["run", str(path)]) == 3
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        f"error: Gauss-Legendre refinement stopped on [0.0, 1.0]: the estimate at 8 panels is {estimate}\n"
+        f"error: periodic trapezoid refinement stopped on [0.0, 1.0]: the estimate at 8 points is {estimate}\n"
     )
 
 
