@@ -77,13 +77,15 @@ node, and a polyline segment closes over its start vertex and its edge as
 floats.  Each returns p_h . tangent, so no Vec3 is built per quadrature node.
 A circle's integrand is smooth and periodic in t, so ``ac_phase`` integrates
 it with the periodic trapezoid rule from 8 points; a polyline side's is not
-periodic, and it gets composite Gauss-Legendre from 2 panels.
+periodic, and it gets composite Gauss-Legendre from 2 panels
+(``_loop_rule`` picks one per loop).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
@@ -600,6 +602,17 @@ def _loop_integrands(loop: LoopPath, lc: LineCharge, mu_z: float, inv_c: float) 
     raise ValidationError(f"unsupported loop path {loop!r}")
 
 
+def _loop_rule(loop: LoopPath) -> Callable[..., float]:
+    """The refinement that integrates each of the loop's integrands over [0, 1]:
+    the periodic trapezoid rule for a circle, whose one integrand is periodic
+    in t, and Gauss-Legendre from 2 panels for a polyline side.  It reads
+    ``refine_gauss_legendre`` from this module at each call, so that the
+    benchmark tracer's wrapper of that name sees every polyline side."""
+    if isinstance(loop, CircleLoop):
+        return refine_periodic_trapezoid
+    return partial(refine_gauss_legendre, start_panels=2)
+
+
 def _axis_segment_clearance(a: Vec3, b: Vec3) -> float:
     # distance in the x-y plane from the line to the segment [a, b]
     ax, ay = a.x, a.y
@@ -641,12 +654,10 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
             probe = max(probe, abs(f((i + 0.5) / 8)))
     abs_floor = AC_PHASE_REL_TOL * probe * 1e-3
 
+    refine = _loop_rule(loop)
     total = 0.0
     for f in integrands:
-        if isinstance(loop, CircleLoop):
-            total += refine_periodic_trapezoid(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
-        else:
-            total += refine_gauss_legendre(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor, start_panels=2)
+        total += refine(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
     return total / k.hbar
 
 

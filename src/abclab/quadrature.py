@@ -13,8 +13,10 @@ Two refinements double a rule's level until two successive estimates agree:
   only the midpoints of the last and adds them to its running sum.
 
 Both feed their estimates to one driver, ``_refine``, which holds the
-convergence test, the budget (the finest level, ``MAX_LEVEL`` panels or
-points) and the errors.  It stops at the first estimate that is not finite,
+convergence test, the budget and the errors.  The budget is one count of
+integrand evaluations, ``MAX_EVALUATIONS``: a rule's finest level is its last
+that evaluates the integrand at most that many times, 524,288 panels of 10
+Gauss-Legendre nodes or 4,194,304 trapezoid points.  It stops at the first estimate that is not finite,
 such as that of an integrand that overflows, since an inf or NaN estimate
 never agrees with the next one; its ``NumericalError`` names the rule, the
 interval, the estimate and the level.  Integrands may be real or complex.
@@ -126,18 +128,23 @@ def composite_gauss_legendre(
     return total
 
 
-# The budget of either refinement: it gives up after the first level of at
-# least this many panels or points, 524,288 from any power-of-two start.
-MAX_LEVEL = 524_288
+# The budget of either refinement, in integrand evaluations: a rule stops at
+# its last level that evaluates the integrand at most this many times, 524,288
+# Gauss-Legendre panels (from any power-of-two start) or 4,194,304 trapezoid
+# points (from 8).
+MAX_EVALUATIONS = 5_242_880
 
 
-def _refine(rule: str, unit: str, estimates, a: float, b: float, rel_tol: float, abs_floor: float) -> float | complex:
-    """Read (level, estimate) pairs until two successive estimates agree.
+def _refine(
+    rule: str, unit: str, nodes_per_unit: int, estimates, a: float, b: float, rel_tol: float, abs_floor: float
+) -> float | complex:
+    """Read (level, estimate) pairs until two successive estimates agree; a
+    level of n panels or points evaluates the integrand n*nodes_per_unit times.
 
     Convergence is |I_2n - I_n| <= max(rel_tol*|I_2n|, abs_floor).  Raises
     NumericalError at the first estimate that is not finite, since no
-    refinement makes an inf or NaN estimate agree with the next one, and after
-    the first level of at least MAX_LEVEL that does not converge.
+    refinement makes an inf or NaN estimate agree with the next one, and at
+    the last level within MAX_EVALUATIONS if that one does not converge.
     """
     prev = None
     for n, cur in estimates:
@@ -149,7 +156,7 @@ def _refine(rule: str, unit: str, estimates, a: float, b: float, rel_tol: float,
             change = abs(cur - prev)
             if change <= max(rel_tol * abs(cur), abs_floor):
                 return cur
-            if n >= MAX_LEVEL:
+            if 2 * n * nodes_per_unit > MAX_EVALUATIONS:
                 raise NumericalError(
                     f"{rule} refinement did not converge after {n} {unit} on [{a!r}, {b!r}]; "
                     f"last change {change:.3e}"
@@ -197,7 +204,7 @@ def refine_gauss_legendre(
     one pass converges both parts together.
     """
     estimates = _gauss_legendre_levels(f, a, b, start_panels)
-    return _refine("Gauss-Legendre", "panels", estimates, a, b, rel_tol, abs_floor)
+    return _refine("Gauss-Legendre", "panels", len(_GL_NODES), estimates, a, b, rel_tol, abs_floor)
 
 
 def refine_periodic_trapezoid(
@@ -207,6 +214,6 @@ def refine_periodic_trapezoid(
     periodic with period b - a, until successive estimates agree; it converges
     geometrically there, and each level reuses every point of the last.
     Convergence, budget and errors are those of ``refine_gauss_legendre``,
-    counted in points."""
+    with levels counted in points."""
     estimates = _trapezoid_levels(f, a, b, 8)
-    return _refine("periodic trapezoid", "points", estimates, a, b, rel_tol, abs_floor)
+    return _refine("periodic trapezoid", "points", 1, estimates, a, b, rel_tol, abs_floor)

@@ -805,12 +805,10 @@ def _ref_ac_phase(lc, mu, loop, k, rel_tol=1e-10):
         for i in range(8):
             probe = max(probe, abs(f((i + 0.5) / 8.0)))
     abs_floor = rel_tol * probe * 1e-3
+    refine = boyer._loop_rule(loop)
     total = 0.0
     for f in integrands:
-        if isinstance(loop, CircleLoop):
-            total += quadrature.refine_periodic_trapezoid(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor)
-        else:
-            total += boyer.refine_gauss_legendre(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor, start_panels=2)
+        total += refine(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor)
     return total / k.hbar
 
 
@@ -869,13 +867,20 @@ def _fixed_gauss_legendre_phase(lc, mu_z, loop, k, panels):
     return sum(quadrature.composite_gauss_legendre(f, 0.0, 1.0, panels) for f in integrands) / k.hbar
 
 
-def _near_line_circles():
+def _near_line_loops():
     # the line 1e-2 R and 1e-3 R inside and outside a circle of radius R = 1.5
-    # cm, with the fixed Gauss-Legendre panels that resolve it to 1e-13 of 4*pi
+    # cm, and 1e-2 L and 1e-3 L from a side of a square of side L = 2 cm that
+    # does or does not enclose it, with the fixed Gauss-Legendre panels that
+    # resolve each to 1e-13 of 4*pi
     radius = 1.5
     for gap, panels in ((1e-2, 1024), (1e-3, 8192)):
         for side in (-1.0, 1.0):
             yield CircleLoop(center=Vec3(0.0, radius * (1.0 + side * gap), 0.0), radius=radius), panels
+            # counterclockwise; the side x = 2 * gap passes its nearest point
+            # to the line at 35% of its length
+            near, far = 2.0 * gap, 2.0 * gap + 2.0 * side
+            corners = [(near, -0.7), (near, 1.3), (far, 1.3), (far, -0.7)][:: int(-side)]
+            yield PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners + corners[:1])), panels
 
 
 def test_ac_phase_agrees_with_a_fixed_gauss_legendre_rule():
@@ -884,14 +889,29 @@ def test_ac_phase_agrees_with_a_fixed_gauss_legendre_rule():
     # fine rule checks that no loop stops at a false early agreement
     rng = np.random.default_rng(18)
     cases = [(*_random_loop_case(rng), 256) for _ in range(40)]
-    cases += [(LINE, MU_Z, loop, K1, panels) for loop, panels in _near_line_circles()]
+    near = [(LINE, MU_Z, loop, K1, panels) for loop, panels in _near_line_loops()]
     kinds = set()
-    for lc, mu_z, loop, k, panels in cases:
+    for lc, mu_z, loop, k, panels in cases + near:
         scale = abs(ac_phase_enclosed_value(lc, mu_z, k))
         reference = _fixed_gauss_legendre_phase(lc, mu_z, loop, k, panels)
         assert abs(ac_phase(lc, mu_z, loop, k) - reference) <= 1e-12 * scale
         kinds.add((type(loop).__name__, loop_winding_number(loop), scale > 0.0))
     assert {(kind, winding, True) for kind in ("CircleLoop", "PolylineLoop") for winding in (0, 1)} <= kinds
+    assert [loop_winding_number(loop) for _, _, loop, _, _ in near] == [1, 1, 0, 0] * 2
+    assert [round(boyer.path_axis_clearance(loop), 6) for _, _, loop, _, _ in near] == [
+        round(gap * scale, 6) for gap in (1e-2, 1e-3) for _ in (0, 1) for scale in (1.5, 2.0)
+    ]
+
+
+@pytest.mark.parametrize("gap", [2e-5, 3e-5, 5e-5])
+def test_ac_phase_integrates_circles_just_around_the_line(gap):
+    # the line 2e-5 R to 5e-5 R inside the circle: the trapezoid rule needs up
+    # to 4,194,304 points here, within its budget, as Gauss-Legendre's 524,288
+    # panels reached these circles before it
+    radius = 1.5
+    loop = CircleLoop(center=Vec3(0.0, radius * (1.0 - gap), 0.0), radius=radius)
+    expected = ac_phase_enclosed_value(LINE, MU_Z, K1)
+    assert abs(ac_phase(LINE, MU_Z, loop, K1) - expected) <= 1e-12 * abs(expected)
 
 
 def test_ac_phase_builds_no_vec3_per_node(monkeypatch):

@@ -14,7 +14,7 @@ from abclab import (
     refine_gauss_legendre,
     refine_periodic_trapezoid,
 )
-from abclab.quadrature import _GL_NODES, _GL_WEIGHTS, MAX_LEVEL
+from abclab.quadrature import _GL_NODES, _GL_WEIGHTS, MAX_EVALUATIONS
 
 
 def test_cosine_over_symmetric_interval():
@@ -120,19 +120,20 @@ def _counted_composite(monkeypatch, estimate=None):
 
 @pytest.mark.parametrize("start", [2, 4, 8])
 def test_refine_gauss_legendre_stops_at_the_finest_level(monkeypatch, start):
-    # the budget is the finest level, whatever level refinement starts from;
-    # each estimate is the panel count, so no two of them agree
+    # the budget is the finest level, 524,288 panels of 10 nodes, whatever
+    # level refinement starts from; each estimate is the panel count, so no two
+    # of them agree
     levels = _counted_composite(monkeypatch, estimate=float)
     failed = r"did not converge after 524288 panels on \[0\.0, 1\.0\]; last change 2\.621e\+05$"
     with pytest.raises(NumericalError, match=failed):
         refine_gauss_legendre(math.sin, 0.0, 1.0, start_panels=start)
     assert [n for n, _ in levels] == [start * 2 ** i for i in range(len(levels))]
-    assert levels[-1][0] == MAX_LEVEL == 524_288
+    assert levels[-1][0] * len(_GL_NODES) == MAX_EVALUATIONS == 5_242_880
 
 
 def test_non_convergence_reports_the_last_change_compared(monkeypatch):
     # a sawtooth of 1e6 teeth does not converge by 64 panels
-    monkeypatch.setattr(quadrature, "MAX_LEVEL", 64)
+    monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", 640)
     levels = _counted_composite(monkeypatch)
     with pytest.raises(NumericalError) as failure:
         refine_gauss_legendre(lambda x: (1e6 * x) % 1.0, 0.0, 1.0, rel_tol=1e-15)
@@ -179,13 +180,34 @@ def test_trapezoid_levels_reuse_every_point():
     assert value == pytest.approx(i0(1.0), rel=1e-14)  # the mean of exp(sin) over a period
 
 
-def test_refine_periodic_trapezoid_stops_at_the_finest_level():
+def test_refine_periodic_trapezoid_stops_at_the_finest_level(monkeypatch):
+    # the same budget of evaluations as Gauss-Legendre's 524,288 panels ends
+    # the trapezoid rule at 4,194,304 points; each estimate is the point
+    # count, so no two of them agree
+    levels = []
+
+    def counted(f, a, b, n_points):
+        while True:
+            levels.append(n_points)
+            yield n_points, float(n_points)
+            n_points *= 2
+
+    monkeypatch.setattr(quadrature, "_trapezoid_levels", counted)
+    with pytest.raises(NumericalError) as failure:
+        refine_periodic_trapezoid(math.sin, 0.0, 1.0, 1e-10, 0.0)
+    assert str(failure.value) == (
+        "periodic trapezoid refinement did not converge after 4194304 points on [0.0, 1.0]; last change 2.097e+06"
+    )
+    assert levels == [8 * 2**i for i in range(20)] and levels[-1] <= MAX_EVALUATIONS < 2 * levels[-1]
+
+
+def test_refine_periodic_trapezoid_reports_the_last_change_compared(monkeypatch):
     # an isolated spike at t = 0 halves each estimate: it never converges
+    monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", 64)
     with pytest.raises(NumericalError) as failure:
         refine_periodic_trapezoid(lambda t: 1.0 if t == 0.0 else 0.0, 0.0, 1.0, 1e-10, 0.0)
     assert str(failure.value) == (
-        "periodic trapezoid refinement did not converge after 524288 points on [0.0, 1.0]; "
-        f"last change {1.0 / 262_144 - 1.0 / 524_288:.3e}"
+        f"periodic trapezoid refinement did not converge after 64 points on [0.0, 1.0]; last change {1 / 32 - 1 / 64:.3e}"
     )
 
 
