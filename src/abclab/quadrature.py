@@ -16,13 +16,14 @@ Both feed their estimates to one driver, ``_refine``, which holds the
 convergence test, the budget and the errors.  The budget is one count of
 integrand evaluations, ``MAX_EVALUATIONS``: a rule's finest level is its last
 that evaluates the integrand at most that many times, 524,288 panels of 10
-Gauss-Legendre nodes or 4,194,304 trapezoid points.  It stops at the first estimate that is not finite,
-such as that of an integrand that overflows, since an inf or NaN estimate
-never agrees with the next one; its ``NumericalError`` names the rule, the
-interval, the estimate and the level.  Integrands may be real or complex.
-The ten Gauss-Legendre nodes and weights are float literals equal bit for
-bit to numpy's ``leggauss(10)``, so this module, and ``abclab run`` and
-``abclab sweep`` with it, never imports numpy.
+Gauss-Legendre nodes or 4,194,304 trapezoid points.  The driver stops at the
+first estimate that is not finite, such as that of an integrand that
+overflows, since an inf or NaN estimate never agrees with the next one; its
+``NumericalError`` names the rule, the interval, the estimate and the level.
+Integrands may be real or complex.  The ten Gauss-Legendre nodes and
+weights are float literals equal bit for bit to numpy's ``leggauss(10)``, so
+this module, and ``abclab run`` and ``abclab sweep`` with it, never imports
+numpy.
 
 ``adaptive_simpson`` splits an interval until the two-panel and one-panel
 estimates agree to 15x the interval's share of the tolerance, and it
