@@ -4,13 +4,17 @@ trapezoid rule and adaptive Simpson.
 Two refinements double a rule's level until two successive estimates agree:
 
 * ``refine_gauss_legendre`` doubles the panels of a composite 10-point
-  Gauss-Legendre rule.  It integrates every smooth integrand in this package
-  that is not periodic: the velocity-kick integral over angle, the complex
-  Gaussian overlap integrand and each side of a polyline loop phase.
+  Gauss-Legendre rule.  It integrates the smooth integrands of this package
+  that are neither periodic nor negligible at both ends: the velocity-kick
+  integral over angle, from one panel, and each side of a polyline loop
+  phase, from two.
 * ``refine_periodic_trapezoid`` doubles the points of the trapezoid rule on
-  one period.  It integrates the circle loop phase, whose integrand is smooth
-  and periodic, so the rule converges geometrically; each level evaluates
-  only the midpoints of the last and adds them to its running sum.
+  an interval.  It integrates the circle loop phase, whose integrand is
+  smooth and periodic, and the complex Gaussian overlap, whose integrand has
+  decayed to e^-72 of its peak at both ends of its window, so its periodic
+  extension is smooth to far below any tolerance.  On both the rule
+  converges geometrically; each level evaluates only the midpoints of the
+  last and adds them to its running sum.
 
 Both feed their estimates to one driver, ``_refine``, which holds the
 convergence test, the budget and the errors.  The budget is one count of
@@ -215,6 +219,13 @@ def refine_periodic_trapezoid(
     periodic with period b - a, until successive estimates agree; it converges
     geometrically there, and each level reuses every point of the last.
     Convergence, budget and errors are those of ``refine_gauss_legendre``,
-    with levels counted in points."""
+    with levels counted in points.
+
+    An f that is smooth on [a, b] and has decayed below the tolerance at both
+    ends qualifies too: its periodic extension is smooth to within that decay.
+    The Gaussian overlap integrand on its window center +- (12 sigma + |dx|/2)
+    is one; with u = x - center its exponent is -(2u^2 + dx^2/2)/(4 sigma^2)
+    <= -u^2/(2 sigma^2), which is -72 or less at both ends, so the extension
+    is smooth to about 5e-32 of the peak."""
     estimates = _trapezoid_levels(f, a, b, 8)
     return _refine("periodic trapezoid", "points", 1, estimates, a, b, rel_tol, abs_floor)

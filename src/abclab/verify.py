@@ -84,11 +84,11 @@ TOLERANCES = {
     "detector_phase_periodicity": 1e-12,
     "overlap_identity_is_one": 1e-15,
     "overlap_magnitude_bound": 1.0,
-    "overlap_closed_vs_quadrature": 1e-8,
+    "overlap_closed_vs_quadrature": 1e-12,
     "overlap_monotone_in_shift": 0.0,
     "overlap_monotone_in_kick": 0.0,
     "factor4_identity": 1e-12,
-    "velocity_kick_quadrature": 1e-9,
+    "velocity_kick_quadrature": 1e-12,
     "emf_flux_profile_shape": 1e-12,
     "displacement_orbit_invariance": 1e-14,
     "flux_phase_linearity": 1e-12,

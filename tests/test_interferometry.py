@@ -19,6 +19,7 @@ from abclab import (
     phase_from_path_shift,
     visibility_from_overlap,
 )
+from abclab import interferometry, quadrature
 
 EXP_MINUS_HALF = 0.6065306597126334  # math.exp(-0.5)
 
@@ -183,6 +184,105 @@ def test_overlap_quadrature_floor_follows_the_integrand():
     dx, dp = -1.5532197535112873, -0.6845073918713619
     closed = packet_overlap(packet, dx, dp, 1.0)
     assert abs(closed - overlap_by_quadrature(packet, dx, dp, 1.0)) / abs(closed) <= 1e-13
+
+
+def _captured_window(monkeypatch):
+    """Record the integrand and window of every trapezoid refinement that
+    overlap_by_quadrature asks for, and the points each one evaluates."""
+    calls = []
+    refine = interferometry.refine_periodic_trapezoid
+
+    def spy(f, a, b, rel_tol, abs_floor):
+        call = {"f": f, "a": a, "b": b, "points": 0}
+        calls.append(call)
+
+        def counted(x):
+            call["points"] += 1
+            return f(x)
+
+        return refine(counted, a, b, rel_tol, abs_floor)
+
+    monkeypatch.setattr(interferometry, "refine_periodic_trapezoid", spy)
+    return calls
+
+
+@pytest.mark.parametrize("sigma", [0.3, 3.0])
+@pytest.mark.parametrize("shift", [-4.0, 0.0, 4.0])
+@pytest.mark.parametrize("kick", [-6.0, 0.0, 6.0])
+def test_overlap_quadrature_at_the_corners_beyond_the_verify_band(monkeypatch, sigma, shift, kick):
+    # dx/sigma and dp*sigma reach twice and three times verify's draw band.
+    # The scale is the integral of |integrand|, exp(-dx^2/(8 sigma^2)): at
+    # dp*sigma = 6 the overlap is e^-18 of it, so roundoff alone leaves a
+    # relative error near 1e-7, for QUADPACK too.  Each route is compared
+    # with the closed form, QUADPACK and a fixed 64-panel Gauss-Legendre rule
+    # on the same window, which no early agreement at 8-32 points can pass.
+    calls = _captured_window(monkeypatch)
+    packet = GaussianPacket(x0=0.7, p0=-1.1, sigma_x=sigma, mass=1.0)
+    dx, dp = shift * sigma, kick / sigma
+    scale = math.exp(-dx * dx / (8.0 * sigma * sigma))
+    numeric = overlap_by_quadrature(packet, dx, dp, 1.0)
+    [call] = calls
+    fixed = quadrature.composite_gauss_legendre(call["f"], call["a"], call["b"], 64)
+    for reference in (packet_overlap(packet, dx, dp, 1.0), _overlap_scipy(packet, dx, dp, 1.0), fixed):
+        assert abs(numeric - reference) <= 1e-13 * scale
+    assert call["points"] <= 128
+
+
+def test_overlap_quadrature_agrees_with_a_fixed_gauss_legendre_rule(monkeypatch):
+    # verify's draw band: the trapezoid estimate stops at 64 or 128 points and
+    # must equal a 64-panel, 640-node Gauss-Legendre estimate of the same
+    # integrand, and the closed form, to 1e-13 of |overlap|
+    calls = _captured_window(monkeypatch)
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        sigma = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
+        packet = GaussianPacket(
+            x0=float(rng.uniform(-2, 2)), p0=float(rng.uniform(-2, 2)), sigma_x=sigma, mass=1.0
+        )
+        dx = float(rng.uniform(-2.0, 2.0)) * sigma
+        dp = float(rng.uniform(-2.0, 2.0)) / sigma
+        numeric = overlap_by_quadrature(packet, dx, dp, 1.0)
+        closed = packet_overlap(packet, dx, dp, 1.0)
+        call = calls[-1]
+        fixed = quadrature.composite_gauss_legendre(call["f"], call["a"], call["b"], 64)
+        assert abs(numeric - fixed) <= 1e-13 * abs(closed)
+        assert abs(numeric - closed) <= 1e-13 * abs(closed)
+    assert {call["points"] for call in calls} <= {64, 128}
+
+
+def _unit_packet(sigma):
+    return GaussianPacket(x0=0.0, p0=0.0, sigma_x=sigma, mass=1.0)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [1e-170, 1e160, 3e-162],
+    ids=["square_underflows", "square_overflows", "square_is_subnormal"],
+)
+def test_packet_refuses_a_sigma_whose_square_leaves_the_normal_range(sigma):
+    # 1e-170 used to raise ZeroDivisionError in both overlap routes; 1e160
+    # gave a NaN closed form and an OverflowError in the quadrature; 3e-162
+    # ran the quadrature's whole budget, 5.2M evaluations, into a
+    # NumericalError
+    with pytest.raises(ValidationError, match=r"^sigma_x\^2 = .* at sigma_x = "):
+        _unit_packet(sigma)
+
+
+def test_packet_accepts_the_extremes_of_the_normal_range():
+    for sigma in (1.5e-154, 4e153):
+        packet = _unit_packet(sigma)
+        assert packet_overlap(packet, 0.5 * sigma, 0.0, 1.0) == pytest.approx(math.exp(-1.0 / 32.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "sigma, delta_x",
+    [(1.2e153, 0.0), (1.0, 1e200)],
+    ids=["wide_packet", "far_shift"],
+)
+def test_overlap_quadrature_refuses_a_window_whose_square_overflows(sigma, delta_x):
+    # both used to raise OverflowError from the integrand's squares
+    with pytest.raises(DomainError, match=r"^overlap window: the squared distance"):
+        overlap_by_quadrature(_unit_packet(sigma), delta_x, 0.0, 1.0)
 
 
 @given(

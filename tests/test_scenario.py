@@ -872,9 +872,10 @@ def test_verify_check_fails_on_a_nan_draw(monkeypatch):
 
 def test_broken_kick_route_fails_its_catalogue_row(monkeypatch):
     # displacement_orbit_invariance audits delta_v * (pi*R/u) against the
-    # orbit-free closed form; a kick off by 1e-12 is a FAIL row, not a crash
+    # orbit-free closed form; a kick off by 1e-13 is a FAIL row, not a crash,
+    # and stays inside velocity_kick_quadrature's tolerance of 1e-12
     kick = solenoid.cylinder_velocity_change
-    monkeypatch.setattr(solenoid, "cylinder_velocity_change", lambda s, o, k: kick(s, o, k) * (1.0 + 1e-12))
+    monkeypatch.setattr(solenoid, "cylinder_velocity_change", lambda s, o, k: kick(s, o, k) * (1.0 + 1e-13))
     checks = run_verify_suite(seed=42).checks
     assert [c.name for c in checks if not c.passed] == ["displacement_orbit_invariance"]
     assert len(checks) == 29

@@ -31,6 +31,7 @@ from abclab import (
     velocity_kick_integrand,
     visibility_from_overlap,
 )
+from abclab import quadrature
 
 K1 = make_constants("scaled-unity")
 FOUR_PI = 4.0 * math.pi
@@ -143,6 +144,27 @@ def test_velocity_change_quadrature_vs_closed_random():
         closed = cylinder_velocity_change(s, o, k)
         numeric = velocity_change_by_quadrature(s, o, k)
         assert abs(numeric / closed - 1.0) < 1e-9
+
+
+def test_velocity_change_quadrature_converges_at_two_panels(monkeypatch):
+    # the integrand is a fixed multiple of cos(theta) on [-pi/2, pi/2], which
+    # one 10-point panel integrates to ~1e-20: refinement compares 1 panel
+    # with 2 and stops
+    levels = []
+    composite = quadrature.composite_gauss_legendre
+
+    def counted(f, a, b, n_panels):
+        levels.append(n_panels)
+        return composite(f, a, b, n_panels)
+
+    monkeypatch.setattr(quadrature, "composite_gauss_legendre", counted)
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        s, o, k = random_solenoid(rng), random_orbit(rng), random_constants(rng)
+        levels.clear()
+        numeric = velocity_change_by_quadrature(s, o, k)
+        assert levels == [1, 2]
+        assert abs(numeric / cylinder_velocity_change(s, o, k) - 1.0) <= 1e-14
 
 
 def test_velocity_change_integrand_against_scipy():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from abclab import boyer, run_verify_suite, solenoid, verify
+from abclab import boyer, interferometry, run_verify_suite, solenoid, verify
 
 
 def test_uniform_draw_is_generator_uniform_bit_for_bit():
@@ -48,6 +48,22 @@ def test_scaled_emf_flux_profile_fails_only_the_kick_quadrature(monkeypatch):
     flux = solenoid.electron_flux_at_angle
     monkeypatch.setattr(solenoid, "electron_flux_at_angle", lambda *args: flux(*args) * (1.0 + 1e-6))
     assert [c.name for c in run_verify_suite(42).checks if not c.passed] == ["velocity_kick_quadrature"]
+
+
+@pytest.mark.parametrize(
+    "module, closed_form, row",
+    [
+        (interferometry, "packet_overlap", "overlap_closed_vs_quadrature"),
+        (solenoid, "cylinder_velocity_change", "velocity_kick_quadrature"),
+    ],
+)
+def test_quadrature_row_fails_a_closed_form_off_by_1e_10(monkeypatch, module, closed_form, row):
+    # both quadratures converge to a relative 1e-12, and so does each row's
+    # tolerance; a closed form off by 1e-10 is a FAIL
+    closed = getattr(module, closed_form)
+    monkeypatch.setattr(module, closed_form, lambda *args: closed(*args) * (1.0 + 1e-10))
+    [check] = [c for c in run_verify_suite(42).checks if c.name == row]
+    assert not check.passed and check.actual == pytest.approx(1e-10, rel=1e-3)
 
 
 def test_force_equals_rate_row_fails_a_full_law_off_by_1e_11(monkeypatch):
