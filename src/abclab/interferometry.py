@@ -51,14 +51,14 @@ class GaussianPacket:
     mass: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_x) and self.sigma_x > 0.0):
-            raise ValidationError(f"sigma_x must be positive, got {self.sigma_x!r}")
+        sx = self.sigma_x
+        if not (math.isfinite(sx) and sx > 0.0):
+            raise ValidationError(f"sigma_x must be positive, got {sx!r}")
         # The overlap routes divide by sigma_x^2 times 2*pi, 4 or 8; each of
         # these must be a normal float, neither 0.0, subnormal nor inf.
-        if not (sys.float_info.min <= self.sigma_x * self.sigma_x and 8.0 * self.sigma_x * self.sigma_x < math.inf):
+        if not (sys.float_info.min <= sx * sx and 8.0 * sx * sx < math.inf):
             raise ValidationError(
-                f"sigma_x^2 = {self.sigma_x * self.sigma_x!r} at sigma_x = {self.sigma_x!r}: "
-                "the overlap routes need it normal and 8*sigma_x^2 finite"
+                f"sigma_x^2 = {sx * sx!r} at sigma_x = {sx!r}: the overlap routes need it normal and 8*sigma_x^2 finite"
             )
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise ValidationError(f"mass must be positive, got {self.mass!r}")
@@ -161,9 +161,9 @@ def overlap_by_quadrature(
 
     center = x0 + 0.5 * delta_x
     half_width = 12.0 * sx + 0.5 * abs(delta_x)
-    # The window's ends lie up to 12*sigma_x + |delta_x| from either packet
-    # centre, and the integrand squares that distance.
-    reach = half_width + 0.5 * abs(delta_x)
+    # The window's ends lie up to this far from either packet centre, and the
+    # integrand squares that distance.
+    reach = 12.0 * sx + abs(delta_x)
     if not reach * reach < math.inf:
         raise DomainError(
             "overlap window: the squared distance (12*sigma_x + |delta_x|)^2 of its ends from the "

@@ -5,9 +5,8 @@ Two refinements double a rule's level until two successive estimates agree:
 
 * ``refine_gauss_legendre`` doubles the panels of a composite 10-point
   Gauss-Legendre rule.  It integrates the smooth integrands of this package
-  that are neither periodic nor negligible at both ends: the velocity-kick
-  integral over angle, from one panel, and each side of a polyline loop
-  phase, from two.
+  whose periodic extension is not smooth: the velocity-kick integral over
+  angle, from one panel, and each side of a polyline loop phase, from two.
 * ``refine_periodic_trapezoid`` doubles the points of the trapezoid rule on
   an interval.  It integrates the circle loop phase, whose integrand is
   smooth and periodic, and the complex Gaussian overlap, whose integrand has
@@ -221,8 +220,9 @@ def refine_periodic_trapezoid(
     Convergence, budget and errors are those of ``refine_gauss_legendre``,
     with levels counted in points.
 
-    An f that is smooth on [a, b] and has decayed below the tolerance at both
-    ends qualifies too: its periodic extension is smooth to within that decay.
+    An f that is smooth on [a, b] and, with its derivatives, has decayed
+    below the tolerance at both ends qualifies too: its periodic extension is
+    smooth to within that decay.
     The Gaussian overlap integrand on its window center +- (12 sigma + |dx|/2)
     is one; with u = x - center its exponent is -(2u^2 + dx^2/2)/(4 sigma^2)
     <= -u^2/(2 sigma^2), which is -72 or less at both ends, so the extension

@@ -213,7 +213,7 @@ def test_overlap_quadrature_at_the_corners_beyond_the_verify_band(monkeypatch, s
     # dx/sigma and dp*sigma reach twice and three times verify's draw band.
     # The scale is the integral of |integrand|, exp(-dx^2/(8 sigma^2)): at
     # dp*sigma = 6 the overlap is e^-18 of it, so roundoff alone leaves a
-    # relative error near 1e-7, for QUADPACK too.  Each route is compared
+    # relative error near 1e-7, for QUADPACK too.  The route is compared
     # with the closed form, QUADPACK and a fixed 64-panel Gauss-Legendre rule
     # on the same window, which no early agreement at 8-32 points can pass.
     calls = _captured_window(monkeypatch)
