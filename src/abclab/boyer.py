@@ -75,10 +75,10 @@ The loop phase integrates one function of t per segment
 (``_loop_integrands``): a circle computes its angle, cosine and sine once per
 node, and a polyline segment closes over its start vertex and its edge as
 floats.  Each returns p_h . tangent, so no Vec3 is built per quadrature node.
-A circle's integrand is smooth and periodic in t, so ``ac_phase`` integrates
-it with the periodic trapezoid rule from 8 points; a polyline side's is not
-periodic, and it gets composite Gauss-Legendre from 2 panels
-(``_loop_rule`` picks one per loop).
+A circle's smooth, periodic integrand gets the periodic trapezoid rule from 8
+points, a polyline side's composite Gauss-Legendre from 2 panels
+(``_loop_rule``), to an absolute floor from the bound on |p_h . tangent|
+that the loop's clearance from the line gives (``ac_phase``).
 """
 
 from __future__ import annotations
@@ -636,8 +636,10 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
 
     Evaluated per segment to AC_PHASE_REL_TOL, a circle by the point-doubling
     periodic trapezoid rule and each polyline side by panel-doubling composite
-    Gauss-Legendre, with an absolute floor tied to the integrand magnitude so
-    loops that enclose no charge (integral zero by symmetry) still converge.
+    Gauss-Legendre.  The absolute floor, for loops that enclose no charge, is
+    AC_PHASE_REL_TOL * 1e-3 * B, B = (2|lambda|/clearance) |mu_z|/c times the
+    longest segment (2 pi R for a circle): no integrand value exceeds B.  B is
+    formed in the integrand's order and capped at the largest float.
     """
     clearance = path_axis_clearance(loop)
     if clearance < AXIS_EPSILON:
@@ -645,18 +647,16 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
             f"loop path comes within {clearance:.3e} cm of the charged line "
             f"(minimum clearance {AXIS_EPSILON:g} cm)"
         )
-    integrands = _loop_integrands(loop, lc, mu_z, 1.0 / k.c)
-
-    # Natural zero scale: peak |p_h| x loop scale, probed on a coarse grid.
-    probe = 0.0
-    for f in integrands:
-        for i in range(8):
-            probe = max(probe, abs(f((i + 0.5) / 8)))
-    abs_floor = AC_PHASE_REL_TOL * probe * 1e-3
-
+    inv_c = 1.0 / k.c
+    if isinstance(loop, CircleLoop):
+        longest = 2.0 * math.pi * loop.radius
+    else:
+        longest = max(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(loop.vertices, loop.vertices[1:]))
+    bound = abs(2.0 * lc.lambda_c / clearance * mu_z * inv_c) * longest
+    abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3
     refine = _loop_rule(loop)
     total = 0.0
-    for f in integrands:
+    for f in _loop_integrands(loop, lc, mu_z, inv_c):
         total += refine(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
     return total / k.hbar
 

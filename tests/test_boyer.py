@@ -929,6 +929,89 @@ def test_ac_phase_builds_no_vec3_per_node(monkeypatch):
     assert [ac_phase(LINE, mu, loop, K1) for loop in (square, circle)] == expected
 
 
+def test_ac_phase_evaluates_its_integrands_only_inside_the_refinements(monkeypatch):
+    # a circle's integrand is evaluated once per point of the trapezoid rule's
+    # last level, a polyline side's once per Gauss-Legendre node of every
+    # level it read; no evaluation goes into the zero scale
+    evaluations = []  # per integrand of the last _loop_integrands call
+    levels = []  # per refinement: (evaluations per level unit, levels read)
+    integrands, refine = boyer._loop_integrands, quadrature._refine
+
+    def counted(f, i):
+        def g(t):
+            evaluations[i] += 1
+            return f(t)
+
+        return g
+
+    def counted_integrands(*args):
+        fs = integrands(*args)
+        evaluations[:] = [0] * len(fs)
+        return [counted(f, i) for i, f in enumerate(fs)]
+
+    def recorded(rule, unit, nodes_per_unit, estimates, *rest):
+        read = []
+        levels.append((nodes_per_unit, read))
+
+        def tapped():
+            for n, estimate in estimates:
+                read.append(n)
+                yield n, estimate
+
+        return refine(rule, unit, nodes_per_unit, tapped(), *rest)
+
+    monkeypatch.setattr(boyer, "_loop_integrands", counted_integrands)
+    monkeypatch.setattr(quadrature, "_refine", recorded)
+    rng = np.random.default_rng(20)
+    cases = [(LINE, MU_Z, loop, K1) for loop, _ in _near_line_loops()] + [_random_loop_case(rng) for _ in range(12)]
+    kinds = set()
+    for lc, mu_z, loop, k in cases:
+        levels.clear()
+        ac_phase(lc, mu_z, loop, k)
+        circle = isinstance(loop, CircleLoop)
+        assert len(levels) == len(evaluations) == (1 if circle else len(loop.vertices) - 1)
+        for count, (nodes, read) in zip(evaluations, levels):
+            assert (nodes, count) == ((1, read[-1]) if circle else (10, 10 * sum(read)))
+        kinds.add(type(loop).__name__)
+    assert kinds == {"CircleLoop", "PolylineLoop"}
+
+
+_CENTRED_CIRCLE = CircleLoop(center=Vec3(0.0, 0.0, 0.0), radius=1.0)
+_SQUARE = PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in [(1, 1), (-1, 1), (-1, -1), (1, -1), (1, 1)]))
+# a unit circle 3e-5 R outside the line, its nearest point at 1 rad, between
+# the points of the trapezoid rule's coarse levels
+_GRAZING_CIRCLE = CircleLoop(
+    center=Vec3((1.0 + 3e-5) * math.cos(1.0), (1.0 + 3e-5) * math.sin(1.0), 0.0), radius=1.0
+)
+
+
+@pytest.mark.parametrize("units", ["scaled-unity", "gaussian-cgs"])
+@pytest.mark.parametrize(
+    "lambda_c, mu_z, loop, outcome",
+    [
+        (1e300, 1e10, _CENTRED_CIRCLE, "periodic trapezoid refinement stopped on [0.0, 1.0]: the estimate at 8 points is inf"),
+        (1e300, 1e10, _SQUARE, "Gauss-Legendre refinement stopped on [0.0, 1.0]: the estimate at 2 panels is nan"),
+        (1e-300, 1e-100, _CENTRED_CIRCLE, 0.0),
+        (1e-300, 1e-100, _SQUARE, 0.0),
+        # the bound overflows here, while the coarse levels miss the
+        # overflowing peak: capped at the largest float, the floor stays
+        # finite and the refinement goes on to the peak
+        (1e300, 1e3, _GRAZING_CIRCLE, "periodic trapezoid refinement stopped on [0.0, 1.0]: the estimate at 32768 points is nan"),
+    ],
+    ids=["huge_circle", "huge_square", "tiny_circle", "tiny_square", "huge_grazing_circle"],
+)
+def test_ac_phase_zero_scale_adds_no_overflow_or_underflow(units, lambda_c, mu_z, loop, outcome):
+    # each outcome is the one ac_phase gave with the zero scale probed from 8
+    # integrand values a segment
+    k = make_constants(units)
+    if isinstance(outcome, str):
+        with pytest.raises(NumericalError) as caught:
+            ac_phase(LineCharge(lambda_c=lambda_c), mu_z, loop, k)
+        assert str(caught.value) == outcome
+    else:
+        assert ac_phase(LineCharge(lambda_c=lambda_c), mu_z, loop, k) == outcome
+
+
 def test_loop_winding_numbers():
     assert loop_winding_number(CircleLoop(center=Vec3(0.0, 0.0, 0.0), radius=1.0)) == 1
     assert loop_winding_number(CircleLoop(center=Vec3(5.0, 0.0, 0.0), radius=1.0)) == 0

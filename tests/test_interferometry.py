@@ -285,6 +285,40 @@ def test_overlap_quadrature_refuses_a_window_whose_square_overflows(sigma, delta
         overlap_by_quadrature(_unit_packet(sigma), delta_x, 0.0, 1.0)
 
 
+def test_overlap_quadrature_refuses_a_packet_narrower_than_the_float_spacing_at_one():
+    # the window's nodes collapse onto a few floats: this used to return 6.64
+    packet = GaussianPacket(x0=1.0, p0=0.0, sigma_x=1e-17, mass=1.0)
+    with pytest.raises(DomainError, match=r"^overlap window: the float spacing .* near its centre 1\.0 .* sigma_x = 1e-17$"):
+        overlap_by_quadrature(packet, 0.0, 0.0, 1.0)
+
+
+def test_overlap_quadrature_refuses_a_narrow_packet_far_from_the_origin():
+    # the float spacing at 1e6 is 1.2e-10, a hundred times sigma_x: this used
+    # to return 0j, where the closed form gives 1
+    packet = GaussianPacket(x0=1e6, p0=0.0, sigma_x=1e-12, mass=1.0)
+    with pytest.raises(DomainError, match=r"near its centre 1000000\.0 .* sigma_x = 1e-12$"):
+        overlap_by_quadrature(packet, 0.0, 0.0, 1.0)
+
+
+def test_overlap_quadrature_resolves_a_packet_at_the_edge_of_the_float_spacing_bound():
+    # ulp(4000 + 12) / sigma_x = 4.5e-13, within the 1e-12 bound
+    packet = GaussianPacket(x0=4000.0, p0=0.3, sigma_x=1.0, mass=1.0)
+    closed = packet_overlap(packet, 0.5, 0.7, 1.0)
+    assert abs(overlap_by_quadrature(packet, 0.5, 0.7, 1.0) - closed) <= 1e-12 * abs(closed)
+    # the window reaches 10,012, where the float spacing is 1.8e-12, but the
+    # integrand has its weight within 12 of its centre 5,000 (spacing 9.1e-13)
+    assert overlap_by_quadrature(_unit_packet(1.0), 1e4, 0.3, 1.0) == packet_overlap(_unit_packet(1.0), 1e4, 0.3, 1.0)
+
+
+def test_overlap_quadrature_refuses_a_kick_whose_phase_overflows():
+    # delta_p * x / hbar is inf at the window's ends: the refinement used to
+    # stop on a (nan+nanj) estimate, where the closed form gives 0j
+    packet = _unit_packet(1.0)
+    assert packet_overlap(packet, 0.0, 1e308, 1.0) == 0j
+    with pytest.raises(DomainError, match=r"^overlap window: the phase delta_p\*x/hbar overflows at its end x = 12\.0"):
+        overlap_by_quadrature(packet, 0.0, 1e308, 1.0)
+
+
 @given(
     st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
     st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
