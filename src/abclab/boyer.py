@@ -78,7 +78,7 @@ floats.  Each returns p_h . tangent, so no Vec3 is built per quadrature node.
 A circle's smooth, periodic integrand gets the periodic trapezoid rule from 8
 points, a polyline side's composite Gauss-Legendre from 2 panels
 (``_loop_rule``), to an absolute floor from the bound on |p_h . tangent|
-that the loop's clearance from the line gives (``ac_phase``).
+that each segment's clearance from the line gives (``ac_phase``).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ from functools import partial
 from typing import Callable, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
-from .quadrature import refine_gauss_legendre, refine_periodic_trapezoid
+from .quadrature import MAX_EVALUATIONS, refine_gauss_legendre, refine_periodic_trapezoid
 from .units import PhysicalConstants, Vec3
 
 FULL_LAW = "full"
@@ -637,26 +637,37 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
     Evaluated per segment to AC_PHASE_REL_TOL, a circle by the point-doubling
     periodic trapezoid rule and each polyline side by panel-doubling composite
     Gauss-Legendre.  The absolute floor, for loops that enclose no charge, is
-    AC_PHASE_REL_TOL * 1e-3 * B, B = (2|lambda|/clearance) |mu_z|/c times the
-    longest segment (2 pi R for a circle): no integrand value exceeds B.  B is
-    formed in the integrand's order and capped at the largest float.
+    AC_PHASE_REL_TOL * 1e-3 * B, B = (2|lambda|/gap) |mu_z|/c times the
+    segment's length (2 pi R for a circle), gap its clearance from the line:
+    no integrand value of the segment exceeds B.  B is formed in the
+    integrand's order and capped at the largest float.  A segment longer than
+    MAX_EVALUATIONS gaps is a NumericalError at once: that many nodes spread
+    evenly over it lie farther apart than its 1/rho peak is wide, and below
+    about 5e-7 R (a circle) or 2.5e-8 of its length (a side) two levels that
+    miss the peak agree within the floor, half a winding off.
     """
-    clearance = path_axis_clearance(loop)
+    if isinstance(loop, CircleLoop):
+        spans = [(2.0 * math.pi * loop.radius, path_axis_clearance(loop))]
+    else:
+        spans = [(math.hypot(b.x - a.x, b.y - a.y), _axis_segment_clearance(a, b)) for a, b in zip(loop.vertices, loop.vertices[1:])]
+    clearance = min(gap for _, gap in spans)
     if clearance < AXIS_EPSILON:
         raise SingularityError(
             f"loop path comes within {clearance:.3e} cm of the charged line "
             f"(minimum clearance {AXIS_EPSILON:g} cm)"
         )
+    for length, gap in spans:
+        if not length <= MAX_EVALUATIONS * gap:
+            raise NumericalError(
+                f"loop segment of length {length:.3e} cm comes within {gap:.3e} cm of the charged line: "
+                f"{MAX_EVALUATIONS} nodes cannot resolve its phase"
+            )
     inv_c = 1.0 / k.c
-    if isinstance(loop, CircleLoop):
-        longest = 2.0 * math.pi * loop.radius
-    else:
-        longest = max(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(loop.vertices, loop.vertices[1:]))
-    bound = abs(2.0 * lc.lambda_c / clearance * mu_z * inv_c) * longest
-    abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3
     refine = _loop_rule(loop)
     total = 0.0
-    for f in _loop_integrands(loop, lc, mu_z, inv_c):
+    for f, (length, gap) in zip(_loop_integrands(loop, lc, mu_z, inv_c), spans):
+        bound = abs(2.0 * lc.lambda_c / gap * mu_z * inv_c) * length
+        abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3
         total += refine(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
     return total / k.hbar
 

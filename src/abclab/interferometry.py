@@ -149,15 +149,18 @@ def overlap_by_quadrature(
     So is a window whose nodes floats cannot resolve.  The integrand keeps
     weight above e^-72 of its peak only within 12 sigma_x of the centre, where
     |x| <= m = |center| + 12 sigma_x, so each node there is rounded by up to
-    about ulp(m).  A node off by d
-    changes the log of the Gaussian factor by d*|x - center|/sigma_x^2, about
-    d/sigma_x where the packet has its weight, and the phase by
-    d*|delta_p|/hbar, of the same order for |delta_p|*sigma_x/hbar <= 2 (the
-    verify band).  So every level's estimate carries a relative error of
-    about ulp(m)/sigma_x (0.6 ulp(m)/sigma_x measured at x0 = 1e5, sigma_x =
-    1, delta_p = 0.7), and none converges to OVERLAP_QUADRATURE_REL_TOL unless
-    ulp(m) <= OVERLAP_QUADRATURE_REL_TOL * sigma_x.  A phase delta_p*x/hbar
-    that overflows at an end of the window is a DomainError as well.
+    about ulp(m).  A node off by d changes the log of the Gaussian factor by
+    d*|x - center|/sigma_x^2, about d/sigma_x where the packet has its weight,
+    and the phase by d*|delta_p|/hbar, of the same order for
+    |delta_p|*sigma_x/hbar <= 2 (the verify band).  Since the integrand's
+    modulus integrates to at most 1, every level's estimate carries an error
+    of about ulp(m)/sigma_x (0.6 ulp(m)/sigma_x measured at x0 = 6e4, sigma_x
+    = 1, delta_p = 0.7).  The refinement accepts a change up to max(rel_tol
+    |I|, floor), floor = rel_tol * norm2 * (b - a), and |I| <= 1 keeps the
+    floor the larger (about 9.6 rel_tol at delta_x = 0).  So no level meets
+    the tolerance by resolution unless ulp(m) <= floor * sigma_x; beyond that
+    the window is refused.  A phase delta_p*x/hbar that overflows at an end
+    of the window is a DomainError as well.
     """
     x0, p0, sx = packet.x0, packet.p0, packet.sigma_x
     norm2 = 1.0 / math.sqrt(2.0 * math.pi * sx * sx)  # |chi|^2 normalization
@@ -184,11 +187,13 @@ def overlap_by_quadrature(
         )
     a, b = center - half_width, center + half_width
     rel_tol = OVERLAP_QUADRATURE_REL_TOL
+    floor = rel_tol * norm2 * (b - a)
     spacing = math.ulp(abs(center) + 12.0 * sx)
-    if spacing > rel_tol * sx:
+    if spacing > floor * sx:
         raise DomainError(
             f"overlap window: the float spacing {spacing!r} near its centre {center!r} exceeds "
-            f"{rel_tol:g}*sigma_x, so its nodes cannot resolve the packet of sigma_x = {sx!r}"
+            f"sigma_x times the tolerance floor {floor!r}, so its nodes cannot resolve the packet "
+            f"of sigma_x = {sx!r}"
         )
     far = max(abs(a), abs(b))
     if not abs(delta_p) * far / hbar < math.inf:
@@ -196,7 +201,7 @@ def overlap_by_quadrature(
             f"overlap window: the phase delta_p*x/hbar overflows at its end x = {far!r}, "
             f"delta_p = {delta_p!r}, hbar = {hbar!r}"
         )
-    return refine_periodic_trapezoid(integrand, a, b, rel_tol, rel_tol * norm2 * (b - a))
+    return refine_periodic_trapezoid(integrand, a, b, rel_tol, floor)
 
 
 def visibility_from_overlap(overlap: complex) -> float:

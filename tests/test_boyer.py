@@ -1012,6 +1012,51 @@ def test_ac_phase_zero_scale_adds_no_overflow_or_underflow(units, lambda_c, mu_z
         assert ac_phase(LineCharge(lambda_c=lambda_c), mu_z, loop, k) == outcome
 
 
+def _square_past_the_line(gap, encloses):
+    # counterclockwise 2 cm square whose side x = gap passes the line at 35% of
+    # its length, enclosing it or not
+    far = gap - 2.0 if encloses else gap + 2.0
+    corners = [(gap, -0.7), (gap, 1.3), (far, 1.3), (far, -0.7)][:: 1 if encloses else -1]
+    return PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners + corners[:1]))
+
+
+def _circle_past_the_line(gap, encloses):
+    # unit circle whose edge passes gap R from the line, its nearest point at 1 rad
+    r = 1.0 - gap if encloses else 1.0 + gap
+    return CircleLoop(center=Vec3(r * math.cos(1.0), r * math.sin(1.0), 0.0), radius=1.0)
+
+
+@pytest.mark.parametrize("encloses", [False, True])
+@pytest.mark.parametrize(
+    "loop_of, gap",
+    [(_square_past_the_line, 1e-8), (_circle_past_the_line, 1e-7)],
+    ids=["square", "circle"],
+)
+def test_ac_phase_refuses_a_segment_closer_to_the_line_than_its_budget_resolves(loop_of, gap, encloses):
+    # a square's side 5e-9 of its length from the line, a circle 1e-7 R: two
+    # coarse levels that miss the 1/rho peak agreed within a floor taken from
+    # the clearance, and the phase came out half a winding off; the refusal
+    # starts at 1.2e-6 R for a circle, 1.9e-7 of the length for a side
+    loop = loop_of(gap, encloses)
+    assert loop_winding_number(loop) == int(encloses)
+    message = rf"comes within {gap:.3e} cm of the charged line: 5242880 nodes cannot resolve its phase$"
+    with pytest.raises(NumericalError, match=message):
+        ac_phase(LINE, MU_Z, loop, K1)
+
+
+@pytest.mark.parametrize("encloses", [False, True])
+def test_ac_phase_floors_each_segment_by_its_own_clearance(encloses):
+    # a 1 x 100 cm rectangle whose short side passes 1e-4 cm from the line: a
+    # floor from that clearance and the 100 cm sides would accept their
+    # integrals 2e-10 off
+    gap = -1e-4 if encloses else 1e-4
+    corners = [(-0.5, gap), (0.5, gap), (0.5, 100.0), (-0.5, 100.0)]
+    loop = PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners + corners[:1]))
+    expected = ac_phase_enclosed_value(LINE, MU_Z, K1) * loop_winding_number(loop)
+    assert loop_winding_number(loop) == int(encloses)
+    assert abs(ac_phase(LINE, MU_Z, loop, K1) - expected) <= 1e-13 * 4.0 * math.pi
+
+
 def test_loop_winding_numbers():
     assert loop_winding_number(CircleLoop(center=Vec3(0.0, 0.0, 0.0), radius=1.0)) == 1
     assert loop_winding_number(CircleLoop(center=Vec3(5.0, 0.0, 0.0), radius=1.0)) == 0

@@ -300,13 +300,18 @@ def test_overlap_quadrature_refuses_a_narrow_packet_far_from_the_origin():
         overlap_by_quadrature(packet, 0.0, 0.0, 1.0)
 
 
-def test_overlap_quadrature_resolves_a_packet_at_the_edge_of_the_float_spacing_bound():
-    # ulp(4000 + 12) / sigma_x = 4.5e-13, within the 1e-12 bound
-    packet = GaussianPacket(x0=4000.0, p0=0.3, sigma_x=1.0, mass=1.0)
-    closed = packet_overlap(packet, 0.5, 0.7, 1.0)
-    assert abs(overlap_by_quadrature(packet, 0.5, 0.7, 1.0) - closed) <= 1e-12 * abs(closed)
-    # the window reaches 10,012, where the float spacing is 1.8e-12, but the
-    # integrand has its weight within 12 of its centre 5,000 (spacing 9.1e-13)
+def test_overlap_quadrature_resolves_a_packet_just_inside_the_float_spacing_bound():
+    # the window is 24.5 sigma_x wide, so the floor is 1e-12 * 24.5/sqrt(2 pi)
+    # = 9.8e-12: ulp(6e4 + 12) = 7.3e-12 is within it, ulp(7e4 + 12) = 1.5e-11
+    # is not
+    floor = 1e-12 * 24.5 / math.sqrt(2.0 * math.pi)
+    inside = GaussianPacket(x0=6e4, p0=0.3, sigma_x=1.0, mass=1.0)
+    assert abs(overlap_by_quadrature(inside, 0.5, 0.7, 1.0) - packet_overlap(inside, 0.5, 0.7, 1.0)) <= floor
+    outside = GaussianPacket(x0=7e4, p0=0.3, sigma_x=1.0, mass=1.0)
+    with pytest.raises(DomainError, match=r"near its centre 70000\.25 .* sigma_x = 1\.0$"):
+        overlap_by_quadrature(outside, 0.5, 0.7, 1.0)
+    # the window reaches 10,012, but the integrand has its weight within 12 of
+    # its centre 5,000 (spacing 9.1e-13)
     assert overlap_by_quadrature(_unit_packet(1.0), 1e4, 0.3, 1.0) == packet_overlap(_unit_packet(1.0), 1e4, 0.3, 1.0)
 
 
