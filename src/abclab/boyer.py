@@ -71,14 +71,17 @@ MAX_LANDING_STEPS.  The loop keeps only the TrajectoryState of each step and
 each reflection: ``BounceResult.samples`` builds the BounceSample series from
 them when it is read.
 
-The loop phase integrates one function of t per segment
-(``_loop_integrands``): a circle computes its angle, cosine and sine once per
-node, and a polyline segment closes over its start vertex and its edge as
-floats.  Each returns p_h . tangent, so no Vec3 is built per quadrature node.
-A circle's smooth, periodic integrand gets the periodic trapezoid rule from 8
-points, a polyline side's composite Gauss-Legendre from 2 panels
-(``_loop_rule``), to an absolute floor from the bound on |p_h . tangent|
-that each segment's clearance from the line gives (``ac_phase``).
+The loop phase integrates each segment on a map about its point nearest the
+line (``_loop_integrands``), which spreads the segment's 1/clearance peak over
+a width of order one in the map's variable.  A circle takes the periodic
+Moebius map tan(phi/2) = alpha tan(h), alpha = min(1, sqrt(clearance/R)),
+phi its angle from the nearest point, and a polyline side the sinh map
+t = tau + d sinh(u) about its foot, d its clearance over its length.  Each
+integrand closes over floats and returns p_h . tangent, so no Vec3 is built
+per quadrature node, and forms its points as small offsets from an anchor
+next to the line.  A circle's periodic integrand gets the periodic trapezoid
+rule from 8 points, a polyline side's composite Gauss-Legendre from 1 panel
+(``_loop_rule``), to one absolute floor for every segment (``ac_phase``).
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ from functools import partial
 from typing import Callable, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
-from .quadrature import MAX_EVALUATIONS, refine_gauss_legendre, refine_periodic_trapezoid
+from .quadrature import refine_gauss_legendre, refine_periodic_trapezoid
 from .units import PhysicalConstants, Vec3
 
 FULL_LAW = "full"
@@ -99,6 +102,13 @@ LAWS = (FULL_LAW, NAIVE_LAW)
 # Positions closer than this to the line axis are treated as singular (cm).
 AXIS_EPSILON = 1e-9
 _AXIS_EPSILON2 = AXIS_EPSILON * AXIS_EPSILON
+
+# A circle that passes closer to the line than this fraction of its radius is
+# singular too.  Its loop phase takes about 80/sqrt(clearance/R) trapezoid
+# points on the map of ``_loop_integrands``: 2,097,152 at 1e-8 R outside the
+# line, all 4,194,304 of the refinement's budget at 3e-9 R, and more than that
+# at 1e-9 R.
+CIRCLE_AXIS_RATIO = 1e-8
 
 # A bounce run that needs more RK4 advance steps than this, counted over all
 # its legs, raises NumericalError (the steps that land on a mirror do not
@@ -574,101 +584,132 @@ class PolylineLoop:
 LoopPath = Union[CircleLoop, PolylineLoop]
 
 
-def _loop_integrands(loop: LoopPath, lc: LineCharge, mu_z: float, inv_c: float) -> list[Callable[[float], float]]:
-    """One integrand p_h(point(t)) . tangent(t) per segment, each over t in [0, 1]."""
+def _side_foot(a: Vec3, b: Vec3) -> tuple[float, float, float, float, float, float]:
+    """(vx, vy, ex, ey, tau, gap) of the side [a, b] in the x-y plane: v is the
+    vertex nearer the side's point closest to the line, e the edge from v to
+    the other vertex, v + tau*e that point (tau in [0, 1], measured from v so
+    that a foot near a vertex keeps its digits) and gap its distance from the
+    line."""
+    vx, vy, ex, ey = a.x, a.y, b.x - a.x, b.y - a.y
+    len2 = ex * ex + ey * ey
+    if len2 == 0.0:
+        return vx, vy, ex, ey, 0.0, math.hypot(vx, vy)
+    tau = min(1.0, max(0.0, -(vx * ex + vy * ey) / len2))
+    if tau > 0.5:
+        vx, vy, ex, ey = b.x, b.y, -ex, -ey
+        tau = min(1.0, max(0.0, -(vx * ex + vy * ey) / len2))
+    return vx, vy, ex, ey, tau, math.hypot(vx + tau * ex, vy + tau * ey)
+
+
+def _loop_integrands(
+    loop: LoopPath, lc: LineCharge, mu_z: float, inv_c: float
+) -> list[tuple[Callable[[float], float], float, float]]:
+    """One (integrand, lo, hi) per segment: p_h(point) . direction times the
+    map's Jacobian, on a map of the segment about its point nearest the line,
+    over [lo, hi].
+
+    A circle of radius R, centre c, takes phi, the angle from its nearest
+    point N = c^ (|c| - R), through the periodic Moebius map
+    tan(phi/2) = alpha tan(h) with alpha = min(1, sqrt(clearance/R)), for h in
+    [-pi/2, pi/2).  With a = alpha sin(h), b = cos(h) and q = 1/(a^2 + b^2),
+    the point is N + 2R a q (a c^ + b t^), t^ the tangent at N, the direction
+    rot90(point - c) and the Jacobian dphi/dh = 2 alpha q.  A polyline side of
+    length L is anchored at its foot F = v + tau e (``_side_foot``); with
+    d = gap/L the point is F + sinh(u) (d e), the direction (b - a) d and the
+    Jacobian cosh(u), for u from asinh(-tau/d) to asinh((1 - tau)/d).  Either
+    way each point is a small offset from an anchor next to the line, never a
+    far vertex or the centre plus a whole edge or radius, so the points near
+    the line keep their digits."""
     if isinstance(loop, CircleLoop):
         cx, cy, rad = loop.center.x, loop.center.y, loop.radius
-        two_pi = 2.0 * math.pi
-        speed = rad * two_pi  # |d point/dt|; -speed is (-rad) * two_pi to the bit
+        rc = math.hypot(cx, cy)
+        ux, uy = (cx / rc, cy / rc) if rc else (1.0, 0.0)
+        gap = rc - rad  # negative when the circle encloses the line
+        nx, ny = gap * ux, gap * uy
+        alpha = min(1.0, math.sqrt(abs(gap) / rad))
+        alpha2, r2ux, r2uy = 2.0 * alpha, 2.0 * rad * ux, 2.0 * rad * uy
         cos, sin = math.cos, math.sin
 
-        def circle(t: float) -> float:
-            ang = two_pi * t
-            c, s = cos(ang), sin(ang)
-            px, py = _hidden_momentum(lc, mu_z, inv_c, cx + rad * c, cy + rad * s)
-            return px * (-speed * s) + py * (speed * c)
+        def circle(h: float) -> float:
+            a, b = alpha * sin(h), cos(h)
+            q = 1.0 / (a * a + b * b)
+            aq = a * q
+            x = nx + aq * (a * r2ux + b * r2uy)
+            y = ny + aq * (a * r2uy - b * r2ux)
+            px, py = _hidden_momentum(lc, mu_z, inv_c, x, y)
+            return (px * (cy - y) + py * (x - cx)) * (alpha2 * q)
 
-        return [circle]
+        return [(circle, -0.5 * math.pi, 0.5 * math.pi)]
     if isinstance(loop, PolylineLoop):
         segments = []
+        cosh, sinh, asinh = math.cosh, math.sinh, math.asinh
         for a, b in zip(loop.vertices, loop.vertices[1:]):
+            vx, vy, ex, ey, tau, gap = _side_foot(a, b)
+            length = math.hypot(ex, ey)
+            if length == 0.0:  # a repeated vertex: no side
+                continue
+            d = gap / length
+            fx, fy, dex, dey = vx + tau * ex, vy + tau * ey, d * ex, d * ey
 
-            def segment(t: float, ax=a.x, ay=a.y, dx=b.x - a.x, dy=b.y - a.y) -> float:
-                px, py = _hidden_momentum(lc, mu_z, inv_c, ax + dx * t, ay + dy * t)
-                return px * dx + py * dy
+            def side(u: float, fx=fx, fy=fy, dex=dex, dey=dey, tx=(b.x - a.x) * d, ty=(b.y - a.y) * d) -> float:
+                sh = sinh(u)
+                px, py = _hidden_momentum(lc, mu_z, inv_c, fx + sh * dex, fy + sh * dey)
+                return (px * tx + py * ty) * cosh(u)
 
-            segments.append(segment)
+            segments.append((side, asinh(-tau / d), asinh((1.0 - tau) / d)))
         return segments
     raise ValidationError(f"unsupported loop path {loop!r}")
 
 
 def _loop_rule(loop: LoopPath) -> Callable[..., float]:
-    """The refinement that integrates each of the loop's integrands over [0, 1]:
+    """The refinement that integrates each of the loop's mapped integrands:
     the periodic trapezoid rule for a circle, whose one integrand is periodic
-    in t, and Gauss-Legendre from 2 panels for a polyline side.  It reads
+    in h, and Gauss-Legendre from 1 panel for a polyline side.  It reads
     ``refine_gauss_legendre`` from this module at each call, so that the
     benchmark tracer's wrapper of that name sees every polyline side."""
     if isinstance(loop, CircleLoop):
         return refine_periodic_trapezoid
-    return partial(refine_gauss_legendre, start_panels=2)
-
-
-def _axis_segment_clearance(a: Vec3, b: Vec3) -> float:
-    # distance in the x-y plane from the line to the segment [a, b]
-    ax, ay = a.x, a.y
-    dx, dy = b.x - ax, b.y - ay
-    len2 = dx * dx + dy * dy
-    if len2 == 0.0:
-        return math.hypot(ax, ay)
-    t = min(1.0, max(0.0, -(ax * dx + ay * dy) / len2))
-    return math.hypot(ax + t * dx, ay + t * dy)
+    return partial(refine_gauss_legendre, start_panels=1)
 
 
 def path_axis_clearance(loop: LoopPath) -> float:
     """Minimum distance from the loop to the charged line (in the x-y plane)."""
     if isinstance(loop, CircleLoop):
         return abs(math.hypot(loop.center.x, loop.center.y) - loop.radius)
-    return min(_axis_segment_clearance(a, b) for a, b in zip(loop.vertices, loop.vertices[1:]))
+    return min(_side_foot(a, b)[5] for a, b in zip(loop.vertices, loop.vertices[1:]))
 
 
 def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) -> float:
     """Phase (1/hbar) contour_integral (mu x E)/c . dl around a closed path.
 
-    Evaluated per segment to AC_PHASE_REL_TOL, a circle by the point-doubling
-    periodic trapezoid rule and each polyline side by panel-doubling composite
-    Gauss-Legendre.  The absolute floor, for loops that enclose no charge, is
-    AC_PHASE_REL_TOL * 1e-3 * B, B = (2|lambda|/gap) |mu_z|/c times the
-    segment's length (2 pi R for a circle), gap its clearance from the line:
-    no integrand value of the segment exceeds B.  B is formed in the
-    integrand's order and capped at the largest float.  A segment longer than
-    MAX_EVALUATIONS gaps is a NumericalError at once: that many nodes spread
-    evenly over it lie farther apart than its 1/rho peak is wide, and below
-    about 5e-7 R (a circle) or 2.5e-8 of its length (a side) two levels that
-    miss the peak agree within the floor, half a winding off.
+    Each segment is integrated on its map about its point nearest the line
+    (``_loop_integrands``) to AC_PHASE_REL_TOL, a circle by the point-doubling
+    periodic trapezoid rule and each polyline side by panel-doubling
+    composite Gauss-Legendre.  The absolute floor, for loops that enclose no
+    charge, is AC_PHASE_REL_TOL * 1e-3 * 2 pi * 2|lambda mu_z|/c, capped at the
+    largest float: p_h . dl = (2 lambda mu_z/c) dphi exactly, phi the azimuth
+    about the line, so no segment's |integrand| integrates past that bound,
+    whatever its clearance.  A loop closer to the line than AXIS_EPSILON, or a
+    circle closer than CIRCLE_AXIS_RATIO of its radius, is a SingularityError.
     """
-    if isinstance(loop, CircleLoop):
-        spans = [(2.0 * math.pi * loop.radius, path_axis_clearance(loop))]
-    else:
-        spans = [(math.hypot(b.x - a.x, b.y - a.y), _axis_segment_clearance(a, b)) for a, b in zip(loop.vertices, loop.vertices[1:])]
-    clearance = min(gap for _, gap in spans)
+    clearance = path_axis_clearance(loop)
     if clearance < AXIS_EPSILON:
         raise SingularityError(
             f"loop path comes within {clearance:.3e} cm of the charged line "
             f"(minimum clearance {AXIS_EPSILON:g} cm)"
         )
-    for length, gap in spans:
-        if not length <= MAX_EVALUATIONS * gap:
-            raise NumericalError(
-                f"loop segment of length {length:.3e} cm comes within {gap:.3e} cm of the charged line: "
-                f"{MAX_EVALUATIONS} nodes cannot resolve its phase"
-            )
+    if isinstance(loop, CircleLoop) and clearance < CIRCLE_AXIS_RATIO * loop.radius:
+        raise SingularityError(
+            f"circle of radius {loop.radius:.3e} cm comes within {clearance:.3e} cm of the charged line "
+            f"(minimum clearance {CIRCLE_AXIS_RATIO:g} R)"
+        )
     inv_c = 1.0 / k.c
+    bound = 2.0 * math.pi * abs(2.0 * lc.lambda_c * mu_z * inv_c)
+    abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3
     refine = _loop_rule(loop)
     total = 0.0
-    for f, (length, gap) in zip(_loop_integrands(loop, lc, mu_z, inv_c), spans):
-        bound = abs(2.0 * lc.lambda_c / gap * mu_z * inv_c) * length
-        abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3
-        total += refine(f, 0.0, 1.0, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
+    for f, lo, hi in _loop_integrands(loop, lc, mu_z, inv_c):
+        total += refine(f, lo, hi, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
     return total / k.hbar
 
 

@@ -51,32 +51,53 @@ def _check_index(cfg: ChargeConfiguration, target_index: int):
         raise DomainError(f"target_index {target_index!r} out of range for {len(cfg.charges)} charges")
 
 
+def _scaled(sep: Vec3) -> tuple[int, float, float, float, float]:
+    """(k, x, y, z, r): the separation times 2^-k, whose largest component
+    lies in [0.5, 1), and its length r.  Multiplying by a power of two is
+    exact, so r 2^k is the separation's length to the bit wherever squaring
+    the separation itself neither overflows nor underflows."""
+    k = math.frexp(max(abs(sep.x), abs(sep.y), abs(sep.z)))[1]
+    x, y, z = math.ldexp(sep.x, -k), math.ldexp(sep.y, -k), math.ldexp(sep.z, -k)
+    return k, x, y, z, math.sqrt(x * x + y * y + z * z)
+
+
+def _times_power_of_two(value: float, n: int) -> float:
+    # value * 2^n, inf where that overflows, as a float product would be
+    try:
+        return math.ldexp(value, n)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
-    """Coulomb field at charge i from all the others (statV/cm)."""
+    """Coulomb field at charge i from all the others (statV/cm).  Each term
+    q sep/|sep|^3 is formed on the separation scaled by 2^-k (``_scaled``) and
+    scaled back by 2^-2k, so no separation's square or cube overflows."""
     _check_index(cfg, target_index)
     target = cfg.charges[target_index]
     ex = ey = ez = 0.0
     for j, source in enumerate(cfg.charges):
         if j == target_index:
             continue
-        sep = target.pos - source.pos
-        dist = sep.norm()
+        k, x, y, z, dist = _scaled(target.pos - source.pos)
         scale = source.q / (dist * dist * dist)
-        ex += scale * sep.x
-        ey += scale * sep.y
-        ez += scale * sep.z
+        ex += _times_power_of_two(scale * x, -2 * k)
+        ey += _times_power_of_two(scale * y, -2 * k)
+        ez += _times_power_of_two(scale * z, -2 * k)
     return Vec3(ex, ey, ez)
 
 
 def potential_at(cfg: ChargeConfiguration, target_index: int) -> float:
-    """Coulomb potential at charge i from all the others (statV)."""
+    """Coulomb potential at charge i from all the others (statV), with each
+    distance from the scaled separation (``_scaled``)."""
     _check_index(cfg, target_index)
     target = cfg.charges[target_index]
     total = 0.0
     for j, source in enumerate(cfg.charges):
         if j == target_index:
             continue
-        total += source.q / (target.pos - source.pos).norm()
+        k, _, _, _, dist = _scaled(target.pos - source.pos)
+        total += _times_power_of_two(source.q / dist, -k)
     return total
 
 

@@ -118,10 +118,17 @@ def phase_from_path_shift(delta_l: float, wavelength: float) -> float:
 
 
 def packet_overlap(packet: GaussianPacket, delta_x: float, delta_p: float, hbar: float) -> complex:
-    """Overlap of a Gaussian packet with its displaced/kicked copy (closed form)."""
+    """Overlap of a Gaussian packet with its displaced/kicked copy (closed
+    form).  A phase (delta_p*x0 - p0*delta_x)/hbar that overflows is a
+    DomainError."""
     sx = packet.sigma_x
     decay = delta_x * delta_x / (8.0 * sx * sx) + delta_p * delta_p * sx * sx / (2.0 * hbar * hbar)
     phase = (delta_p * packet.x0 - packet.p0 * delta_x) / hbar
+    if not math.isfinite(phase):
+        raise DomainError(
+            f"overlap phase (delta_p*x0 - p0*delta_x)/hbar overflows at x0 = {packet.x0!r}, "
+            f"p0 = {packet.p0!r}, delta_x = {delta_x!r}, delta_p = {delta_p!r}, hbar = {hbar!r}"
+        )
     return cmath.exp(complex(-decay, phase))
 
 
@@ -160,7 +167,8 @@ def overlap_by_quadrature(
     floor the larger (about 9.6 rel_tol at delta_x = 0).  So no level meets
     the tolerance by resolution unless ulp(m) <= floor * sigma_x; beyond that
     the window is refused.  A phase delta_p*x/hbar that overflows at an end
-    of the window is a DomainError as well.
+    of the window, or p0*delta_x/hbar that overflows, is a DomainError as
+    well.
     """
     x0, p0, sx = packet.x0, packet.p0, packet.sigma_x
     norm2 = 1.0 / math.sqrt(2.0 * math.pi * sx * sx)  # |chi|^2 normalization
@@ -200,6 +208,10 @@ def overlap_by_quadrature(
         raise DomainError(
             f"overlap window: the phase delta_p*x/hbar overflows at its end x = {far!r}, "
             f"delta_p = {delta_p!r}, hbar = {hbar!r}"
+        )
+    if not abs(p0 * delta_x / hbar) < math.inf:
+        raise DomainError(
+            f"overlap phase: p0*delta_x/hbar overflows at p0 = {p0!r}, delta_x = {delta_x!r}, hbar = {hbar!r}"
         )
     return refine_periodic_trapezoid(integrand, a, b, rel_tol, floor)
 

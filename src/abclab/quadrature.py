@@ -6,12 +6,14 @@ Two refinements double a rule's level until two successive estimates agree:
 * ``refine_gauss_legendre`` doubles the panels of a composite 10-point
   Gauss-Legendre rule.  It integrates the smooth integrands of this package
   whose periodic extension is not smooth: the velocity-kick integral over
-  angle, from one panel, and each side of a polyline loop phase, from two.
+  angle, and each side of a polyline loop phase on its sinh map, both from
+  one panel.
 * ``refine_periodic_trapezoid`` doubles the points of the trapezoid rule on
-  an interval.  It integrates the circle loop phase, whose integrand is
-  smooth and periodic, and the complex Gaussian overlap, whose integrand has
-  decayed to e^-72 of its peak at both ends of its window, so its periodic
-  extension is smooth to far below any tolerance.  On both the rule
+  an interval.  It integrates the circle loop phase on its periodic Moebius
+  map, whose integrand is smooth and periodic, and the complex Gaussian
+  overlap, whose integrand has decayed to e^-72 of its peak at both ends of
+  its window, so its periodic extension is smooth to far below any
+  tolerance.  On both the rule
   converges geometrically; each level evaluates only the midpoints of the
   last and adds them to its running sum.
 

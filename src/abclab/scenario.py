@@ -587,20 +587,20 @@ def _point_ac_phase(params: dict, k: PhysicalConstants):
     # residuals are in units of the per-winding phase, absolute when it is 0
     unit = abs(boyer.ac_phase_enclosed_value(lc, mu_z, k, 1)) or 1.0
 
-    def measure(path) -> dict:
+    def measure(name: str, path) -> tuple[dict, CheckRow]:
         winding = boyer.loop_winding_number(path)
         expected = boyer.ac_phase_enclosed_value(lc, mu_z, k, winding)
         phase = boyer.ac_phase(lc, mu_z, path, k)
-        return {"loop": _describe_loop(path), "winding": winding, "phase_rad": phase, "expected_rad": expected}
+        row = {"loop": _describe_loop(path), "winding": winding, "phase_rad": phase, "expected_rad": expected}
+        return row, verify.claim_row(name, abs(phase - expected) / unit, expected, phase)
 
-    rows = [measure(loop)]
-    phase, expected = rows[0]["phase_rad"], rows[0]["expected_rad"]
-    checks = [verify.claim_row("ac_phase_loop_value", abs(phase - expected) / unit, expected, phase)]
+    measured = [measure("ac_phase_loop_value", loop)]
     if "second_radius_cm" in params:
-        rows.append(measure(boyer.CircleLoop(center=loop.center, radius=params["second_radius_cm"])))
-        phase2 = rows[1]["phase_rad"]
-        checks.append(verify.claim_row("ac_phase_radius_independent", abs(phase2 - phase) / unit, phase, phase2))
-    return rows, checks
+        # judged against its own winding, which need not be the first circle's
+        second = boyer.CircleLoop(center=loop.center, radius=params["second_radius_cm"])
+        measured.append(measure("ac_phase_radius_independent", second))
+    rows, checks = zip(*measured)
+    return list(rows), list(checks)
 
 
 def _point_field_free(params: dict, k: PhysicalConstants):

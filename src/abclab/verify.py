@@ -164,11 +164,16 @@ def flux_chain_residual(s: solenoid.SolenoidParams, k: PhysicalConstants) -> flo
 
 
 def field_residual(field_magnitude: float, d: float, e: float) -> float:
-    """A field magnitude at one charge of the triple in units of e/d^2; NaN,
-    so the claim FAILs, when e/d^2 is not a positive finite float (d*d
-    overflows, or e/(d*d) underflows to 0)."""
-    unit = e / (d * d)
-    return field_magnitude / unit if 0.0 < unit < math.inf else math.nan
+    """A field magnitude at one charge of the triple in units of e/d^2.  With
+    d = m 2^j, m in [0.5, 1), it is (magnitude 2^2j)/(e/m^2), equal to the bit
+    to magnitude/(e/(d*d)) wherever neither overflows nor underflows, so d*d
+    is never formed.  NaN, so the claim FAILs, when e/m^2 is not a positive
+    finite float; inf when the scaled magnitude overflows."""
+    m, j = math.frexp(d)
+    unit = e / (m * m)
+    if not 0.0 < unit < math.inf:
+        return math.nan
+    return fieldfree._times_power_of_two(field_magnitude, 2 * j) / unit
 
 
 def three_charge_residual(field_magnitudes, d: float, e: float) -> float:

@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -757,8 +758,10 @@ def test_ac_phase_path_through_axis_rejected():
 
 
 # The Vec3 loop-phase integrand that the float integrands replaced,
-# p_h(point(t)).dot(tangent(t)) with p_h = (mu x E)/c, and ac_phase built on
-# it.  On loops around the line on the z axis with mu = (0, 0, mu_z), the
+# p_h(point(u)).dot(direction(u)) * jacobian(u) with p_h = (mu x E)/c, at the
+# point, direction and Jacobian of each node of the segment's map
+# (``boyer._loop_integrands``) formed in Vec3 arithmetic, and ac_phase built
+# on it.  On loops around the line on the z axis with mu = (0, 0, mu_z), the
 # float integrands must reproduce it up to the sign of a zero value, and
 # ac_phase bit for bit.
 
@@ -772,43 +775,59 @@ def _ref_hidden_momentum(lc, pos, mu, k):
 
 
 def _ref_loop_segments(loop):
+    """(point(u), direction(u), jacobian(u), lo, hi) per segment."""
     if isinstance(loop, CircleLoop):
-        cx, cy, cz, rad = loop.center.x, loop.center.y, loop.center.z, loop.radius
-        two_pi = 2.0 * math.pi
+        c, rad = loop.center, loop.radius
+        rc = math.hypot(c.x, c.y)
+        unit = Vec3(c.x / rc, c.y / rc, 0.0) if rc else Vec3(1.0, 0.0, 0.0)
+        gap = rc - rad
+        nearest = Vec3(gap * unit.x, gap * unit.y, c.z)
+        alpha = min(1.0, math.sqrt(abs(gap) / rad))
+        radial, along = unit * (2.0 * rad), Vec3(unit.y, -unit.x, 0.0) * (2.0 * rad)
 
-        def point(t):
-            ang = two_pi * t
-            return Vec3(cx + rad * math.cos(ang), cy + rad * math.sin(ang), cz)
+        def half_angle(h):
+            a, b = alpha * math.sin(h), math.cos(h)
+            return a, b, 1.0 / (a * a + b * b)
 
-        def tangent(t):
-            ang = two_pi * t
-            return Vec3(-rad * two_pi * math.sin(ang), rad * two_pi * math.cos(ang), 0.0)
+        def point(h):
+            a, b, q = half_angle(h)
+            return nearest + (radial * a + along * b) * (a * q)
 
-        return [(point, tangent)]
-    return [
-        (lambda t, a=a, delta=b - a: a + delta * t, lambda t, delta=b - a: delta)
-        for a, b in zip(loop.vertices, loop.vertices[1:])
-    ]
+        def direction(h):
+            p = point(h)
+            return Vec3(c.y - p.y, p.x - c.x, 0.0)
+
+        return [(point, direction, lambda h: (2.0 * alpha) * half_angle(h)[2], -0.5 * math.pi, 0.5 * math.pi)]
+    segments = []
+    for a, b in zip(loop.vertices, loop.vertices[1:]):
+        vx, vy, ex, ey, tau, gap = boyer._side_foot(a, b)
+        d = gap / math.hypot(ex, ey)
+        foot, step, edge = Vec3(vx + tau * ex, vy + tau * ey, a.z), Vec3(ex, ey, 0.0) * d, (b - a) * d
+        segments.append(
+            (
+                lambda u, foot=foot, step=step: foot + step * math.sinh(u),
+                lambda u, edge=edge: edge,
+                math.cosh,
+                math.asinh(-tau / d),
+                math.asinh((1.0 - tau) / d),
+            )
+        )
+    return segments
 
 
 def _ref_integrands(lc, mu, loop, k):
     return [
-        lambda t, point=point, tangent=tangent: _ref_hidden_momentum(lc, point(t), mu, k).dot(tangent(t))
-        for point, tangent in _ref_loop_segments(loop)
+        (lambda u, p=point, t=direction, j=jacobian: _ref_hidden_momentum(lc, p(u), mu, k).dot(t(u)) * j(u), lo, hi)
+        for point, direction, jacobian, lo, hi in _ref_loop_segments(loop)
     ]
 
 
 def _ref_ac_phase(lc, mu, loop, k, rel_tol=1e-10):
-    integrands = _ref_integrands(lc, mu, loop, k)
-    probe = 0.0
-    for f in integrands:
-        for i in range(8):
-            probe = max(probe, abs(f((i + 0.5) / 8.0)))
-    abs_floor = rel_tol * probe * 1e-3
+    abs_floor = rel_tol * (2.0 * math.pi * abs(2.0 * lc.lambda_c * mu.z * (1.0 / k.c))) * 1e-3
     refine = boyer._loop_rule(loop)
     total = 0.0
-    for f in integrands:
-        total += refine(f, 0.0, 1.0, rel_tol=rel_tol, abs_floor=abs_floor)
+    for f, lo, hi in _ref_integrands(lc, mu, loop, k):
+        total += refine(f, lo, hi, rel_tol=rel_tol, abs_floor=abs_floor)
     return total / k.hbar
 
 
@@ -842,10 +861,10 @@ def _random_loop_case(rng):
 
 def test_loop_integrands_match_vec3_reference_bit_for_bit():
     rng = np.random.default_rng(8)
-    # both ends, every trapezoid point up to 32 points (the probe points among
-    # them) and every Gauss-Legendre node of 2 and 4 panels
-    nodes = [1.0] + [i / 32 for i in range(32)] + [
-        (i + 0.5 + 0.5 * node) / panels for panels in (2, 4) for i in range(panels) for node in quadrature._GL_NODES
+    # on each segment's interval: both ends, every trapezoid point up to 32
+    # points and every Gauss-Legendre node of 1, 2 and 4 panels
+    fractions = [1.0] + [i / 32 for i in range(32)] + [
+        (i + 0.5 + 0.5 * node) / panels for panels in (1, 2, 4) for i in range(panels) for node in quadrature._GL_NODES
     ]
     kinds = set()
     for _ in range(80):
@@ -853,9 +872,10 @@ def test_loop_integrands_match_vec3_reference_bit_for_bit():
         mu = Vec3(0.0, 0.0, mu_z)
         ours = boyer._loop_integrands(loop, lc, mu_z, 1.0 / k.c)
         ref = _ref_integrands(lc, mu, loop, k)
-        assert len(ours) == len(ref)
-        for f, g in zip(ours, ref):
-            assert [_bits_but_zero_sign(f(t)) for t in nodes] == [_bits_but_zero_sign(g(t)) for t in nodes]
+        assert [(lo, hi) for _, lo, hi in ours] == [(lo, hi) for _, lo, hi in ref]
+        for (f, lo, hi), (g, _, _) in zip(ours, ref):
+            nodes = [lo + (hi - lo) * x for x in fractions]
+            assert [_bits_but_zero_sign(f(u)) for u in nodes] == [_bits_but_zero_sign(g(u)) for u in nodes]
         assert ac_phase(lc, mu_z, loop, k).hex() == _ref_ac_phase(lc, mu, loop, k).hex()
         kinds.add((type(loop).__name__, k.c == 1.0, any(v.z for v in getattr(loop, "vertices", ()))))
         kinds.update(name for name, v in (("lambda", lc.lambda_c), ("mu_z", mu_z)) if v == 0.0)
@@ -864,16 +884,16 @@ def test_loop_integrands_match_vec3_reference_bit_for_bit():
 
 def _fixed_gauss_legendre_phase(lc, mu_z, loop, k, panels):
     integrands = boyer._loop_integrands(loop, lc, mu_z, 1.0 / k.c)
-    return sum(quadrature.composite_gauss_legendre(f, 0.0, 1.0, panels) for f in integrands) / k.hbar
+    return sum(quadrature.composite_gauss_legendre(f, lo, hi, panels) for f, lo, hi in integrands) / k.hbar
 
 
 def _near_line_loops():
     # the line 1e-2 R and 1e-3 R inside and outside a circle of radius R = 1.5
     # cm, and 1e-2 L and 1e-3 L from a side of a square of side L = 2 cm that
     # does or does not enclose it, with the fixed Gauss-Legendre panels that
-    # resolve each to 1e-13 of 4*pi
+    # resolve each mapped integrand to 1e-13 of 4*pi
     radius = 1.5
-    for gap, panels in ((1e-2, 1024), (1e-3, 8192)):
+    for gap, panels in ((1e-2, 256), (1e-3, 1024)):
         for side in (-1.0, 1.0):
             yield CircleLoop(center=Vec3(0.0, radius * (1.0 + side * gap), 0.0), radius=radius), panels
             # counterclockwise; the side x = 2 * gap passes its nearest point
@@ -884,9 +904,10 @@ def _near_line_loops():
 
 
 def test_ac_phase_agrees_with_a_fixed_gauss_legendre_rule():
-    # the adaptive rules (trapezoid on circles, Gauss-Legendre from 2 panels
+    # the adaptive rules (trapezoid on circles, Gauss-Legendre from 1 panel
     # on polyline sides) stop at the first two estimates that agree; a fixed
-    # fine rule checks that no loop stops at a false early agreement
+    # fine rule on the same mapped integrands checks that no loop stops at a
+    # false early agreement
     rng = np.random.default_rng(18)
     cases = [(*_random_loop_case(rng), 256) for _ in range(40)]
     near = [(LINE, MU_Z, loop, K1, panels) for loop, panels in _near_line_loops()]
@@ -903,15 +924,17 @@ def test_ac_phase_agrees_with_a_fixed_gauss_legendre_rule():
     ]
 
 
-@pytest.mark.parametrize("gap", [2e-5, 3e-5, 5e-5])
+@pytest.mark.parametrize("gap", [2e-5, 3e-5, 5e-5, 1e-6, -1e-6, 1e-7, -1e-7])
 def test_ac_phase_integrates_circles_just_around_the_line(gap):
-    # the line 2e-5 R to 5e-5 R inside the circle: the trapezoid rule needs up
-    # to 4,194,304 points here, within its budget, as Gauss-Legendre's 524,288
-    # panels reached these circles before it
+    # the line gap R inside the circle, or -gap R outside it: the trapezoid
+    # rule on the map about the nearest point takes up to 262,144 points at
+    # 1e-7 R, where the rule on the bare angle ran out of its 4,194,304 below
+    # 1e-5 R
     radius = 1.5
     loop = CircleLoop(center=Vec3(0.0, radius * (1.0 - gap), 0.0), radius=radius)
-    expected = ac_phase_enclosed_value(LINE, MU_Z, K1)
-    assert abs(ac_phase(LINE, MU_Z, loop, K1) - expected) <= 1e-12 * abs(expected)
+    expected = ac_phase_enclosed_value(LINE, MU_Z, K1) * loop_winding_number(loop)
+    assert loop_winding_number(loop) == int(gap > 0.0)
+    assert abs(ac_phase(LINE, MU_Z, loop, K1) - expected) <= 1e-12 * 4.0 * math.pi
 
 
 def test_ac_phase_builds_no_vec3_per_node(monkeypatch):
@@ -947,7 +970,7 @@ def test_ac_phase_evaluates_its_integrands_only_inside_the_refinements(monkeypat
     def counted_integrands(*args):
         fs = integrands(*args)
         evaluations[:] = [0] * len(fs)
-        return [counted(f, i) for i, f in enumerate(fs)]
+        return [(counted(f, i), lo, hi) for i, (f, lo, hi) in enumerate(fs)]
 
     def recorded(rule, unit, nodes_per_unit, estimates, *rest):
         read = []
@@ -978,31 +1001,31 @@ def test_ac_phase_evaluates_its_integrands_only_inside_the_refinements(monkeypat
 
 _CENTRED_CIRCLE = CircleLoop(center=Vec3(0.0, 0.0, 0.0), radius=1.0)
 _SQUARE = PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in [(1, 1), (-1, 1), (-1, -1), (1, -1), (1, 1)]))
-# a unit circle 3e-5 R outside the line, its nearest point at 1 rad, between
-# the points of the trapezoid rule's coarse levels
+# a unit circle 3e-5 R outside the line, its nearest point at 1 rad
 _GRAZING_CIRCLE = CircleLoop(
     center=Vec3((1.0 + 3e-5) * math.cos(1.0), (1.0 + 3e-5) * math.sin(1.0), 0.0), radius=1.0
 )
+_HALF_PI = "1.5707963267948966"
 
 
 @pytest.mark.parametrize("units", ["scaled-unity", "gaussian-cgs"])
 @pytest.mark.parametrize(
     "lambda_c, mu_z, loop, outcome",
     [
-        (1e300, 1e10, _CENTRED_CIRCLE, "periodic trapezoid refinement stopped on [0.0, 1.0]: the estimate at 8 points is inf"),
-        (1e300, 1e10, _SQUARE, "Gauss-Legendre refinement stopped on [0.0, 1.0]: the estimate at 2 panels is nan"),
+        (1e300, 1e10, _CENTRED_CIRCLE, f"periodic trapezoid refinement stopped on [-{_HALF_PI}, {_HALF_PI}]: the estimate at 8 points is inf"),
+        (1e300, 1e10, _SQUARE, "Gauss-Legendre refinement stopped on [-0.881373587019543, 0.881373587019543]: the estimate at 1 panels is nan"),
         (1e-300, 1e-100, _CENTRED_CIRCLE, 0.0),
         (1e-300, 1e-100, _SQUARE, 0.0),
-        # the bound overflows here, while the coarse levels miss the
-        # overflowing peak: capped at the largest float, the floor stays
-        # finite and the refinement goes on to the peak
-        (1e300, 1e3, _GRAZING_CIRCLE, "periodic trapezoid refinement stopped on [0.0, 1.0]: the estimate at 32768 points is nan"),
+        # the map puts a node on the nearest point, where p_h overflows, so
+        # the refinement stops at its first level
+        (1e300, 1e3, _GRAZING_CIRCLE, f"periodic trapezoid refinement stopped on [-{_HALF_PI}, {_HALF_PI}]: the estimate at 8 points is -inf"),
     ],
     ids=["huge_circle", "huge_square", "tiny_circle", "tiny_square", "huge_grazing_circle"],
 )
 def test_ac_phase_zero_scale_adds_no_overflow_or_underflow(units, lambda_c, mu_z, loop, outcome):
     # each outcome is the one ac_phase gave with the zero scale probed from 8
-    # integrand values a segment
+    # integrand values a segment, on the interval and from the start level of
+    # the segment's map
     k = make_constants(units)
     if isinstance(outcome, str):
         with pytest.raises(NumericalError) as caught:
@@ -1010,6 +1033,15 @@ def test_ac_phase_zero_scale_adds_no_overflow_or_underflow(units, lambda_c, mu_z
         assert str(caught.value) == outcome
     else:
         assert ac_phase(LineCharge(lambda_c=lambda_c), mu_z, loop, k) == outcome
+
+
+def test_ac_phase_caps_a_floor_that_overflows():
+    # 2 pi * 2|lambda mu|/c = 2.5e308 overflows while every integrand value is
+    # finite: an infinite floor accepted the 16-point estimate, 5.8e300 off a
+    # phase of 0; capped at the largest float, the floor is 1.8e295 and the
+    # refinement goes on until it is met
+    loop = CircleLoop(center=Vec3(3.0, 0.0, 0.0), radius=1.0)
+    assert abs(ac_phase(LineCharge(lambda_c=1e300), 2e7, loop, K1)) <= 1e-13 * sys.float_info.max
 
 
 def _square_past_the_line(gap, encloses):
@@ -1028,27 +1060,84 @@ def _circle_past_the_line(gap, encloses):
 
 @pytest.mark.parametrize("encloses", [False, True])
 @pytest.mark.parametrize(
-    "loop_of, gap",
-    [(_square_past_the_line, 1e-8), (_circle_past_the_line, 1e-7)],
+    "loop_of, gap, most",
+    [(_square_past_the_line, 1e-8, 4 * 2000), (_circle_past_the_line, 1e-7, 300_000)],
     ids=["square", "circle"],
 )
-def test_ac_phase_refuses_a_segment_closer_to_the_line_than_its_budget_resolves(loop_of, gap, encloses):
-    # a square's side 5e-9 of its length from the line, a circle 1e-7 R: two
-    # coarse levels that miss the 1/rho peak agreed within a floor taken from
-    # the clearance, and the phase came out half a winding off; the refusal
-    # starts at 1.2e-6 R for a circle, 1.9e-7 of the length for a side
+def test_ac_phase_integrates_segments_grazing_the_line(loop_of, gap, most, encloses, monkeypatch):
+    # a square's side 5e-9 of its length from the line, a circle 1e-7 R: on
+    # the bare parameter no budget resolved their 1/rho peak, and they were
+    # refused; on the map about the nearest point each passes in a few
+    # hundred evaluations a side, or under 300,000 points
     loop = loop_of(gap, encloses)
+    evaluations = [0]
+    integrands = boyer._loop_integrands
+
+    def counted(*args):
+        def tally(f):
+            def g(u):
+                evaluations[0] += 1
+                return f(u)
+
+            return g
+
+        return [(tally(f), lo, hi) for f, lo, hi in integrands(*args)]
+
+    monkeypatch.setattr(boyer, "_loop_integrands", counted)
+    expected = ac_phase_enclosed_value(LINE, MU_Z, K1) * loop_winding_number(loop)
     assert loop_winding_number(loop) == int(encloses)
-    message = rf"comes within {gap:.3e} cm of the charged line: 5242880 nodes cannot resolve its phase$"
-    with pytest.raises(NumericalError, match=message):
+    assert abs(ac_phase(LINE, MU_Z, loop, K1) - expected) <= 1e-12 * 4.0 * math.pi
+    assert evaluations[0] <= most
+
+
+@pytest.mark.parametrize("encloses", [False, True])
+def test_ac_phase_refuses_a_circle_inside_its_relative_axis_neighbourhood(encloses):
+    # a circle closer to the line than CIRCLE_AXIS_RATIO of its radius would
+    # need more trapezoid points than the budget holds: refused before any
+    # integrand is evaluated (at 1e-9 R the rule ran its budget out in 6 s)
+    assert boyer.CIRCLE_AXIS_RATIO == 1e-8
+    loop = _circle_past_the_line(0.9e-8, encloses)
+    start = time.perf_counter()
+    with pytest.raises(SingularityError, match=r"comes within 9\.000e-09 cm of the charged line \(minimum clearance 1e-08 R\)$"):
         ac_phase(LINE, MU_Z, loop, K1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_ac_phase_skips_a_side_of_zero_length():
+    # a repeated vertex makes a side of length 0, whose map has no width
+    corners = [(1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)]
+    loop = PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners))
+    assert len(boyer._loop_integrands(loop, LINE, MU_Z, 1.0)) == 4
+    assert ac_phase(LINE, MU_Z, loop, K1) == ac_phase(LINE, MU_Z, _SQUARE, K1)
+
+
+@pytest.mark.parametrize("encloses", [False, True])
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_ac_phase_anchors_a_side_at_the_vertex_nearer_its_foot(encloses, orientation):
+    # a 200 cm triangle with one vertex 2e-8 cm from the line, its side's foot
+    # 3e-10 of its length from that vertex: with the foot formed from the far
+    # vertex, the side's points near the line lost their digits, and the
+    # phase missed by 2e-8 to 1e-7 of a winding
+    th, gap, length = 0.7, 2e-8, 200.0
+    ex, ey = math.cos(th), math.sin(th)
+    near = (-gap * ey - 3e-10 * length * ex, gap * ex - 3e-10 * length * ey)
+    far = (near[0] + length * ex, near[1] + length * ey)
+    side = -length if encloses else length
+    apex = (near[0] + 0.5 * length * ex - side * ey, near[1] + 0.5 * length * ey + side * ex)
+    corners = [far, near, apex, far][::orientation]
+    loop = PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners))
+    winding = loop_winding_number(loop)
+    assert winding == orientation * int(encloses)
+    expected = ac_phase_enclosed_value(LINE, MU_Z, K1) * winding
+    assert abs(ac_phase(LINE, MU_Z, loop, K1) - expected) <= 1e-12 * 4.0 * math.pi
 
 
 @pytest.mark.parametrize("encloses", [False, True])
 def test_ac_phase_floors_each_segment_by_its_own_clearance(encloses):
     # a 1 x 100 cm rectangle whose short side passes 1e-4 cm from the line: a
-    # floor from that clearance and the 100 cm sides would accept their
-    # integrals 2e-10 off
+    # floor from that clearance and the 100 cm sides accepted their integrals
+    # 2e-10 off; the one floor from the bound 2 pi * 2|lambda mu|/c on every
+    # segment's integral does not
     gap = -1e-4 if encloses else 1e-4
     corners = [(-0.5, gap), (0.5, gap), (0.5, 100.0), (-0.5, 100.0)]
     loop = PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners + corners[:1]))

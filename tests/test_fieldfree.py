@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abclab import (
     ChargeConfiguration,
@@ -11,7 +13,9 @@ from abclab import (
     Vec3,
     field_at,
     make_three_charge,
+    parse_scenario,
     potential_at,
+    run_scenario,
 )
 
 
@@ -158,3 +162,19 @@ def test_newtons_third_law_zero_total_internal_force():
             total = total + force
             scale = max(scale, force.norm())
         assert total.norm() <= 1e-10 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(min_value=1e-12, max_value=1e300, exclude_min=True),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_field_free_claims_pass_at_every_spacing(d, e):
+    # beyond d = 1.3e154 the squared separation overflowed: the field's
+    # residual read NaN and the potential 0.0, and both claims FAILed
+    doc = f"kind: field-free\nunits: scaled-unity\nparams: {{d_cm: {d!r}, e_statC: {e!r}}}\n"
+    report = run_scenario(parse_scenario(doc))
+    assert {c.name: c.passed for c in report.checks if c.name != "field_free_zero_phase_claim"} == {
+        "field_free_three_charge": True,
+        "potential_at_electron": True,
+    }

@@ -324,6 +324,22 @@ def test_overlap_quadrature_refuses_a_kick_whose_phase_overflows():
         overlap_by_quadrature(packet, 0.0, 1e308, 1.0)
 
 
+def test_overlap_refuses_a_shift_whose_phase_overflows():
+    # p0 * delta_x / hbar is inf: a bare ValueError (math domain error) from
+    # cmath.exp, no AbclabError
+    packet = GaussianPacket(x0=0.0, p0=1.7e308, sigma_x=1.0, mass=1.0)
+    with pytest.raises(DomainError, match=r"^overlap phase \(delta_p\*x0 - p0\*delta_x\)/hbar overflows at x0 = 0\.0, p0 = 1\.7e\+308, delta_x = 10\.0"):
+        packet_overlap(packet, 10.0, 0.0, 1.0)
+
+
+def test_overlap_quadrature_refuses_a_shift_whose_phase_overflows():
+    # p0 * delta_x / hbar is inf in every integrand value: the refinement used
+    # to stop on a (nan+nanj) estimate
+    packet = GaussianPacket(x0=0.0, p0=1.7e308, sigma_x=1.0, mass=1.0)
+    with pytest.raises(DomainError, match=r"^overlap phase: p0\*delta_x/hbar overflows at p0 = 1\.7e\+308, delta_x = 10\.0"):
+        overlap_by_quadrature(packet, 10.0, 0.0, 1.0)
+
+
 @given(
     st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
     st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),

@@ -81,3 +81,15 @@ def test_force_equals_rate_row_fails_a_full_law_off_by_1e_11(monkeypatch):
     monkeypatch.setattr(boyer, "_acceleration", off)
     [row] = [c for c in run_verify_suite(42).checks if c.name == "boyer_force_equals_momentum_rate"]
     assert not row.passed and row.actual == pytest.approx(1e-11, rel=1e-3)
+
+
+def test_field_residual_never_squares_d():
+    # equal to the bit to magnitude/(e/(d*d)) wherever d*d is a normal float;
+    # beyond, it is formed from d's mantissa, and an overflowing scaled
+    # magnitude reads inf, so the claim FAILs without a traceback
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        d, e, magnitude = (float(10.0 ** rng.uniform(lo, hi)) for lo, hi in ((-6, 6), (-3, 3), (-20, 3)))
+        assert verify.field_residual(magnitude, d, e) == magnitude / (e / (d * d))
+    assert verify.field_residual(2.0 ** -600, 2.0 ** 300, 1.0) == 1.0
+    assert verify.field_residual(1e308, 1.0, 1.0) == math.inf
