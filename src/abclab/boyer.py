@@ -47,11 +47,13 @@ value that is itself zero may differ from the reference in its sign only.  A
 step shows that only when it starts from a velocity component of -0.0; a
 loop phase never does, since its quadrature sums start from 0.0.
 
-``step_trajectory`` validates its input and wraps ``_rk4`` in
-TrajectoryState objects.  The verify flights (``verify._full_law_speed`` and
-``verify._naive_endpoint``) call ``_rk4`` directly.  The bounce loop still
-calls ``step_trajectory`` from its three functions, whose calls the
-benchmark's tracer counts by caller name.
+A TrajectoryState is a validated tuple of five floats: building one checks
+that every component is finite and then costs one tuple allocation.
+``step_trajectory`` validates its input, unpacks the state, hands the floats
+to ``_rk4`` and builds the next state from the four it returns.  The verify
+flights (``verify._full_law_speed`` and ``verify._naive_endpoint``) call
+``_rk4`` directly.  The bounce loop still calls ``step_trajectory`` from its
+three functions, whose calls the benchmark's tracer counts by caller name.
 
 The bounce loop evaluates each state's acceleration once.  That one
 evaluation is stage 1 of the advance step, of the Simpson-midpoint half-step
@@ -67,9 +69,9 @@ slope vx(h), from the straight-line guess and inside the bracket [0, dt],
 bisecting whenever an iterate leaves it.  The hit is within two float
 spacings of the plane, a bound that holds at any distance of the cavity from
 the origin; it usually takes one to three RK4 steps, and at most
-MAX_LANDING_STEPS.  The loop keeps only the TrajectoryState of each step and
-each reflection: ``BounceResult.samples`` builds the BounceSample series from
-them when it is read.
+MAX_LANDING_STEPS.  The loop keeps only the TrajectoryState tuple of each
+step and each reflection: ``BounceResult.samples`` builds the BounceSample
+tuples from them when it is read.
 
 The loop phase integrates each segment on a map about its point nearest the
 line (``_loop_integrands``), which spreads the segment's 1/clearance peak over
@@ -89,7 +91,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
 from .quadrature import refine_gauss_legendre, refine_periodic_trapezoid
@@ -156,21 +158,38 @@ class NeutronModel:
             raise ValidationError(f"mu_z must be finite, got {self.mu_z!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryState:
-    """Integrator state: time t (s), position (x, y) (cm), kinetic velocity
-    (vx, vy) (cm/s)."""
-
+class _StateFields(NamedTuple):
     t: float
     x: float
     y: float
     vx: float
     vy: float
 
-    def __post_init__(self):
+
+class TrajectoryState(_StateFields):
+    """Integrator state: time t (s), position (x, y) (cm), kinetic velocity
+    (vx, vy) (cm/s).
+
+    A validated tuple: every way of building one (the constructor, ``_make``,
+    ``_replace``, copy and pickle) rejects a non-finite component, and
+    building one costs a single tuple allocation.  It equals a plain tuple of
+    the same floats, and it iterates, unpacks, hashes and orders like one."""
+
+    __slots__ = ()
+
+    def __new__(cls, t: float, x: float, y: float, vx: float, vy: float):
+        state = tuple.__new__(cls, (t, x, y, vx, vy))
         isfinite = math.isfinite
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.vx) and isfinite(self.vy)):
-            raise ValidationError(f"state has non-finite components: {self}")
+        if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
+            raise ValidationError(f"state has non-finite components: {state!r}")
+        return state
+
+    @classmethod
+    def _make(cls, iterable) -> TrajectoryState:
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,7 +318,8 @@ def _rk4(
     sixth = dt / 6.0
     x = x0 + (vx0 + (vx2 + vx3) * 2.0 + vx4) * sixth
     y = y0 + (vy0 + (vy2 + vy3) * 2.0 + vy4) * sixth
-    _check_axis(x, y)  # reject steps that land inside the axis neighbourhood
+    if x * x + y * y < _AXIS_EPSILON2:  # _check_axis, inlined: reject landings inside the neighbourhood
+        raise _axis_error(x, y)
     return (
         x,
         y,
@@ -332,12 +352,13 @@ def step_trajectory(
     if not (dt > 0.0 and math.isfinite(dt)):
         raise DomainError(f"dt must be positive, got {dt!r}")
     _check_law(law)
-    end = _rk4(lc, n.mu_z, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, dt, state.x, state.y, state.vx, state.vy, accel)
+    t, x, y, vx, vy = state
+    x, y, vx, vy = _rk4(lc, n.mu_z, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, dt, x, y, vx, vy, accel)
     try:
-        return TrajectoryState(state.t + dt, *end)
+        return TrajectoryState(t + dt, x, y, vx, vy)
     except ValidationError as exc:  # the step overflowed, from a finite state
         raise NumericalError(
-            f"{law} law: the RK4 step of dt = {dt!r} s from t = {state.t!r} s overflowed: {exc}"
+            f"{law} law: the RK4 step of dt = {dt!r} s from t = {t!r} s overflowed: {exc}"
         ) from None
 
 
@@ -345,8 +366,7 @@ def kinetic_energy(n: NeutronModel, state: TrajectoryState) -> float:
     return 0.5 * n.mass * (state.vx * state.vx + state.vy * state.vy)
 
 
-@dataclass(frozen=True, slots=True)
-class BounceSample:
+class BounceSample(NamedTuple):
     """A TrajectoryState's floats, its kinetic energy and its hidden momentum (px, py)."""
 
     t: float
@@ -396,8 +416,9 @@ class BounceResult:
 
 def _evaluate(kernel: tuple, mass: float, st: TrajectoryState) -> tuple[tuple[float, float], float]:
     # Acceleration at st and the rate of work m a.v of the net force.
-    vx, vy = st.vx, st.vy
-    accel = _acceleration(*kernel, st.x, st.y, vx, vy)
+    lc, mu_z, inv_c, inv_m, naive = kernel
+    _, x, y, vx, vy = st
+    accel = _acceleration(lc, mu_z, inv_c, inv_m, naive, x, y, vx, vy)
     ax, ay = accel
     return accel, (ax * vx + ay * vy) * mass
 

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import time
 from pathlib import Path
@@ -266,6 +268,63 @@ def test_trajectory_state_rejects_non_finite_components():
         TrajectoryState(0.0, math.nan, 0.5, -2.0, 0.0)
     with pytest.raises(ValidationError):
         TrajectoryState(0.0, 3.0, 0.5, -2.0, math.inf)
+
+
+def test_trajectory_state_rejects_a_non_finite_time():
+    # a NaN time used to pass, and a naive-law bounce from it reported its
+    # bounce times as (nan, nan) without raising
+    with pytest.raises(ValidationError, match=r"^state has non-finite components: TrajectoryState\(t=nan, x=3\.0"):
+        TrajectoryState(math.nan, 3.0, 0.5, -2.0, 0.0)
+    with pytest.raises(ValidationError, match=r"^state has non-finite components: TrajectoryState\(t=-inf"):
+        TrajectoryState(-math.inf, 3.0, 0.5, -2.0, 0.0)
+
+
+STATE_FIELDS = ("t", "x", "y", "vx", "vy")
+STATE_FLOATS = (0.25, 3.0, 0.5, -2.0, 0.0)
+
+
+def _forged(floats):
+    # a state that skipped validation, as the stock NamedTuple _make builds one
+    return tuple.__new__(TrajectoryState, floats)
+
+
+STATE_BUILDERS = {
+    "positional": lambda floats: TrajectoryState(*floats),
+    "keyword": lambda floats: TrajectoryState(**dict(zip(STATE_FIELDS, floats))),
+    "_make": lambda floats: TrajectoryState._make(iter(floats)),
+    "_replace": lambda floats: TrajectoryState(*STATE_FLOATS)._replace(**dict(zip(STATE_FIELDS, floats))),
+    "copy": lambda floats: copy.copy(_forged(floats)),
+    "deepcopy": lambda floats: copy.deepcopy(_forged(floats)),
+    **{
+        f"pickle{protocol}": lambda floats, protocol=protocol: pickle.loads(pickle.dumps(_forged(floats), protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+}
+
+
+@pytest.mark.parametrize("build", STATE_BUILDERS.values(), ids=STATE_BUILDERS)
+def test_every_way_of_building_a_state_validates(build):
+    state = build(STATE_FLOATS)
+    assert type(state) is TrajectoryState and state == STATE_FLOATS
+    for i in range(5):
+        for bad in (math.nan, math.inf, -math.inf):
+            floats = STATE_FLOATS[:i] + (bad,) + STATE_FLOATS[i + 1 :]
+            fields = ", ".join(f"{name}={value!r}" for name, value in zip(STATE_FIELDS, floats))
+            with pytest.raises(ValidationError) as caught:
+                build(floats)
+            assert str(caught.value) == f"state has non-finite components: TrajectoryState({fields})"
+
+
+def test_trajectory_state_is_an_immutable_tuple_that_reprs_and_hashes_as_before():
+    # the repr and hash are those the frozen dataclass it replaced gave
+    state = TrajectoryState(*STATE_FLOATS)
+    assert repr(state) == "TrajectoryState(t=0.25, x=3.0, y=0.5, vx=-2.0, vy=0.0)"
+    assert hash(state) == hash(STATE_FLOATS) == hash(TrajectoryState(*STATE_FLOATS))
+    assert state == TrajectoryState(*STATE_FLOATS) == STATE_FLOATS != TrajectoryState(0.25, 3.0, 0.5, -2.0, 1.0)
+    for name in (*STATE_FIELDS, "z"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, 1.0)
+    assert state == STATE_FLOATS
 
 
 # Reference: the Vec3 formulation of the field Jacobian, the two force terms,
