@@ -622,7 +622,7 @@ def _point_field_free(params: dict, k: PhysicalConstants):
     ]
     checks = [
         verify.claim_row("field_free_three_charge", verify.three_charge_residual(magnitudes, d, e)),
-        verify.claim_row("potential_at_electron", *verify.potential_residual(cfg, d, e)),
+        verify.claim_row("potential_at_electron", *verify.potential_residual(rows[0]["potential_statV"], d, e)),
         # the corollary (no field at any particle, no phase): stated, not computed
         verify.claim_row("field_free_zero_phase_claim", 0.0, at_most=True),
     ]

@@ -16,16 +16,27 @@ numpy's ``Generator.uniform(lo, hi)`` computes ``lo + (hi - lo) * d`` from the
 same next double ``d`` that ``random()`` returns, so each draw and the stream
 position after it are bit-identical to ``float(rng.uniform(lo, hi))`` at about
 a third of the cost; ``tests/test_verify.py`` pins that by ``float.hex``.
+
+A claim whose every draw reads a fixed count of uniforms, and nothing else
+from the generator, declares that count to ``_claim``.  Its check then takes
+all of its doubles in one ``rng.random(size)`` call, a *block*: numpy returns
+the doubles that as many ``random()`` calls would, in the same order, and
+leaves the generator in the same state.  Each draw reads its own doubles from
+the block through the same ``random()`` interface, so the draws, and every
+check after them, keep their bits; ``tests/test_verify.py`` pins that for
+every block claim.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
 from typing import TYPE_CHECKING
 
 from . import boyer, fieldfree, interferometry, solenoid
+from .errors import ConsistencyError
 from .units import GAUSSIAN_CGS, SCALED_UNITY, PhysicalConstants, Vec3, cross, make_constants
 
 if TYPE_CHECKING:
@@ -130,8 +141,15 @@ def worse(residual: float, than: float) -> bool:
 
 def _worst(residuals, floor: float = 0.0) -> float:
     """The worst of some residuals by ``worse``, starting from ``floor`` (the
-    value for none): NaN if any is NaN, else the largest above ``floor``."""
-    return functools.reduce(lambda worst, residual: residual if worse(residual, worst) else worst, residuals, floor)
+    value for none): NaN if any is NaN, else the largest above ``floor``.
+
+    Where their sum is not NaN, none is NaN and ``max`` ranks them as
+    ``worse`` does, keeping the first of ties (``0.0`` and ``-0.0`` too)."""
+    residuals = list(residuals)
+    if math.isnan(sum(residuals)):  # a NaN, or inf with -inf
+        return functools.reduce(lambda worst, residual: residual if worse(residual, worst) else worst, residuals, floor)
+    worst = max(residuals, default=floor)
+    return worst if worst > floor else floor
 
 
 def _least(values) -> float:
@@ -181,11 +199,10 @@ def three_charge_residual(field_magnitudes, d: float, e: float) -> float:
     return _worst(field_residual(magnitude, d, e) for magnitude in field_magnitudes)
 
 
-def potential_residual(cfg: fieldfree.ChargeConfiguration, d: float, e: float) -> tuple[float, float, float]:
-    """(residual, 8e/d, potential) of the electron's potential against 8e/d,
-    in the argument order of ``claim_row``."""
+def potential_residual(potential: float, d: float, e: float) -> tuple[float, float, float]:
+    """(residual, 8e/d, potential) of the electron's potential (charge 0 of
+    the triple) against 8e/d, in the argument order of ``claim_row``."""
     expected = 8.0 * e / d
-    potential = fieldfree.potential_at(cfg, 0)
     return _relative(potential, expected), expected, potential
 
 
@@ -218,13 +235,35 @@ def _check(check):
     return check
 
 
-def _claim(name: str, draws: int, expected: object = 0.0):
+def _claim(name: str, draws: int, expected: object = 0.0, uniforms: int | None = None):
     """Register ``residual(rng)``, the residual of one random draw, as the
-    check ``name``: the worst residual over ``draws`` draws."""
+    check ``name``: the worst residual over ``draws`` draws.
+
+    ``uniforms`` declares that each draw reads exactly that many doubles by
+    ``rng.random()`` and nothing else from the generator.  The check then
+    takes the draws' doubles as one ``_Block`` and passes it to ``residual``
+    in place of the generator (see the module docstring).  A draw that reads
+    more or fewer raises ConsistencyError naming the claim, at that draw:
+    a miscount would otherwise shift every later draw, and every later
+    check, without a sign."""
 
     def register(residual):
         def check(rng) -> CheckRow:
-            return claim_row(name, _worst(residual(rng) for _ in range(draws)), expected)
+            if uniforms is None:
+                return claim_row(name, _worst(residual(rng) for _ in range(draws)), expected)
+            block = _Block(rng.random(draws * uniforms).tolist())
+            residuals = []
+            for left in range(draws * uniforms, 0, -uniforms):
+                try:
+                    residuals.append(residual(block))
+                except IndexError as exc:
+                    if block.doubles:
+                        raise
+                    raise ConsistencyError(f"{name}: a draw read more than the {left} uniforms left") from exc
+                read = left - len(block.doubles)
+                if read != uniforms:
+                    raise ConsistencyError(f"{name}: a draw read {read} uniforms, not the {uniforms} declared")
+            return claim_row(name, _worst(residuals), expected)
 
         _CHECKS.append(check)
         return residual
@@ -238,14 +277,44 @@ _UNIT_NEUTRON = boyer.NeutronModel(mass=1.0, mu_z=1.0)
 _UNIT_CIRCLE = boyer.CircleLoop(center=Vec3(0.0, 0.0, 0.0), radius=1.0)
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+class _Block:
+    """A claim's uniforms, drawn in one call: ``random()`` returns them in
+    order, and raises IndexError past the last."""
+
+    __slots__ = ("doubles", "random")
+
+    def __init__(self, doubles: list[float]):
+        self.doubles = collections.deque(doubles)
+        self.random = self.doubles.popleft
+
+
+def _uniform(rng: np.random.Generator | _Block, lo: float, hi: float) -> float:
     """``float(rng.uniform(lo, hi))`` to the bit, at the same stream position
-    (see the module docstring), for about a third of its cost."""
+    (see the module docstring), for about a third of its cost.  From a block,
+    it is the draw that the same ``random()`` call on the generator gives:
+    a block holds the doubles that per-draw ``random()`` calls return, in
+    their order, and its claim declares how many each draw reads."""
     return lo + (hi - lo) * rng.random()
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return math.exp(_uniform(rng, math.log(lo), math.log(hi)))
+@functools.cache
+def _log_span(lo: float, hi: float) -> tuple[float, float]:
+    # (log lo, log hi - log lo): the bits _uniform forms from the logs
+    log_lo = math.log(lo)
+    return log_lo, math.log(hi) - log_lo
+
+
+def _log_uniform(rng: np.random.Generator | _Block, lo: float, hi: float) -> float:
+    log_lo, width = _log_span(lo, hi)
+    return math.exp(log_lo + width * rng.random())  # _uniform(rng, log lo, log hi)
+
+
+def _sign(rng: np.random.Generator) -> float:
+    """``float(rng.choice([-1.0, 1.0]))`` to the bit, at the same stream
+    position.  ``choice`` draws its index as ``rng.integers(0, 2)`` does,
+    after converting the list to an array, which makes it about six times as
+    costly."""
+    return (-1.0, 1.0)[rng.integers(0, 2)]
 
 
 def _random_vec(rng: np.random.Generator, scale: float = 1.0) -> Vec3:
@@ -269,14 +338,14 @@ _UNIT_SOLENOID = solenoid.SolenoidParams(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
 _UNIT_ORBIT = solenoid.OrbitParams(R=2.0, u=1.0)
 
 
-@_claim("cross_antisymmetry", 500)
+@_claim("cross_antisymmetry", 500, uniforms=6)
 def _cross_antisymmetry(rng) -> float:
     a, b = _random_vec(rng, 10.0), _random_vec(rng, 10.0)
     residual = cross(a, b) + cross(b, a)
     return _worst(abs(c) for c in residual.as_tuple())
 
 
-@_claim("cross_orthogonality", 500)
+@_claim("cross_orthogonality", 500, uniforms=6)
 def _cross_orthogonality(rng) -> float:
     a, b = _random_vec(rng, 10.0), _random_vec(rng, 10.0)
     c = cross(a, b)
@@ -291,14 +360,14 @@ def _constants_deterministic(rng) -> CheckRow:
     return claim_row("constants_deterministic", 0.0 if same else 1.0, "bit-identical", at_most=True)
 
 
-@_claim("detector_probability_sum", 500)
+@_claim("detector_probability_sum", 500, uniforms=2)
 def _probability_sum(rng) -> float:
     phase = _uniform(rng, -20.0, 20.0)
     vis = _uniform(rng, 0.0, 1.0)
     return detector_sum_residual(interferometry.detector_probabilities(phase, vis))
 
 
-@_claim("detector_phase_periodicity", 200)
+@_claim("detector_phase_periodicity", 200, uniforms=2)
 def _phase_periodicity(rng) -> float:
     phase = _uniform(rng, -10.0, 10.0)
     vis = _uniform(rng, 0.0, 1.0)
@@ -330,12 +399,12 @@ def _overlap_bound(rng) -> float:
         sigma_x=_log_uniform(rng, 1e-2, 1e2),
         mass=1.0,
     )
-    dx = float(rng.choice([-1.0, 1.0])) * _log_uniform(rng, 1e-3, 1e2) * packet.sigma_x
-    dp = float(rng.choice([-1.0, 1.0])) * _log_uniform(rng, 1e-3, 1e2) / packet.sigma_x
+    dx = _sign(rng) * _log_uniform(rng, 1e-3, 1e2) * packet.sigma_x
+    dp = _sign(rng) * _log_uniform(rng, 1e-3, 1e2) / packet.sigma_x
     return abs(interferometry.packet_overlap(packet, dx, dp, 1.0))
 
 
-@_claim("overlap_closed_vs_quadrature", 120)
+@_claim("overlap_closed_vs_quadrature", 120, uniforms=5)
 def _overlap_quadrature(rng) -> float:
     sigma = _log_uniform(rng, 0.3, 3.0)
     packet = interferometry.GaussianPacket(
@@ -366,7 +435,7 @@ _check(lambda rng: _overlap_monotone("overlap_monotone_in_shift", vary_shift=Tru
 _check(lambda rng: _overlap_monotone("overlap_monotone_in_kick", vary_shift=False))
 
 
-@_claim("factor4_identity", 1000)
+@_claim("factor4_identity", 1000, uniforms=10)
 def _factor4_identity(rng) -> float:
     s = _random_solenoid(rng)
     o = _random_orbit(rng)
@@ -374,7 +443,7 @@ def _factor4_identity(rng) -> float:
     return factor4_residual(solenoid.local_model_phase(s, o, k))
 
 
-@_claim("velocity_kick_quadrature", 100)
+@_claim("velocity_kick_quadrature", 100, uniforms=10)
 def _velocity_kick_quadrature(rng) -> float:
     s = _random_solenoid(rng)
     o = _random_orbit(rng)
@@ -398,7 +467,7 @@ def _flux_profile_shape(rng) -> CheckRow:
     return claim_row("emf_flux_profile_shape", _worst(misses))
 
 
-@_claim("displacement_orbit_invariance", 100)
+@_claim("displacement_orbit_invariance", 100, uniforms=12)
 def _displacement_invariance(rng) -> float:
     s = _random_solenoid(rng)
     k = _random_constants(rng)
@@ -410,7 +479,7 @@ def _displacement_invariance(rng) -> float:
     )
 
 
-@_claim("flux_phase_linearity", 100)
+@_claim("flux_phase_linearity", 100, uniforms=9)
 def _flux_phase_linearity(rng) -> float:
     s = _random_solenoid(rng)
     k = _random_constants(rng)
@@ -426,7 +495,7 @@ def _flux_phase_linearity(rng) -> float:
     return _worst(_relative(solenoid.ab_phase_direct(s2, k2), base * expect) for s2, k2, expect in scaled)
 
 
-@_claim("flux_chain_consistency", 1000)
+@_claim("flux_chain_consistency", 1000, uniforms=8)
 def _flux_chain_consistency(rng) -> float:
     s = _random_solenoid(rng)
     k = _random_constants(rng)
@@ -452,7 +521,7 @@ def _visibility_pipeline(rng) -> CheckRow:
     return claim_row("visibility_pipeline_monotone", verdict, "0 -> 1 with spread/kick", summary, at_most=True)
 
 
-@_claim("boyer_force_equals_momentum_rate", 1000)
+@_claim("boyer_force_equals_momentum_rate", 1000, uniforms=5)
 def _force_equals_rate(rng) -> float:
     rho = _log_uniform(rng, 0.1, 10.0)
     angle = _uniform(rng, 0.0, 2.0 * math.pi)
@@ -483,7 +552,7 @@ def _full_law_speed(rng) -> CheckRow:
     misses = []
     for _ in range(10_000):
         x, y, vx, vy = rk4(lc, mu_z, inv_c, inv_m, False, 1e-3, x, y, vx, vy)
-        misses.append(_relative(sqrt(vx * vx + vy * vy), speed0))
+        misses.append(abs(sqrt(vx * vx + vy * vy) / speed0 - 1.0))  # _relative, speed0 being nonzero
     inv_speed = 1.0 / sqrt(vx * vx + vy * vy)
     dux, duy = vx * inv_speed - ux0, vy * inv_speed - uy0
     misses.append(sqrt(dux * dux + duy * duy))  # direction drift
@@ -504,14 +573,16 @@ def _naive_endpoint(n_steps: int) -> tuple[float, float, float, float]:
 def _rk4_order(rng) -> CheckRow:
     # The corrected law has identically zero acceleration, so its drift is
     # pure roundoff; fourth-order convergence is measured on the naive law,
-    # the one dynamics in scope with a truncation error to converge.
-    reference = _naive_endpoint(4096)
-
-    def error(n_steps: int) -> float:
-        dx, dy, dvx, dvy = (a - b for a, b in zip(_naive_endpoint(n_steps), reference))
+    # the one dynamics in scope with a truncation error to converge.  The
+    # endpoints at 128, 256 and 512 steps differ by C h^p (1 - 2^-p) and
+    # C (h/2)^p (1 - 2^-p), so the ratio of the two gaps is 2^p (Richardson),
+    # and no finer reference flight is needed.
+    def gap(a: tuple, b: tuple) -> float:
+        dx, dy, dvx, dvy = (p - q for p, q in zip(a, b))
         return math.sqrt(dx * dx + dy * dy) + math.sqrt(dvx * dvx + dvy * dvy)
 
-    order = math.log2(error(128) / error(256))
+    coarse, middle, fine = (_naive_endpoint(n_steps) for n_steps in (128, 256, 512))
+    order = math.log2(gap(coarse, middle) / gap(middle, fine))
     return claim_row("rk4_order4_convergence", abs(order - 4.0), expected=4.0, actual=order)
 
 
@@ -548,7 +619,7 @@ def _ac_phase_deformation(rng) -> CheckRow:
     return claim_row("ac_phase_loop_deformation", _relative(phase_square, phase_circle))
 
 
-@_claim("ac_phase_linearity", 20)
+@_claim("ac_phase_linearity", 20, uniforms=3)
 def _ac_phase_linearity(rng) -> float:
     lam = _log_uniform(rng, 1e-2, 1e2)
     muz = _log_uniform(rng, 1e-2, 1e2)
@@ -569,15 +640,16 @@ def _random_triple(rng) -> tuple[fieldfree.ChargeConfiguration, float, float]:
     return fieldfree.make_three_charge(d, e), d, e
 
 
-@_claim("field_free_three_charge", 100)
+@_claim("field_free_three_charge", 100, uniforms=2)
 def _three_charge(rng) -> float:
     cfg, d, e = _random_triple(rng)
     return three_charge_residual([fieldfree.field_at(cfg, i).norm() for i in range(3)], d, e)
 
 
-@_claim("potential_at_electron", 100)
+@_claim("potential_at_electron", 100, uniforms=2)
 def _three_charge_potential(rng) -> float:
-    return potential_residual(*_random_triple(rng))[0]
+    cfg, d, e = _random_triple(rng)
+    return potential_residual(fieldfree.potential_at(cfg, 0), d, e)[0]
 
 
 def _random_configuration(rng, count: int) -> fieldfree.ChargeConfiguration:
