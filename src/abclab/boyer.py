@@ -81,9 +81,11 @@ phi its angle from the nearest point, and a polyline side the sinh map
 t = tau + d sinh(u) about its foot, d its clearance over its length.  Each
 integrand closes over floats and returns p_h . tangent, so no Vec3 is built
 per quadrature node, and forms its points as small offsets from an anchor
-next to the line.  A circle's periodic integrand gets the periodic trapezoid
-rule from 8 points, a polyline side's composite Gauss-Legendre from 1 panel
-(``_loop_rule``), to one absolute floor for every segment (``ac_phase``).
+next to the line.  A loop too large for the squares of its distances is
+scaled by an exact power of two first.  A circle's periodic integrand gets
+the periodic trapezoid rule from 8 points, a polyline side's composite
+Gauss-Legendre from 1 panel (``_loop_rule``), to one absolute floor for every
+segment (``ac_phase``).
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
 from .quadrature import refine_gauss_legendre, refine_periodic_trapezoid
@@ -234,10 +236,10 @@ def _check_axis(x: float, y: float) -> float:
 
 def _hidden_momentum(lc: LineCharge, mu_z: float, inv_c: float, x: float, y: float) -> tuple[float, float]:
     # (mu x E)/c.  One body, no helper calls: this is the loop-phase hot path.
-    rho2 = x * x + y * y  # _check_axis, inlined
-    if rho2 < _AXIS_EPSILON2:
-        raise _axis_error(x, y)
-    s = 2.0 * lc.lambda_c / rho2
+    # No axis check: a bounce state has passed _acceleration's, and ac_phase
+    # checks its loop's clearance before it integrates the loop, which may be
+    # scaled nearer to the line than AXIS_EPSILON.
+    s = 2.0 * lc.lambda_c / (x * x + y * y)
     return (0.0 - mu_z * (s * y)) * inv_c, mu_z * (s * x) * inv_c
 
 
@@ -605,21 +607,35 @@ class PolylineLoop:
 LoopPath = Union[CircleLoop, PolylineLoop]
 
 
-def _side_foot(a: Vec3, b: Vec3) -> tuple[float, float, float, float, float, float]:
-    """(vx, vy, ex, ey, tau, gap) of the side [a, b] in the x-y plane: v is the
-    vertex nearer the side's point closest to the line, e the edge from v to
-    the other vertex, v + tau*e that point (tau in [0, 1], measured from v so
-    that a foot near a vertex keeps its digits) and gap its distance from the
-    line."""
-    vx, vy, ex, ey = a.x, a.y, b.x - a.x, b.y - a.y
+def _side_foot(ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float, float, float, float]:
+    """(vx, vy, ex, ey, tau, gap) of the side from (ax, ay) to (bx, by) in the
+    x-y plane: v is the vertex nearer the side's point closest to the line, e
+    the edge from v to the other vertex, v + tau*e that point (tau in [0, 1],
+    measured from v so that a foot near a vertex keeps its digits) and gap its
+    distance from the line."""
+    vx, vy, ex, ey = ax, ay, bx - ax, by - ay
     len2 = ex * ex + ey * ey
     if len2 == 0.0:
         return vx, vy, ex, ey, 0.0, math.hypot(vx, vy)
     tau = min(1.0, max(0.0, -(vx * ex + vy * ey) / len2))
     if tau > 0.5:
-        vx, vy, ex, ey = b.x, b.y, -ex, -ey
+        vx, vy, ex, ey = bx, by, -ex, -ey
         tau = min(1.0, max(0.0, -(vx * ex + vy * ey) / len2))
     return vx, vy, ex, ey, tau, math.hypot(vx + tau * ex, vy + tau * ey)
+
+
+def _loop_scale(coordinates: Iterable[float]) -> float:
+    """1.0 while the largest |coordinate| is below 2**509, where no square of a
+    distance on the loop overflows; beyond, the power of two that brings it
+    into [0.5, 1)."""
+    exponent = math.frexp(max(map(abs, coordinates)))[1]
+    return 1.0 if exponent <= 509 else math.ldexp(1.0, -exponent)
+
+
+def _scaled_vertices(loop: PolylineLoop) -> tuple[float, list[tuple[float, float]]]:
+    """The polyline's ``_loop_scale`` and its (x, y) vertices times it."""
+    scale = _loop_scale(c for v in loop.vertices for c in (v.x, v.y))
+    return scale, [(v.x * scale, v.y * scale) for v in loop.vertices]
 
 
 def _loop_integrands(
@@ -640,9 +656,18 @@ def _loop_integrands(
     Jacobian cosh(u), for u from asinh(-tau/d) to asinh((1 - tau)/d).  Either
     way each point is a small offset from an anchor next to the line, never a
     far vertex or the centre plus a whole edge or radius, so the points near
-    the line keep their digits."""
+    the line keep their digits.
+
+    A loop whose largest |x| or |y| reaches 2**509, where the square of a
+    distance on it can overflow, is integrated scaled by the power of two
+    that brings that coordinate into [0.5, 1) (``_loop_scale``): the phase has
+    degree 0 in length and the scaling is exact.  A smaller loop keeps its
+    floats, whose squares neither overflow nor, at a clearance of at least
+    AXIS_EPSILON, underflow."""
     if isinstance(loop, CircleLoop):
         cx, cy, rad = loop.center.x, loop.center.y, loop.radius
+        scale = _loop_scale((cx, cy, rad))
+        cx, cy, rad = cx * scale, cy * scale, rad * scale
         rc = math.hypot(cx, cy)
         ux, uy = (cx / rc, cy / rc) if rc else (1.0, 0.0)
         gap = rc - rad  # negative when the circle encloses the line
@@ -664,15 +689,16 @@ def _loop_integrands(
     if isinstance(loop, PolylineLoop):
         segments = []
         cosh, sinh, asinh = math.cosh, math.sinh, math.asinh
-        for a, b in zip(loop.vertices, loop.vertices[1:]):
-            vx, vy, ex, ey, tau, gap = _side_foot(a, b)
+        xy = _scaled_vertices(loop)[1]
+        for (ax, ay), (bx, by) in zip(xy, xy[1:]):
+            vx, vy, ex, ey, tau, gap = _side_foot(ax, ay, bx, by)
             length = math.hypot(ex, ey)
             if length == 0.0:  # a repeated vertex: no side
                 continue
             d = gap / length
             fx, fy, dex, dey = vx + tau * ex, vy + tau * ey, d * ex, d * ey
 
-            def side(u: float, fx=fx, fy=fy, dex=dex, dey=dey, tx=(b.x - a.x) * d, ty=(b.y - a.y) * d) -> float:
+            def side(u: float, fx=fx, fy=fy, dex=dex, dey=dey, tx=(bx - ax) * d, ty=(by - ay) * d) -> float:
                 sh = sinh(u)
                 px, py = _hidden_momentum(lc, mu_z, inv_c, fx + sh * dex, fy + sh * dey)
                 return (px * tx + py * ty) * cosh(u)
@@ -694,10 +720,13 @@ def _loop_rule(loop: LoopPath) -> Callable[..., float]:
 
 
 def path_axis_clearance(loop: LoopPath) -> float:
-    """Minimum distance from the loop to the charged line (in the x-y plane)."""
+    """Minimum distance from the loop to the charged line (in the x-y plane).
+    A polyline's sides are measured on its scaled vertices, so that a side too
+    long for the square of its length keeps its foot."""
     if isinstance(loop, CircleLoop):
         return abs(math.hypot(loop.center.x, loop.center.y) - loop.radius)
-    return min(_side_foot(a, b)[5] for a, b in zip(loop.vertices, loop.vertices[1:]))
+    scale, xy = _scaled_vertices(loop)
+    return min(_side_foot(*a, *b)[5] for a, b in zip(xy, xy[1:])) / scale
 
 
 def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) -> float:
@@ -729,8 +758,14 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
     abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3
     refine = _loop_rule(loop)
     total = 0.0
-    for f, lo, hi in _loop_integrands(loop, lc, mu_z, inv_c):
-        total += refine(f, lo, hi, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
+    try:
+        for f, lo, hi in _loop_integrands(loop, lc, mu_z, inv_c):
+            total += refine(f, lo, hi, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
+    except ZeroDivisionError:  # a scaled loop's clearance, or its square, underflowed to 0
+        raise NumericalError(
+            "loop phase: a distance to the line underflows to 0 on the scaled loop, "
+            "whose clearance is too small a fraction of its size"
+        ) from None
     return total / k.hbar
 
 

@@ -859,7 +859,7 @@ def _ref_loop_segments(loop):
         return [(point, direction, lambda h: (2.0 * alpha) * half_angle(h)[2], -0.5 * math.pi, 0.5 * math.pi)]
     segments = []
     for a, b in zip(loop.vertices, loop.vertices[1:]):
-        vx, vy, ex, ey, tau, gap = boyer._side_foot(a, b)
+        vx, vy, ex, ey, tau, gap = boyer._side_foot(a.x, a.y, b.x, b.y)
         d = gap / math.hypot(ex, ey)
         foot, step, edge = Vec3(vx + tau * ex, vy + tau * ey, a.z), Vec3(ex, ey, 0.0) * d, (b - a) * d
         segments.append(
@@ -1092,6 +1092,33 @@ def test_ac_phase_zero_scale_adds_no_overflow_or_underflow(units, lambda_c, mu_z
         assert str(caught.value) == outcome
     else:
         assert ac_phase(LineCharge(lambda_c=lambda_c), mu_z, loop, k) == outcome
+
+
+def _square_beside_the_line(half_side, gap):
+    # counterclockwise square whose right side is the line x = gap
+    corners = [(gap, -half_side), (gap, half_side), (-half_side, half_side), (-half_side, -half_side)]
+    return PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners + corners[:1]))
+
+
+def test_ac_phase_measures_a_huge_polyline_on_its_scaled_vertices():
+    # the square of a 2e200 cm side overflows: its foot was lost and the side
+    # measured by its vertices, so a square through the line passed the
+    # clearance check and integrated to 0.0
+    through = _square_beside_the_line(1e200, 0.0)
+    assert boyer.path_axis_clearance(through) == 0.0
+    with pytest.raises(SingularityError):
+        ac_phase(LINE, MU_Z, through, K1)
+    # 1e-9 cm is 1e-209 of the side: on the loop scaled into [0.5, 1) cm the
+    # squared distance of the nearest points underflows to 0
+    grazing = _square_beside_the_line(1e200, 1e-9)
+    assert boyer.path_axis_clearance(grazing) == 1e-9
+    with pytest.raises(NumericalError, match="^loop phase: a distance to the line underflows to 0 on the scaled loop"):
+        ac_phase(LINE, MU_Z, grazing, K1)
+    # below 2**509 the loop keeps its floats, and 1e-9 cm from a 2e150 cm side
+    # stays resolved
+    assert ac_phase(LINE, MU_Z, _square_beside_the_line(1e150, 1e-9), K1) == pytest.approx(
+        ac_phase_enclosed_value(LINE, MU_Z, K1), rel=1e-14
+    )
 
 
 def test_ac_phase_caps_a_floor_that_overflows():

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abclab
 from abclab import (
@@ -30,6 +32,8 @@ from abclab import (
     verify,
 )
 from abclab.cli import main as cli_main
+from abclab.errors import SingularityError
+from abclab.units import Vec3
 from abclab.scenario import _ScenarioLoader, emit
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -1182,9 +1186,8 @@ def test_cli_bounce_whose_step_overflows_exits_3(tmp_path, capsys):
     "old, new, estimate",
     [
         ("lambda_statC_per_cm: 1.0", "lambda_statC_per_cm: 1.0e308", "nan"),
-        ("radius_cm: 0.8", "radius_cm: 1.0e308", "nan"),
     ],
-    ids=["strong-line", "huge-radius"],
+    ids=["strong-line"],
 )
 def test_cli_ac_phase_whose_integrand_overflows_exits_3_at_once(tmp_path, capsys, old, new, estimate):
     # the integrand is not finite from the first estimate on, so no doubling
@@ -1200,6 +1203,58 @@ def test_cli_ac_phase_whose_integrand_overflows_exits_3_at_once(tmp_path, capsys
         "error: periodic trapezoid refinement stopped on [-1.5707963267948966, 1.5707963267948966]: "
         f"the estimate at 8 points is {estimate}\n"
     )
+
+
+@pytest.mark.parametrize("radius", ["1.0e160", "1.0e308"])
+def test_cli_ac_phase_of_a_circle_whose_squares_overflow_passes(tmp_path, capsys, radius):
+    # x*x + y*y overflows beyond about 1.3e154 cm; the loop phase is taken on
+    # the circle scaled by a power of two, so it still reads 4*pi, not 0.0
+    text = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text()
+    path = tmp_path / "huge_circle.yaml"
+    path.write_text(text.replace("radius_cm: 0.8", f"radius_cm: {radius}"))
+    assert cli_main(["run", str(path), "--format", "json"]) == 0
+    first = json.loads(capsys.readouterr().out)["rows"][0]
+    assert first["phase_rad"] == pytest.approx(4.0 * math.pi, rel=1e-15)
+    assert first["phase_rad"] == first["expected_rad"]
+
+
+# circles and polylines around the line and beside it, each at least 0.1 cm
+# from it at scale 1
+_LOOP_SHAPES = {
+    "circle around": ((0.3, -0.2), 1.0),
+    "circle beside": ((1.5, 1.0), 0.75),
+    "square around": [(-1.0, -0.5), (1.5, -0.5), (1.5, 1.0), (-1.0, 1.0), (-1.0, -0.5)],
+    "triangle beside": [(0.5, 0.25), (2.0, 0.5), (1.0, 1.5), (0.5, 0.25)],
+}
+
+
+def _scaled_loop(shape, scale: float):
+    """The shape scaled, as a loop and as its flow mapping in a document."""
+    if isinstance(shape, tuple):
+        (x, y), radius = shape
+        x, y, radius = x * scale, y * scale, radius * scale
+        text = f"{{kind: circle, center_x_cm: {x!r}, center_y_cm: {y!r}, z_cm: 0.0, radius_cm: {radius!r}}}"
+        return boyer.CircleLoop(center=Vec3(x, y, 0.0), radius=radius), text
+    vertices = [(x * scale, y * scale) for x, y in shape]
+    text = "{kind: polyline, vertices_cm: [" + ", ".join(f"[{x!r}, {y!r}, 0.0]" for x, y in vertices) + "]}"
+    return boyer.PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in vertices)), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_LOOP_SHAPES)), st.integers(-900, 900), st.sampled_from(["scaled-unity", "gaussian-cgs"]))
+def test_ac_phase_loop_value_passes_at_every_power_of_two_scale(shape, j, units):
+    # the phase has degree 0 in length; before the loop was integrated scaled,
+    # squares overflowed beyond about 1.3e154 cm and the phase read 0.0
+    loop, text = _scaled_loop(_LOOP_SHAPES[shape], 2.0**j)
+    doc = (f"kind: ac-phase\nunits: {units}\nparams:\n  line: {{lambda_statC_per_cm: 1.0}}\n"
+           f"  mu_z_erg_per_G: 1.0\n  loop: {text}\n")
+    scenario = parse_scenario(doc)
+    if boyer.path_axis_clearance(loop) < boyer.AXIS_EPSILON:
+        with pytest.raises(SingularityError):
+            run_scenario(scenario)
+    else:
+        [check] = run_scenario(scenario).checks
+        assert (check.name, check.passed) == ("ac_phase_loop_value", True)
 
 
 def test_sweep_point_whose_bounce_overflows_is_an_error_row():
