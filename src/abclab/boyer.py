@@ -81,11 +81,11 @@ phi its angle from the nearest point, and a polyline side the sinh map
 t = tau + d sinh(u) about its foot, d its clearance over its length.  Each
 integrand closes over floats and returns p_h . tangent, so no Vec3 is built
 per quadrature node, and forms its points as small offsets from an anchor
-next to the line.  A loop too large for the squares of its distances is
-scaled by an exact power of two first.  A circle's periodic integrand gets
-the periodic trapezoid rule from 8 points, a polyline side's composite
-Gauss-Legendre from 1 panel (``_loop_rule``), to one absolute floor for every
-segment (``ac_phase``).
+next to the line.  A circle or a polyline side too large for the squares of
+its distances is scaled by an exact power of two first.  A circle's periodic
+integrand gets the periodic trapezoid rule from 8 points, a polyline side's
+composite Gauss-Legendre from 1 panel (``_loop_rule``), to one absolute floor
+for every segment (``ac_phase``).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
 from .quadrature import refine_gauss_legendre, refine_periodic_trapezoid
@@ -624,18 +624,20 @@ def _side_foot(ax: float, ay: float, bx: float, by: float) -> tuple[float, float
     return vx, vy, ex, ey, tau, math.hypot(vx + tau * ex, vy + tau * ey)
 
 
-def _loop_scale(coordinates: Iterable[float]) -> float:
-    """1.0 while the largest |coordinate| is below 2**509, where no square of a
-    distance on the loop overflows; beyond, the power of two that brings it
-    into [0.5, 1)."""
-    exponent = math.frexp(max(map(abs, coordinates)))[1]
-    return 1.0 if exponent <= 509 else math.ldexp(1.0, -exponent)
+def _loop_scale(size: float) -> float:
+    """The largest power of two at most 1 that brings ``size``, the largest
+    |coordinate| of a circle or a polyline side, below 2**509, where no square
+    of a distance on it overflows: 1.0 for a smaller one, so that its floats
+    are kept, and no smaller than it must be for a larger one, so that its
+    clearance keeps as much of the float range as it can."""
+    return math.ldexp(1.0, min(0, 509 - math.frexp(size)[1]))
 
 
-def _scaled_vertices(loop: PolylineLoop) -> tuple[float, list[tuple[float, float]]]:
-    """The polyline's ``_loop_scale`` and its (x, y) vertices times it."""
-    scale = _loop_scale(c for v in loop.vertices for c in (v.x, v.y))
-    return scale, [(v.x * scale, v.y * scale) for v in loop.vertices]
+def _scaled_side(a: Vec3, b: Vec3) -> tuple[float, float, float, float, float]:
+    """(scale, ax, ay, bx, by): the side's ``_loop_scale`` and the (x, y) of
+    its ends times it."""
+    scale = _loop_scale(max(abs(a.x), abs(a.y), abs(b.x), abs(b.y)))
+    return scale, a.x * scale, a.y * scale, b.x * scale, b.y * scale
 
 
 def _loop_integrands(
@@ -658,15 +660,17 @@ def _loop_integrands(
     far vertex or the centre plus a whole edge or radius, so the points near
     the line keep their digits.
 
-    A loop whose largest |x| or |y| reaches 2**509, where the square of a
-    distance on it can overflow, is integrated scaled by the power of two
-    that brings that coordinate into [0.5, 1) (``_loop_scale``): the phase has
-    degree 0 in length and the scaling is exact.  A smaller loop keeps its
+    A circle or a polyline side whose largest |x| or |y| reaches 2**509, where
+    the square of a distance on it can overflow, is integrated scaled by the
+    power of two that brings that coordinate into [2**508, 2**509)
+    (``_loop_scale``): its integral has degree 0 in length and the scaling is
+    exact.  Each side takes its own scale, so a short side near the line keeps
+    its floats beside a far vertex.  A smaller circle or side keeps its
     floats, whose squares neither overflow nor, at a clearance of at least
     AXIS_EPSILON, underflow."""
     if isinstance(loop, CircleLoop):
         cx, cy, rad = loop.center.x, loop.center.y, loop.radius
-        scale = _loop_scale((cx, cy, rad))
+        scale = _loop_scale(max(abs(cx), abs(cy), rad))
         cx, cy, rad = cx * scale, cy * scale, rad * scale
         rc = math.hypot(cx, cy)
         ux, uy = (cx / rc, cy / rc) if rc else (1.0, 0.0)
@@ -689,8 +693,8 @@ def _loop_integrands(
     if isinstance(loop, PolylineLoop):
         segments = []
         cosh, sinh, asinh = math.cosh, math.sinh, math.asinh
-        xy = _scaled_vertices(loop)[1]
-        for (ax, ay), (bx, by) in zip(xy, xy[1:]):
+        for a, b in zip(loop.vertices, loop.vertices[1:]):
+            _, ax, ay, bx, by = _scaled_side(a, b)
             vx, vy, ex, ey, tau, gap = _side_foot(ax, ay, bx, by)
             length = math.hypot(ex, ey)
             if length == 0.0:  # a repeated vertex: no side
@@ -721,12 +725,12 @@ def _loop_rule(loop: LoopPath) -> Callable[..., float]:
 
 def path_axis_clearance(loop: LoopPath) -> float:
     """Minimum distance from the loop to the charged line (in the x-y plane).
-    A polyline's sides are measured on its scaled vertices, so that a side too
+    A polyline side is measured scaled (``_scaled_side``), so that a side too
     long for the square of its length keeps its foot."""
     if isinstance(loop, CircleLoop):
         return abs(math.hypot(loop.center.x, loop.center.y) - loop.radius)
-    scale, xy = _scaled_vertices(loop)
-    return min(_side_foot(*a, *b)[5] for a, b in zip(xy, xy[1:])) / scale
+    sides = (_scaled_side(a, b) for a, b in zip(loop.vertices, loop.vertices[1:]))
+    return min(_side_foot(ax, ay, bx, by)[5] / scale for scale, ax, ay, bx, by in sides)
 
 
 def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) -> float:
@@ -758,14 +762,8 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
     abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3
     refine = _loop_rule(loop)
     total = 0.0
-    try:
-        for f, lo, hi in _loop_integrands(loop, lc, mu_z, inv_c):
-            total += refine(f, lo, hi, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
-    except ZeroDivisionError:  # a scaled loop's clearance, or its square, underflowed to 0
-        raise NumericalError(
-            "loop phase: a distance to the line underflows to 0 on the scaled loop, "
-            "whose clearance is too small a fraction of its size"
-        ) from None
+    for f, lo, hi in _loop_integrands(loop, lc, mu_z, inv_c):
+        total += refine(f, lo, hi, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)
     return total / k.hbar
 
 

@@ -1100,7 +1100,7 @@ def _square_beside_the_line(half_side, gap):
     return PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners + corners[:1]))
 
 
-def test_ac_phase_measures_a_huge_polyline_on_its_scaled_vertices():
+def test_ac_phase_measures_a_huge_polyline_on_its_scaled_sides():
     # the square of a 2e200 cm side overflows: its foot was lost and the side
     # measured by its vertices, so a square through the line passed the
     # clearance check and integrated to 0.0
@@ -1108,17 +1108,28 @@ def test_ac_phase_measures_a_huge_polyline_on_its_scaled_vertices():
     assert boyer.path_axis_clearance(through) == 0.0
     with pytest.raises(SingularityError):
         ac_phase(LINE, MU_Z, through, K1)
-    # 1e-9 cm is 1e-209 of the side: on the loop scaled into [0.5, 1) cm the
-    # squared distance of the nearest points underflows to 0
+    # a side scaled only below 2**509 keeps 1e-9 cm of 1e200 cm resolved
     grazing = _square_beside_the_line(1e200, 1e-9)
     assert boyer.path_axis_clearance(grazing) == 1e-9
-    with pytest.raises(NumericalError, match="^loop phase: a distance to the line underflows to 0 on the scaled loop"):
-        ac_phase(LINE, MU_Z, grazing, K1)
-    # below 2**509 the loop keeps its floats, and 1e-9 cm from a 2e150 cm side
-    # stays resolved
-    assert ac_phase(LINE, MU_Z, _square_beside_the_line(1e150, 1e-9), K1) == pytest.approx(
-        ac_phase_enclosed_value(LINE, MU_Z, K1), rel=1e-14
-    )
+    assert ac_phase(LINE, MU_Z, grazing, K1) == pytest.approx(ac_phase_enclosed_value(LINE, MU_Z, K1), rel=1e-14)
+
+
+@pytest.mark.parametrize("exponent", range(505, 521))
+def test_ac_phase_of_a_huge_square_keeps_a_fixed_clearance(exponent):
+    # a side 1e-3 cm from the line: unscaled, the squares overflow beyond
+    # about 2**511.5 cm; scaled much below 2**509, the nearest squared
+    # distance falls below the normal range and the phase reads NaN
+    loop = _square_beside_the_line(2.0**exponent, 1e-3)
+    assert ac_phase(LINE, MU_Z, loop, K1) == pytest.approx(ac_phase_enclosed_value(LINE, MU_Z, K1), rel=1e-14)
+
+
+def test_ac_phase_scales_each_polyline_side_on_its_own():
+    # a 1 cm side 1e-9 cm from the line, and a vertex 1e300 cm away: scaled
+    # with the whole loop, that side's squared distances underflow; unscaled,
+    # the far sides' squares overflow and the phase read 3/4 of its value
+    corners = [(1e-9, -0.5), (1e-9, 0.5), (-1e300, 0.0)]
+    loop = PolylineLoop(tuple(Vec3(x, y, 0.0) for x, y in corners + corners[:1]))
+    assert ac_phase(LINE, MU_Z, loop, K1) == pytest.approx(ac_phase_enclosed_value(LINE, MU_Z, K1), rel=1e-14)
 
 
 def test_ac_phase_caps_a_floor_that_overflows():
