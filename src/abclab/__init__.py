@@ -27,6 +27,7 @@ from .boyer import (
     NeutronModel,
     PolylineLoop,
     TrajectoryState,
+    acceleration_law,
     ac_phase,
     ac_phase_enclosed_value,
     kinetic_energy,

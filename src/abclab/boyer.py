@@ -27,41 +27,49 @@ only that the local field at the moment is responsible for the phase); it
 evaluates to 4*pi*mu*lambda/(hbar*c) per winding and is path independent at
 fixed winding number.
 
-Everything runs on plain floats.  ``_acceleration`` computes the axis check,
-the field Jacobian (three distinct entries), the induced-dipole force F and
-the convective rate (v . grad)p_h in one function body, and the full law
-subtracts the two terms; ``_rk4`` steps (x, y, vx, vy) with it, and
-``_hidden_momentum`` gives (px, py) to the loop integrands and the bounce
-samples.  These are the only implementations of the two force terms and of
-p_h: the catalogue row ``boyer_force_equals_momentum_rate`` reads F and
-F - (v . grad)p_h from ``_acceleration`` itself, at unit inverse mass.
+Everything runs on plain floats.  ``acceleration_law(lc, n, law, k)``
+validates the law once and returns the law of motion as a closure
+``accel(x, y, vx, vy)`` over 2 lambda, mu_z, 1/c and 1/m.  Its one body
+computes the axis check, the field Jacobian (three distinct entries), the
+induced-dipole force F and the convective rate (v . grad)p_h, and the full
+law subtracts the two terms; ``_hidden_momentum`` gives (px, py) to the loop
+integrands and the bounce samples.  These are the only implementations of
+the two force terms and of p_h: the catalogue row
+``boyer_force_equals_momentum_rate`` reads F and F - (v . grad)p_h from laws
+that ``acceleration_law`` built, at unit inverse mass.
 
 Contract: each body is the Vec3 formulation with mu = (0, 0, mu_z) and
 position and velocity in the x-y plane, less the terms that vanish in this
 geometry, with every other operation in its order (sums left to right, x
-before y, reciprocals 1/c and 1/m multiplied).  So every step, loop phase
-and report is bit-identical to that formulation, which
+before y, reciprocals 1/c and 1/m multiplied; 2 lambda is the product that
+formulation forms first, and mu_z and 1/c stay two factors).  So every step,
+loop phase and report is bit-identical to that formulation, which
 ``tests/test_boyer.py`` keeps as the reference.  A
 dropped term is a signed zero, so a force term, acceleration or integrand
 value that is itself zero may differ from the reference in its sign only.  A
 step shows that only when it starts from a velocity component of -0.0; a
 loop phase never does, since its quadrature sums start from 0.0.
 
-A TrajectoryState is a validated tuple of five floats: building one checks
-that every component is finite and then costs one tuple allocation.
-``step_trajectory`` validates its input, unpacks the state, hands the floats
-to ``_rk4`` and builds the next state from the four it returns.  The verify
-flights (``verify._full_law_speed`` and ``verify._naive_endpoint``) call
-``_rk4`` directly.  The bounce loop still calls ``step_trajectory`` from its
-three functions, whose calls the benchmark's tracer counts by caller name.
+``step_trajectory(accel, dt, t, x, y, vx, vy, a1=None)`` is the one RK4
+stepper: it takes a state's five floats and returns the next five, checked
+one by one, so that a step that overflows raises NumericalError and every
+state it returns is finite.  A TrajectoryState is a validated tuple of five
+floats: building one from outside checks every component, and the bounce
+loop, whose states the stepper has checked, builds one by ``tuple.__new__``
+only for each state it keeps.  Each flight binds its law once: a bounce run
+on entry, and verify's free flights, force row and bounce flights through
+laws built at import or by the bounce run.  Every step goes through the
+module attribute ``step_trajectory``, looked up at call time, whose calls
+the benchmark's tracer counts by caller name: the bounce loop's three
+functions, and verify's free flights as "other".
 
 The bounce loop evaluates each state's acceleration once.  That one
-evaluation is stage 1 of the advance step, of the Simpson-midpoint half-step
-and of every mirror-landing iterate (``step_trajectory(..., accel=...)``),
-and its power m a.v ends one work panel and starts the next; only a reflected
-state, whose velocity changed, is evaluated afresh.  A stage-1 acceleration
-handed in is the very tuple the step would compute, so sharing it changes no
-bit of any step or report (``tests/test_boyer.py`` checks both laws).
+evaluation is stage 1 (``a1``) of the advance step, of the Simpson-midpoint
+half-step and of every mirror-landing iterate, and its power m a.v ends one
+work panel and starts the next; only a reflected state, whose velocity
+changed, is evaluated afresh.  A stage-1 acceleration handed in is the very
+tuple the step would compute, so sharing it changes no bit of any step or
+report (``tests/test_boyer.py`` checks both laws).
 
 A step that lands on or beyond a mirror ends the leg.  ``_locate_crossing``
 then solves x(h) = plane for the substep length h by Newton's method with
@@ -78,19 +86,22 @@ line (``_loop_integrands``), which spreads the segment's 1/clearance peak over
 a width of order one in the map's variable.  A circle takes the periodic
 Moebius map tan(phi/2) = alpha tan(h), alpha = min(1, sqrt(clearance/R)),
 phi its angle from the nearest point, and a polyline side the sinh map
-t = tau + d sinh(u) about its foot, d its clearance over its length.  Each
-integrand closes over floats and returns p_h . tangent, so no Vec3 is built
-per quadrature node, and forms its points as small offsets from an anchor
-next to the line.  A circle or a polyline side too large for the squares of
-its distances is scaled by an exact power of two first.  A circle's periodic
-integrand gets the periodic trapezoid rule from 8 points, a polyline side's
-composite Gauss-Legendre from 1 panel (``_loop_rule``), to one absolute floor
-for every segment (``ac_phase``).
+t = tau + d sinh(u) about its foot, d its clearance over its length.  A side
+whose d is below the normal floats, where the map's ends asinh(1/d) would
+overflow, is cut about its foot into pieces of normal d first
+(``_split_at_foot``).  Each integrand closes over floats and returns
+p_h . tangent, so no Vec3 is built per quadrature node, and forms its points
+as small offsets from an anchor next to the line.  A circle or a polyline
+side too large for the squares of its distances is scaled by an exact power
+of two first.  A circle's periodic integrand gets the periodic trapezoid rule
+from 8 points, a polyline side's composite Gauss-Legendre from 1 panel
+(``_loop_rule``), to one absolute floor for every segment (``ac_phase``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Union
@@ -106,6 +117,9 @@ LAWS = (FULL_LAW, NAIVE_LAW)
 # Positions closer than this to the line axis are treated as singular (cm).
 AXIS_EPSILON = 1e-9
 _AXIS_EPSILON2 = AXIS_EPSILON * AXIS_EPSILON
+
+_INF = math.inf
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 # A circle that passes closer to the line than this fraction of its radius is
 # singular too.  Its loop phase takes about 80/sqrt(clearance/R) trapezoid
@@ -174,8 +188,10 @@ class TrajectoryState(_StateFields):
 
     A validated tuple: every way of building one (the constructor, ``_make``,
     ``_replace``, copy and pickle) rejects a non-finite component, and
-    building one costs a single tuple allocation.  It equals a plain tuple of
-    the same floats, and it iterates, unpacks, hashes and orders like one."""
+    building one costs a single tuple allocation.  The bounce loop builds its
+    kept states by ``tuple.__new__`` from floats that ``step_trajectory`` has
+    checked.  It equals a plain tuple of the same floats, and it iterates,
+    unpacks, hashes and orders like one."""
 
     __slots__ = ()
 
@@ -243,45 +259,52 @@ def _hidden_momentum(lc: LineCharge, mu_z: float, inv_c: float, x: float, y: flo
     return (0.0 - mu_z * (s * y)) * inv_c, mu_z * (s * x) * inv_c
 
 
-def _acceleration(
-    lc: LineCharge,
-    mu_z: float,
-    inv_c: float,
-    inv_m: float,
-    naive: bool,
-    x: float,
-    y: float,
-    vx: float,
-    vy: float,
-):
-    """Acceleration (F - (v . grad)p_h)/m under the full law, F/m under the
-    naive law.  One body, no helper calls: this is the RK4 hot path (see the
-    module docstring for its bit-identity contract)."""
-    x2 = x * x
-    y2 = y * y
-    rho2 = x2 + y2  # _check_axis, inlined
-    if rho2 < _AXIS_EPSILON2:
-        raise _axis_error(x, y)
-    # Jacobian entries: exx = dEx/dx, exy = dEx/dy = dEy/dx, eyy = dEy/dy.
-    pref = 2.0 * lc.lambda_c / (rho2 * rho2)
-    exx = pref * (y2 - x2)
-    exy = pref * (-2.0 * (x * y))
-    eyy = pref * (x2 - y2)
-    # F = (d . grad)E with d = (v x mu)/c.
-    dx = vy * mu_z * inv_c
-    dy = (0.0 - vx * mu_z) * inv_c
-    fx = exx * dx + exy * dy
-    fy = exy * dx + eyy * dy
-    if naive:
-        return fx * inv_m, fy * inv_m
-    # (v . grad)[(mu x E)/c] = mu x [(v . grad)E] / c.
-    ex = exx * vx + exy * vy
-    ey = exy * vx + eyy * vy
-    qx = (0.0 - mu_z * ey) * inv_c
-    qy = mu_z * ex * inv_c
-    # The full law subtracts the two independently formed terms; it never
-    # short-circuits to zero, since their cancellation is the claim under test.
-    return (fx - qx) * inv_m, (fy - qy) * inv_m
+def acceleration_law(
+    lc: LineCharge, n: NeutronModel, law: str, k: PhysicalConstants
+) -> Callable[[float, float, float, float], tuple[float, float]]:
+    """The selected law of motion as ``accel(x, y, vx, vy) -> (ax, ay)``:
+    (F - (v . grad)p_h)/m under the full law, F/m under the naive law, each
+    at the position (x, y) (cm) and kinetic velocity (vx, vy) (cm/s).
+
+    The law is validated here, once; the returned function carries its name
+    as ``accel.law``, which the stepper's errors quote.  ``accel`` raises
+    SingularityError inside the axis neighbourhood.  Its body is the one
+    implementation of both force terms (see the module docstring for its
+    bit-identity contract)."""
+    _check_law(law)
+    naive = law == NAIVE_LAW
+    two_lambda, mu_z, inv_c, inv_m = 2.0 * lc.lambda_c, n.mu_z, 1.0 / k.c, 1.0 / n.mass
+
+    def accel(x: float, y: float, vx: float, vy: float) -> tuple[float, float]:
+        # One body, no helper calls: this is the RK4 hot path.
+        x2 = x * x
+        y2 = y * y
+        rho2 = x2 + y2  # _check_axis, inlined
+        if rho2 < _AXIS_EPSILON2:
+            raise _axis_error(x, y)
+        # Jacobian entries: exx = dEx/dx, exy = dEx/dy = dEy/dx, eyy = dEy/dy.
+        pref = two_lambda / (rho2 * rho2)
+        exx = pref * (y2 - x2)
+        exy = pref * (-2.0 * (x * y))
+        eyy = pref * (x2 - y2)
+        # F = (d . grad)E with d = (v x mu)/c.
+        dx = vy * mu_z * inv_c
+        dy = (0.0 - vx * mu_z) * inv_c
+        fx = exx * dx + exy * dy
+        fy = exy * dx + eyy * dy
+        if naive:
+            return fx * inv_m, fy * inv_m
+        # (v . grad)[(mu x E)/c] = mu x [(v . grad)E] / c.
+        ex = exx * vx + exy * vy
+        ey = exy * vx + eyy * vy
+        qx = (0.0 - mu_z * ey) * inv_c
+        qy = mu_z * ex * inv_c
+        # The full law subtracts the two independently formed terms; it never
+        # short-circuits to zero, since their cancellation is the claim under test.
+        return (fx - qx) * inv_m, (fy - qy) * inv_m
+
+    accel.law = law
+    return accel
 
 
 def line_field(lc: LineCharge, pos: Vec3) -> Vec3:
@@ -290,78 +313,58 @@ def line_field(lc: LineCharge, pos: Vec3) -> Vec3:
     return Vec3(s * pos.x, s * pos.y, 0.0)
 
 
-def _rk4(
-    lc: LineCharge,
-    mu_z: float,
-    inv_c: float,
-    inv_m: float,
-    naive: bool,
+def step_trajectory(
+    accel: Callable[[float, float, float, float], tuple[float, float]],
     dt: float,
+    t: float,
     x0: float,
     y0: float,
     vx0: float,
     vy0: float,
-    accel: tuple[float, float] | None = None,
-) -> tuple[float, float, float, float]:
-    """One RK4 step of the state (x, y, vx, vy) on plain floats; the
-    arguments before ``dt`` are _acceleration's.  ``accel`` is the stage-1
-    acceleration when the caller holds it.  Raises SingularityError when a
-    stage or the landing point is inside the axis neighbourhood."""
+    a1: tuple[float, float] | None = None,
+) -> tuple[float, float, float, float, float]:
+    """One fixed RK4 step of the state (t, x, y, vx, vy) under the law
+    ``accel`` (``acceleration_law``); returns the next state's five floats.
+
+    ``a1`` is the stage-1 acceleration ``accel(x0, y0, vx0, vy0)`` when the
+    caller already holds it; by default the step evaluates it.  Either way
+    the result is the same to the bit.
+
+    A dt that is not a positive finite float raises DomainError.  Any stage
+    that reaches the axis neighbourhood raises SingularityError, and so does
+    a landing point inside it.  A step from a finite state whose result has
+    a non-finite component raises NumericalError: the result is checked
+    component by component, so it is a TrajectoryState's worth of finite
+    floats whenever it is returned.
+    """
+    if not 0.0 < dt < _INF:
+        raise DomainError(f"dt must be positive, got {dt!r}")
     half = 0.5 * dt
-    if accel is None:
-        accel = _acceleration(lc, mu_z, inv_c, inv_m, naive, x0, y0, vx0, vy0)
-    ax1, ay1 = accel
+    if a1 is None:
+        a1 = accel(x0, y0, vx0, vy0)
+    ax1, ay1 = a1
     vx2, vy2 = vx0 + ax1 * half, vy0 + ay1 * half
-    ax2, ay2 = _acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx0 * half, y0 + vy0 * half, vx2, vy2)
+    ax2, ay2 = accel(x0 + vx0 * half, y0 + vy0 * half, vx2, vy2)
     vx3, vy3 = vx0 + ax2 * half, vy0 + ay2 * half
-    ax3, ay3 = _acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx2 * half, y0 + vy2 * half, vx3, vy3)
+    ax3, ay3 = accel(x0 + vx2 * half, y0 + vy2 * half, vx3, vy3)
     vx4, vy4 = vx0 + ax3 * dt, vy0 + ay3 * dt
-    ax4, ay4 = _acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4)
+    ax4, ay4 = accel(x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4)
     sixth = dt / 6.0
     x = x0 + (vx0 + (vx2 + vx3) * 2.0 + vx4) * sixth
     y = y0 + (vy0 + (vy2 + vy3) * 2.0 + vy4) * sixth
     if x * x + y * y < _AXIS_EPSILON2:  # _check_axis, inlined: reject landings inside the neighbourhood
         raise _axis_error(x, y)
-    return (
-        x,
-        y,
-        vx0 + (ax1 + (ax2 + ax3) * 2.0 + ax4) * sixth,
-        vy0 + (ay1 + (ay2 + ay3) * 2.0 + ay4) * sixth,
-    )
-
-
-def step_trajectory(
-    lc: LineCharge,
-    n: NeutronModel,
-    state: TrajectoryState,
-    dt: float,
-    law: str,
-    k: PhysicalConstants,
-    *,
-    accel: tuple[float, float] | None = None,
-) -> TrajectoryState:
-    """Advance one fixed RK4 step under the selected law.
-
-    ``accel`` is the stage-1 acceleration at ``state``, as ``_acceleration``
-    returns it, when the caller already holds it; by default the step
-    evaluates it.  Either way the result is the same to the bit.
-
-    Any stage that reaches the axis neighbourhood raises SingularityError and
-    the step is rejected (the input state is returned unchanged by virtue of
-    never being mutated).  A step whose result is not finite raises
-    NumericalError.
-    """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise DomainError(f"dt must be positive, got {dt!r}")
-    _check_law(law)
-    t, x, y, vx, vy = state
-    x, y, vx, vy = _rk4(lc, n.mu_z, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW, dt, x, y, vx, vy, accel)
-    try:
-        return TrajectoryState(t + dt, x, y, vx, vy)
-    except ValidationError as exc:  # the step overflowed, from a finite state
+    vx = vx0 + (ax1 + (ax2 + ax3) * 2.0 + ax4) * sixth
+    vy = vy0 + (ay1 + (ay2 + ay3) * 2.0 + ay4) * sixth
+    t1 = t + dt
+    isfinite = math.isfinite  # each component on its own: a sum of finite floats can overflow
+    if not (isfinite(t1) and isfinite(x) and isfinite(y) and isfinite(vx) and isfinite(vy)):
+        state = tuple.__new__(TrajectoryState, (t1, x, y, vx, vy))
         raise NumericalError(
-            f"{law} law: the RK4 step of dt = {dt!r} s from t = {t!r} s overflowed: {exc}"
-        ) from None
+            f"{accel.law} law: the RK4 step of dt = {dt!r} s from t = {t!r} s overflowed: "
+            f"state has non-finite components: {state!r}"
+        )
+    return t1, x, y, vx, vy
 
 
 def kinetic_energy(n: NeutronModel, state: TrajectoryState) -> float:
@@ -410,68 +413,56 @@ class BounceResult:
         return kinetic_energy(self.neutron, self.states[-1])
 
 
-# The bounce loop evaluates each state's acceleration once and hands it to
-# every consumer: stage 1 of the advance step, of the Simpson half-step and of
-# each landing iterate, and the panel-end powers.  ``kernel`` is the
-# leading argument tuple of _acceleration: (lc, mu_z, 1/c, 1/m, naive).
-
-
-def _evaluate(kernel: tuple, mass: float, st: TrajectoryState) -> tuple[tuple[float, float], float]:
-    # Acceleration at st and the rate of work m a.v of the net force.
-    lc, mu_z, inv_c, inv_m, naive = kernel
-    _, x, y, vx, vy = st
-    accel = _acceleration(lc, mu_z, inv_c, inv_m, naive, x, y, vx, vy)
-    ax, ay = accel
-    return accel, (ax * vx + ay * vy) * mass
+# The bounce loop binds its law once per flight and steps 5-tuples of floats
+# (t, x, y, vx, vy), as step_trajectory returns them.  It evaluates each
+# state's acceleration once and hands it to every consumer: stage 1 of the
+# advance step, of the Simpson half-step and of each landing iterate, and the
+# panel-end powers m a.v.
 
 
 def _work_over_substep(
-    lc: LineCharge,
-    n: NeutronModel,
-    start: TrajectoryState,
+    accel: Callable[[float, float, float, float], tuple[float, float]],
+    mass: float,
+    start: tuple,
     h: float,
-    law: str,
-    k: PhysicalConstants,
-    kernel: tuple,
-    accel: tuple[float, float],
+    a: tuple[float, float],
     power_start: float,
     power_end: float,
 ) -> float:
     # Simpson in time with an RK4 half-step midpoint; O(h^4) globally, and a
     # route to the energy gain independent of the kinetic-energy bookkeeping.
-    mid = step_trajectory(lc, n, start, 0.5 * h, law, k, accel=accel)
-    power_mid = _evaluate(kernel, n.mass, mid)[1]
-    return h / 6.0 * (power_start + 4.0 * power_mid + power_end)
+    t, x, y, vx, vy = start
+    _, x, y, vx, vy = step_trajectory(accel, 0.5 * h, t, x, y, vx, vy, a)
+    ax, ay = accel(x, y, vx, vy)
+    return h / 6.0 * (power_start + 4.0 * ((ax * vx + ay * vy) * mass) + power_end)
 
 
 def _locate_crossing(
-    lc: LineCharge,
-    n: NeutronModel,
-    start: TrajectoryState,
-    end: TrajectoryState,
+    accel: Callable[[float, float, float, float], tuple[float, float]],
+    start: tuple,
+    end: tuple,
     dt: float,
     plane: float,
     inside_sign: float,
-    law: str,
-    k: PhysicalConstants,
-    accel: tuple[float, float],
-) -> tuple[float, TrajectoryState]:
+    a: tuple[float, float],
+) -> tuple[float, tuple]:
     # Land the step from start, whose full length dt reaches end on or beyond
     # the plane, within two float spacings of the plane: safeguarded Newton
     # on x(h) = plane with slope vx(h).  The spacing is that of the larger of
     # plane and start x, since x is their sum with the step's increment.
-    tol = 2.0 * math.ulp(max(abs(plane), abs(start.x)))
-    if abs(end.x - plane) <= tol:
+    t, x, y, vx, vy = start
+    tol = 2.0 * math.ulp(max(abs(plane), abs(x)))
+    if abs(end[1] - plane) <= tol:
         return dt, end
     lo, hi = 0.0, dt
     h, hit = 0.0, start  # the first Newton step is the straight-line guess
     for _ in range(MAX_LANDING_STEPS):
-        vx = hit.vx
-        h = h - (hit.x - plane) / vx if vx else lo
+        hit_vx = hit[3]
+        h = h - (hit[1] - plane) / hit_vx if hit_vx else lo
         if not lo < h < hi:  # outside the bracket: bisect
             h = 0.5 * (lo + hi)
-        hit = step_trajectory(lc, n, start, h, law, k, accel=accel)
-        offset = hit.x - plane
+        hit = step_trajectory(accel, h, t, x, y, vx, vy, a)
+        offset = hit[1] - plane
         if abs(offset) <= tol:
             return h, hit
         if offset * inside_sign > 0.0:  # still inside the cavity
@@ -479,8 +470,8 @@ def _locate_crossing(
         else:
             hi = h
     raise NumericalError(
-        f"{law} law: mirror crossing at x = {plane!r} cm not landed within {tol!r} cm in "
-        f"{MAX_LANDING_STEPS} RK4 steps (t = {hit.t!r} s, x = {hit.x!r} cm)"
+        f"{accel.law} law: mirror crossing at x = {plane!r} cm not landed within {tol!r} cm in "
+        f"{MAX_LANDING_STEPS} RK4 steps (t = {hit[0]!r} s, x = {hit[1]!r} cm)"
     )
 
 
@@ -516,12 +507,15 @@ def simulate_bounce_experiment(
     if initial.vx == 0.0:
         raise ValidationError("initial velocity needs a component along the flight (x) axis")
     center = 0.5 * (lo_mirror + hi_mirror)
-    law, dt, max_steps = cfg.law, cfg.dt, MAX_STEPS
-    kernel = (lc, n.mu_z, 1.0 / k.c, 1.0 / n.mass, law == NAIVE_LAW)
+    law, dt, n_bounces, max_steps, mass = cfg.law, cfg.dt, cfg.n_bounces, MAX_STEPS, n.mass
+    accel = acceleration_law(lc, n, law, k)
+    new_tuple = tuple.__new__  # a kept state: step_trajectory has checked its floats
 
     state = initial
     states = [state]
-    accel, power = _evaluate(kernel, n.mass, state)
+    t, x, y, vx, vy = state
+    ax, ay = a = accel(x, y, vx, vy)
+    power = (ax * vx + ay * vy) * mass
     bounce_times: list[float] = []
     bounce_kes: list[float] = []
     work_per_leg: list[float] = []
@@ -530,32 +524,36 @@ def simulate_bounce_experiment(
     leg_ke_start = kinetic_energy(n, state)
     steps = 0
 
-    while len(bounce_times) < cfg.n_bounces:
+    while len(bounce_times) < n_bounces:
         if steps == max_steps:
             raise NumericalError(
                 f"{law} law: bounce leg {len(bounce_times) + 1} exceeded the run's budget of "
-                f"{max_steps} RK4 steps (t = {state.t!r} s, x = {state.x!r} cm)"
+                f"{max_steps} RK4 steps (t = {t!r} s, x = {x!r} cm)"
             )
         steps += 1
-        nxt = step_trajectory(lc, n, state, dt, law, k, accel=accel)
-        x = nxt.x
+        nxt = step_trajectory(accel, dt, t, x, y, vx, vy, a)
+        t, x, y, vx, vy = nxt
         if lo_mirror < x < hi_mirror:
-            accel_next, power_next = _evaluate(kernel, n.mass, nxt)
-            leg_work += _work_over_substep(lc, n, state, dt, law, k, kernel, accel, power, power_next)
-            state, accel, power = nxt, accel_next, power_next
-            states.append(state)
+            ax, ay = a_next = accel(x, y, vx, vy)
+            power_next = (ax * vx + ay * vy) * mass
+            leg_work += _work_over_substep(accel, mass, state, dt, a, power, power_next)
+            state, a, power = nxt, a_next, power_next
+            states.append(new_tuple(TrajectoryState, nxt))
             continue
         plane = hi_mirror if x >= hi_mirror else lo_mirror
         inside_sign = math.copysign(1.0, center - plane)
-        h_hit, hit = _locate_crossing(lc, n, state, nxt, dt, plane, inside_sign, law, k, accel)
-        power_hit = _evaluate(kernel, n.mass, hit)[1]
-        leg_work += _work_over_substep(lc, n, state, h_hit, law, k, kernel, accel, power, power_hit)
+        h_hit, hit = _locate_crossing(accel, state, nxt, dt, plane, inside_sign, a)
+        t, x, y, vx, vy = hit
+        ax, ay = accel(x, y, vx, vy)
+        leg_work += _work_over_substep(accel, mass, state, h_hit, a, power, (ax * vx + ay * vy) * mass)
         # The reflected velocity changes the acceleration: evaluate afresh.
-        state = TrajectoryState(hit.t, hit.x, hit.y, -hit.vx, hit.vy)
-        accel, power = _evaluate(kernel, n.mass, state)
+        vx = -vx
+        state = new_tuple(TrajectoryState, (t, x, y, vx, vy))
+        ax, ay = a = accel(x, y, vx, vy)
+        power = (ax * vx + ay * vy) * mass
         states.append(state)
         ke_now = kinetic_energy(n, state)
-        bounce_times.append(state.t)
+        bounce_times.append(t)
         bounce_kes.append(ke_now)
         work_per_leg.append(leg_work)
         gain_per_leg.append(ke_now - leg_ke_start)
@@ -640,12 +638,35 @@ def _scaled_side(a: Vec3, b: Vec3) -> tuple[float, float, float, float, float]:
     return scale, a.x * scale, a.y * scale, b.x * scale, b.y * scale
 
 
+def _split_at_foot(a: Vec3, b: Vec3, scale: float, foot: tuple) -> list[tuple[Vec3, Vec3]]:
+    """The side from a to b cut into two or three pieces, in order from a to
+    b: a middle piece of half-width sqrt(gap * length) about its foot (one cut
+    when the foot is within that of its nearer vertex) and the rest on either
+    side.  ``foot`` is the side's ``_side_foot`` tuple scaled by ``scale``
+    (``_scaled_side``), and the cuts come back in unscaled cm, so that each
+    piece takes its own scale.  Each piece's clearance over its length is at
+    least sqrt(gap/length)/2, a normal float, so that its map's ends
+    asinh(.../d) stay finite and cosh stays far below its overflow at about
+    710."""
+    vx, vy, ex, ey, tau, gap = foot
+    w = math.sqrt(gap) / math.sqrt(math.hypot(ex, ey))  # the half-width over the length, a fraction of e
+    fx, fy = vx + tau * ex, vy + tau * ey
+    cuts = [Vec3((fx + w * ex) / scale, (fy + w * ey) / scale, 0.0)]
+    if tau > w:
+        cuts.insert(0, Vec3((fx - w * ex) / scale, (fy - w * ey) / scale, 0.0))
+    if (vx, vy) != (a.x * scale, a.y * scale):  # v is the end b: the cuts run from b towards a
+        cuts.reverse()
+    points = [a, *cuts, b]
+    return list(zip(points, points[1:]))
+
+
 def _loop_integrands(
     loop: LoopPath, lc: LineCharge, mu_z: float, inv_c: float
 ) -> list[tuple[Callable[[float], float], float, float]]:
-    """One (integrand, lo, hi) per segment: p_h(point) . direction times the
-    map's Jacobian, on a map of the segment about its point nearest the line,
-    over [lo, hi].
+    """One (integrand, lo, hi) per segment, in the loop's order: p_h(point) .
+    direction times the map's Jacobian, on a map of the segment about its
+    point nearest the line, over [lo, hi].  A segment is the circle, a
+    polyline side, or a piece of a side that ``_split_at_foot`` cut.
 
     A circle of radius R, centre c, takes phi, the angle from its nearest
     point N = c^ (|c| - R), through the periodic Moebius map
@@ -667,7 +688,9 @@ def _loop_integrands(
     exact.  Each side takes its own scale, so a short side near the line keeps
     its floats beside a far vertex.  A smaller circle or side keeps its
     floats, whose squares neither overflow nor, at a clearance of at least
-    AXIS_EPSILON, underflow."""
+    AXIS_EPSILON, underflow.  A side whose d is below the normal floats,
+    where asinh(1/d) overflows and d e loses its digits, is cut about its foot
+    (``_split_at_foot``), and each piece takes its own scale and map."""
     if isinstance(loop, CircleLoop):
         cx, cy, rad = loop.center.x, loop.center.y, loop.radius
         scale = _loop_scale(max(abs(cx), abs(cy), rad))
@@ -693,13 +716,20 @@ def _loop_integrands(
     if isinstance(loop, PolylineLoop):
         segments = []
         cosh, sinh, asinh = math.cosh, math.sinh, math.asinh
-        for a, b in zip(loop.vertices, loop.vertices[1:]):
-            _, ax, ay, bx, by = _scaled_side(a, b)
-            vx, vy, ex, ey, tau, gap = _side_foot(ax, ay, bx, by)
+        # A stack of sides (a, b) with the next one on top, so that the sides,
+        # and a split side's pieces, are integrated and summed in order.
+        sides = list(zip(loop.vertices, loop.vertices[1:]))[::-1]
+        while sides:
+            a, b = sides.pop()
+            scale, ax, ay, bx, by = _scaled_side(a, b)
+            foot = vx, vy, ex, ey, tau, gap = _side_foot(ax, ay, bx, by)
             length = math.hypot(ex, ey)
             if length == 0.0:  # a repeated vertex: no side
                 continue
             d = gap / length
+            if d < _FLOAT_MIN:  # subnormal: the map's ends would overflow
+                sides.extend(_split_at_foot(a, b, scale, foot)[::-1])
+                continue
             fx, fy, dex, dey = vx + tau * ex, vy + tau * ey, d * ex, d * ey
 
             def side(u: float, fx=fx, fy=fy, dex=dex, dey=dey, tx=(bx - ax) * d, ty=(by - ay) * d) -> float:

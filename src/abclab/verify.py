@@ -274,6 +274,10 @@ def _claim(name: str, draws: int, expected: object = 0.0, uniforms: int | None =
 _K1 = make_constants(SCALED_UNITY)
 _UNIT_LINE = boyer.LineCharge(lambda_c=1.0)
 _UNIT_NEUTRON = boyer.NeutronModel(mass=1.0, mu_z=1.0)
+# The unit laws, bound once: at _UNIT_NEUTRON's unit mass the naive law's
+# acceleration is F and the full law's F - (v . grad)p_h.
+_UNIT_NAIVE_LAW = boyer.acceleration_law(_UNIT_LINE, _UNIT_NEUTRON, boyer.NAIVE_LAW, _K1)
+_UNIT_FULL_LAW = boyer.acceleration_law(_UNIT_LINE, _UNIT_NEUTRON, boyer.FULL_LAW, _K1)
 _UNIT_CIRCLE = boyer.CircleLoop(center=Vec3(0.0, 0.0, 0.0), radius=1.0)
 
 
@@ -531,27 +535,27 @@ def _force_equals_rate(rng) -> float:
     # At unit inverse mass the naive law returns F, and the full law returns
     # F - (v . grad)p_h from the two separately formed terms, the expression
     # RK4 integrates; that it cancels is the claim.
-    kernel = (_UNIT_LINE, _UNIT_NEUTRON.mu_z, 1.0 / _K1.c, 1.0)
-    fx, fy = boyer._acceleration(*kernel, True, x, y, vx, vy)
-    net_x, net_y = boyer._acceleration(*kernel, False, x, y, vx, vy)
+    fx, fy = _UNIT_NAIVE_LAW(x, y, vx, vy)
+    net_x, net_y = _UNIT_FULL_LAW(x, y, vx, vy)
     return _worst((abs(net_x), abs(net_y))) / max(math.sqrt(fx * fx + fy * fy), 1e-300)
 
 
-# The two unit flights step boyer's float kernel with the arguments that
-# step_trajectory(_UNIT_LINE, _UNIT_NEUTRON, state, dt, law, _K1) passes it.
-# A flight that goes non-finite gives a NaN residual, so its row FAILs.
+# The two unit flights step the unit laws on plain floats with
+# boyer.step_trajectory, looked up at each call, so that the benchmark's
+# tracer, which wraps that name, counts their steps.  A stepper that returns a
+# non-finite state gives a NaN residual, so its row FAILs; boyer's own raises
+# NumericalError first.
 
 
 @_check
 def _full_law_speed(rng) -> CheckRow:
-    rk4, lc, mu_z, inv_c, inv_m = boyer._rk4, _UNIT_LINE, _UNIT_NEUTRON.mu_z, 1.0 / _K1.c, 1.0 / _UNIT_NEUTRON.mass
-    sqrt = math.sqrt
-    x, y, vx, vy = 2.5, 0.8, -1.2, 0.7
+    step, accel, sqrt = boyer.step_trajectory, _UNIT_FULL_LAW, math.sqrt
+    t, x, y, vx, vy = 0.0, 2.5, 0.8, -1.2, 0.7
     speed0 = sqrt(vx * vx + vy * vy)
     ux0, uy0 = vx * (1.0 / speed0), vy * (1.0 / speed0)
     misses = []
     for _ in range(10_000):
-        x, y, vx, vy = rk4(lc, mu_z, inv_c, inv_m, False, 1e-3, x, y, vx, vy)
+        t, x, y, vx, vy = step(accel, 1e-3, t, x, y, vx, vy)
         misses.append(abs(sqrt(vx * vx + vy * vy) / speed0 - 1.0))  # _relative, speed0 being nonzero
     inv_speed = 1.0 / sqrt(vx * vx + vy * vy)
     dux, duy = vx * inv_speed - ux0, vy * inv_speed - uy0
@@ -561,11 +565,11 @@ def _full_law_speed(rng) -> CheckRow:
 
 def _naive_endpoint(n_steps: int) -> tuple[float, float, float, float]:
     # (x, y, vx, vy) where the naive law carries a fixed start after one unit of time
-    rk4, lc, mu_z, inv_c, inv_m = boyer._rk4, _UNIT_LINE, _UNIT_NEUTRON.mu_z, 1.0 / _K1.c, 1.0 / _UNIT_NEUTRON.mass
-    x, y, vx, vy = 2.0, 0.6, -1.0, 0.3
+    step, accel = boyer.step_trajectory, _UNIT_NAIVE_LAW
+    t, x, y, vx, vy = 0.0, 2.0, 0.6, -1.0, 0.3
     dt = 1.0 / n_steps
     for _ in range(n_steps):
-        x, y, vx, vy = rk4(lc, mu_z, inv_c, inv_m, True, dt, x, y, vx, vy)
+        t, x, y, vx, vy = step(accel, dt, t, x, y, vx, vy)
     return x, y, vx, vy
 
 

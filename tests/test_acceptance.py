@@ -26,8 +26,8 @@ from abclab import (
     SolenoidParams,
     TrajectoryState,
     Vec3,
+    acceleration_law,
     ac_phase,
-    boyer,
     cylinder_displacement,
     cylinder_velocity_change,
     detector_probabilities,
@@ -133,10 +133,13 @@ def test_criterion_05_force_equals_momentum_rate():
         lc = LineCharge(lambda_c=1.0)
         mu = 1.0
 
-        # the kernel the dynamics integrates, at unit inverse mass: the naive
+        # the laws the dynamics integrates, at unit inverse mass: the naive
         # law's acceleration is F, the full law's F - (v . grad)p_h
+        unit = NeutronModel(mass=1.0, mu_z=mu)
+        laws = {naive: acceleration_law(lc, unit, NAIVE_LAW if naive else FULL_LAW, K1) for naive in (True, False)}
+
         def kernel(naive, pos, vel):
-            return Vec3(*boyer._acceleration(lc, mu, 1.0 / K1.c, 1.0, naive, pos.x, pos.y, vel.x, vel.y), 0.0)
+            return Vec3(*laws[naive](pos.x, pos.y, vel.x, vel.y), 0.0)
 
         rng = np.random.default_rng(505)
         for _ in range(1000):
@@ -176,13 +179,18 @@ def test_criterion_05_force_equals_momentum_rate():
             assert rich_errors[-1] <= errors[-1] / 10.0
 
 
+def _step(lc, neutron, state, dt, law, k) -> TrajectoryState:
+    # one RK4 step of a TrajectoryState through the law builder and the float stepper
+    return TrajectoryState(*step_trajectory(acceleration_law(lc, neutron, law, k), dt, *state))
+
+
 def _naive_endpoint(n_steps: int, total_time: float = 1.0) -> TrajectoryState:
     lc = LineCharge(lambda_c=1.0)
     neutron = NeutronModel(mass=1.0, mu_z=1.0)
     state = TrajectoryState(0.0, 2.0, 0.6, -1.0, 0.3)
     dt = total_time / n_steps
     for _ in range(n_steps):
-        state = step_trajectory(lc, neutron, state, dt, NAIVE_LAW, K1)
+        state = _step(lc, neutron, state, dt, NAIVE_LAW, K1)
     return state
 
 
@@ -193,7 +201,7 @@ def test_criterion_06_no_classical_lag_and_integrator_order():
         state = TrajectoryState(0.0, 2.5, 0.8, -1.2, 0.7)
         speed0 = math.hypot(state.vx, state.vy)
         for _ in range(10_000):
-            state = step_trajectory(lc, neutron, state, 1e-3, FULL_LAW, K1)
+            state = _step(lc, neutron, state, 1e-3, FULL_LAW, K1)
         assert abs(math.hypot(state.vx, state.vy) / speed0 - 1.0) < 1e-8
 
         # The corrected law cancels the force identically, so its drift has no

@@ -667,6 +667,14 @@ def test_golden_bounce_csv_matches_stored_file():
     assert render_csv(report).encode() == (DATA_DIR / "golden_ac_bounce.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["ac_bounce_gaussian_cgs", "ac_bounce_strong_coupling", "ac_bounce_far_mirrors"])
+def test_golden_bounce_variant_csv_matches_stored_file(name):
+    # three more bounces pinned byte for byte: gaussian-cgs units, a coupling
+    # near 3e-2 whose bare-force legs shorten, and a cavity 150 cm out
+    report = run_scenario(load_scenario(str(DATA_DIR / f"{name}.yaml")))
+    assert render_csv(report).encode() == (DATA_DIR / f"golden_{name}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")))
 def test_golden_json_matches_stored_file(name):
     # pins the normalized scenario.params next to the rows and checks
@@ -1139,10 +1147,10 @@ def test_cli_bounce_over_landing_budget_exits_3(tmp_path, monkeypatch, capsys):
     # a landing step that never moves never reaches the mirror
     step = boyer.step_trajectory
 
-    def stuck(lc, n, state, dt, law, k, *, accel=None):
+    def stuck(accel, dt, t, x, y, vx, vy, a1=None):
         if sys._getframe(1).f_code.co_name == "_locate_crossing":
-            return boyer.TrajectoryState(state.t + dt, state.x, state.y, state.vx, state.vy)
-        return step(lc, n, state, dt, law, k, accel=accel)
+            return t + dt, x, y, vx, vy
+        return step(accel, dt, t, x, y, vx, vy, a1)
 
     monkeypatch.setattr(boyer, "step_trajectory", stuck)
     path = tmp_path / "stuck.yaml"

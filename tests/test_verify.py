@@ -49,7 +49,7 @@ def test_verify_suite_lets_no_warning_escape():
 def test_non_finite_flight_fails_its_row(monkeypatch, flight):
     # a flight that goes non-finite is a FAIL row (exit 1); it used to raise
     # ValidationError, which verify reports as invalid input (exit 2)
-    monkeypatch.setattr(boyer, "_rk4", lambda *args: (math.nan,) * 4)
+    monkeypatch.setattr(boyer, "step_trajectory", lambda *args: (math.nan,) * 5)
     row = flight(np.random.default_rng(0))
     assert not row.passed and math.isnan(row.actual)
 
@@ -82,16 +82,14 @@ def test_quadrature_row_fails_a_closed_form_off_by_1e_10(monkeypatch, module, cl
 def test_force_equals_rate_row_fails_a_full_law_off_by_1e_11(monkeypatch):
     # the row reads exactly 0.0 at every seed tried, so its tolerance is a few
     # ulps, and a full law off by 1e-11 of |F| is a FAIL
-    acceleration = boyer._acceleration
+    naive, full = verify._UNIT_NAIVE_LAW, verify._UNIT_FULL_LAW
 
-    def off(lc, mu_z, inv_c, inv_m, naive, x, y, vx, vy):
-        ax, ay = acceleration(lc, mu_z, inv_c, inv_m, naive, x, y, vx, vy)
-        if naive:
-            return ax, ay
-        fx, fy = acceleration(lc, mu_z, inv_c, inv_m, True, x, y, vx, vy)
-        return ax + 1e-11 * math.hypot(fx, fy) * inv_m, ay
+    def off(x, y, vx, vy):
+        ax, ay = full(x, y, vx, vy)
+        fx, fy = naive(x, y, vx, vy)
+        return ax + 1e-11 * math.hypot(fx, fy), ay  # at unit inverse mass, as the row reads it
 
-    monkeypatch.setattr(boyer, "_acceleration", off)
+    monkeypatch.setattr(verify, "_UNIT_FULL_LAW", off)
     [row] = [c for c in run_verify_suite(42).checks if c.name == "boyer_force_equals_momentum_rate"]
     assert not row.passed and row.actual == pytest.approx(1e-11, rel=1e-3)
 
@@ -216,22 +214,21 @@ def test_worst_and_least_follow_the_worse_rule(residuals, floor):
 
 
 def _rk4_variant(divisor=6.0, stage4_from_ax2=False):
-    # boyer._rk4's arithmetic, with the weights' divisor and the acceleration
-    # that builds stage 4's velocity as parameters
-    acceleration = boyer._acceleration
-
-    def rk4(lc, mu_z, inv_c, inv_m, naive, dt, x0, y0, vx0, vy0):
+    # boyer.step_trajectory's arithmetic, with the weights' divisor and the
+    # acceleration that builds stage 4's velocity as parameters
+    def rk4(accel, dt, t, x0, y0, vx0, vy0, a1=None):
         half = 0.5 * dt
-        ax1, ay1 = acceleration(lc, mu_z, inv_c, inv_m, naive, x0, y0, vx0, vy0)
+        ax1, ay1 = accel(x0, y0, vx0, vy0)
         vx2, vy2 = vx0 + ax1 * half, vy0 + ay1 * half
-        ax2, ay2 = acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx0 * half, y0 + vy0 * half, vx2, vy2)
+        ax2, ay2 = accel(x0 + vx0 * half, y0 + vy0 * half, vx2, vy2)
         vx3, vy3 = vx0 + ax2 * half, vy0 + ay2 * half
-        ax3, ay3 = acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx2 * half, y0 + vy2 * half, vx3, vy3)
+        ax3, ay3 = accel(x0 + vx2 * half, y0 + vy2 * half, vx3, vy3)
         bx, by = (ax2, ay2) if stage4_from_ax2 else (ax3, ay3)
         vx4, vy4 = vx0 + bx * dt, vy0 + by * dt
-        ax4, ay4 = acceleration(lc, mu_z, inv_c, inv_m, naive, x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4)
+        ax4, ay4 = accel(x0 + vx3 * dt, y0 + vy3 * dt, vx4, vy4)
         sixth = dt / divisor
         return (
+            t + dt,
             x0 + (vx0 + (vx2 + vx3) * 2.0 + vx4) * sixth,
             y0 + (vy0 + (vy2 + vy3) * 2.0 + vy4) * sixth,
             vx0 + (ax1 + (ax2 + ax3) * 2.0 + ax4) * sixth,
@@ -252,7 +249,7 @@ def test_rk4_order_row_measures_the_order_of_the_stepper(monkeypatch, variant, o
     # the second stage (order 3) FAILs, and the faithful copy reads the
     # shipped row to the bit
     shipped = verify._rk4_order(None)
-    monkeypatch.setattr(boyer, "_rk4", _rk4_variant(**variant))
+    monkeypatch.setattr(boyer, "step_trajectory", _rk4_variant(**variant))
     row = verify._rk4_order(None)
     assert row.actual == pytest.approx(order, abs=0.05)
     assert row.passed == (order == 4.0)
