@@ -57,7 +57,6 @@ from .fieldfree import (
 from .interferometry import (
     DetectionProbabilities,
     GaussianPacket,
-    TwoPathState,
     detector_probabilities,
     overlap_by_quadrature,
     packet_overlap,
@@ -100,7 +99,6 @@ from .units import (
     PhysicalConstants,
     SCALED_UNITY,
     Vec3,
-    cross,
     make_constants,
 )
 from .verify import run_verify_suite

@@ -103,7 +103,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
@@ -407,10 +406,6 @@ class BounceResult:
     @property
     def initial_kinetic_energy(self) -> float:
         return kinetic_energy(self.neutron, self.states[0])
-
-    @property
-    def final_kinetic_energy(self) -> float:
-        return kinetic_energy(self.neutron, self.states[-1])
 
 
 # The bounce loop binds its law once per flight and steps 5-tuples of floats
@@ -745,12 +740,13 @@ def _loop_integrands(
 def _loop_rule(loop: LoopPath) -> Callable[..., float]:
     """The refinement that integrates each of the loop's mapped integrands:
     the periodic trapezoid rule for a circle, whose one integrand is periodic
-    in h, and Gauss-Legendre from 1 panel for a polyline side.  It reads
-    ``refine_gauss_legendre`` from this module at each call, so that the
-    benchmark tracer's wrapper of that name sees every polyline side."""
+    in h, and panel-doubling Gauss-Legendre, which starts from one panel, for
+    a polyline side.  It reads ``refine_gauss_legendre`` from this module at
+    each call, so that the benchmark tracer's wrapper of that name sees every
+    polyline side."""
     if isinstance(loop, CircleLoop):
         return refine_periodic_trapezoid
-    return partial(refine_gauss_legendre, start_panels=1)
+    return refine_gauss_legendre
 
 
 def path_axis_clearance(loop: LoopPath) -> float:

@@ -71,20 +71,28 @@ def _times_power_of_two(value: float, n: int) -> float:
 
 def field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
     """Coulomb field at charge i from all the others (statV/cm).  Each term
-    q sep/|sep|^3 is formed on the separation scaled by 2^-k (``_scaled``) and
-    scaled back by 2^-2k, so no separation's square or cube overflows."""
+    q sep/|sep|^3 is formed on the separation scaled by 2^-k (``_scaled``), so
+    no separation's square or cube overflows.  The terms are summed at the
+    scale 2^-2k of the nearest source (the least k), and the sum is scaled
+    back once, so terms that cancel do so even where each alone would
+    overflow.  Scaling by a power of two commutes with rounding, so a field
+    whose terms neither overflow nor underflow is the plain sum to the bit."""
     _check_index(cfg, target_index)
     target = cfg.charges[target_index]
-    ex = ey = ez = 0.0
+    terms = []
     for j, source in enumerate(cfg.charges):
-        if j == target_index:
-            continue
-        k, x, y, z, dist = _scaled(target.pos - source.pos)
-        scale = source.q / (dist * dist * dist)
-        ex += _times_power_of_two(scale * x, -2 * k)
-        ey += _times_power_of_two(scale * y, -2 * k)
-        ez += _times_power_of_two(scale * z, -2 * k)
-    return Vec3(ex, ey, ez)
+        if j != target_index:
+            k, x, y, z, dist = _scaled(target.pos - source.pos)
+            scale = source.q / (dist * dist * dist)
+            terms.append((k, scale * x, scale * y, scale * z))
+    near = min((term[0] for term in terms), default=0)  # a lone charge: no terms, no field
+    ex = ey = ez = 0.0
+    for k, x, y, z in terms:
+        shift = 2 * (near - k)  # <= 0, so no term overflows
+        ex += math.ldexp(x, shift)
+        ey += math.ldexp(y, shift)
+        ez += math.ldexp(z, shift)
+    return Vec3(*(_times_power_of_two(c, -2 * near) for c in (ex, ey, ez)))
 
 
 def potential_at(cfg: ChargeConfiguration, target_index: int) -> float:

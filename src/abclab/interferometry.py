@@ -72,31 +72,6 @@ class DetectionProbabilities:
     p_b: float
 
 
-@dataclass(frozen=True, slots=True)
-class TwoPathState:
-    """Normalized amplitudes on the upper and lower interferometer arms."""
-
-    amp_upper: complex
-    amp_lower: complex
-
-    def __post_init__(self):
-        norm = abs(self.amp_upper) ** 2 + abs(self.amp_lower) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValidationError(f"two-path state is not normalized: |a|^2+|b|^2 = {norm!r}")
-
-    @classmethod
-    def from_phase(cls, phase: float) -> "TwoPathState":
-        """Balanced superposition with relative phase on the lower arm."""
-        s = 1.0 / math.sqrt(2.0)
-        return cls(complex(s, 0.0), cmath.exp(1j * phase) * s)
-
-    def probabilities(self) -> DetectionProbabilities:
-        """Recombine on a balanced splitter: A gets (u+l)/sqrt(2), B gets (u-l)/sqrt(2)."""
-        p_a = 0.5 * abs(self.amp_upper + self.amp_lower) ** 2
-        p_b = 0.5 * abs(self.amp_upper - self.amp_lower) ** 2
-        return DetectionProbabilities(p_a, p_b)
-
-
 def detector_probabilities(phase: float, visibility: float = 1.0) -> DetectionProbabilities:
     """Detector probabilities for a relative phase (rad) and fringe visibility in [0, 1]."""
     if not (0.0 <= visibility <= 1.0):

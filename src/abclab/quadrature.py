@@ -4,10 +4,10 @@ trapezoid rule and adaptive Simpson.
 Two refinements double a rule's level until two successive estimates agree:
 
 * ``refine_gauss_legendre`` doubles the panels of a composite 10-point
-  Gauss-Legendre rule.  It integrates the smooth integrands of this package
-  whose periodic extension is not smooth: the velocity-kick integral over
-  angle, and each side of a polyline loop phase on its sinh map, both from
-  one panel.
+  Gauss-Legendre rule, from one panel.  It integrates the smooth integrands
+  of this package whose periodic extension is not smooth: the velocity-kick
+  integral over angle, and each side of a polyline loop phase on its sinh
+  map.
 * ``refine_periodic_trapezoid`` doubles the points of the trapezoid rule on
   an interval.  It integrates the circle loop phase on its periodic Moebius
   map, whose integrand is smooth and periodic, and the complex Gaussian
@@ -136,8 +136,7 @@ def composite_gauss_legendre(
 
 # The budget of either refinement, in integrand evaluations: a rule stops at
 # its last level that evaluates the integrand at most this many times, 524,288
-# Gauss-Legendre panels (from any power-of-two start) or 4,194,304 trapezoid
-# points (from 8).
+# Gauss-Legendre panels (from 1) or 4,194,304 trapezoid points (from 8).
 MAX_EVALUATIONS = 5_242_880
 
 
@@ -170,7 +169,8 @@ def _refine(
         prev = cur
 
 
-def _gauss_legendre_levels(f, a: float, b: float, n_panels: int):
+def _gauss_legendre_levels(f, a: float, b: float):
+    n_panels = 1
     while True:
         yield n_panels, composite_gauss_legendre(f, a, b, n_panels)
         n_panels *= 2
@@ -198,9 +198,8 @@ def refine_gauss_legendre(
     b: float,
     rel_tol: float = 1e-10,
     abs_floor: float = 0.0,
-    start_panels: int = 8,
 ) -> float | complex:
-    """Panel-doubling composite Gauss-Legendre from start_panels until two
+    """Panel-doubling composite Gauss-Legendre from one panel until two
     successive estimates agree; ``_refine`` states the test, the budget and
     the errors.
 
@@ -209,7 +208,7 @@ def refine_gauss_legendre(
     values: the estimate is then complex, and |.| is the complex modulus, so
     one pass converges both parts together.
     """
-    estimates = _gauss_legendre_levels(f, a, b, start_panels)
+    estimates = _gauss_legendre_levels(f, a, b)
     return _refine("Gauss-Legendre", "panels", len(_GL_NODES), estimates, a, b, rel_tol, abs_floor)
 
 

@@ -554,7 +554,7 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants):
     ]
     checks = [
         verify.claim_row("factor4_identity", residual),
-        verify.claim_row("flux_chain_consistency", verify.flux_chain_residual(s, k)),
+        verify.claim_row("flux_chain_consistency", verify.flux_chain_residual(res.flux, res.phase_ab, k)),
     ]
     return rows, checks
 
@@ -612,6 +612,7 @@ def _point_field_free(params: dict, k: PhysicalConstants):
     d, e = params["d_cm"], params["e_statC"]
     cfg = fieldfree.make_three_charge(d, e)
     magnitudes = [fieldfree.field_at(cfg, i).norm() for i in range(len(cfg))]
+    residuals = [verify.field_residual(magnitude, d, e) for magnitude in magnitudes]
     rows = [
         {
             "charge_index": i,
@@ -620,13 +621,13 @@ def _point_field_free(params: dict, k: PhysicalConstants):
             "y_cm": charge.pos.y,
             "z_cm": charge.pos.z,
             "field_statV_per_cm": magnitude,
-            "field_residual": verify.field_residual(magnitude, d, e),
+            "field_residual": residual,
             "potential_statV": fieldfree.potential_at(cfg, i),
         }
-        for i, (charge, magnitude) in enumerate(zip(cfg.charges, magnitudes))
+        for i, (charge, magnitude, residual) in enumerate(zip(cfg.charges, magnitudes, residuals))
     ]
     checks = [
-        verify.claim_row("field_free_three_charge", verify.three_charge_residual(magnitudes, d, e)),
+        verify.claim_row("field_free_three_charge", verify.three_charge_residual(residuals)),
         verify.claim_row("potential_at_electron", *verify.potential_residual(rows[0]["potential_statV"], d, e)),
         # the corollary (no field at any particle, no phase): stated, not computed
         verify.claim_row("field_free_zero_phase_claim", 0.0, at_most=True),

@@ -164,7 +164,6 @@ def velocity_change_by_quadrature(s: SolenoidParams, o: OrbitParams, k: Physical
         -math.pi / 2.0,
         math.pi / 2.0,
         rel_tol=1e-12,
-        start_panels=1,
     )
     return integral / s.M
 

@@ -104,7 +104,3 @@ class Vec3:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 
-
-def cross(a: Vec3, b: Vec3) -> Vec3:
-    """Right-handed cross product a x b."""
-    return a.cross(b)

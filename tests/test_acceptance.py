@@ -237,7 +237,7 @@ def test_criterion_07_bounce_paradox_and_resolution():
             lc, neutron, BounceConfig(mirror_a=1.5, mirror_b=3.0, n_bounces=10, dt=1.0 / 256.0, law=FULL_LAW),
             start, K1,
         )
-        assert abs(full.final_kinetic_energy / full.initial_kinetic_energy - 1.0) < 1e-6
+        assert abs(full.bounce_kinetic_energies[-1] / full.initial_kinetic_energy - 1.0) < 1e-6
 
 
 def test_criterion_08_loop_phase_values():

@@ -551,7 +551,7 @@ def test_free_particle_bounce_period():
 
 def test_full_law_conserves_bounce_energy():
     result = bounce(FULL_LAW)
-    assert abs(result.final_kinetic_energy / result.initial_kinetic_energy - 1.0) < 1e-6
+    assert abs(result.bounce_kinetic_energies[-1] / result.initial_kinetic_energy - 1.0) < 1e-6
 
 
 def test_naive_law_energy_strictly_grows():
@@ -778,7 +778,7 @@ def test_bounce_kinetic_energies_build_no_samples(monkeypatch):
     for law in (FULL_LAW, NAIVE_LAW):
         result = bounce(law, n_bounces=2)
         assert result.initial_kinetic_energy == kinetic_energy(NEUTRON, BOUNCE_START)
-        assert result.final_kinetic_energy == kinetic_energy(NEUTRON, result.states[-1])
+        assert result.bounce_kinetic_energies[-1] == kinetic_energy(NEUTRON, result.states[-1])
     with pytest.raises(AssertionError, match="a BounceSample was built"):
         result.samples
 

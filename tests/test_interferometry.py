@@ -11,7 +11,6 @@ from abclab import (
     ConsistencyError,
     DomainError,
     GaussianPacket,
-    TwoPathState,
     ValidationError,
     detector_probabilities,
     overlap_by_quadrature,
@@ -370,16 +369,3 @@ def test_visibility_passthrough_and_clamp():
 def test_visibility_rejects_broken_overlap():
     with pytest.raises(ConsistencyError):
         visibility_from_overlap(complex(1.1, 0.0))
-
-
-def test_two_path_state_normalization_enforced():
-    with pytest.raises(ValidationError):
-        TwoPathState(complex(1.0, 0.0), complex(1.0, 0.0))
-
-
-@pytest.mark.parametrize("phase", [0.0, 0.4, math.pi / 2.0, math.pi, 4.0])
-def test_two_path_state_matches_detector_convention(phase):
-    probs = TwoPathState.from_phase(phase).probabilities()
-    expected = detector_probabilities(phase, 1.0)
-    assert probs.p_a == pytest.approx(expected.p_a, abs=1e-12)
-    assert probs.p_b == pytest.approx(expected.p_b, abs=1e-12)

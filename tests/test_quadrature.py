@@ -91,16 +91,18 @@ def test_refine_gauss_legendre_stops_at_the_first_non_finite_estimate(value):
         calls.append(x)
         return value
 
-    stopped = r"^Gauss-Legendre refinement stopped on \[0\.0, 2\.0\]: the estimate at 8 panels is "
+    stopped = r"^Gauss-Legendre refinement stopped on \[0\.0, 2\.0\]: the estimate at 1 panels is "
     with pytest.raises(NumericalError, match=stopped):
         refine_gauss_legendre(f, 0.0, 2.0)
-    assert len(calls) == 8 * 10  # the first estimate only
+    assert len(calls) == 10  # the first estimate, on one panel, only
 
 
 def test_refine_gauss_legendre_stops_when_a_refined_estimate_overflows():
-    # the last node is 1.99674 on 8 panels of [0, 2] and 1.99837 on 16
+    # the last node is 1.99674 on 8 panels of [0, 2] and 1.99837 on 16, and
+    # on fewer panels it lies below 1.99674; sin(100 x), 32 periods on the
+    # interval, keeps the estimates of 1 to 8 panels apart
     with pytest.raises(NumericalError, match=r"the estimate at 16 panels is inf$"):
-        refine_gauss_legendre(lambda x: math.inf if x > 1.998 else 1.0, 0.0, 2.0)
+        refine_gauss_legendre(lambda x: math.inf if x > 1.998 else math.sin(100.0 * x), 0.0, 2.0)
 
 
 def _counted_composite(monkeypatch, estimate=None):
@@ -118,16 +120,15 @@ def _counted_composite(monkeypatch, estimate=None):
     return levels
 
 
-@pytest.mark.parametrize("start", [2, 4, 8])
-def test_refine_gauss_legendre_stops_at_the_finest_level(monkeypatch, start):
-    # the budget is the finest level, 524,288 panels of 10 nodes, whatever
-    # level refinement starts from; each estimate is the panel count, so no two
+def test_refine_gauss_legendre_stops_at_the_finest_level(monkeypatch):
+    # refinement starts from one panel and its budget is the finest level,
+    # 524,288 panels of 10 nodes; each estimate is the panel count, so no two
     # of them agree
     levels = _counted_composite(monkeypatch, estimate=float)
     failed = r"did not converge after 524288 panels on \[0\.0, 1\.0\]; last change 2\.621e\+05$"
     with pytest.raises(NumericalError, match=failed):
-        refine_gauss_legendre(math.sin, 0.0, 1.0, start_panels=start)
-    assert [n for n, _ in levels] == [start * 2 ** i for i in range(len(levels))]
+        refine_gauss_legendre(math.sin, 0.0, 1.0)
+    assert [n for n, _ in levels] == [2 ** i for i in range(20)]
     assert levels[-1][0] * len(_GL_NODES) == MAX_EVALUATIONS == 5_242_880
 
 

@@ -1006,11 +1006,18 @@ def test_sweep_point_whose_denominator_underflows_is_an_error_row(tmp_path):
 FIELD_FREE_DOC = "kind: field-free\nunits: scaled-unity\nparams: {d_cm: %s, e_statC: %s}\n"
 
 
-@pytest.mark.parametrize("d, e", [("1.0e160", "1.0"), ("1.0e200", "1.0e-300")], ids=["d2-overflows", "unit-underflows"])
+@pytest.mark.parametrize(
+    "d, e",
+    [("1.0e160", "1.0"), ("1.0e200", "1.0e-300"), ("1.0e-6", "1.0e300")],
+    ids=["d2-overflows", "unit-underflows", "terms-overflow"],
+)
 def test_field_free_past_the_square_of_d_passes_its_checks(tmp_path, d, e):
     # d*d overflows, or e/(d*d) underflows to 0: both claims used to FAIL,
     # on a NaN field residual and a potential of 0.0; on separations and a
-    # unit scaled by powers of two both PASS
+    # unit scaled by powers of two both PASS.  Where each field term, about
+    # e/d^2 = 1e312, overflows on its own, summing them unscaled gave
+    # inf - inf, a NaN field and a FAIL; summed at the nearest charge's scale
+    # they cancel to 0.0, and the potential 8e/d = 8e306 is finite
     path = tmp_path / "far.yaml"
     path.write_text(FIELD_FREE_DOC % (d, e))
     out = tmp_path / "out.csv"
@@ -1073,8 +1080,9 @@ def test_mzi_reports_the_catalogue_probability_sum():
 
 
 def test_field_free_overflow_fails_its_checks():
-    # e/d^2 overflows: the field residual is NaN and the potential inf, and
-    # both claims must FAIL rather than report a clean worst of zero
+    # e/d^2 overflows: the field terms cancel at their own scale, so the field
+    # claim PASSes at 0.0, but the potential 8e/d is inf, and that claim must
+    # FAIL rather than report a clean worst of zero
     doc = """
 kind: field-free
 units: scaled-unity
@@ -1082,7 +1090,7 @@ params: {d_cm: 1.0e-10, e_statC: 1.0e300}
 """
     checks = {c.name: c for c in run_scenario(parse_scenario(doc)).checks}
     three_charge, potential = checks["field_free_three_charge"], checks["potential_at_electron"]
-    assert not three_charge.passed and math.isnan(three_charge.actual)
+    assert three_charge.passed and three_charge.actual == 0.0
     assert not potential.passed and potential.actual == math.inf
 
 
@@ -1107,6 +1115,13 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert out.exists()
     captured = capsys.readouterr()
     assert "PASS factor4_identity" in captured.out
+
+
+def test_cli_report_that_cannot_be_written_exits_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert cli_main(["run", str(SCENARIO_DIR / "ab_solenoid_unit.yaml"), "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: could not write report to {str(out)!r}")
+    assert not out.exists()
 
 
 def test_cli_rejects_run_with_sweep_block():
@@ -1284,21 +1299,71 @@ def test_cli_verify_passes_on_seed_with_small_overlap_real_part(tmp_path):
     assert rows["overlap_closed_vs_quadrature"]["actual"] < 1e-13
 
 
+def _naive_bounce(gains, lambda_c=1.0, mu_z=1.0, y0=0.5):
+    # the fields of a naive-law BounceResult that bounce_checks reads
+    return types.SimpleNamespace(
+        law=boyer.NAIVE_LAW,
+        line=boyer.LineCharge(lambda_c=lambda_c),
+        neutron=types.SimpleNamespace(mu_z=mu_z),
+        states=[boyer.TrajectoryState(t=0.0, x=3.0, y=y0, vx=-2.0, vy=0.0)],
+        ke_gain_per_leg=gains,
+        work_per_leg=[1.0] * len(gains),
+    )
+
+
 def test_worst_of_n_residuals_keep_nan():
-    residual = verify.three_charge_residual([1e-20, math.nan, 0.0], 1.0, 1.0)
+    residual = verify.three_charge_residual([1e-20, math.nan, 0.0])
     assert math.isnan(residual)
     assert not verify.claim_row("field_free_three_charge", residual).passed
-    # a leg whose kinetic energy is NaN fails energy growth, wherever it sits
-    naive = types.SimpleNamespace(
-        law=boyer.NAIVE_LAW,
-        initial_kinetic_energy=1.0,
-        bounce_kinetic_energies=[2.0, math.nan, 3.0],
-        ke_gain_per_leg=[1.0, math.nan, math.nan],
-        work_per_leg=[1.0, 1.0, 1.0],
-    )
-    growth, work = verify.bounce_checks(naive)
-    assert math.isnan(growth.actual) and not growth.passed
-    assert math.isnan(work.actual) and not work.passed
+    # a leg whose kinetic energy gain is NaN fails energy growth, wherever it
+    # sits, in either direction
+    for lambda_c in (1.0, -1.0):
+        growth, work = verify.bounce_checks(_naive_bounce([1.0, math.nan, -1.0], lambda_c=lambda_c))
+        assert math.isnan(growth.actual) and not growth.passed
+        assert math.isnan(work.actual) and not work.passed
+
+
+@pytest.mark.parametrize(
+    "mu_z, lambda_c, y0, expected",
+    [
+        (1.0, 1.0, 0.5, "increasing"),
+        (1.0, -1.0, 0.5, "decreasing"),
+        (-1.0, 1.0, 0.5, "decreasing"),
+        (1.0, 1.0, -0.5, "decreasing"),
+        (-1.0, -1.0, -0.5, "decreasing"),
+        (0.0, 1.0, 0.5, "increasing"),
+    ],
+)
+def test_energy_growth_is_judged_in_the_direction_of_mu_lambda_y0(mu_z, lambda_c, y0, expected):
+    # the naive law's first-order work per leg has the sign of mu_z*lambda*y0;
+    # a zero product keeps the "increasing" verdict
+    steady = [0.5, 0.25, 0.75] if expected == "increasing" else [-0.5, -0.25, -0.75]
+    for scale in (1.0, 1e-200):  # signs are multiplied: a product that underflows keeps its direction
+        factors = (lambda_c * scale, mu_z * scale, y0 * scale)
+        growth, _ = verify.bounce_checks(_naive_bounce(steady, *factors))
+        assert (growth.expected, growth.actual, growth.passed) == (expected, steady[1], True)
+        # the leg that most contradicts the direction is reported
+        growth, _ = verify.bounce_checks(_naive_bounce([-g for g in steady], *factors))
+        assert (growth.expected, growth.actual, growth.passed) == (expected, -steady[2], False)
+        # a zero gain contradicts either direction
+        assert not verify.bounce_checks(_naive_bounce([*steady, 0.0], *factors))[0].passed
+
+
+@pytest.mark.parametrize("name", ["ac_bounce_mirrored_start", "ac_bounce_negative_line"])
+def test_mirrored_bounce_loses_energy_steadily_and_passes(tmp_path, name, capsys):
+    # ac_bounce.yaml with y0 or lambda negated: the naive law loses kinetic
+    # energy on every leg, and energy_grows_naive_law used to FAIL it (exit 1)
+    # on a hard-coded "increasing"; the golden rows predate that fix, since
+    # no row depends on a verdict
+    doc = DATA_DIR / f"{name}.yaml"
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", str(doc), "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / f"golden_{name}.csv").read_bytes()
+    report = run_scenario(load_scenario(str(doc)))
+    growth = next(c for c in report.checks if c.name == "energy_grows_naive_law")
+    gains = [row["leg_ke_gain_erg"] for row in report.rows if row["law"] == boyer.NAIVE_LAW]
+    assert len(gains) == 10 and all(g < 0.0 for g in gains)
+    assert growth.expected == "decreasing" and growth.actual == max(gains) and growth.passed
 
 
 def test_cli_verify_deterministic(tmp_path, verify_seed42):
