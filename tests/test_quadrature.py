@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,10 +121,22 @@ def _counted_composite(monkeypatch, estimate=None):
     return levels
 
 
-def test_refine_gauss_legendre_stops_at_the_finest_level(monkeypatch):
-    # refinement starts from one panel and its budget is the finest level,
-    # 524,288 panels of 10 nodes; each estimate is the panel count, so no two
-    # of them agree
+@pytest.mark.parametrize("finest", [2, 4, 8])
+def test_refine_gauss_legendre_stops_at_the_finest_level(monkeypatch, finest):
+    # a budget of exactly `finest` panels of 10 nodes admits that level and no
+    # finer one; refinement starts from one panel, and each estimate is the
+    # panel count, so no two of them agree
+    monkeypatch.setattr(quadrature, "MAX_EVALUATIONS", finest * len(_GL_NODES))
+    levels = _counted_composite(monkeypatch, estimate=float)
+    failed = rf"did not converge after {finest} panels on \[0\.0, 1\.0\]; last change {re.escape(f'{finest / 2:.3e}')}$"
+    with pytest.raises(NumericalError, match=failed):
+        refine_gauss_legendre(math.sin, 0.0, 1.0)
+    assert [n for n, _ in levels] == [2**i for i in range(finest.bit_length())]
+
+
+def test_refine_gauss_legendre_budget_is_524288_panels(monkeypatch):
+    # the shipped budget is the level of 524,288 panels of 10 nodes, reached
+    # from one panel; each estimate is the panel count, so no two of them agree
     levels = _counted_composite(monkeypatch, estimate=float)
     failed = r"did not converge after 524288 panels on \[0\.0, 1\.0\]; last change 2\.621e\+05$"
     with pytest.raises(NumericalError, match=failed):
