@@ -51,14 +51,23 @@ def _check_index(cfg: ChargeConfiguration, target_index: int):
         raise DomainError(f"target_index {target_index!r} out of range for {len(cfg.charges)} charges")
 
 
-def _scaled(sep: Vec3) -> tuple[int, float, float, float, float]:
-    """(k, x, y, z, r): the separation times 2^-k, whose largest component
-    lies in [0.5, 1), and its length r.  Multiplying by a power of two is
-    exact, so r 2^k is the separation's length to the bit wherever squaring
-    the separation itself neither overflows nor underflows."""
-    k = math.frexp(max(abs(sep.x), abs(sep.y), abs(sep.z)))[1]
-    x, y, z = math.ldexp(sep.x, -k), math.ldexp(sep.y, -k), math.ldexp(sep.z, -k)
-    return k, x, y, z, math.sqrt(x * x + y * y + z * z)
+def _scaled(a: Vec3, b: Vec3) -> tuple[int, float, float, float, float]:
+    """(k, x, y, z, r): the separation a - b times 2^-k, whose largest
+    component lies in [0.5, 1), and its length r.  Multiplying by a power of
+    two is exact, so r 2^k is the separation's length to the bit wherever
+    squaring the separation itself neither overflows nor underflows.  A
+    separation that overflows (positions nearly 2^1024 cm apart) is formed
+    from both positions halved, exact for normal floats, and k counts the
+    halving."""
+    sx, sy, sz = a.x - b.x, a.y - b.y, a.z - b.z
+    big = max(abs(sx), abs(sy), abs(sz))
+    halved = big == math.inf
+    if halved:
+        sx, sy, sz = 0.5 * a.x - 0.5 * b.x, 0.5 * a.y - 0.5 * b.y, 0.5 * a.z - 0.5 * b.z
+        big = max(abs(sx), abs(sy), abs(sz))
+    k = math.frexp(big)[1]
+    x, y, z = math.ldexp(sx, -k), math.ldexp(sy, -k), math.ldexp(sz, -k)
+    return k + halved, x, y, z, math.sqrt(x * x + y * y + z * z)
 
 
 def _times_power_of_two(value: float, n: int) -> float:
@@ -82,7 +91,7 @@ def field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
     terms = []
     for j, source in enumerate(cfg.charges):
         if j != target_index:
-            k, x, y, z, dist = _scaled(target.pos - source.pos)
+            k, x, y, z, dist = _scaled(target.pos, source.pos)
             scale = source.q / (dist * dist * dist)
             terms.append((k, scale * x, scale * y, scale * z))
     near = min((term[0] for term in terms), default=0)  # a lone charge: no terms, no field
@@ -104,7 +113,7 @@ def potential_at(cfg: ChargeConfiguration, target_index: int) -> float:
     for j, source in enumerate(cfg.charges):
         if j == target_index:
             continue
-        k, _, _, _, dist = _scaled(target.pos - source.pos)
+        k, _, _, _, dist = _scaled(target.pos, source.pos)
         total += _times_power_of_two(source.q / dist, -k)
     return total
 

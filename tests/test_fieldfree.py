@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from abclab import (
     ValidationError,
     Vec3,
     field_at,
+    fieldfree,
     make_three_charge,
     parse_scenario,
     potential_at,
     run_scenario,
 )
+from abclab.cli import main as cli_main
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def test_three_charge_layout():
@@ -178,3 +183,31 @@ def test_field_free_claims_pass_at_every_spacing(d, e):
         "field_free_three_charge": True,
         "potential_at_electron": True,
     }
+
+
+def test_scaled_separation_keeps_every_bit_of_a_finite_one():
+    # the overflow guard is one comparison: a finite separation is scaled
+    # exactly as before, so field_at and potential_at keep their bits
+    rng = np.random.default_rng(11)
+
+    def point() -> Vec3:
+        return Vec3(*(float(m * 10.0**p) for m, p in zip(rng.normal(size=3), rng.uniform(-100, 100, 3))))
+
+    for _ in range(500):
+        a, b = point(), point()
+        sep = a - b
+        k, x, y, z, _ = fieldfree._scaled(a, b)
+        assert k == math.frexp(max(abs(c) for c in sep.as_tuple()))[1]
+        assert (math.ldexp(x, k), math.ldexp(y, k), math.ldexp(z, k)) == sep.as_tuple()
+
+
+def test_field_free_triple_just_below_the_largest_float(tmp_path):
+    # the side charges sit 2d = 2e308 cm apart, a separation that overflowed:
+    # both read a NaN field and a potential of -1e-308 statV, and the run exited 1
+    cfg = make_three_charge(1e308, 1.0)
+    for i in (1, 2):
+        assert field_at(cfg, i) == Vec3(0.0, 0.0, 0.0)
+        assert potential_at(cfg, i) == 1e-308  # -e/d + 4e/(2d)
+    out = tmp_path / "report.csv"
+    assert cli_main(["run", str(DATA_DIR / "field_free_huge_d.yaml"), "--format", "csv", "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "golden_field_free_huge_d.csv").read_bytes()

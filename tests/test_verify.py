@@ -94,6 +94,32 @@ def test_force_equals_rate_row_fails_a_full_law_off_by_1e_11(monkeypatch):
     assert not row.passed and row.actual == pytest.approx(1e-11, rel=1e-3)
 
 
+def test_full_law_row_fails_a_full_law_off_by_1e_6_in_its_256_steps(monkeypatch):
+    # the flight's 256 steps of 0.04 s integrate a broken cancellation into a
+    # speed miss of about 4.8e-7, as 10,000 steps of 1e-3 s along the same
+    # path do, and the steps it takes are pinned with the miss
+    naive, full = verify._UNIT_NAIVE_LAW, verify._UNIT_FULL_LAW
+
+    def off(x, y, vx, vy):
+        ax, ay = full(x, y, vx, vy)
+        fx, fy = naive(x, y, vx, vy)
+        return ax + 1e-6 * fx, ay + 1e-6 * fy
+
+    monkeypatch.setattr(verify, "_UNIT_FULL_LAW", off)
+    [row] = [c for c in run_verify_suite(42).checks if c.name == "full_law_no_classical_lag"]
+    assert not row.passed and row.actual == pytest.approx(4.8e-7, rel=1e-2)
+
+    step, calls = boyer.step_trajectory, []
+
+    def counted(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(boyer, "step_trajectory", counted)
+    verify._full_law_speed(np.random.default_rng(42))
+    assert len(calls) == 256
+
+
 def test_field_residual_never_squares_d():
     # equal to the bit to magnitude/(e/(d*d)) wherever d*d is a normal float;
     # beyond, it is formed from d's mantissa, and an overflowing scaled
