@@ -17,6 +17,7 @@ from .errors import DomainError, ValidationError
 from .units import Vec3
 
 MIN_SEPARATION = 1e-12  # cm
+_NO_SCALE = 1 << 30  # above every separation's power of two
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,9 +38,13 @@ class ChargeConfiguration:
     def __post_init__(self):
         if not self.charges:
             raise ValidationError("configuration needs at least one charge")
-        for i, a in enumerate(self.charges):
-            for j in range(i + 1, len(self.charges)):
-                if (a.pos - self.charges[j].pos).norm() <= MIN_SEPARATION:
+        # each pair's |a - b| as Vec3.norm forms it, on the positions' floats
+        positions = [(c.pos.x, c.pos.y, c.pos.z) for c in self.charges]
+        for i, (ax, ay, az) in enumerate(positions):
+            for j in range(i + 1, len(positions)):
+                bx, by, bz = positions[j]
+                dx, dy, dz = ax - bx, ay - by, az - bz
+                if math.sqrt(dx * dx + dy * dy + dz * dz) <= MIN_SEPARATION:
                     raise ValidationError(f"charges {i} and {j} are closer than {MIN_SEPARATION:g} cm")
 
     def __len__(self) -> int:
@@ -51,23 +56,40 @@ def _check_index(cfg: ChargeConfiguration, target_index: int):
         raise DomainError(f"target_index {target_index!r} out of range for {len(cfg.charges)} charges")
 
 
-def _scaled(a: Vec3, b: Vec3) -> tuple[int, float, float, float, float]:
-    """(k, x, y, z, r): the separation a - b times 2^-k, whose largest
-    component lies in [0.5, 1), and its length r.  Multiplying by a power of
-    two is exact, so r 2^k is the separation's length to the bit wherever
-    squaring the separation itself neither overflows nor underflows.  A
-    separation that overflows (positions nearly 2^1024 cm apart) is formed
-    from both positions halved, exact for normal floats, and k counts the
-    halving."""
-    sx, sy, sz = a.x - b.x, a.y - b.y, a.z - b.z
-    big = max(abs(sx), abs(sy), abs(sz))
-    halved = big == math.inf
-    if halved:
-        sx, sy, sz = 0.5 * a.x - 0.5 * b.x, 0.5 * a.y - 0.5 * b.y, 0.5 * a.z - 0.5 * b.z
+def _scaled_terms(cfg: ChargeConfiguration, target_index: int) -> tuple[int, list[tuple]]:
+    """(near, terms): a term (q, k, x, y, z, r) for each charge but the
+    target, and near, the least k (0 for a lone charge).  A term holds the
+    charge q, its separation from the target (target minus source) times
+    2^-k, whose largest component lies in [0.5, 1), and that separation's
+    length r.  Multiplying by a power of two is exact, so r 2^k is the
+    separation's length to the bit wherever squaring the separation itself
+    neither overflows nor underflows.  A separation that overflows
+    (positions nearly 2^1024 cm apart) is formed from both positions halved,
+    exact for normal floats, and k counts the halving.  The separations are
+    formed on the positions' floats, with no Vec3 per pair."""
+    _check_index(cfg, target_index)
+    target = cfg.charges[target_index].pos
+    tx, ty, tz = target.x, target.y, target.z
+    frexp, ldexp, sqrt = math.frexp, math.ldexp, math.sqrt
+    terms = []
+    near = _NO_SCALE
+    for j, source in enumerate(cfg.charges):
+        if j == target_index:
+            continue
+        pos = source.pos
+        sx, sy, sz = tx - pos.x, ty - pos.y, tz - pos.z
         big = max(abs(sx), abs(sy), abs(sz))
-    k = math.frexp(big)[1]
-    x, y, z = math.ldexp(sx, -k), math.ldexp(sy, -k), math.ldexp(sz, -k)
-    return k + halved, x, y, z, math.sqrt(x * x + y * y + z * z)
+        halved = big == math.inf
+        if halved:
+            sx, sy, sz = 0.5 * tx - 0.5 * pos.x, 0.5 * ty - 0.5 * pos.y, 0.5 * tz - 0.5 * pos.z
+            big = max(abs(sx), abs(sy), abs(sz))
+        k = frexp(big)[1]
+        x, y, z = ldexp(sx, -k), ldexp(sy, -k), ldexp(sz, -k)
+        k += halved
+        if k < near:
+            near = k
+        terms.append((source.q, k, x, y, z, sqrt(x * x + y * y + z * z)))
+    return (near if terms else 0), terms
 
 
 def _times_power_of_two(value: float, n: int) -> float:
@@ -80,42 +102,45 @@ def _times_power_of_two(value: float, n: int) -> float:
 
 def field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
     """Coulomb field at charge i from all the others (statV/cm).  Each term
-    q sep/|sep|^3 is formed on the separation scaled by 2^-k (``_scaled``), so
-    no separation's square or cube overflows.  The terms are summed at the
-    scale 2^-2k of the nearest source (the least k), and the sum is scaled
-    back once, so terms that cancel do so even where each alone would
-    overflow.  Scaling by a power of two commutes with rounding, so a field
-    whose terms neither overflow nor underflow is the plain sum to the bit."""
-    _check_index(cfg, target_index)
-    target = cfg.charges[target_index]
-    terms = []
-    for j, source in enumerate(cfg.charges):
-        if j != target_index:
-            k, x, y, z, dist = _scaled(target.pos, source.pos)
-            scale = source.q / (dist * dist * dist)
-            terms.append((k, scale * x, scale * y, scale * z))
-    near = min((term[0] for term in terms), default=0)  # a lone charge: no terms, no field
+    q sep/|sep|^3 is formed on the separation scaled by 2^-k
+    (``_scaled_terms``), so no separation's square or cube overflows.  The
+    terms are summed at the scale 2^-2k of the nearest source (the least k),
+    and the sum is scaled back once, so terms that cancel do so even where
+    each alone would overflow.  Scaling by a power of two commutes with
+    rounding, so a field whose terms neither overflow nor underflow is the
+    plain sum to the bit."""
+    near, terms = _scaled_terms(cfg, target_index)
+    ldexp = math.ldexp
     ex = ey = ez = 0.0
-    for k, x, y, z in terms:
+    for q, k, x, y, z, dist in terms:
+        scale = q / (dist * dist * dist)
         shift = 2 * (near - k)  # <= 0, so no term overflows
-        ex += math.ldexp(x, shift)
-        ey += math.ldexp(y, shift)
-        ez += math.ldexp(z, shift)
-    return Vec3(*(_times_power_of_two(c, -2 * near) for c in (ex, ey, ez)))
+        ex += ldexp(scale * x, shift)
+        ey += ldexp(scale * y, shift)
+        ez += ldexp(scale * z, shift)
+    back = -2 * near
+    return Vec3(_times_power_of_two(ex, back), _times_power_of_two(ey, back), _times_power_of_two(ez, back))
+
+
+def scaled_potential_at(cfg: ChargeConfiguration, target_index: int) -> tuple[int, float]:
+    """(k, s): the Coulomb potential at charge i from all the others is s 2^-k
+    statV.  Each term q/|sep| is formed on the separation scaled by 2^-k
+    (``_scaled_terms``); the terms are summed at the scale 2^-k of the
+    nearest source (the least k), as ``field_at`` sums its terms, so a
+    potential far below the least normal float keeps its bits in s."""
+    near, terms = _scaled_terms(cfg, target_index)
+    ldexp = math.ldexp
+    total = 0.0
+    for q, k, _, _, _, dist in terms:
+        total += ldexp(q / dist, near - k)  # near - k <= 0, so no term overflows
+    return near, total
 
 
 def potential_at(cfg: ChargeConfiguration, target_index: int) -> float:
-    """Coulomb potential at charge i from all the others (statV), with each
-    distance from the scaled separation (``_scaled``)."""
-    _check_index(cfg, target_index)
-    target = cfg.charges[target_index]
-    total = 0.0
-    for j, source in enumerate(cfg.charges):
-        if j == target_index:
-            continue
-        k, _, _, _, dist = _scaled(target.pos, source.pos)
-        total += _times_power_of_two(source.q / dist, -k)
-    return total
+    """Coulomb potential at charge i from all the others (statV): the sum of
+    ``scaled_potential_at``, scaled back once."""
+    near, total = scaled_potential_at(cfg, target_index)
+    return _times_power_of_two(total, -near)
 
 
 def make_three_charge(d: float, e: float) -> ChargeConfiguration:

@@ -626,9 +626,10 @@ def _point_field_free(params: dict, k: PhysicalConstants):
         }
         for i, (charge, magnitude, residual) in enumerate(zip(cfg.charges, magnitudes, residuals))
     ]
+    electron = verify.potential_residual(fieldfree.scaled_potential_at(cfg, 0), d, e)
     checks = [
         verify.claim_row("field_free_three_charge", verify.three_charge_residual(residuals)),
-        verify.claim_row("potential_at_electron", *verify.potential_residual(rows[0]["potential_statV"], d, e)),
+        verify.claim_row("potential_at_electron", *electron),
         # the corollary (no field at any particle, no phase): stated, not computed
         verify.claim_row("field_free_zero_phase_claim", 0.0, at_most=True),
     ]

@@ -34,10 +34,15 @@ class PhysicalConstants:
     hbar: float
 
     def __post_init__(self):
-        for name in ("e", "c", "hbar"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"constant {name} must be finite and positive, got {value!r}")
+        e, c, hbar, isfinite = self.e, self.c, self.hbar, math.isfinite
+        if not (
+            isinstance(e, (int, float)) and isfinite(e) and e > 0.0
+            and isinstance(c, (int, float)) and isfinite(c) and c > 0.0
+            and isinstance(hbar, (int, float)) and isfinite(hbar) and hbar > 0.0
+        ):
+            for name, value in (("e", e), ("c", c), ("hbar", hbar)):
+                if not (isinstance(value, (int, float)) and isfinite(value) and value > 0.0):
+                    raise ValidationError(f"constant {name} must be finite and positive, got {value!r}")
 
     @property
     def h(self) -> float:

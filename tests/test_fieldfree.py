@@ -1,9 +1,11 @@
 import math
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abclab import (
@@ -18,6 +20,7 @@ from abclab import (
     parse_scenario,
     potential_at,
     run_scenario,
+    verify,
 )
 from abclab.cli import main as cli_main
 
@@ -196,7 +199,10 @@ def test_scaled_separation_keeps_every_bit_of_a_finite_one():
     for _ in range(500):
         a, b = point(), point()
         sep = a - b
-        k, x, y, z, _ = fieldfree._scaled(a, b)
+        # _scaled_terms reads only cfg.charges; a stand-in keeps the pairs
+        # that ChargeConfiguration refuses as closer than MIN_SEPARATION
+        pair = types.SimpleNamespace(charges=(PointCharge(1.0, a), PointCharge(1.0, b)))
+        _, [(_, k, x, y, z, _)] = fieldfree._scaled_terms(pair, 0)
         assert k == math.frexp(max(abs(c) for c in sep.as_tuple()))[1]
         assert (math.ldexp(x, k), math.ldexp(y, k), math.ldexp(z, k)) == sep.as_tuple()
 
@@ -211,3 +217,127 @@ def test_field_free_triple_just_below_the_largest_float(tmp_path):
     out = tmp_path / "report.csv"
     assert cli_main(["run", str(DATA_DIR / "field_free_huge_d.yaml"), "--format", "csv", "--output", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "golden_field_free_huge_d.csv").read_bytes()
+
+
+def test_potential_below_the_least_normal_float_is_judged_at_the_separation_scale(tmp_path):
+    # 8e/d = 8e-311 at d = 1e308, e = 1e-3: each term 4e/d is subnormal, and
+    # summed and judged unscaled the potential read 7.9999999999996e-311,
+    # a FAIL (exit 1); summed and judged at the nearest separation's scale it
+    # reads 8e-311 and PASSes (exit 0)
+    cfg = make_three_charge(1e308, 1e-3)
+    assert potential_at(cfg, 0) == 8e-311
+    out = tmp_path / "report.csv"
+    doc = DATA_DIR / "field_free_subnormal_potential.yaml"
+    assert cli_main(["run", str(doc), "--format", "csv", "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "golden_field_free_subnormal_potential.csv").read_bytes()
+    # a potential one subnormal spacing from 8e/d as that quotient rounds
+    # (a FAIL at 1.02e-14 when judged unscaled) agrees with 8e/m at the
+    # separation's scale
+    d, e = 1.66807032058591e308, 1e-2
+    residual, expected, potential = verify.potential_residual(
+        fieldfree.scaled_potential_at(make_three_charge(d, e), 0), d, e
+    )
+    assert residual == 0.0 and potential - expected == 5e-324
+    # the electron's potential passes over the top decades of d, where 8e/d
+    # at e = 1e-3 falls through the subnormal range
+    for d in np.geomspace(1e300, 1.7e308, 200).tolist():
+        for e in (1e-3, 1.0, 1e3):
+            scaled = fieldfree.scaled_potential_at(make_three_charge(d, e), 0)
+            assert verify.potential_residual(scaled, d, e)[0] < verify.TOLERANCES["potential_at_electron"], (d, e)
+
+
+# fieldfree's separations, fields and potentials as they were formed before
+# field_at and potential_at read the positions' floats in one pass: the
+# reference that the float routes must equal to the bit
+
+
+def _reference_scaled(a: Vec3, b: Vec3) -> tuple[int, float, float, float, float]:
+    sx, sy, sz = a.x - b.x, a.y - b.y, a.z - b.z
+    big = max(abs(sx), abs(sy), abs(sz))
+    halved = big == math.inf
+    if halved:
+        sx, sy, sz = 0.5 * a.x - 0.5 * b.x, 0.5 * a.y - 0.5 * b.y, 0.5 * a.z - 0.5 * b.z
+        big = max(abs(sx), abs(sy), abs(sz))
+    k = math.frexp(big)[1]
+    x, y, z = math.ldexp(sx, -k), math.ldexp(sy, -k), math.ldexp(sz, -k)
+    return k + halved, x, y, z, math.sqrt(x * x + y * y + z * z)
+
+
+def _reference_field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
+    target = cfg.charges[target_index]
+    terms = []
+    for j, source in enumerate(cfg.charges):
+        if j != target_index:
+            k, x, y, z, dist = _reference_scaled(target.pos, source.pos)
+            scale = source.q / (dist * dist * dist)
+            terms.append((k, scale * x, scale * y, scale * z))
+    near = min((term[0] for term in terms), default=0)
+    ex = ey = ez = 0.0
+    for k, x, y, z in terms:
+        shift = 2 * (near - k)
+        ex += math.ldexp(x, shift)
+        ey += math.ldexp(y, shift)
+        ez += math.ldexp(z, shift)
+    return Vec3(*(fieldfree._times_power_of_two(c, -2 * near) for c in (ex, ey, ez)))
+
+
+def _reference_potential_at(cfg: ChargeConfiguration, target_index: int) -> tuple[float, bool]:
+    """(potential, normal): the potential summed term by term at full scale,
+    and whether every term and partial sum is 0 or a normal float both at
+    full scale and at the nearest source's scale, where potential_at sums.
+    Where one is not, each rounds on its own grid and the two may differ."""
+    target = cfg.charges[target_index]
+    terms = []
+    for j, source in enumerate(cfg.charges):
+        if j != target_index:
+            k, _, _, _, dist = _reference_scaled(target.pos, source.pos)
+            terms.append((k, source.q / dist))
+    near = min(k for k, _ in terms)
+    total = scaled_total = 0.0
+    values = []
+    for k, term in terms:
+        unscaled, scaled = fieldfree._times_power_of_two(term, -k), math.ldexp(term, near - k)
+        total += unscaled
+        scaled_total += scaled
+        values += [(term, unscaled), (term, scaled), (total, total), (scaled_total, scaled_total)]
+    normal = all(value == 0.0 if exact == 0.0 else abs(value) >= sys.float_info.min for exact, value in values)
+    return total, normal
+
+
+_magnitude = st.floats(min_value=1e-300, max_value=1e300) | st.floats(min_value=8e307, max_value=1.7e308) | st.just(0.0)
+_coordinate = st.builds(lambda sign, magnitude: sign * magnitude, st.sampled_from([-1.0, 1.0]), _magnitude)
+_charge = st.builds(
+    lambda sign, q, x, y, z: PointCharge(sign * q, Vec3(x, y, z)),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(min_value=1e-3, max_value=1e3),
+    _coordinate,
+    _coordinate,
+    _coordinate,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_charge, min_size=2, max_size=5))
+@example([PointCharge(q, Vec3(x, 0.0, 0.0)) for q, x in ((4.0, 1.5e308), (-1.0, 0.0), (4.0, -1.5e308))])
+@example([PointCharge(1.0, Vec3(1e-300, 2e300, 0.0)), PointCharge(-2.0, Vec3(-1e300, 0.0, 3e-300))])
+def test_float_fields_and_potentials_equal_the_vec3_reference(charges):
+    # one pass over the positions' floats forms every separation as the
+    # reference does, the halved route of separations past the largest float
+    # included, so each field keeps every bit; each potential does too
+    # wherever no term or partial sum leaves the normal floats.  The pair
+    # check refuses the configurations that Vec3.norm finds too close.
+    too_close = any(
+        (a.pos - b.pos).norm() <= fieldfree.MIN_SEPARATION for i, a in enumerate(charges) for b in charges[i + 1 :]
+    )
+    try:
+        cfg = ChargeConfiguration(tuple(charges))
+    except ValidationError:
+        assert too_close
+        assume(False)
+    assert not too_close
+    for i in range(len(cfg)):
+        field, reference_field = field_at(cfg, i), _reference_field_at(cfg, i)
+        assert [c.hex() for c in field.as_tuple()] == [c.hex() for c in reference_field.as_tuple()]
+        reference, normal = _reference_potential_at(cfg, i)
+        if normal:
+            assert potential_at(cfg, i).hex() == reference.hex()

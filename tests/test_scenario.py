@@ -864,6 +864,14 @@ def test_golden_verify_report_matches_stored_file(fmt, verify_seed42):
     assert produced.encode() == (DATA_DIR / f"golden_verify_seed42.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [1, 7, 123456])
+def test_golden_verify_reports_at_more_seeds_match_stored_files(seed):
+    # seeds 1, 7 and 123456, as the shipped code wrote them, in both formats
+    report = run_verify_suite(seed)
+    for fmt, render in (("json", render_json), ("csv", render_csv)):
+        assert render(report).encode() == (DATA_DIR / f"golden_verify_seed{seed}.{fmt}").read_bytes(), fmt
+
+
 def test_verify_rows_are_built_by_the_module_check_row(monkeypatch):
     # Per-check timing wraps verify.CheckRow: a check ends when it builds its
     # row, so every row must be built by one call of that module name.

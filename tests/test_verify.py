@@ -1,6 +1,8 @@
 import functools
 import math
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -118,6 +120,62 @@ def test_full_law_row_fails_a_full_law_off_by_1e_6_in_its_256_steps(monkeypatch)
     monkeypatch.setattr(boyer, "step_trajectory", counted)
     verify._full_law_speed(np.random.default_rng(42))
     assert len(calls) == 256
+
+
+def test_full_law_bounce_row_reads_a_broken_full_law_at_either_step(monkeypatch):
+    # the full-law bounce flies 10 legs of 24 steps of 1/32 s; its kinetic
+    # energy drift integrates a broken cancellation along the path, so a full
+    # law off by 1e-5 of the naive acceleration FAILs and reads at 1/32 s what
+    # it reads at 1/256 s, and the unit law reads 0.0
+    callers, step = Counter(), boyer.step_trajectory
+
+    def counted(*args):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return step(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(boyer, "step_trajectory", counted)
+        [row] = verify._full_law_bounce(None)
+    assert row.passed and row.actual == 0.0
+    # one advance step and one Simpson midpoint per step, and every leg lands
+    # on a step boundary, so no landing iterate
+    assert callers == {"simulate_bounce_experiment": 240, "_work_over_substep": 240}
+    law = boyer.acceleration_law
+
+    def off_by_1e_5(lc, n, name, k):
+        accel = law(lc, n, name, k)
+        if name != boyer.FULL_LAW:
+            return accel
+        naive = law(lc, n, boyer.NAIVE_LAW, k)
+
+        def broken(x, y, vx, vy):
+            (ax, ay), (fx, fy) = accel(x, y, vx, vy), naive(x, y, vx, vy)
+            return ax + 1e-5 * fx, ay + 1e-5 * fy
+
+        return broken
+
+    monkeypatch.setattr(boyer, "acceleration_law", off_by_1e_5)
+    [coarse] = [c for c in run_verify_suite(42).checks if c.name == "energy_conserved_full_law"]
+    [fine] = verify.bounce_checks(verify._bounce(boyer.FULL_LAW, 1.0 / 256.0))
+    assert not coarse.passed and not fine.passed
+    assert coarse.actual == pytest.approx(1.459461e-6, rel=1e-6)
+    assert coarse.actual == pytest.approx(fine.actual, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_log_uniforms_are_log_uniform_draws_bit_for_bit(seed):
+    # one list draw gives the doubles that n _log_uniform calls give, in
+    # order, and leaves the generator where they leave it; from a block too
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for n in [0, 1, 2, 3, 5, 10, 2]:
+        drawn = [x.hex() for x in verify._log_uniforms(ours, n)]
+        assert drawn == [verify._log_uniform(theirs, 1e-3, 1e3).hex() for _ in range(n)]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    doubles = np.random.default_rng(seed).random(30).tolist()
+    ours, theirs = verify._Block(doubles), verify._Block(doubles)
+    drawn = [x.hex() for n in (3, 5, 2, 10) for x in verify._log_uniforms(ours, n)]
+    assert drawn == [verify._log_uniform(theirs, 1e-3, 1e3).hex() for _ in range(20)]
+    assert list(ours.doubles) == list(theirs.doubles)
 
 
 def test_field_residual_never_squares_d():
