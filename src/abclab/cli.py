@@ -61,6 +61,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
+            if args.seed < 0:
+                raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
             report = run_verify_suite(args.seed)
             fmt = args.format or "json"
             path = args.output

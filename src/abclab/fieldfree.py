@@ -4,8 +4,9 @@ The canonical example puts an electron of charge -e at the origin and two
 charges +4e at +-d on a straight line: the field from any two particles
 cancels at the third (4e/(2d)^2 balances e/d^2), while the potential at the
 electron stays at a healthy 8e/d.  This module only computes fields and
-potentials; the catalogue rows ``field_free_three_charge`` and
-``potential_at_electron`` in ``verify`` judge the claim.
+potentials, both at once (``coulomb_at``); the catalogue rows
+``field_free_three_charge`` and ``potential_at_electron`` in ``verify`` judge
+the claim.
 """
 
 from __future__ import annotations
@@ -56,27 +57,31 @@ def _check_index(cfg: ChargeConfiguration, target_index: int):
         raise DomainError(f"target_index {target_index!r} out of range for {len(cfg.charges)} charges")
 
 
-def _scaled_terms(cfg: ChargeConfiguration, target_index: int) -> tuple[int, list[tuple]]:
-    """(near, terms): a term (q, k, x, y, z, r) for each charge but the
-    target, and near, the least k (0 for a lone charge).  A term holds the
-    charge q, its separation from the target (target minus source) times
-    2^-k, whose largest component lies in [0.5, 1), and that separation's
-    length r.  Multiplying by a power of two is exact, so r 2^k is the
-    separation's length to the bit wherever squaring the separation itself
-    neither overflows nor underflows.  A separation that overflows
-    (positions nearly 2^1024 cm apart) is formed from both positions halved,
-    exact for normal floats, and k counts the halving.  The separations are
-    formed on the positions' floats, with no Vec3 per pair."""
+def _scaled_terms(cfg: ChargeConfiguration, target_index: int) -> tuple[int, int, list[tuple]]:
+    """(near, c, terms): a term (q, k, x, y, z, r) for each charge but the
+    target, near, the least k (0 for a lone charge), and c, 0 unless the
+    largest |q| lies outside 2^-1000..2^1000, where q 2^-c brings it to the
+    edge: that leaves room for 2^21 field terms of up to 4|q| each, and
+    keeps the nearest source's terms 19 bits above the least normal float.
+    A term holds the charge q, its separation from the target (target
+    minus source) times 2^-k, whose largest component lies in [0.5, 1), and
+    that separation's length r.  Multiplying by a power of two is exact, so
+    r 2^k is the separation's length to the bit wherever squaring the
+    separation itself neither overflows nor underflows.  A separation that
+    overflows (positions nearly 2^1024 cm apart) is formed from both
+    positions halved, exact for normal floats, and k counts the halving.
+    The separations are formed on the positions' floats, with no Vec3 per
+    pair."""
     _check_index(cfg, target_index)
     target = cfg.charges[target_index].pos
     tx, ty, tz = target.x, target.y, target.z
     frexp, ldexp, sqrt = math.frexp, math.ldexp, math.sqrt
     terms = []
-    near = _NO_SCALE
+    near, top = _NO_SCALE, 0.0
     for j, source in enumerate(cfg.charges):
         if j == target_index:
             continue
-        pos = source.pos
+        pos, q = source.pos, source.q
         sx, sy, sz = tx - pos.x, ty - pos.y, tz - pos.z
         big = max(abs(sx), abs(sy), abs(sz))
         halved = big == math.inf
@@ -88,8 +93,11 @@ def _scaled_terms(cfg: ChargeConfiguration, target_index: int) -> tuple[int, lis
         k += halved
         if k < near:
             near = k
-        terms.append((source.q, k, x, y, z, sqrt(x * x + y * y + z * z)))
-    return (near if terms else 0), terms
+        if abs(q) > top:
+            top = abs(q)
+        terms.append((q, k, x, y, z, sqrt(x * x + y * y + z * z)))
+    e = frexp(top)[1]
+    return (near if terms else 0), e - min(max(e, -1000), 1000), terms
 
 
 def _times_power_of_two(value: float, n: int) -> float:
@@ -100,47 +108,41 @@ def _times_power_of_two(value: float, n: int) -> float:
         return math.copysign(math.inf, value)
 
 
-def field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
-    """Coulomb field at charge i from all the others (statV/cm).  Each term
-    q sep/|sep|^3 is formed on the separation scaled by 2^-k
-    (``_scaled_terms``), so no separation's square or cube overflows.  The
-    terms are summed at the scale 2^-2k of the nearest source (the least k),
-    and the sum is scaled back once, so terms that cancel do so even where
-    each alone would overflow.  Scaling by a power of two commutes with
-    rounding, so a field whose terms neither overflow nor underflow is the
-    plain sum to the bit."""
-    near, terms = _scaled_terms(cfg, target_index)
+def coulomb_at(cfg: ChargeConfiguration, target_index: int) -> tuple[Vec3, int, float]:
+    """(field, k, s): the Coulomb field at charge i from all the others
+    (statV/cm) and their potential s 2^-k statV, from one ``_scaled_terms``
+    pass.  Each term, q sep/|sep|^3 or q/|sep|, is formed on the separation
+    times 2^-k and the charge times 2^-c, so none overflows.  The terms are
+    summed at the scale of the nearest source (the least k) and the field is
+    scaled back once, so terms that cancel do so even where each alone would
+    overflow, and a potential far below the least normal float keeps its
+    bits in s.  Scaling by a power of two commutes with rounding, so a sum
+    whose terms neither overflow nor underflow is the plain one to the bit."""
+    near, c, terms = _scaled_terms(cfg, target_index)
     ldexp = math.ldexp
-    ex = ey = ez = 0.0
+    ex = ey = ez = total = 0.0
     for q, k, x, y, z, dist in terms:
+        q = ldexp(q, -c)
+        shift = near - k  # <= 0, so no term overflows
         scale = q / (dist * dist * dist)
-        shift = 2 * (near - k)  # <= 0, so no term overflows
-        ex += ldexp(scale * x, shift)
-        ey += ldexp(scale * y, shift)
-        ez += ldexp(scale * z, shift)
-    back = -2 * near
-    return Vec3(_times_power_of_two(ex, back), _times_power_of_two(ey, back), _times_power_of_two(ez, back))
+        ex += ldexp(scale * x, 2 * shift)
+        ey += ldexp(scale * y, 2 * shift)
+        ez += ldexp(scale * z, 2 * shift)
+        total += ldexp(q / dist, shift)
+    back = c - 2 * near
+    field = Vec3(_times_power_of_two(ex, back), _times_power_of_two(ey, back), _times_power_of_two(ez, back))
+    return field, near - c, total
 
 
-def scaled_potential_at(cfg: ChargeConfiguration, target_index: int) -> tuple[int, float]:
-    """(k, s): the Coulomb potential at charge i from all the others is s 2^-k
-    statV.  Each term q/|sep| is formed on the separation scaled by 2^-k
-    (``_scaled_terms``); the terms are summed at the scale 2^-k of the
-    nearest source (the least k), as ``field_at`` sums its terms, so a
-    potential far below the least normal float keeps its bits in s."""
-    near, terms = _scaled_terms(cfg, target_index)
-    ldexp = math.ldexp
-    total = 0.0
-    for q, k, _, _, _, dist in terms:
-        total += ldexp(q / dist, near - k)  # near - k <= 0, so no term overflows
-    return near, total
+def field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
+    """Coulomb field at charge i from all the others (statV/cm)."""
+    return coulomb_at(cfg, target_index)[0]
 
 
 def potential_at(cfg: ChargeConfiguration, target_index: int) -> float:
-    """Coulomb potential at charge i from all the others (statV): the sum of
-    ``scaled_potential_at``, scaled back once."""
-    near, total = scaled_potential_at(cfg, target_index)
-    return _times_power_of_two(total, -near)
+    """Coulomb potential at charge i from all the others (statV)."""
+    _, k, s = coulomb_at(cfg, target_index)
+    return _times_power_of_two(s, -k)
 
 
 def make_three_charge(d: float, e: float) -> ChargeConfiguration:

@@ -39,6 +39,7 @@ import sys
 from dataclasses import dataclass
 
 import yaml
+from yaml.composer import Composer
 
 from . import boyer, fieldfree, interferometry, solenoid, verify
 from .errors import AbclabError, DomainError, ScenarioParseError, ValidationError
@@ -431,15 +432,42 @@ def _check_sweep_span(sweep: SweepSpec):
         raise ValidationError(f"sweep: the span to - from of a linear sweep overflows over {sweep.steps} points")
 
 
-class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader on libyaml's C parser, or on PyYAML's pure-Python one
-    when PyYAML was built without libyaml; both build the same objects.  It
-    also reads YAML 1.2 exponent floats such as ``5e-2`` and ``3.0e6``, which
-    YAML 1.1 resolves to strings (it needs a dot and a signed exponent).
+# Sequences and mappings a document may nest; the deepest legal one has 5
+# levels: root, params, loop, vertices_cm, vertex.
+MAX_NESTING = 32
 
-    libyaml composes nested nodes by C recursion, which Python's recursion
-    limit does not bound, so ``parse_scenario`` refuses a document nested
-    deeper than ``MAX_NESTING`` from its events before it loads it."""
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # SafeLoader has the Composer already
+
+
+class _ScenarioLoader(*(() if issubclass(_SAFE_LOADER, Composer) else (Composer,)), _SAFE_LOADER):
+    """The safe loader on libyaml's C parser, or on PyYAML's pure-Python one
+    when PyYAML was built without libyaml, with PyYAML's pure-Python composer
+    on both: they build the same objects and name undefined aliases and
+    duplicate anchors.  It reads YAML 1.2 exponent floats such as ``5e-2``,
+    which YAML 1.1 resolves to strings (it needs a dot and a signed exponent).
+    The composer refuses a document at its first sequence or mapping deeper
+    than ``MAX_NESTING``, before the parser reads on: libyaml's own composer
+    recurses in C, past Python's recursion limit, and scans a deep flow in
+    quadratic time."""
+
+    def __init__(self, stream):
+        _SAFE_LOADER.__init__(self, stream)
+        Composer.__init__(self)  # CSafeLoader's __init__ does not run it
+        self.depth = 0
+
+    def _nested(self, compose, anchor):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ScenarioParseError(f"scenario document nests deeper than {MAX_NESTING} levels")
+        node = compose(anchor)
+        self.depth -= 1
+        return node
+
+    def compose_sequence_node(self, anchor):
+        return self._nested(super().compose_sequence_node, anchor)
+
+    def compose_mapping_node(self, anchor):
+        return self._nested(super().compose_mapping_node, anchor)
 
 
 _ScenarioLoader.add_implicit_resolver(
@@ -448,43 +476,16 @@ _ScenarioLoader.add_implicit_resolver(
     list("-+.0123456789"),
 )
 
-# Sequences and mappings a document may nest; the deepest legal one has 5
-# levels: root, params, loop, vertices_cm, vertex.
-MAX_NESTING = 32
-
-
-# An alias token; both PyYAML scanners take anchor names of letters, digits, '-' and '_'.
-_ALIAS = re.compile(r"\*([0-9A-Za-z_-]+)")
-
-
-def _check_nesting(text: str):
-    """Refuse at its first event past MAX_NESTING a document that nests too
-    deep; the walk stops there, since libyaml's scan is quadratic in flow depth."""
-    depth = 0
-    for event in yaml.parse(text, Loader=_ScenarioLoader):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ScenarioParseError(f"scenario document nests deeper than {MAX_NESTING} levels")
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
-
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; returns the normalized Scenario."""
     try:
-        _check_nesting(text)
         doc = yaml.load(text, Loader=_ScenarioLoader)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: a scalar the loader cannot build, such as an integer
         # past Python's digit limit or an impossible date
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        if getattr(exc, "problem", None) == "found undefined alias":
-            # libyaml leaves the alias's name out, and its index skips a BOM
-            alias = _ALIAS.match(text, mark.index + text.startswith("\ufeff"))
-            if alias:
-                exc.problem += f" {alias.group(1)!r}"
         raise ScenarioParseError(f"malformed scenario document{where}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")
@@ -504,7 +505,11 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+        try:
+            text = handle.read()  # decoded in one piece, so exc.start counts from the first byte
+        except UnicodeDecodeError as exc:
+            raise ScenarioParseError(f"scenario document is not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +616,8 @@ def _point_ac_phase(params: dict, k: PhysicalConstants):
 def _point_field_free(params: dict, k: PhysicalConstants):
     d, e = params["d_cm"], params["e_statC"]
     cfg = fieldfree.make_three_charge(d, e)
-    magnitudes = [fieldfree.field_at(cfg, i).norm() for i in range(len(cfg))]
+    sums = [fieldfree.coulomb_at(cfg, i) for i in range(len(cfg))]
+    magnitudes = [field.norm() for field, _, _ in sums]
     residuals = [verify.field_residual(magnitude, d, e) for magnitude in magnitudes]
     rows = [
         {
@@ -622,11 +628,11 @@ def _point_field_free(params: dict, k: PhysicalConstants):
             "z_cm": charge.pos.z,
             "field_statV_per_cm": magnitude,
             "field_residual": residual,
-            "potential_statV": fieldfree.potential_at(cfg, i),
+            "potential_statV": fieldfree._times_power_of_two(s, -power),
         }
-        for i, (charge, magnitude, residual) in enumerate(zip(cfg.charges, magnitudes, residuals))
+        for i, (charge, magnitude, residual, (_, power, s)) in enumerate(zip(cfg.charges, magnitudes, residuals, sums))
     ]
-    electron = verify.potential_residual(fieldfree.scaled_potential_at(cfg, 0), d, e)
+    electron = verify.potential_residual(sums[0][1:], d, e)
     checks = [
         verify.claim_row("field_free_three_charge", verify.three_charge_residual(residuals)),
         verify.claim_row("potential_at_electron", *electron),

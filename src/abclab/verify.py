@@ -202,20 +202,20 @@ def three_charge_residual(field_residuals) -> float:
 
 def potential_residual(scaled: tuple[int, float], d: float, e: float) -> tuple[float, float, float]:
     """(residual, 8e/d, potential) of the electron's potential (charge 0 of
-    the triple), given as ``fieldfree.scaled_potential_at``'s (k, s), against
-    8e/d, in the argument order of ``claim_row``.  With d = m 2^j, m in
-    [0.5, 1), the residual compares s 2^(j-k) with 8e/m, so it is judged at
-    the scale of the nearest separation: equal to the bit to
+    the triple), given as ``fieldfree.coulomb_at``'s (k, s), against 8e/d
+    (formed as e/(d/8): d/8 is exact, and 8e cannot overflow), in the order
+    of ``claim_row``.  With d = m 2^j and e = n 2^i, m and n in [0.5, 1), the
+    residual compares s 2^(j-i-k) with 8n/m: equal to the bit to
     |potential/(8e/d) - 1| wherever neither underflows, and as sharp where
     8e/d has only a few bits below the least normal float.  Where the
     potential or 8e/d overflows, it is |potential/(8e/d) - 1|, at least 1 or
     NaN, so the claim FAILs."""
     k, s = scaled
-    potential, expected = fieldfree._times_power_of_two(s, -k), 8.0 * e / d
+    potential, expected = fieldfree._times_power_of_two(s, -k), e / (0.125 * d)
     if not (math.isfinite(potential) and math.isfinite(expected)):
         return _relative(potential, expected), expected, potential
-    m, j = math.frexp(d)
-    return _relative(fieldfree._times_power_of_two(s, j - k), 8.0 * e / m), expected, potential
+    (m, j), (n, i) = math.frexp(d), math.frexp(e)
+    return _relative(fieldfree._times_power_of_two(s, j - i - k), 8.0 * n / m), expected, potential
 
 
 def bounce_checks(result: boyer.BounceResult) -> list[CheckRow]:
@@ -714,7 +714,7 @@ def _three_charge(rng) -> float:
 @_claim("potential_at_electron", 100, uniforms=2)
 def _three_charge_potential(rng) -> float:
     cfg, d, e = _random_triple(rng)
-    return potential_residual(fieldfree.scaled_potential_at(cfg, 0), d, e)[0]
+    return potential_residual(fieldfree.coulomb_at(cfg, 0)[1:], d, e)[0]
 
 
 def _random_configuration(rng, count: int) -> fieldfree.ChargeConfiguration:

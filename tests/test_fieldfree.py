@@ -202,7 +202,7 @@ def test_scaled_separation_keeps_every_bit_of_a_finite_one():
         # _scaled_terms reads only cfg.charges; a stand-in keeps the pairs
         # that ChargeConfiguration refuses as closer than MIN_SEPARATION
         pair = types.SimpleNamespace(charges=(PointCharge(1.0, a), PointCharge(1.0, b)))
-        _, [(_, k, x, y, z, _)] = fieldfree._scaled_terms(pair, 0)
+        _, _, [(_, k, x, y, z, _)] = fieldfree._scaled_terms(pair, 0)
         assert k == math.frexp(max(abs(c) for c in sep.as_tuple()))[1]
         assert (math.ldexp(x, k), math.ldexp(y, k), math.ldexp(z, k)) == sep.as_tuple()
 
@@ -217,6 +217,38 @@ def test_field_free_triple_just_below_the_largest_float(tmp_path):
     out = tmp_path / "report.csv"
     assert cli_main(["run", str(DATA_DIR / "field_free_huge_d.yaml"), "--format", "csv", "--output", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / "golden_field_free_huge_d.csv").read_bytes()
+
+
+def test_field_free_triple_with_charges_near_the_largest_float(tmp_path):
+    # the side charges carry 4e = 8e307 statC: summed at full scale each
+    # potential term 4e/d overflowed and the field's terms turned NaN, and
+    # 8e/m = 3.2e308 overflowed where 8e/d = 1.6e308 is finite; the run
+    # exited 1.  The sums put the charges below 2^1000 statC.
+    cfg = make_three_charge(1.0, 2e307)
+    for i in range(3):
+        assert field_at(cfg, i) == Vec3(0.0, 0.0, 0.0)
+    assert [potential_at(cfg, i) for i in range(3)] == [1.6e308, 2e307, 2e307]
+    residual, expected, potential = verify.potential_residual(fieldfree.coulomb_at(cfg, 0)[1:], 1.0, 2e307)
+    assert (residual, expected, potential) == (0.0, 1.6e308, 1.6e308)
+    out = tmp_path / "report.csv"
+    assert cli_main(["run", str(DATA_DIR / "field_free_huge_e.yaml"), "--format", "csv", "--output", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / "golden_field_free_huge_e.csv").read_bytes()
+
+
+def test_field_free_point_makes_one_coulomb_pass_per_charge(monkeypatch):
+    # each charge's field and potential come from one pass of _scaled_terms;
+    # the point made 7 passes: field_at and potential_at at each charge and
+    # the electron's scaled potential once more
+    passes = []
+    scaled_terms = fieldfree._scaled_terms
+
+    def counted(cfg, target_index):
+        passes.append(target_index)
+        return scaled_terms(cfg, target_index)
+
+    monkeypatch.setattr(fieldfree, "_scaled_terms", counted)
+    run_scenario(parse_scenario("kind: field-free\nunits: scaled-unity\nparams: {d_cm: 1.0, e_statC: 1.0}\n"))
+    assert passes == [0, 1, 2]
 
 
 def test_potential_below_the_least_normal_float_is_judged_at_the_separation_scale(tmp_path):
@@ -234,15 +266,13 @@ def test_potential_below_the_least_normal_float_is_judged_at_the_separation_scal
     # (a FAIL at 1.02e-14 when judged unscaled) agrees with 8e/m at the
     # separation's scale
     d, e = 1.66807032058591e308, 1e-2
-    residual, expected, potential = verify.potential_residual(
-        fieldfree.scaled_potential_at(make_three_charge(d, e), 0), d, e
-    )
+    residual, expected, potential = verify.potential_residual(fieldfree.coulomb_at(make_three_charge(d, e), 0)[1:], d, e)
     assert residual == 0.0 and potential - expected == 5e-324
     # the electron's potential passes over the top decades of d, where 8e/d
     # at e = 1e-3 falls through the subnormal range
     for d in np.geomspace(1e300, 1.7e308, 200).tolist():
         for e in (1e-3, 1.0, 1e3):
-            scaled = fieldfree.scaled_potential_at(make_three_charge(d, e), 0)
+            scaled = fieldfree.coulomb_at(make_three_charge(d, e), 0)[1:]
             assert verify.potential_residual(scaled, d, e)[0] < verify.TOLERANCES["potential_at_electron"], (d, e)
 
 

@@ -99,6 +99,36 @@ def test_parse_refuses_deep_nesting(tmp_path, depth):
     assert cli_main(["run", str(path)]) == 2
 
 
+def test_fallback_loader_refuses_deep_nesting():
+    # the pure-Python parser, which the loader uses when PyYAML lacks
+    # libyaml, is refused at the same level by the same composer
+    src = Path(abclab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = """
+import time, yaml
+del yaml.CSafeLoader
+from abclab import ScenarioParseError, parse_scenario, scenario
+assert issubclass(scenario._ScenarioLoader, yaml.SafeLoader)
+text = "x: " + "[" * 100_000 + "]" * 100_000 + "\\n"
+start = time.perf_counter()
+try:
+    parse_scenario(text)
+except ScenarioParseError as exc:
+    print(exc, time.perf_counter() - start < 1.0)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "scenario document nests deeper than 32 levels True\n"
+
+
+def test_parse_makes_one_pass_over_the_events(monkeypatch):
+    # the loader's composer counts the nesting; no separate walk of the events
+    def refuse(*args, **kwargs):
+        raise AssertionError("yaml.parse called")
+
+    monkeypatch.setattr(yaml, "parse", refuse)
+    assert parse_scenario(AB_UNIT_DOC).kind == "ab-solenoid"
+
+
 def test_nesting_limit_admits_32_levels():
     # the root mapping is level 1; past the guard the schema judges the document
     with pytest.raises(ValidationError):
@@ -160,11 +190,13 @@ def test_scenario_loader_matches_the_python_safe_loader():
     [
         ("kind: *nope\n", "at line 1, column 7: found undefined alias 'nope'"),
         ("\ufeffkind: mzi\nparams: {phase_rad: [1, *x2_y]}\n", "at line 2, column 25: found undefined alias 'x2_y'"),
+        ("a: &x 1\nb: &x 2\n", "at line 2, column 4: found duplicate anchor 'x'; first occurrence"),
     ],
-    ids=["plain", "bom-flow"],
+    ids=["plain", "bom-flow", "duplicate-anchor"],
 )
 def test_undefined_alias_is_named_on_both_loaders(monkeypatch, text, message):
-    # libyaml's message leaves the name out; parse_scenario adds it back
+    # libyaml's own composer leaves the name out; the Python composer, which
+    # builds the nodes on both loaders, names it
     def first_line():
         with pytest.raises(ScenarioParseError) as caught:
             parse_scenario(text)
@@ -1151,6 +1183,26 @@ def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("kind: [unclosed")
     assert cli_main(["run", str(bad)]) == 2
+
+
+def test_cli_document_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # it ended in a UnicodeDecodeError traceback with exit 1; the offset
+    # counts from the file's first byte, past a first read's 8 KiB
+    bad = tmp_path / "latin1.yaml"
+    text = AB_UNIT_DOC + "# " + "x" * 9000 + "\n"
+    bad.write_bytes(text.encode() + b"# caf\xe9\n")
+    offset = len(text.encode()) + 5
+    message = f"scenario document is not UTF-8 at byte {offset}: invalid continuation byte"
+    with pytest.raises(ScenarioParseError, match=f"^{message}$"):
+        load_scenario(str(bad))
+    assert cli_main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_verify_negative_seed_exits_2(capsys):
+    # numpy's generator refused it with a ValueError traceback and exit 1
+    assert cli_main(["verify", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
 
 
 def test_cli_bounce_over_step_budget_exits_3(tmp_path, monkeypatch, capsys):
