@@ -195,6 +195,7 @@ def _vertices(raw, path: str) -> list:
 
 
 _LINE = (_required(lambda_statC_per_cm=float), REQUIRED)
+_MAX_CHARGE_UNIT = sys.float_info.max / 4.0  # the field-free triple holds 4e, which must be a finite float
 _LOOP_KINDS = ("circle", "polyline")
 
 _PARAMS = {
@@ -240,7 +241,7 @@ _PARAMS = {
     },
     KIND_FIELD_FREE: _required(
         d_cm=_bounded(lambda v: v > fieldfree.MIN_SEPARATION, f"exceed {fieldfree.MIN_SEPARATION:g}"),
-        e_statC=_positive,
+        e_statC=_bounded(lambda v: 0.0 < v <= _MAX_CHARGE_UNIT, f"lie in (0, {_MAX_CHARGE_UNIT!r}]"),
     ),
 }
 

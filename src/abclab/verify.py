@@ -11,36 +11,24 @@ NaN fails; every check row, of verify and of the scenarios, is a claim row.
 A worst-of-N, over a check's draws, a draw's parts or a sweep's points, keeps
 the worst residual by ``worse``, under which NaN is worse than any number.
 
-Every uniform draw is ``_uniform(rng, lo, hi) = lo + (hi - lo) * rng.random()``.
-numpy's ``Generator.uniform(lo, hi)`` computes ``lo + (hi - lo) * d`` from the
-same next double ``d`` that ``random()`` returns, so each draw and the stream
-position after it are bit-identical to ``float(rng.uniform(lo, hi))`` at about
-a third of the cost; ``tests/test_verify.py`` pins that by ``float.hex``.
-
-A claim whose every draw reads a fixed count of uniforms, and nothing else
-from the generator, declares that count to ``_claim``.  Its check then takes
-all of its doubles in one ``rng.random(size)`` call, a *block*: numpy returns
-the doubles that as many ``random()`` calls would, in the same order, and
-leaves the generator in the same state.  Each draw reads its own doubles from
-the block through the same ``random()`` interface, so the draws, and every
-check after them, keep their bits; ``tests/test_verify.py`` pins that for
-every block claim.
+The draws come from the standard library's ``random.Random(seed)``, the
+Mersenne Twister, whose ``random()`` sequence for a given seed Python promises
+to keep from version to version ("Notes on Reproducibility" in the ``random``
+docs), so a seed gives the same report on any Python and needs no numpy or
+BLAS.  Every uniform draw is ``_uniform(rng, lo, hi) = lo + (hi - lo) *
+rng.random()``, which is ``rng.uniform(lo, hi)`` to the bit.  A pure-Python
+PCG64, numpy's default stream, would cost about ten times as much per double.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import math
-from typing import TYPE_CHECKING
+import random
 
 from . import boyer, fieldfree, interferometry, solenoid
-from .errors import ConsistencyError
 from .units import GAUSSIAN_CGS, SCALED_UNITY, PhysicalConstants, Vec3, make_constants
-
-if TYPE_CHECKING:
-    import numpy as np  # imported where used, so that `abclab run` starts without it
 
 SCHEMA_VERSION = 1
 
@@ -259,37 +247,12 @@ def _check(check):
     return check
 
 
-def _claim(name: str, draws: int, expected: object = 0.0, uniforms: int | None = None):
+def _claim(name: str, draws: int, expected: object = 0.0):
     """Register ``residual(rng)``, the residual of one random draw, as the
-    check ``name``: the worst residual over ``draws`` draws.
-
-    ``uniforms`` declares that each draw reads exactly that many doubles by
-    ``rng.random()`` and nothing else from the generator.  The check then
-    takes the draws' doubles as one ``_Block`` and passes it to ``residual``
-    in place of the generator (see the module docstring).  A draw that reads
-    more or fewer raises ConsistencyError naming the claim, at that draw:
-    a miscount would otherwise shift every later draw, and every later
-    check, without a sign."""
+    check ``name``: the worst residual over ``draws`` draws."""
 
     def register(residual):
-        def check(rng) -> CheckRow:
-            if uniforms is None:
-                return claim_row(name, _worst(residual(rng) for _ in range(draws)), expected)
-            block = _Block(rng.random(draws * uniforms).tolist())
-            residuals = []
-            for left in range(draws * uniforms, 0, -uniforms):
-                try:
-                    residuals.append(residual(block))
-                except IndexError as exc:
-                    if block.doubles:
-                        raise
-                    raise ConsistencyError(f"{name}: a draw read more than the {left} uniforms left") from exc
-                read = left - len(block.doubles)
-                if read != uniforms:
-                    raise ConsistencyError(f"{name}: a draw read {read} uniforms, not the {uniforms} declared")
-            return claim_row(name, _worst(residuals), expected)
-
-        _CHECKS.append(check)
+        _CHECKS.append(lambda rng: claim_row(name, _worst(residual(rng) for _ in range(draws)), expected))
         return residual
 
     return register
@@ -305,23 +268,8 @@ _UNIT_FULL_LAW = boyer.acceleration_law(_UNIT_LINE, _UNIT_NEUTRON, boyer.FULL_LA
 _UNIT_CIRCLE = boyer.CircleLoop(center=Vec3(0.0, 0.0, 0.0), radius=1.0)
 
 
-class _Block:
-    """A claim's uniforms, drawn in one call: ``random()`` returns them in
-    order, and raises IndexError past the last."""
-
-    __slots__ = ("doubles", "random")
-
-    def __init__(self, doubles: list[float]):
-        self.doubles = collections.deque(doubles)
-        self.random = self.doubles.popleft
-
-
-def _uniform(rng: np.random.Generator | _Block, lo: float, hi: float) -> float:
-    """``float(rng.uniform(lo, hi))`` to the bit, at the same stream position
-    (see the module docstring), for about a third of its cost.  From a block,
-    it is the draw that the same ``random()`` call on the generator gives:
-    a block holds the doubles that per-draw ``random()`` calls return, in
-    their order, and its claim declares how many each draw reads."""
+def _uniform(rng: random.Random, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` to the bit, at the same stream position."""
     return lo + (hi - lo) * rng.random()
 
 
@@ -332,48 +280,45 @@ def _log_span(lo: float, hi: float) -> tuple[float, float]:
     return log_lo, math.log(hi) - log_lo
 
 
-def _log_uniform(rng: np.random.Generator | _Block, lo: float, hi: float) -> float:
+def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     log_lo, width = _log_span(lo, hi)
     return math.exp(log_lo + width * rng.random())  # _uniform(rng, log lo, log hi)
 
 
-def _sign(rng: np.random.Generator) -> float:
-    """``float(rng.choice([-1.0, 1.0]))`` to the bit, at the same stream
-    position.  ``choice`` draws its index as ``rng.integers(0, 2)`` does,
-    after converting the list to an array, which makes it about six times as
-    costly."""
-    return (-1.0, 1.0)[rng.integers(0, 2)]
+def _sign(rng: random.Random) -> float:
+    """-1.0 or 1.0 with equal odds, from one ``random()``."""
+    return (-1.0, 1.0)[rng.random() < 0.5]
 
 
 _PARAMETER_LOG_SPAN = _log_span(1e-3, 1e3)  # the range of every random solenoid, orbit, constant and triple
 
 
-def _log_uniforms(rng: np.random.Generator | _Block, n: int) -> list[float]:
+def _log_uniforms(rng: random.Random, n: int) -> list[float]:
     """n draws of ``_log_uniform(rng, 1e-3, 1e3)``, to the bit and in the
     order that n calls make them."""
-    (log_lo, width), exp, random = _PARAMETER_LOG_SPAN, math.exp, rng.random
+    (log_lo, width), exp, draw = _PARAMETER_LOG_SPAN, math.exp, rng.random
     draws = []
     for _ in range(n):
-        draws.append(exp(log_lo + width * random()))
+        draws.append(exp(log_lo + width * draw()))
     return draws
 
 
-def _random_vec(rng: np.random.Generator, scale: float = 1.0) -> Vec3:
+def _random_vec(rng: random.Random, scale: float = 1.0) -> Vec3:
     # three _uniform(rng, -scale, scale) draws: hi - lo is scale + scale
-    lo, width, random = -scale, scale + scale, rng.random
-    return Vec3(lo + width * random(), lo + width * random(), lo + width * random())
+    lo, width, draw = -scale, scale + scale, rng.random
+    return Vec3(lo + width * draw(), lo + width * draw(), lo + width * draw())
 
 
-def _random_constants(rng: np.random.Generator) -> PhysicalConstants:
+def _random_constants(rng: random.Random) -> PhysicalConstants:
     e, c, hbar = _log_uniforms(rng, 3)
     return PhysicalConstants(e=e, c=c, hbar=hbar)
 
 
-def _random_solenoid(rng: np.random.Generator) -> solenoid.SolenoidParams:
+def _random_solenoid(rng: random.Random) -> solenoid.SolenoidParams:
     return solenoid.SolenoidParams(*_log_uniforms(rng, 5))
 
 
-def _random_orbit(rng: np.random.Generator) -> solenoid.OrbitParams:
+def _random_orbit(rng: random.Random) -> solenoid.OrbitParams:
     R, u = _log_uniforms(rng, 2)
     return solenoid.OrbitParams(R=R, u=u)
 
@@ -382,14 +327,14 @@ _UNIT_SOLENOID = solenoid.SolenoidParams(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
 _UNIT_ORBIT = solenoid.OrbitParams(R=2.0, u=1.0)
 
 
-@_claim("cross_antisymmetry", 500, uniforms=6)
+@_claim("cross_antisymmetry", 500)
 def _cross_antisymmetry(rng) -> float:
     a, b = _random_vec(rng, 10.0), _random_vec(rng, 10.0)
     residual = a.cross(b) + b.cross(a)
     return _worst(abs(c) for c in residual.as_tuple())
 
 
-@_claim("cross_orthogonality", 500, uniforms=6)
+@_claim("cross_orthogonality", 500)
 def _cross_orthogonality(rng) -> float:
     a, b = _random_vec(rng, 10.0), _random_vec(rng, 10.0)
     c = a.cross(b)
@@ -404,14 +349,14 @@ def _constants_deterministic(rng) -> CheckRow:
     return claim_row("constants_deterministic", 0.0 if same else 1.0, "bit-identical", at_most=True)
 
 
-@_claim("detector_probability_sum", 500, uniforms=2)
+@_claim("detector_probability_sum", 500)
 def _probability_sum(rng) -> float:
     phase = _uniform(rng, -20.0, 20.0)
     vis = _uniform(rng, 0.0, 1.0)
     return detector_sum_residual(interferometry.detector_probabilities(phase, vis))
 
 
-@_claim("detector_phase_periodicity", 200, uniforms=2)
+@_claim("detector_phase_periodicity", 200)
 def _phase_periodicity(rng) -> float:
     phase = _uniform(rng, -10.0, 10.0)
     vis = _uniform(rng, 0.0, 1.0)
@@ -448,7 +393,7 @@ def _overlap_bound(rng) -> float:
     return abs(interferometry.packet_overlap(packet, dx, dp, 1.0))
 
 
-@_claim("overlap_closed_vs_quadrature", 120, uniforms=5)
+@_claim("overlap_closed_vs_quadrature", 120)
 def _overlap_quadrature(rng) -> float:
     sigma = _log_uniform(rng, 0.3, 3.0)
     packet = interferometry.GaussianPacket(
@@ -479,7 +424,7 @@ _check(lambda rng: _overlap_monotone("overlap_monotone_in_shift", vary_shift=Tru
 _check(lambda rng: _overlap_monotone("overlap_monotone_in_kick", vary_shift=False))
 
 
-@_claim("factor4_identity", 1000, uniforms=10)
+@_claim("factor4_identity", 1000)
 def _factor4_identity(rng) -> float:
     s = _random_solenoid(rng)
     o = _random_orbit(rng)
@@ -487,7 +432,7 @@ def _factor4_identity(rng) -> float:
     return factor4_residual(solenoid.local_model_phase(s, o, k))
 
 
-@_claim("velocity_kick_quadrature", 100, uniforms=10)
+@_claim("velocity_kick_quadrature", 100)
 def _velocity_kick_quadrature(rng) -> float:
     s = _random_solenoid(rng)
     o = _random_orbit(rng)
@@ -511,7 +456,7 @@ def _flux_profile_shape(rng) -> CheckRow:
     return claim_row("emf_flux_profile_shape", _worst(misses))
 
 
-@_claim("displacement_orbit_invariance", 100, uniforms=12)
+@_claim("displacement_orbit_invariance", 100)
 def _displacement_invariance(rng) -> float:
     s = _random_solenoid(rng)
     k = _random_constants(rng)
@@ -523,7 +468,7 @@ def _displacement_invariance(rng) -> float:
     )
 
 
-@_claim("flux_phase_linearity", 100, uniforms=9)
+@_claim("flux_phase_linearity", 100)
 def _flux_phase_linearity(rng) -> float:
     s = _random_solenoid(rng)
     k = _random_constants(rng)
@@ -539,7 +484,7 @@ def _flux_phase_linearity(rng) -> float:
     return _worst(_relative(solenoid.ab_phase_direct(s2, k2), base * expect) for s2, k2, expect in scaled)
 
 
-@_claim("flux_chain_consistency", 1000, uniforms=8)
+@_claim("flux_chain_consistency", 1000)
 def _flux_chain_consistency(rng) -> float:
     s = _random_solenoid(rng)
     k = _random_constants(rng)
@@ -565,7 +510,7 @@ def _visibility_pipeline(rng) -> CheckRow:
     return claim_row("visibility_pipeline_monotone", verdict, "0 -> 1 with spread/kick", summary, at_most=True)
 
 
-@_claim("boyer_force_equals_momentum_rate", 1000, uniforms=5)
+@_claim("boyer_force_equals_momentum_rate", 1000)
 def _force_equals_rate(rng) -> float:
     rho = _log_uniform(rng, 0.1, 10.0)
     angle = _uniform(rng, 0.0, 2.0 * math.pi)
@@ -685,7 +630,7 @@ def _ac_phase_deformation(rng) -> CheckRow:
     return claim_row("ac_phase_loop_deformation", _relative(phase_square, phase_circle))
 
 
-@_claim("ac_phase_linearity", 20, uniforms=3)
+@_claim("ac_phase_linearity", 20)
 def _ac_phase_linearity(rng) -> float:
     lam = _log_uniform(rng, 1e-2, 1e2)
     muz = _log_uniform(rng, 1e-2, 1e2)
@@ -705,13 +650,13 @@ def _random_triple(rng) -> tuple[fieldfree.ChargeConfiguration, float, float]:
     return fieldfree.make_three_charge(d, e), d, e
 
 
-@_claim("field_free_three_charge", 100, uniforms=2)
+@_claim("field_free_three_charge", 100)
 def _three_charge(rng) -> float:
     cfg, d, e = _random_triple(rng)
     return three_charge_residual(field_residual(fieldfree.field_at(cfg, i).norm(), d, e) for i in range(3))
 
 
-@_claim("potential_at_electron", 100, uniforms=2)
+@_claim("potential_at_electron", 100)
 def _three_charge_potential(rng) -> float:
     cfg, d, e = _random_triple(rng)
     return potential_residual(fieldfree.coulomb_at(cfg, 0)[1:], d, e)[0]
@@ -731,17 +676,26 @@ def _random_configuration(rng, count: int) -> fieldfree.ChargeConfiguration:
     return fieldfree.ChargeConfiguration(tuple(charges))
 
 
+def _random_rotation(rng: random.Random) -> tuple[tuple[float, float, float], ...]:
+    """The rows of a uniformly random rotation, from the unit quaternion
+    (w, x, y, z) of three uniforms (K. Shoemake, "Uniform random rotations",
+    Graphics Gems III, 1992); its determinant is +1 by construction."""
+    u1, u2, u3 = rng.random(), rng.random(), rng.random()
+    a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
+    w, x = a * math.sin(2.0 * math.pi * u2), a * math.cos(2.0 * math.pi * u2)
+    y, z = b * math.sin(2.0 * math.pi * u3), b * math.cos(2.0 * math.pi * u3)
+    return (
+        (1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
+        (2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)),
+        (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)),
+    )
+
+
 @_claim("coulomb_field_rigid_covariance", 50)
 def _field_covariance(rng) -> float:
-    import numpy as np
-
     cfg = _random_configuration(rng, 4)
-    raw = rng.normal(size=(3, 3))
-    q_mat, _ = np.linalg.qr(raw)
-    if np.linalg.det(q_mat) < 0.0:
-        q_mat[:, 0] = -q_mat[:, 0]
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = _random_rotation(rng)
     shift = _random_vec(rng, 5.0)
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q_mat.tolist()
 
     def rotate(v: Vec3) -> Vec3:
         x, y, z = v.x, v.y, v.z
@@ -772,9 +726,7 @@ def _newtons_third_law(rng) -> float:
 
 def run_verify_suite(seed: int = 42) -> RunReport:
     """Run every module invariant with a seeded generator; deterministic."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks: list[CheckRow] = []
     for check in _CHECKS:
         rows = check(rng)

@@ -1098,6 +1098,36 @@ def test_field_free_spacing_at_the_separation_floor_names_the_key(tmp_path, caps
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "doc, command, message",
+    [
+        (
+            FIELD_FREE_DOC % ("1.0", "1.0e308"),
+            "run",
+            "params.e_statC: must lie in (0, 4.4942328371557893e+307], got 1e+308",
+        ),
+        (
+            FIELD_FREE_DOC % ("1.0", "1.0") + "sweep: {param: e_statC, from: 1.0, to: 1.0e308, steps: 3, scale: log}\n",
+            "sweep",
+            "sweep.to for params.e_statC: must lie in (0, 4.4942328371557893e+307], got 1e+308",
+        ),
+    ],
+    ids=["run", "sweep"],
+)
+def test_field_free_charge_unit_past_a_quarter_of_the_largest_float_names_the_key(
+    tmp_path, capsys, doc, command, message
+):
+    # the triple's 4e overflowed to inf and the run refused it as "charge
+    # must be finite, got inf", without a key; a sweep wrote that text as an
+    # error row and exited 0.  The bound itself parses.
+    path = tmp_path / "huge_e.yaml"
+    path.write_text(doc)
+    assert cli_main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    largest = sys.float_info.max / 4.0
+    assert parse_scenario(FIELD_FREE_DOC % ("1.0", repr(largest))).params["e_statC"] == largest
+
+
 def test_field_free_report_carries_the_catalogue_residual(tmp_path, capsys):
     report = run_scenario(parse_scenario(FIELD_FREE_DOC % ("2.0", "3.0")))
     assert "field_free_pass" not in _csv_header(report)
@@ -1140,12 +1170,27 @@ def test_verify_csv_uses_check_table(verify_seed42):
 
 
 def test_cli_imports_without_numpy():
-    # `abclab run` and `abclab sweep` need no numpy; only verify imports it
+    # no command needs numpy, so importing the CLI loads none
     src = Path(abclab.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = "import sys, abclab.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_verify_runs_without_numpy(tmp_path):
+    # verify draws from the standard library's generator and rotates on
+    # floats, so a whole `abclab verify` run leaves numpy unloaded
+    src = Path(abclab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    wrapper = (
+        "import sys; from abclab import cli; code = cli.main(sys.argv[1:]); "
+        "print('numpy loaded:', 'numpy' in sys.modules); sys.exit(code)"
+    )
+    args = ["verify", "--seed", "42", "--output", str(tmp_path / "verify.json")]
+    out = subprocess.run([sys.executable, "-c", wrapper, *args], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "numpy loaded: False"
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
@@ -1351,8 +1396,9 @@ def test_sweep_point_whose_bounce_overflows_is_an_error_row():
 
 
 def test_cli_verify_passes_on_seed_with_small_overlap_real_part(tmp_path):
-    # this seed draws an overlap whose real part is small; the quadrature
-    # route must still meet the 1e-8 claim there
+    # numpy's stream drew at this seed an overlap whose real part is small,
+    # which test_interferometry pins as a direct case; on the standard
+    # library's stream the seed must still exit 0 with a clean overlap row
     path = tmp_path / "v.json"
     assert cli_main(["verify", "--seed", "1549879443", "--output", str(path)]) == 0
     rows = {c["name"]: c for c in json.loads(path.read_text())["checks"]}

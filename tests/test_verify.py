@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import sys
 import warnings
 from collections import Counter
@@ -7,13 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from abclab import boyer, interferometry, run_verify_suite, solenoid, verify
-from abclab.errors import ConsistencyError
+from abclab import boyer, interferometry, render_csv, render_json, run_verify_suite, solenoid, verify
 
 
 def test_uniform_draw_is_generator_uniform_bit_for_bit():
-    # verify's draws are lo + (hi - lo) * random(), which is what Generator.uniform
-    # computes; a numpy build that fused the multiply-add would fail here
+    # verify's draws are lo + (hi - lo) * random(), which is what
+    # random.Random.uniform computes
     bounds = np.random.default_rng(2718)
     pairs = [(-20.0, 20.0), (0.0, 1.0), (0.0, 2.0 * math.pi), (math.log(1e-3), math.log(1e3))]
     for _ in range(2000):
@@ -21,21 +21,24 @@ def test_uniform_draw_is_generator_uniform_bit_for_bit():
         lo = float(bounds.uniform(-1.0, 1.0)) * scale
         pairs.append((lo, lo + float(bounds.uniform(1e-3, 2.0)) * scale))
     for seed, (lo, hi) in enumerate(pairs):
-        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours, theirs = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            assert verify._uniform(ours, lo, hi).hex() == float(numpys.uniform(lo, hi)).hex()
-            assert ours.random().hex() == numpys.random().hex()  # same stream position
+            assert verify._uniform(ours, lo, hi).hex() == theirs.uniform(lo, hi).hex()
+            assert ours.random().hex() == theirs.random().hex()  # same stream position
 
 
-def test_sign_draw_is_generator_choice_bit_for_bit():
-    # overlap_magnitude_bound draws each sign as rng.integers(0, 2) indexing
-    # (-1.0, 1.0), which is what Generator.choice does with a two-element list
+def test_sign_draw_reads_one_random():
+    # overlap_magnitude_bound draws each sign from one random(), below or
+    # above one half, and nothing else from the generator
+    signs = Counter()
     for seed in range(200):
-        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours, theirs = random.Random(seed), random.Random(seed)
         for _ in range(10):
-            assert verify._sign(ours).hex() == float(numpys.choice([-1.0, 1.0])).hex()
-            assert ours.random().hex() == numpys.random().hex()  # same stream position
-        assert ours.bit_generator.state == numpys.bit_generator.state
+            sign = verify._sign(ours)
+            assert sign.hex() == (1.0 if theirs.random() < 0.5 else -1.0).hex()
+            signs[sign] += 1
+        assert ours.getstate() == theirs.getstate()
+    assert set(signs) == {-1.0, 1.0}
 
 
 def test_verify_suite_lets_no_warning_escape():
@@ -52,7 +55,7 @@ def test_non_finite_flight_fails_its_row(monkeypatch, flight):
     # a flight that goes non-finite is a FAIL row (exit 1); it used to raise
     # ValidationError, which verify reports as invalid input (exit 2)
     monkeypatch.setattr(boyer, "step_trajectory", lambda *args: (math.nan,) * 5)
-    row = flight(np.random.default_rng(0))
+    row = flight(None)
     assert not row.passed and math.isnan(row.actual)
 
 
@@ -118,7 +121,7 @@ def test_full_law_row_fails_a_full_law_off_by_1e_6_in_its_256_steps(monkeypatch)
         return step(*args)
 
     monkeypatch.setattr(boyer, "step_trajectory", counted)
-    verify._full_law_speed(np.random.default_rng(42))
+    verify._full_law_speed(None)
     assert len(calls) == 256
 
 
@@ -165,17 +168,34 @@ def test_full_law_bounce_row_reads_a_broken_full_law_at_either_step(monkeypatch)
 @pytest.mark.parametrize("seed", [0, 42])
 def test_log_uniforms_are_log_uniform_draws_bit_for_bit(seed):
     # one list draw gives the doubles that n _log_uniform calls give, in
-    # order, and leaves the generator where they leave it; from a block too
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    # order, and leaves the generator where they leave it
+    ours, theirs = random.Random(seed), random.Random(seed)
     for n in [0, 1, 2, 3, 5, 10, 2]:
         drawn = [x.hex() for x in verify._log_uniforms(ours, n)]
         assert drawn == [verify._log_uniform(theirs, 1e-3, 1e3).hex() for _ in range(n)]
-        assert ours.bit_generator.state == theirs.bit_generator.state
-    doubles = np.random.default_rng(seed).random(30).tolist()
-    ours, theirs = verify._Block(doubles), verify._Block(doubles)
-    drawn = [x.hex() for n in (3, 5, 2, 10) for x in verify._log_uniforms(ours, n)]
-    assert drawn == [verify._log_uniform(theirs, 1e-3, 1e3).hex() for _ in range(20)]
-    assert list(ours.doubles) == list(theirs.doubles)
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_random_rotation_is_a_proper_rotation_to_a_few_ulps():
+    # Shoemake's quaternion gives an orthonormal matrix of determinant +1,
+    # with no reflection to undo, at every draw
+    rng = random.Random(3)
+    for _ in range(10_000):
+        rows = verify._random_rotation(rng)
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                assert abs(sum(p * q for p, q in zip(a, b)) - (i == j)) < 8 * sys.float_info.epsilon
+        (a, b, c), (d, e, f), (g, h, k) = rows
+        det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+        assert abs(det - 1.0) < 8 * sys.float_info.epsilon
+
+
+def test_seed_past_64_bits_gives_the_same_report_twice():
+    # random.Random takes any non-negative integer seed, whole
+    first, second = run_verify_suite(2**64 + 1), run_verify_suite(2**64 + 1)
+    assert render_json(first) == render_json(second)
+    assert render_csv(first) == render_csv(second)
+    assert render_json(first) != render_json(run_verify_suite(1))
 
 
 def test_field_residual_never_squares_d():
@@ -188,81 +208,6 @@ def test_field_residual_never_squares_d():
         assert verify.field_residual(magnitude, d, e) == magnitude / (e / (d * d))
     assert verify.field_residual(2.0 ** -600, 2.0 ** 300, 1.0) == 1.0
     assert verify.field_residual(1e308, 1.0, 1.0) == math.inf
-
-
-# The claims whose draws read a fixed count of uniforms: (residual, draws, uniforms).
-BLOCK_CLAIMS = {
-    "cross_antisymmetry": (verify._cross_antisymmetry, 500, 6),
-    "cross_orthogonality": (verify._cross_orthogonality, 500, 6),
-    "detector_probability_sum": (verify._probability_sum, 500, 2),
-    "detector_phase_periodicity": (verify._phase_periodicity, 200, 2),
-    "overlap_closed_vs_quadrature": (verify._overlap_quadrature, 120, 5),
-    "factor4_identity": (verify._factor4_identity, 1000, 10),
-    "velocity_kick_quadrature": (verify._velocity_kick_quadrature, 100, 10),
-    "displacement_orbit_invariance": (verify._displacement_invariance, 100, 12),
-    "flux_phase_linearity": (verify._flux_phase_linearity, 100, 9),
-    "flux_chain_consistency": (verify._flux_chain_consistency, 1000, 8),
-    "boyer_force_equals_momentum_rate": (verify._force_equals_rate, 1000, 5),
-    "ac_phase_linearity": (verify._ac_phase_linearity, 20, 3),
-    "field_free_three_charge": (verify._three_charge, 100, 2),
-    "potential_at_electron": (verify._three_charge_potential, 100, 2),
-}
-
-
-def _registered(name, draws, uniforms=None):
-    # the check _claim builds for one residual, outside the catalogue
-    residual = BLOCK_CLAIMS[name][0]
-    catalogue = verify._CHECKS
-    verify._CHECKS = []
-    try:
-        verify._claim(name, draws, uniforms=uniforms)(residual)
-        (check,) = verify._CHECKS
-    finally:
-        verify._CHECKS = catalogue
-    return check
-
-
-@pytest.mark.parametrize("seed", [0, 1, 42, 123456])
-def test_block_claims_draw_what_the_generator_draws(monkeypatch, seed):
-    # each block claim of the catalogue gives the row that per-draw random()
-    # calls give, and leaves the generator in the same state; the claims
-    # that take blocks, and their sizes, are the ones declared above
-    blocks = []
-
-    class Recorded(verify._Block):
-        def __init__(self, doubles):
-            blocks.append(len(doubles))
-            super().__init__(doubles)
-
-    monkeypatch.setattr(verify, "_Block", Recorded)
-    shipped = {}
-    for check in verify._CHECKS:
-        rng = np.random.default_rng(seed)
-        before = len(blocks)
-        rows = check(rng)
-        for row in rows if isinstance(rows, list) else [rows]:
-            shipped[row.name] = row, rng.bit_generator.state, blocks[before:]
-    assert {name for name, (_, _, made) in shipped.items() if made} == set(BLOCK_CLAIMS)
-    for name, (_, draws, uniforms) in BLOCK_CLAIMS.items():
-        row, state, made = shipped[name]
-        assert made == [draws * uniforms], name
-        rng = np.random.default_rng(seed)
-        per_draw = _registered(name, draws)(rng)
-        assert repr(row) == repr(per_draw), name  # every field, the residual too, to the bit
-        assert state == rng.bit_generator.state, name
-
-
-@pytest.mark.parametrize("name", ["flux_chain_consistency", "cross_antisymmetry"])
-@pytest.mark.parametrize("miscount", [-1, 1])
-def test_a_claim_that_misdeclares_its_uniforms_raises_naming_it(name, miscount):
-    # a miscount would shift every later draw without a sign; a draw that
-    # reads more or fewer than declared raises at once, also past the
-    # block's end (one draw)
-    _, draws, uniforms = BLOCK_CLAIMS[name]
-    for n_draws in (draws, 1):
-        check = _registered(name, n_draws, uniforms + miscount)
-        with pytest.raises(ConsistencyError, match=name):
-            check(np.random.default_rng(0))
 
 
 def _reference_worst(residuals, floor=0.0):
