@@ -14,6 +14,11 @@ Library layout:
 * :mod:`abclab.scenario` / :mod:`abclab.verify` / :mod:`abclab.cli` - the
   operational surface: YAML scenarios, sweeps, the seeded invariant suite,
   CSV/JSON reports.
+
+The scenario layer's own names (``Scenario``, ``SweepSpec``, ``OutputSpec``,
+``parse_scenario``, ``load_scenario``, ``run_scenario``) load on first use,
+so that importing the package, or running ``abclab verify``, imports neither
+:mod:`abclab.scenario` nor PyYAML.
 """
 
 from .boyer import (
@@ -64,19 +69,6 @@ from .interferometry import (
     visibility_from_overlap,
 )
 from .quadrature import adaptive_simpson, composite_gauss_legendre, refine_gauss_legendre, refine_periodic_trapezoid
-from .scenario import (
-    CheckRow,
-    OutputSpec,
-    RunReport,
-    Scenario,
-    SweepSpec,
-    emit,
-    load_scenario,
-    parse_scenario,
-    render_csv,
-    render_json,
-    run_scenario,
-)
 from .solenoid import (
     ABResult,
     OrbitParams,
@@ -101,6 +93,17 @@ from .units import (
     Vec3,
     make_constants,
 )
-from .verify import run_verify_suite
+from .verify import CheckRow, RunReport, emit, render_csv, render_json, run_verify_suite
 
 __version__ = "0.1.0"
+
+_SCENARIO_NAMES = frozenset({"OutputSpec", "Scenario", "SweepSpec", "load_scenario", "parse_scenario", "run_scenario"})
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names the module does not hold
+    if name in _SCENARIO_NAMES:
+        from . import scenario
+
+        return getattr(scenario, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

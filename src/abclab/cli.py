@@ -23,8 +23,7 @@ from .errors import (
     SingularityError,
     ValidationError,
 )
-from .scenario import RunReport, emit, load_scenario, run_scenario
-from .verify import run_verify_suite
+from .verify import RunReport, emit, run_verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -67,6 +66,8 @@ def main(argv=None) -> int:
             fmt = args.format or "json"
             path = args.output
         else:
+            from .scenario import load_scenario, run_scenario  # PyYAML loads only for run and sweep
+
             scenario = load_scenario(args.file)
             if args.command == "sweep" and scenario.sweep is None:
                 raise ValidationError("sweep: scenario has no sweep block")

@@ -1,4 +1,4 @@
-"""Scenario configuration, execution, sweeps, and CSV/JSON emission.
+"""Scenario configuration, execution and sweeps; reports render in ``verify``.
 
 A scenario is a single YAML document.  All physical parameters carry their
 unit in the key name, which is the cheapest defence against unit mistakes in
@@ -16,23 +16,14 @@ parse resolves the path once and checks every point against the key's type;
 a point's params copy only the mappings on that path.
 
 Every check row is a ``verify.claim_row``; a sweep reports each check by the
-row of its worst point, kept whole.  The rows are the only definition of a
-report's columns: the CSV header is the keys of its rows (or of its checks)
-in order of first appearance, ``error`` last.  Reports are deterministic:
-identical scenario plus seed give byte identical CSV/JSON.  A JSON report is
-exactly ``json.dumps(report.to_dict(), indent=2)`` plus a newline.  CSV cells
-follow the csv module's rules (RFC-4180 quoting, LF line endings): None is an
-empty cell, a float its ``repr`` (the shortest round-trip decimal) and any
-other value its ``str``, except that the checks write ``pass`` as true/false.
+row of its worst point, kept whole.  Reports are deterministic: identical
+scenario plus seed give byte identical CSV/JSON.  ``render_csv``,
+``render_json`` and ``emit`` are ``verify``'s, re-exported here with the
+report types, so that ``abclab verify`` never imports this module or PyYAML.
 """
 
 from __future__ import annotations
 
-import csv
-import functools
-import io
-import itertools
-import json
 import math
 import re
 import sys
@@ -44,7 +35,7 @@ from yaml.composer import Composer
 from . import boyer, fieldfree, interferometry, solenoid, verify
 from .errors import AbclabError, DomainError, ScenarioParseError, ValidationError
 from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, make_constants
-from .verify import CheckRow, RunReport  # report types, re-exported
+from .verify import CheckRow, RunReport, emit, render_csv, render_json  # report types and emission, re-exported
 
 KIND_MZI = "mzi"
 KIND_AB_SOLENOID = "ab-solenoid"
@@ -329,8 +320,9 @@ def _build_ab_objects(params: dict):
 
 
 def _build_bounce_objects(params: dict):
-    # The range types leave two rules: distinct mirror planes (BounceConfig)
-    # and a start between them.  A swept start.x_cm meets the second per point.
+    # The range types leave three rules: distinct mirror planes (BounceConfig),
+    # a start between them and a first step that moves x off a mirror plane.
+    # A swept start.x_cm, dt_s or vx_cm_per_s meets the last two per point.
     lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
     n = boyer.NeutronModel(mass=params["neutron"]["mass_g"], mu_z=params["neutron"]["mu_z_erg_per_G"])
     start = params["start"]
@@ -353,6 +345,15 @@ def _build_bounce_objects(params: dict):
         configs[0].check_start(initial.x)
     except ValidationError as exc:
         raise ValidationError(f"params.start.x_cm: {exc}") from None
+    # a step under the float spacing leaves x on the mirror it starts at, and
+    # every step would count as a bounce there
+    step = abs(start["vx_cm_per_s"]) * params["dt_s"]
+    spacing = math.ulp(max(abs(params["mirrors"]["a_cm"]), abs(params["mirrors"]["b_cm"])))
+    if step < spacing:
+        raise ValidationError(
+            f"params.dt_s, params.start.vx_cm_per_s: a step moves x by |vx| * dt = {step!r} cm, "
+            f"less than the float spacing {spacing!r} cm at the mirrors, so it cannot leave a mirror plane"
+        )
     return lc, n, initial, configs
 
 
@@ -542,6 +543,10 @@ def _point_mzi(params: dict, k: PhysicalConstants):
 
 def _point_ab_solenoid(params: dict, k: PhysicalConstants):
     s, o = _build_ab_objects(params)
+    try:  # h/(M*v) turns on these two keys alone, so its error names both
+        solenoid.de_broglie_wavelength(s.M, s.v, k)
+    except DomainError as exc:
+        raise DomainError(f"params.solenoid.M_g, params.solenoid.v_cm_per_s: {exc}") from None
     res = solenoid.local_model_phase(s, o, k)
     probs = interferometry.detector_probabilities(res.phase_ab, params["visibility"])
     residual = verify.factor4_residual(res)
@@ -705,116 +710,3 @@ def run_scenario(s: Scenario) -> RunReport:
             scenario["warnings"].extend(f"sweep_index {index}: {w}" for w in notes if w not in s.warnings)
     return RunReport(scenario=scenario, rows=rows, checks=list(merged.values()))
 
-
-# ---------------------------------------------------------------------------
-# emission
-
-
-def render_csv(report: RunReport) -> str:
-    """CSV text of one table: the rows, or the checks when there are no rows.
-    The header is the table's keys in order of first appearance, with ``error``
-    last.  The csv module formats each cell: None is empty, a float is its
-    ``repr`` and anything else its ``str``; the checks write ``pass`` as
-    true/false."""
-    if report.rows:
-        table = report.rows
-    else:
-        table = [{**check.to_dict(), "pass": "true" if check.passed else "false"} for check in report.checks]
-    columns = list(dict.fromkeys(itertools.chain.from_iterable(table)))
-    if "error" in columns:
-        columns.remove("error")
-        columns.append("error")
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(map(row.get, columns) for row in table)
-    return buffer.getvalue()
-
-
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _flat(members) -> bool:
-    return _SCALARS.issuperset(map(type, members))
-
-
-@functools.cache
-def _flat_encoder(inner: str):
-    """The C encoder that writes a container's members one per line at the
-    indentation ``inner``, as ``json.dumps(indent=2)`` does."""
-    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
-
-
-def _json_key(key) -> str:
-    """A mapping key as ``json`` writes it: a str as itself, a number or
-    constant as its JSON text, in quotes."""
-    if not isinstance(key, str):
-        if not isinstance(key, (int, float)) and key is not None:
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _flat_encoder("")(key)
-    return json.encoder.encode_basestring_ascii(key)
-
-
-def _json_chunks(value, indent: str, out: list[str]):
-    """Append to ``out`` the text of ``value`` as ``json.dumps(value, indent=2)``
-    writes it at the nesting whose indentation is ``indent``.  A container of
-    scalars is one call of the C encoder, with its brackets moved onto their
-    own lines; so is a list of such mappings (a report's rows and checks).
-    The C encoder escapes every newline in a string, so a raw newline is only
-    ever a separator, and ``"},\n" + deeper + "{"`` only ever joins two of the
-    mappings."""
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))):
-        out.append(_flat_encoder("")(value))
-        return
-    if not value:
-        out.append("{}" if is_dict else "[]")
-        return
-    inner = indent + "  "
-    if _flat(value.values() if is_dict else value):
-        text = _flat_encoder(inner)(value)
-        out += (text[0], "\n", inner, text[1:-1], "\n", indent, text[-1])
-        return
-    if not is_dict and all(type(row) is dict and row and _flat(row.values()) for row in value):
-        deeper = inner + "  "
-        text = _flat_encoder(deeper)(value)[2:-2].replace("},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}")
-        out += ("[\n", inner, "{\n", deeper, text, "\n", inner, "}\n", indent, "]")
-        return
-    out += ("{" if is_dict else "[", "\n", inner)
-    separator = ",\n" + inner
-    for i, member in enumerate(value.items() if is_dict else value):
-        if i:
-            out.append(separator)
-        if is_dict:
-            key, member = member
-            out += (_json_key(key), ": ")
-        _json_chunks(member, inner, out)
-    out += ("\n", indent, "}" if is_dict else "]")
-
-
-def render_json(report: RunReport) -> str:
-    """The report as ``json.dumps(report.to_dict(), indent=2)`` writes it,
-    newline-terminated.  Its chunks are joined once, so a large report is
-    copied once."""
-    out: list[str] = []
-    _json_chunks(report.to_dict(), "", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def emit(report: RunReport, format: str, path: str | None):
-    """Write the report as CSV or JSON to a file path (or stdout when None)."""
-    if format == "csv":
-        text = render_csv(report)
-    elif format == "json":
-        text = render_json(report)
-    else:
-        raise ValidationError(f"unknown output format {format!r}; expected 'csv' or 'json'")
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise OSError(f"could not write report to {path!r}: {exc}") from exc

@@ -1,9 +1,19 @@
-"""The claim catalogue: each physics check defined once, and its seeded runner.
+"""The claim catalogue: each physics check defined once, its seeded runner,
+and the reports of verify and of the scenarios with their CSV/JSON emission.
 
 ``run_verify_suite(seed)`` executes the whole catalogue with a deterministic
 random generator and returns a RunReport whose check rows name the physics
 claims they audit.  Identical seeds produce byte-identical reports; the CLI
 maps a non-empty failure set to a non-zero exit code.
+
+The rows are the only definition of a report's columns: the CSV header is the
+keys of its rows (or of its checks) in order of first appearance, ``error``
+last.  A JSON report is exactly ``json.dumps(report.to_dict(), indent=2)``
+plus a newline.  CSV cells follow the csv module's rules (RFC-4180 quoting,
+LF line endings): None is an empty cell, a float its ``repr`` (the shortest
+round-trip decimal) and any other value its ``str``, except that the checks
+write ``pass`` as true/false.  This module imports neither PyYAML nor
+``scenario``, so ``abclab verify`` loads neither.
 
 ``TOLERANCES`` holds the tolerance of every verify and scenario check.  A
 residual claim (``claim_row``) passes below it, or at it with ``at_most``, so
@@ -22,12 +32,18 @@ PCG64, numpy's default stream, would cost about ten times as much per double.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
+import io
+import itertools
+import json
 import math
 import random
+import sys
 
 from . import boyer, fieldfree, interferometry, solenoid
+from .errors import ValidationError
 from .units import GAUSSIAN_CGS, SCALED_UNITY, PhysicalConstants, Vec3, make_constants
 
 SCHEMA_VERSION = 1
@@ -71,6 +87,124 @@ class RunReport:
             "rows": self.rows,
             "checks": [c.to_dict() for c in self.checks],
         }
+
+
+# ---------------------------------------------------------------------------
+# emission
+
+
+def render_csv(report: RunReport) -> str:
+    """CSV text of one table: the rows, or the checks when there are no rows.
+    The header is the table's keys in order of first appearance, with ``error``
+    last.  The csv module formats each cell: None is empty, a float is its
+    ``repr`` and anything else its ``str``; the checks write ``pass`` as
+    true/false."""
+    if report.rows:
+        table = report.rows
+    else:
+        table = [{**check.to_dict(), "pass": "true" if check.passed else "false"} for check in report.checks]
+    columns = list(dict.fromkeys(itertools.chain.from_iterable(table)))
+    if "error" in columns:
+        columns.remove("error")
+        columns.append("error")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(row.get, columns) for row in table)
+    return buffer.getvalue()
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _flat(members) -> bool:
+    return _SCALARS.issuperset(map(type, members))
+
+
+@functools.cache
+def _flat_encoder(inner: str):
+    """The C encoder that writes a container's members one per line at the
+    indentation ``inner``, as ``json.dumps(indent=2)`` does."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+
+
+def _json_key(key) -> str:
+    """A mapping key as ``json`` writes it: a str as itself, a number or
+    constant as its JSON text, in quotes."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _flat_encoder("")(key)
+    return json.encoder.encode_basestring_ascii(key)
+
+
+def _json_chunks(value, indent: str, out: list[str]):
+    """Append to ``out`` the text of ``value`` as ``json.dumps(value, indent=2)``
+    writes it at the nesting whose indentation is ``indent``.  A container of
+    scalars is one call of the C encoder, with its brackets moved onto their
+    own lines; so is a list of such mappings (a report's rows and checks).
+    The C encoder escapes every newline in a string, so a raw newline is only
+    ever a separator, and ``"},\n" + deeper + "{"`` only ever joins two of the
+    mappings."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        out.append(_flat_encoder("")(value))
+        return
+    if not value:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = indent + "  "
+    if _flat(value.values() if is_dict else value):
+        text = _flat_encoder(inner)(value)
+        out += (text[0], "\n", inner, text[1:-1], "\n", indent, text[-1])
+        return
+    if not is_dict and all(type(row) is dict and row and _flat(row.values()) for row in value):
+        deeper = inner + "  "
+        text = _flat_encoder(deeper)(value)[2:-2].replace("},\n" + deeper + "{", f"\n{inner}}},\n{inner}{{\n{deeper}")
+        out += ("[\n", inner, "{\n", deeper, text, "\n", inner, "}\n", indent, "]")
+        return
+    out += ("{" if is_dict else "[", "\n", inner)
+    separator = ",\n" + inner
+    for i, member in enumerate(value.items() if is_dict else value):
+        if i:
+            out.append(separator)
+        if is_dict:
+            key, member = member
+            out += (_json_key(key), ": ")
+        _json_chunks(member, inner, out)
+    out += ("\n", indent, "}" if is_dict else "]")
+
+
+def render_json(report: RunReport) -> str:
+    """The report as ``json.dumps(report.to_dict(), indent=2)`` writes it,
+    newline-terminated.  Its chunks are joined once, so a large report is
+    copied once."""
+    out: list[str] = []
+    _json_chunks(report.to_dict(), "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def emit(report: RunReport, format: str, path: str | None):
+    """Write the report as CSV or JSON to a file path (or stdout when None)."""
+    if format == "csv":
+        text = render_csv(report)
+    elif format == "json":
+        text = render_json(report)
+    else:
+        raise ValidationError(f"unknown output format {format!r}; expected 'csv' or 'json'")
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OSError(f"could not write report to {path!r}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# tolerances and claim rows
 
 
 # Tolerance of each verify check, then of the claims only scenarios report.

@@ -317,6 +317,12 @@ def test_parse_equal_mirrors_name_the_block():
 
 
 SQUARE = "[[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0], [1, 1, 0]]"
+# a step that cannot move x off the mirror it starts at counted as a bounce
+# each time, with zero work; at 5e-324 s it exited 2 naming no key
+SHORT_STEP_MESSAGE = (
+    "params.dt_s, params.start.vx_cm_per_s: a step moves x by |vx| * dt = {} cm, "
+    "less than the float spacing 4.440892098500626e-16 cm at the mirrors, so it cannot leave a mirror plane"
+)
 POLYLINE_DOC = f"""
 kind: ac-phase
 units: scaled-unity
@@ -342,8 +348,23 @@ params:
             BOUNCE_DOC, "x_cm: 3.0", "x_cm: 9.0", ValidationError,
             r"params\.start\.x_cm: initial position x = 9\.0 lies outside the mirrors \[1\.5, 3\.0\]",
         ),
+        (
+            BOUNCE_DOC, "dt_s: 0.00390625", "dt_s: 1.0e-17", ValidationError,
+            re.escape(SHORT_STEP_MESSAGE.format("2e-17")),
+        ),
+        (
+            BOUNCE_DOC, "dt_s: 0.00390625", "dt_s: 5.0e-324", ValidationError,
+            re.escape(SHORT_STEP_MESSAGE.format("1e-323")),
+        ),
+        (
+            BOUNCE_DOC, "vx_cm_per_s: -2.0", "vx_cm_per_s: 1.0e-300", ValidationError,
+            re.escape(SHORT_STEP_MESSAGE.format("3.90625e-303")),
+        ),
     ],
-    ids=["too_few_vertices", "open_polyline", "start_outside_mirrors"],
+    ids=[
+        "too_few_vertices", "open_polyline", "start_outside_mirrors",
+        "step_under_spacing", "subnormal_dt", "outward_vx_under_spacing",
+    ],
 )
 def test_parse_loop_and_start_errors_name_the_key(tmp_path, text, old, new, error, message):
     # these used to read without the key; the start check ran only at run time
@@ -362,6 +383,16 @@ def test_swept_start_outside_the_mirrors_fails_per_point():
         "ValidationError: params.start.x_cm: initial position x = 4.0 lies outside the mirrors [1.5, 3.0]"
     ]
     assert all("error" not in row for row in report.rows if row["sweep_index"] < 2)
+
+
+def test_swept_step_too_short_to_leave_a_mirror_fails_per_point():
+    sweep = "sweep: {param: dt_s, from: 1.0e-2, to: 1.0e-17, steps: 2, scale: log}\n"
+    doc = BOUNCE_DOC.replace("n_bounces: 10", "n_bounces: 1") + sweep
+    report = run_scenario(parse_scenario(doc))
+    assert [row.get("error") for row in report.rows if row["sweep_index"] == 1] == [
+        "ValidationError: " + SHORT_STEP_MESSAGE.format("2e-17")
+    ]
+    assert all("error" not in row for row in report.rows if row["sweep_index"] == 0)
 
 
 def test_parse_orbit_must_clear_solenoid():
@@ -971,6 +1002,9 @@ params:
 """
 
 
+MV_KEYS = "params.solenoid.M_g, params.solenoid.v_cm_per_s: h/(M*v)"  # the message named no key
+
+
 def _ab_unit_doc(**values: str) -> str:
     doc = (SCENARIO_DIR / "ab_solenoid_unit.yaml").read_text()
     for key, value in values.items():
@@ -982,8 +1016,9 @@ def _ab_unit_doc(**values: str) -> str:
     "doc, message",
     [
         (MZI_OVERFLOW_DOC, "phase 2*pi*delta_l/wavelength must be finite, got inf"),
-        (_ab_unit_doc(M_g="1.0e200", v_cm_per_s="1.0e200"), "h/(M*v) must be positive and finite, got 0.0 at M*v = inf"),
-        (_ab_unit_doc(M_g="1.0e-200", v_cm_per_s="1.0e-200"), "h/(M*v) must be positive and finite, got inf at M*v = 0.0"),
+        (_ab_unit_doc(M_g="1.0e200", v_cm_per_s="1.0e200"), f"{MV_KEYS} must be positive and finite, got 0.0 at M*v = inf"),
+        (_ab_unit_doc(M_g="1.0e-200", v_cm_per_s="1.0e-200"), f"{MV_KEYS} must be positive and finite, got inf at M*v = 0.0"),
+        (_ab_unit_doc(M_g="1.0e-308"), f"{MV_KEYS} must be positive and finite, got inf at M*v = 1e-308"),
         (_ab_unit_doc(Q_statC="1.0e300", v_cm_per_s="1.0e300"), "phase must be finite, got inf"),
         (
             _ab_unit_doc(L_cm="1.0e-300", M_g="1.0e-30"),
@@ -994,7 +1029,10 @@ def _ab_unit_doc(**values: str) -> str:
             "4*pi*e*Q*v*r/(c^2*L*hbar): its denominator underflows to 0.0",
         ),
     ],
-    ids=["mzi-phase", "ab-momentum-inf", "ab-momentum-zero", "ab-phase", "ab-kick-underflow", "ab-phase-underflow"],
+    ids=[
+        "mzi-phase", "ab-momentum-inf", "ab-momentum-zero", "ab-mass-tiny", "ab-phase", "ab-kick-underflow",
+        "ab-phase-underflow",
+    ],
 )
 def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
     # a math domain error or a division by zero used to end in a traceback, exit 1
@@ -1013,7 +1051,7 @@ def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
         ),
         (
             _ab_unit_doc(M_g="1.0e200") + "sweep: {param: solenoid.v_cm_per_s, from: 1.0, to: 1.0e200, steps: 3}\n",
-            "DomainError: h/(M*v) must be positive and finite, got 0.0 at M*v = inf",
+            f"DomainError: {MV_KEYS} must be positive and finite, got 0.0 at M*v = inf",
         ),
     ],
     ids=["mzi-phase", "ab-momentum-inf"],
@@ -1180,17 +1218,33 @@ def test_cli_imports_without_numpy():
 
 def test_cli_verify_runs_without_numpy(tmp_path):
     # verify draws from the standard library's generator and rotates on
-    # floats, so a whole `abclab verify` run leaves numpy unloaded
+    # floats, so a whole `abclab verify` run leaves numpy unloaded; it parses
+    # no document, so it leaves PyYAML and the scenario layer unloaded too
     src = Path(abclab.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     wrapper = (
         "import sys; from abclab import cli; code = cli.main(sys.argv[1:]); "
-        "print('numpy loaded:', 'numpy' in sys.modules); sys.exit(code)"
+        "print('loaded:', *(name in sys.modules for name in ('numpy', 'yaml', 'abclab.scenario'))); sys.exit(code)"
     )
     args = ["verify", "--seed", "42", "--output", str(tmp_path / "verify.json")]
     out = subprocess.run([sys.executable, "-c", wrapper, *args], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "numpy loaded: False"
+    assert out.stdout.splitlines()[-1] == "loaded: False False False"
+
+
+def test_package_loads_the_scenario_layer_on_first_use():
+    # `import abclab` imported PyYAML through abclab.scenario; the scenario
+    # names now resolve on first access, to the scenario module's own objects
+    src = Path(abclab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, abclab; print('yaml' in sys.modules, 'abclab.scenario' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False False"
+    for name in ("Scenario", "SweepSpec", "OutputSpec", "parse_scenario", "load_scenario", "run_scenario"):
+        assert getattr(abclab, name) is getattr(abclab.scenario, name)
+    assert abclab.render_json is abclab.scenario.render_json
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        abclab.no_such_name
 
 
 def test_cli_run_exit_codes(tmp_path, capsys):
@@ -1261,6 +1315,16 @@ def test_cli_bounce_over_step_budget_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "law: bounce leg 1 exceeded the run's budget of 500 RK4 steps" in err
     assert "t = " in err and "x = " in err
+
+
+def test_cli_bounce_step_just_over_the_float_spacing_runs_to_its_budget(tmp_path, monkeypatch, capsys):
+    # |vx| * dt = 2e-15 cm moves x off the mirror (spacing 4.4e-16 cm there),
+    # so the document is valid; its first leg needs about 7.5e14 steps
+    monkeypatch.setattr(boyer, "MAX_STEPS", 500)
+    path = tmp_path / "short_steps.yaml"
+    path.write_text(BOUNCE_DOC.replace("dt_s: 0.00390625", "dt_s: 1.0e-15"))
+    assert cli_main(["run", str(path)]) == 3
+    assert "law: bounce leg 1 exceeded the run's budget of 500 RK4 steps" in capsys.readouterr().err
 
 
 def test_cli_bounce_over_landing_budget_exits_3(tmp_path, monkeypatch, capsys):
