@@ -33,10 +33,10 @@ validates the law once and returns the law of motion as a closure
 computes the axis check, the field Jacobian (three distinct entries), the
 induced-dipole force F and the convective rate (v . grad)p_h, and the full
 law subtracts the two terms; ``_hidden_momentum`` gives (px, py) to the loop
-integrands and the bounce samples.  These are the only implementations of
-the two force terms and of p_h: the catalogue row
-``boyer_force_equals_momentum_rate`` reads F and F - (v . grad)p_h from laws
-that ``acceleration_law`` built, at unit inverse mass.
+integrands.  These are the only implementations of the two force terms and
+of p_h: the catalogue row ``boyer_force_equals_momentum_rate`` reads F and
+F - (v . grad)p_h from laws that ``acceleration_law`` built, at unit inverse
+mass.
 
 Contract: each body is the Vec3 formulation with mu = (0, 0, mu_z) and
 position and velocity in the x-y plane, less the terms that vanish in this
@@ -78,8 +78,7 @@ bisecting whenever an iterate leaves it.  The hit is within two float
 spacings of the plane, a bound that holds at any distance of the cavity from
 the origin; it usually takes one to three RK4 steps, and at most
 MAX_LANDING_STEPS.  The loop keeps only the TrajectoryState tuple of each
-step and each reflection: ``BounceResult.samples`` builds the BounceSample
-tuples from them when it is read.
+step and each reflection.
 
 The loop phase integrates each segment on a map about its point nearest the
 line (``_loop_integrands``), which spreads the segment's 1/clearance peak over
@@ -94,8 +93,8 @@ p_h . tangent, so no Vec3 is built per quadrature node, and forms its points
 as small offsets from an anchor next to the line.  A circle or a polyline
 side too large for the squares of its distances is scaled by an exact power
 of two first.  A circle's periodic integrand gets the periodic trapezoid rule
-from 8 points, a polyline side's composite Gauss-Legendre from 1 panel
-(``_loop_rule``), to one absolute floor for every segment (``ac_phase``).
+from 8 points, a polyline side's composite Gauss-Legendre from 1 panel, to
+one absolute floor for every segment (``ac_phase``).
 """
 
 from __future__ import annotations
@@ -370,18 +369,6 @@ def kinetic_energy(n: NeutronModel, state: TrajectoryState) -> float:
     return 0.5 * n.mass * (state.vx * state.vx + state.vy * state.vy)
 
 
-class BounceSample(NamedTuple):
-    """A TrajectoryState's floats, its kinetic energy and its hidden momentum (px, py)."""
-
-    t: float
-    x: float
-    y: float
-    vx: float
-    vy: float
-    kinetic_energy: float
-    hidden_momentum: tuple[float, float]
-
-
 @dataclass(frozen=True, slots=True)
 class BounceResult:
     """One bounce run: the state after every step and every reflection, and
@@ -395,13 +382,12 @@ class BounceResult:
     ke_gain_per_leg: tuple[float, ...]
     line: LineCharge
     neutron: NeutronModel
-    constants: PhysicalConstants
 
     @property
-    def samples(self) -> tuple[BounceSample, ...]:
-        """One BounceSample per state, built anew on each access."""
-        inv_c = 1.0 / self.constants.c
-        return tuple(_bounce_sample(self.line, self.neutron, inv_c, st) for st in self.states)
+    def samples(self) -> tuple[TrajectoryState, ...]:
+        # The states, under the name the benchmark tracer counts them by;
+        # ROADMAP item 1 moves that count into the result.
+        return self.states
 
     @property
     def initial_kinetic_energy(self) -> float:
@@ -468,12 +454,6 @@ def _locate_crossing(
         f"{accel.law} law: mirror crossing at x = {plane!r} cm not landed within {tol!r} cm in "
         f"{MAX_LANDING_STEPS} RK4 steps (t = {hit[0]!r} s, x = {hit[1]!r} cm)"
     )
-
-
-def _bounce_sample(lc: LineCharge, n: NeutronModel, inv_c: float, st: TrajectoryState) -> BounceSample:
-    x, y = st.x, st.y
-    p_h = _hidden_momentum(lc, n.mu_z, inv_c, x, y)
-    return BounceSample(st.t, x, y, st.vx, st.vy, kinetic_energy(n, st), p_h)
 
 
 def simulate_bounce_experiment(
@@ -563,7 +543,6 @@ def simulate_bounce_experiment(
         ke_gain_per_leg=tuple(gain_per_leg),
         line=lc,
         neutron=n,
-        constants=k,
     )
 
 
@@ -737,18 +716,6 @@ def _loop_integrands(
     raise ValidationError(f"unsupported loop path {loop!r}")
 
 
-def _loop_rule(loop: LoopPath) -> Callable[..., float]:
-    """The refinement that integrates each of the loop's mapped integrands:
-    the periodic trapezoid rule for a circle, whose one integrand is periodic
-    in h, and panel-doubling Gauss-Legendre, which starts from one panel, for
-    a polyline side.  It reads ``refine_gauss_legendre`` from this module at
-    each call, so that the benchmark tracer's wrapper of that name sees every
-    polyline side."""
-    if isinstance(loop, CircleLoop):
-        return refine_periodic_trapezoid
-    return refine_gauss_legendre
-
-
 def path_axis_clearance(loop: LoopPath) -> float:
     """Minimum distance from the loop to the charged line (in the x-y plane).
     A polyline side is measured scaled (``_scaled_side``), so that a side too
@@ -786,7 +753,9 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
     inv_c = 1.0 / k.c
     bound = 2.0 * math.pi * abs(2.0 * lc.lambda_c * mu_z * inv_c)
     abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3
-    refine = _loop_rule(loop)
+    # Both rules are read from this module at each call, so the benchmark
+    # tracer's wrapper of refine_gauss_legendre sees every polyline side.
+    refine = refine_periodic_trapezoid if isinstance(loop, CircleLoop) else refine_gauss_legendre
     total = 0.0
     for f, lo, hi in _loop_integrands(loop, lc, mu_z, inv_c):
         total += refine(f, lo, hi, rel_tol=AC_PHASE_REL_TOL, abs_floor=abs_floor)

@@ -43,12 +43,12 @@ OVERLAP_QUADRATURE_REL_TOL = 1e-12
 @dataclass(frozen=True, slots=True)
 class GaussianPacket:
     """1D Gaussian wave packet: center x0 (cm), mean momentum p0 (g cm/s),
-    position spread sigma_x (cm), mass (g)."""
+    position spread sigma_x (cm).  The overlaps need no mass: a packet is
+    displaced and kicked, never evolved."""
 
     x0: float
     p0: float
     sigma_x: float
-    mass: float
 
     def __post_init__(self):
         sx = self.sigma_x
@@ -60,8 +60,6 @@ class GaussianPacket:
             raise ValidationError(
                 f"sigma_x^2 = {sx * sx!r} at sigma_x = {sx!r}: the overlap routes need it normal and 8*sigma_x^2 finite"
             )
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise ValidationError(f"mass must be positive, got {self.mass!r}")
         if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
             raise ValidationError("packet center and momentum must be finite")
 

@@ -33,8 +33,9 @@ numpy.
 ``adaptive_simpson`` splits an interval until the two-panel and one-panel
 estimates agree to 15x the interval's share of the tolerance, and it
 accumulates the Richardson-corrected value S2 + (S2 - S1)/15.  No route of
-the package calls it any more; it stays exported because the benchmark
-tracer (``perfbench/tracer.py``) still patches it by name.
+the package calls it any more.  It stays because the benchmark tracer
+(``perfbench/tracer.py``) patches ``interferometry.adaptive_simpson`` and
+``solenoid.adaptive_simpson``, names those two modules import for it alone.
 """
 
 from __future__ import annotations

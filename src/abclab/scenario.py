@@ -320,9 +320,9 @@ def _build_ab_objects(params: dict):
 
 
 def _build_bounce_objects(params: dict):
-    # The range types leave three rules: distinct mirror planes (BounceConfig),
-    # a start between them and a first step that moves x off a mirror plane.
-    # A swept start.x_cm, dt_s or vx_cm_per_s meets the last two per point.
+    # The range types leave four rules: distinct mirror planes (BounceConfig),
+    # a start between them, a first step that moves x off a mirror plane and a
+    # finite kinetic energy.  Each swept point meets them again.
     lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
     n = boyer.NeutronModel(mass=params["neutron"]["mass_g"], mu_z=params["neutron"]["mu_z_erg_per_G"])
     start = params["start"]
@@ -353,6 +353,12 @@ def _build_bounce_objects(params: dict):
         raise ValidationError(
             f"params.dt_s, params.start.vx_cm_per_s: a step moves x by |vx| * dt = {step!r} cm, "
             f"less than the float spacing {spacing!r} cm at the mirrors, so it cannot leave a mirror plane"
+        )
+    energy = boyer.kinetic_energy(n, initial)
+    if not math.isfinite(energy):
+        raise ValidationError(
+            f"params.neutron.mass_g, params.start.vx_cm_per_s, params.start.vy_cm_per_s: "
+            f"the kinetic energy m (vx^2 + vy^2)/2 must be finite, got {energy!r}"
         )
     return lc, n, initial, configs
 
@@ -523,9 +529,11 @@ _ROUTING_WINDOW_RAD = 1e-9  # how near 0 or pi (mod 2 pi) the routing claims app
 
 def _point_mzi(params: dict, k: PhysicalConstants):
     if "path_shift" in params:
-        phase = interferometry.phase_from_path_shift(
-            params["path_shift"]["delta_l_cm"], params["path_shift"]["wavelength_cm"]
-        )
+        delta_l, wavelength = params["path_shift"]["delta_l_cm"], params["path_shift"]["wavelength_cm"]
+        try:  # the phase turns on these two keys alone, so its error names both
+            phase = interferometry.phase_from_path_shift(delta_l, wavelength)
+        except DomainError as exc:
+            raise DomainError(f"params.path_shift.delta_l_cm, params.path_shift.wavelength_cm: {exc}") from None
     else:
         phase = params["phase_rad"]
     vis = params["visibility"]
@@ -534,11 +542,23 @@ def _point_mzi(params: dict, k: PhysicalConstants):
     residual = verify.detector_sum_residual(probs)
     checks = [verify.claim_row("detector_probability_sum", residual, 1.0, probs.p_a + probs.p_b)]
     wrapped = math.remainder(phase, 2.0 * math.pi)
-    if vis == 1.0 and abs(wrapped) < _ROUTING_WINDOW_RAD:
-        checks.append(verify.claim_row("routes_to_A_at_zero_phase", abs(probs.p_a - 1.0), 1.0, probs.p_a))
-    if vis == 1.0 and abs(abs(wrapped) - math.pi) < _ROUTING_WINDOW_RAD:
-        checks.append(verify.claim_row("routes_to_B_at_pi_phase", abs(probs.p_b - 1.0), 1.0, probs.p_b))
+    near_zero = abs(wrapped) < _ROUTING_WINDOW_RAD
+    if vis == 1.0 and (near_zero or abs(abs(wrapped) - math.pi) < _ROUTING_WINDOW_RAD):
+        # A path shift's port is the parity of 2*delta_l/wavelength, taken
+        # from the inputs, so that a wrong phase formula FAILs the row.
+        to_a = near_zero if "path_shift" not in params else round(2.0 * delta_l / wavelength) % 2 == 0
+        name, p = ("routes_to_A_at_zero_phase", probs.p_a) if to_a else ("routes_to_B_at_pi_phase", probs.p_b)
+        checks.append(verify.claim_row(name, abs(p - 1.0), 1.0, p))
     return rows, checks
+
+
+# The params.solenoid keys that each quantity of the factor-4 chain reads.
+_AB_CHAIN_KEYS = {
+    "flux": ("r_cm", "L_cm", "Q_statC", "v_cm_per_s"),
+    "phase_ab": ("r_cm", "L_cm", "Q_statC", "v_cm_per_s"),
+    "delta_x": ("r_cm", "L_cm", "M_g", "Q_statC"),
+    "lambda_db": ("M_g", "v_cm_per_s"),
+}
 
 
 def _point_ab_solenoid(params: dict, k: PhysicalConstants):
@@ -548,6 +568,13 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants):
     except DomainError as exc:
         raise DomainError(f"params.solenoid.M_g, params.solenoid.v_cm_per_s: {exc}") from None
     res = solenoid.local_model_phase(s, o, k)
+    # factor4_identity is judged relative to the phase: a quantity of the chain
+    # that overflows or loses bits below the normal floats would FAIL it
+    for name, keys in _AB_CHAIN_KEYS.items():
+        value = getattr(res, name)
+        if value != 0.0 and not sys.float_info.min <= abs(value) < math.inf:
+            where = ", ".join(f"params.solenoid.{key}" for key in keys)
+            raise DomainError(f"{where}: {name} must be 0.0 or a normal finite float, got {value!r}")
     probs = interferometry.detector_probabilities(res.phase_ab, params["visibility"])
     residual = verify.factor4_residual(res)
     rows = [

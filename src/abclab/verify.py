@@ -506,7 +506,6 @@ def _overlap_identity(rng) -> CheckRow:
             x0=_uniform(rng, -2.0, 2.0),
             p0=_uniform(rng, -2.0, 2.0),
             sigma_x=_log_uniform(rng, 0.1, 10.0),
-            mass=1.0,
         )
         return abs(abs(interferometry.packet_overlap(packet, 0.0, 0.0, 1.0)) - 1.0)
 
@@ -520,7 +519,6 @@ def _overlap_bound(rng) -> float:
         x0=_uniform(rng, -5.0, 5.0),
         p0=_uniform(rng, -5.0, 5.0),
         sigma_x=_log_uniform(rng, 1e-2, 1e2),
-        mass=1.0,
     )
     dx = _sign(rng) * _log_uniform(rng, 1e-3, 1e2) * packet.sigma_x
     dp = _sign(rng) * _log_uniform(rng, 1e-3, 1e2) / packet.sigma_x
@@ -534,7 +532,6 @@ def _overlap_quadrature(rng) -> float:
         x0=_uniform(rng, -2.0, 2.0),
         p0=_uniform(rng, -2.0, 2.0),
         sigma_x=sigma,
-        mass=1.0,
     )
     dx = _uniform(rng, -2.0, 2.0) * sigma
     dp = _uniform(rng, -2.0, 2.0) / sigma
@@ -545,7 +542,7 @@ def _overlap_quadrature(rng) -> float:
 
 def _overlap_monotone(name: str, vary_shift: bool) -> CheckRow:
     # The overlap magnitude never rises along a grid of growing shifts (kicks).
-    packet = interferometry.GaussianPacket(x0=0.3, p0=-0.7, sigma_x=1.3, mass=1.0)
+    packet = interferometry.GaussianPacket(x0=0.3, p0=-0.7, sigma_x=1.3)
     magnitudes = []
     for g in (0.25 * i for i in range(17)):
         dx, dp = (g, 0.4) if vary_shift else (0.4, g)
@@ -634,7 +631,7 @@ def _visibility_pipeline(rng) -> CheckRow:
     for ratio in ratios:
         sigma_p = ratio * kick
         sigma_x = _K1.hbar / (2.0 * sigma_p)
-        packet = interferometry.GaussianPacket(x0=0.0, p0=0.0, sigma_x=sigma_x, mass=s.M)
+        packet = interferometry.GaussianPacket(x0=0.0, p0=0.0, sigma_x=sigma_x)
         overlap = interferometry.packet_overlap(packet, 0.0, kick, _K1.hbar)
         visibilities.append(interferometry.visibility_from_overlap(overlap))
     monotone = all(b >= a for a, b in zip(visibilities, visibilities[1:]))

@@ -269,9 +269,7 @@ def test_criterion_10_visibility_pipeline():
         rng = np.random.default_rng(1010)
         for _ in range(100):
             sigma = _log_uniform(rng, 0.3, 3.0)
-            packet = GaussianPacket(
-                x0=float(rng.uniform(-2, 2)), p0=float(rng.uniform(-2, 2)), sigma_x=sigma, mass=1.0
-            )
+            packet = GaussianPacket(x0=float(rng.uniform(-2, 2)), p0=float(rng.uniform(-2, 2)), sigma_x=sigma)
             dx = float(rng.uniform(-2.0, 2.0)) * sigma
             dp = float(rng.uniform(-2.0, 2.0)) / sigma
             closed = packet_overlap(packet, dx, dp, 1.0)
@@ -284,7 +282,7 @@ def test_criterion_10_visibility_pipeline():
         visibilities = []
         for ratio in ratios:
             sigma_p = ratio * kick
-            packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=K1.hbar / (2.0 * sigma_p), mass=s.M)
+            packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=K1.hbar / (2.0 * sigma_p))
             visibilities.append(visibility_from_overlap(packet_overlap(packet, 0.0, kick, K1.hbar)))
         assert all(b >= a for a, b in zip(visibilities, visibilities[1:]))
         assert all(b > a for a, b in zip(visibilities[1:], visibilities[2:]))  # strict once above underflow

@@ -543,7 +543,7 @@ def test_free_particle_bounce_period():
     # lambda_c = 0: exact constant kinetic energy, round trip 2*gap/|v|
     start = TrajectoryState(0.0, 2.0, 0.5, -1.5, 0.0)
     result = bounce(FULL_LAW, n_bounces=5, dt=0.01, lc=LineCharge(lambda_c=0.0), start=start)
-    kes = {s.kinetic_energy for s in result.samples}
+    kes = {kinetic_energy(NEUTRON, s) for s in result.states}
     assert kes == {result.initial_kinetic_energy}
     round_trip = result.bounce_times[2] - result.bounce_times[0]
     assert round_trip == pytest.approx(2.0 * 1.5 / 1.5, abs=1e-10)
@@ -568,13 +568,11 @@ def test_naive_law_gain_matches_work_integral():
 
 
 def test_bounce_samples_carry_hidden_momentum():
-    result = bounce(FULL_LAW, n_bounces=2)
-    sample = result.samples[10]
-    expected = _ref_hidden_momentum(BOUNCE_LINE, Vec3(sample.x, sample.y, 0.0), Vec3(0.0, 0.0, MU_Z), K1)
-    assert sample.hidden_momentum == (expected.x, expected.y)
-    assert sample.kinetic_energy == pytest.approx(
-        kinetic_energy(NEUTRON, TrajectoryState(sample.t, sample.x, sample.y, sample.vx, sample.vy))
-    )
+    # p_h at a kept state is the Vec3 reference's, bit for bit
+    st = bounce(FULL_LAW, n_bounces=2).states[10]
+    expected = _ref_hidden_momentum(BOUNCE_LINE, Vec3(st.x, st.y, 0.0), Vec3(0.0, 0.0, MU_Z), K1)
+    p_h = boyer._hidden_momentum(BOUNCE_LINE, MU_Z, 1.0 / K1.c, st.x, st.y)
+    assert _bits(*p_h) == _bits(expected.x, expected.y)
 
 
 def test_bounce_leg_step_budget(monkeypatch):
@@ -663,9 +661,9 @@ def _count_landing_steps(monkeypatch) -> list[int]:
 
 
 def _hits(result):
-    # a reflected sample keeps the position of its hit
+    # a reflected state keeps the position of its hit
     times = set(result.bounce_times)
-    return [s for s in result.samples if s.t in times]
+    return [s for s in result.states if s.t in times]
 
 
 @pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
@@ -734,23 +732,15 @@ def test_mirror_landing_budget(monkeypatch):
 
 @pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
 def test_bounce_samples_match_an_eager_per_step_build(law):
-    # Re-step every accepted state from its predecessor and build its sample
-    # there, as a loop that samples each step would; reflected states are
-    # taken from the result.
+    # Re-step every accepted state from its predecessor, as a loop that keeps
+    # each step would; reflected states are the result's own.
     result = bounce(law, n_bounces=4)
     states, times = result.states, set(result.bounce_times)
-    eager = []
-    for i, st in enumerate(states):
-        if i and st.t not in times:
-            stepped = _step(BOUNCE_LINE, NEUTRON, states[i - 1], 1.0 / 256.0, law, K1)
-            assert _state_bits(stepped) == _state_bits(st)
-        p_h = boyer._hidden_momentum(BOUNCE_LINE, MU_Z, 1.0 / K1.c, st.x, st.y)
-        eager.append(boyer.BounceSample(st.t, st.x, st.y, st.vx, st.vy, kinetic_energy(NEUTRON, st), p_h))
-
-    def sample_bits(s):
-        return _state_bits(s) + _bits(s.kinetic_energy, *s.hidden_momentum)
-
-    assert [sample_bits(s) for s in result.samples] == [sample_bits(s) for s in eager]
+    stepped = [i for i, st in enumerate(states) if i and st.t not in times]
+    assert len(stepped) == len(states) - 1 - 4
+    for i in stepped:
+        eager = _step(BOUNCE_LINE, NEUTRON, states[i - 1], 1.0 / 256.0, law, K1)
+        assert _state_bits(eager) == _state_bits(states[i])
 
 
 @pytest.mark.parametrize("law", [FULL_LAW, NAIVE_LAW])
@@ -758,29 +748,24 @@ def test_bounce_hidden_momentum_is_continuous_across_each_bounce(law):
     # The reflection flips vx but keeps the position, so p_h moves across a
     # bounce by no more than across a step, while the velocity jumps.
     result = bounce(law, n_bounces=4)
-    samples, times = result.samples, set(result.bounce_times)
-    bounces = [i for i, s in enumerate(samples) if s.t in times]
+    states, times = result.states, set(result.bounce_times)
+    bounces = [i for i, s in enumerate(states) if s.t in times]
     assert len(bounces) == 4
-    jumps = [math.dist(a.hidden_momentum, b.hidden_momentum) for a, b in zip(samples, samples[1:])]
+    p_h = [boyer._hidden_momentum(BOUNCE_LINE, MU_Z, 1.0 / K1.c, s.x, s.y) for s in states]
+    jumps = [math.dist(a, b) for a, b in zip(p_h, p_h[1:])]
     in_leg = max(j for i, j in enumerate(jumps) if i + 1 not in bounces and i not in bounces)
     for i in bounces:
-        assert samples[i].vx * samples[i - 1].vx < 0.0
+        assert states[i].vx * states[i - 1].vx < 0.0
         assert jumps[i - 1] <= 2.0 * in_leg
         if i < len(jumps):
             assert jumps[i] <= 2.0 * in_leg
 
 
-def test_bounce_kinetic_energies_build_no_samples(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a BounceSample was built")
-
-    monkeypatch.setattr(boyer, "BounceSample", refuse)
+def test_bounce_kinetic_energies_build_no_samples():
     for law in (FULL_LAW, NAIVE_LAW):
         result = bounce(law, n_bounces=2)
         assert result.initial_kinetic_energy == kinetic_energy(NEUTRON, BOUNCE_START)
         assert result.bounce_kinetic_energies[-1] == kinetic_energy(NEUTRON, result.states[-1])
-    with pytest.raises(AssertionError, match="a BounceSample was built"):
-        result.samples
 
 
 def test_ac_phase_circle_analytic_value():
@@ -910,7 +895,7 @@ def _ref_integrands(lc, mu, loop, k):
 
 def _ref_ac_phase(lc, mu, loop, k, rel_tol=1e-10):
     abs_floor = rel_tol * (2.0 * math.pi * abs(2.0 * lc.lambda_c * mu.z * (1.0 / k.c))) * 1e-3
-    refine = boyer._loop_rule(loop)
+    refine = boyer.refine_periodic_trapezoid if isinstance(loop, CircleLoop) else boyer.refine_gauss_legendre
     total = 0.0
     for f, lo, hi in _ref_integrands(lc, mu, loop, k):
         total += refine(f, lo, hi, rel_tol=rel_tol, abs_floor=abs_floor)

@@ -96,32 +96,30 @@ def test_non_finite_phase_rejected():
 
 def test_packet_validation():
     with pytest.raises(ValidationError):
-        GaussianPacket(x0=0.0, p0=0.0, sigma_x=0.0, mass=1.0)
-    with pytest.raises(ValidationError):
-        GaussianPacket(x0=0.0, p0=0.0, sigma_x=1.0, mass=-2.0)
+        GaussianPacket(x0=0.0, p0=0.0, sigma_x=0.0)
 
 
 def test_overlap_identity_displacement():
-    packet = GaussianPacket(x0=0.7, p0=-0.2, sigma_x=1.1, mass=1.0)
+    packet = GaussianPacket(x0=0.7, p0=-0.2, sigma_x=1.1)
     assert packet_overlap(packet, 0.0, 0.0, 1.0) == 1.0 + 0.0j
 
 
 def test_overlap_two_sigma_shift():
-    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=1.4, mass=1.0)
+    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=1.4)
     overlap = packet_overlap(packet, 2.0 * packet.sigma_x, 0.0, 1.0)
     assert abs(overlap) == pytest.approx(EXP_MINUS_HALF, rel=1e-12)
 
 
 def test_overlap_unit_kick_in_natural_units():
     # delta_p chosen so delta_p * sigma_x / hbar = 1
-    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=0.6, mass=1.0)
+    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=0.6)
     overlap = packet_overlap(packet, 0.0, 1.0 / packet.sigma_x, 1.0)
     assert abs(overlap) == pytest.approx(EXP_MINUS_HALF, rel=1e-12)
 
 
 def test_overlap_phase_convention_pure_kick():
     # symmetric ordering: phase is dp*x0/hbar when dx = 0
-    packet = GaussianPacket(x0=1.3, p0=0.8, sigma_x=1.0, mass=1.0)
+    packet = GaussianPacket(x0=1.3, p0=0.8, sigma_x=1.0)
     overlap = packet_overlap(packet, 0.0, 0.9, 1.0)
     assert cmath.phase(overlap) == pytest.approx(0.9 * 1.3, rel=1e-12)
 
@@ -147,9 +145,7 @@ def test_overlap_closed_form_vs_scipy_quadpack():
     rng = np.random.default_rng(7)
     for _ in range(100):
         sigma = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
-        packet = GaussianPacket(
-            x0=float(rng.uniform(-2, 2)), p0=float(rng.uniform(-2, 2)), sigma_x=sigma, mass=1.0
-        )
+        packet = GaussianPacket(x0=float(rng.uniform(-2, 2)), p0=float(rng.uniform(-2, 2)), sigma_x=sigma)
         dx = float(rng.uniform(-2.0, 2.0)) * sigma
         dp = float(rng.uniform(-2.0, 2.0)) / sigma
         closed = packet_overlap(packet, dx, dp, 1.0)
@@ -159,12 +155,12 @@ def test_overlap_closed_form_vs_scipy_quadpack():
 
 def test_overlap_quadrature_route_matches_closed_form():
     cases = [
-        (GaussianPacket(x0=0.4, p0=-0.3, sigma_x=1.5, mass=1.0), 1.2, 0.7),
+        (GaussianPacket(x0=0.4, p0=-0.3, sigma_x=1.5), 1.2, 0.7),
         # The draw of `abclab verify --seed 1549879443` whose overlap has a
         # small real part (-0.024 of |overlap| 0.164): two adaptive-Simpson
         # runs, one per part, accepted a coarse grid there and missed by 6.5e-8.
         (
-            GaussianPacket(x0=-0.5804146471623093, p0=-1.113175032087792, sigma_x=0.571512196224127, mass=1.0),
+            GaussianPacket(x0=-0.5804146471623093, p0=-1.113175032087792, sigma_x=0.571512196224127),
             0.1825149993647618,
             3.312689629266306,
         ),
@@ -179,7 +175,7 @@ def test_overlap_quadrature_floor_follows_the_integrand():
     # The worst overlap draw of `abclab verify --seed 24`.  A fixed absolute
     # floor of 1e-10 stopped the panel doubling at 8 panels, 1.1e-11 off; the
     # floor 1e-12 * norm2 * (b - a) scales with the integrand instead.
-    packet = GaussianPacket(x0=-1.681303764138367, p0=-0.450378576695702, sigma_x=1.9309347193570017, mass=1.0)
+    packet = GaussianPacket(x0=-1.681303764138367, p0=-0.450378576695702, sigma_x=1.9309347193570017)
     dx, dp = -1.5532197535112873, -0.6845073918713619
     closed = packet_overlap(packet, dx, dp, 1.0)
     assert abs(closed - overlap_by_quadrature(packet, dx, dp, 1.0)) / abs(closed) <= 1e-13
@@ -216,7 +212,7 @@ def test_overlap_quadrature_at_the_corners_beyond_the_verify_band(monkeypatch, s
     # with the closed form, QUADPACK and a fixed 64-panel Gauss-Legendre rule
     # on the same window, which no early agreement at 8-32 points can pass.
     calls = _captured_window(monkeypatch)
-    packet = GaussianPacket(x0=0.7, p0=-1.1, sigma_x=sigma, mass=1.0)
+    packet = GaussianPacket(x0=0.7, p0=-1.1, sigma_x=sigma)
     dx, dp = shift * sigma, kick / sigma
     scale = math.exp(-dx * dx / (8.0 * sigma * sigma))
     numeric = overlap_by_quadrature(packet, dx, dp, 1.0)
@@ -235,9 +231,7 @@ def test_overlap_quadrature_agrees_with_a_fixed_gauss_legendre_rule(monkeypatch)
     rng = np.random.default_rng(19)
     for _ in range(60):
         sigma = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
-        packet = GaussianPacket(
-            x0=float(rng.uniform(-2, 2)), p0=float(rng.uniform(-2, 2)), sigma_x=sigma, mass=1.0
-        )
+        packet = GaussianPacket(x0=float(rng.uniform(-2, 2)), p0=float(rng.uniform(-2, 2)), sigma_x=sigma)
         dx = float(rng.uniform(-2.0, 2.0)) * sigma
         dp = float(rng.uniform(-2.0, 2.0)) / sigma
         numeric = overlap_by_quadrature(packet, dx, dp, 1.0)
@@ -250,7 +244,7 @@ def test_overlap_quadrature_agrees_with_a_fixed_gauss_legendre_rule(monkeypatch)
 
 
 def _unit_packet(sigma):
-    return GaussianPacket(x0=0.0, p0=0.0, sigma_x=sigma, mass=1.0)
+    return GaussianPacket(x0=0.0, p0=0.0, sigma_x=sigma)
 
 
 @pytest.mark.parametrize(
@@ -286,7 +280,7 @@ def test_overlap_quadrature_refuses_a_window_whose_square_overflows(sigma, delta
 
 def test_overlap_quadrature_refuses_a_packet_narrower_than_the_float_spacing_at_one():
     # the window's nodes collapse onto a few floats: this used to return 6.64
-    packet = GaussianPacket(x0=1.0, p0=0.0, sigma_x=1e-17, mass=1.0)
+    packet = GaussianPacket(x0=1.0, p0=0.0, sigma_x=1e-17)
     with pytest.raises(DomainError, match=r"^overlap window: the float spacing .* near its centre 1\.0 .* sigma_x = 1e-17$"):
         overlap_by_quadrature(packet, 0.0, 0.0, 1.0)
 
@@ -294,7 +288,7 @@ def test_overlap_quadrature_refuses_a_packet_narrower_than_the_float_spacing_at_
 def test_overlap_quadrature_refuses_a_narrow_packet_far_from_the_origin():
     # the float spacing at 1e6 is 1.2e-10, a hundred times sigma_x: this used
     # to return 0j, where the closed form gives 1
-    packet = GaussianPacket(x0=1e6, p0=0.0, sigma_x=1e-12, mass=1.0)
+    packet = GaussianPacket(x0=1e6, p0=0.0, sigma_x=1e-12)
     with pytest.raises(DomainError, match=r"near its centre 1000000\.0 .* sigma_x = 1e-12$"):
         overlap_by_quadrature(packet, 0.0, 0.0, 1.0)
 
@@ -304,9 +298,9 @@ def test_overlap_quadrature_resolves_a_packet_just_inside_the_float_spacing_boun
     # = 9.8e-12: ulp(6e4 + 12) = 7.3e-12 is within it, ulp(7e4 + 12) = 1.5e-11
     # is not
     floor = 1e-12 * 24.5 / math.sqrt(2.0 * math.pi)
-    inside = GaussianPacket(x0=6e4, p0=0.3, sigma_x=1.0, mass=1.0)
+    inside = GaussianPacket(x0=6e4, p0=0.3, sigma_x=1.0)
     assert abs(overlap_by_quadrature(inside, 0.5, 0.7, 1.0) - packet_overlap(inside, 0.5, 0.7, 1.0)) <= floor
-    outside = GaussianPacket(x0=7e4, p0=0.3, sigma_x=1.0, mass=1.0)
+    outside = GaussianPacket(x0=7e4, p0=0.3, sigma_x=1.0)
     with pytest.raises(DomainError, match=r"near its centre 70000\.25 .* sigma_x = 1\.0$"):
         overlap_by_quadrature(outside, 0.5, 0.7, 1.0)
     # the window reaches 10,012, but the integrand has its weight within 12 of
@@ -326,7 +320,7 @@ def test_overlap_quadrature_refuses_a_kick_whose_phase_overflows():
 def test_overlap_refuses_a_shift_whose_phase_overflows():
     # p0 * delta_x / hbar is inf: a bare ValueError (math domain error) from
     # cmath.exp, no AbclabError
-    packet = GaussianPacket(x0=0.0, p0=1.7e308, sigma_x=1.0, mass=1.0)
+    packet = GaussianPacket(x0=0.0, p0=1.7e308, sigma_x=1.0)
     with pytest.raises(DomainError, match=r"^overlap phase \(delta_p\*x0 - p0\*delta_x\)/hbar overflows at x0 = 0\.0, p0 = 1\.7e\+308, delta_x = 10\.0"):
         packet_overlap(packet, 10.0, 0.0, 1.0)
 
@@ -334,7 +328,7 @@ def test_overlap_refuses_a_shift_whose_phase_overflows():
 def test_overlap_quadrature_refuses_a_shift_whose_phase_overflows():
     # p0 * delta_x / hbar is inf in every integrand value: the refinement used
     # to stop on a (nan+nanj) estimate
-    packet = GaussianPacket(x0=0.0, p0=1.7e308, sigma_x=1.0, mass=1.0)
+    packet = GaussianPacket(x0=0.0, p0=1.7e308, sigma_x=1.0)
     with pytest.raises(DomainError, match=r"^overlap phase: p0\*delta_x/hbar overflows at p0 = 1\.7e\+308, delta_x = 10\.0"):
         overlap_by_quadrature(packet, 10.0, 0.0, 1.0)
 
@@ -344,12 +338,12 @@ def test_overlap_quadrature_refuses_a_shift_whose_phase_overflows():
     st.floats(min_value=-30.0, max_value=30.0, allow_nan=False),
 )
 def test_overlap_magnitude_never_exceeds_one(delta_x, delta_p):
-    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=0.8, mass=1.0)
+    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=0.8)
     assert abs(packet_overlap(packet, delta_x, delta_p, 1.0)) <= 1.0
 
 
 def test_overlap_monotone_in_shift_and_kick():
-    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=1.0, mass=1.0)
+    packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=1.0)
     shifts = [0.3 * i for i in range(15)]
     mags = [abs(packet_overlap(packet, s, 0.5, 1.0)) for s in shifts]
     assert all(b <= a for a, b in zip(mags, mags[1:]))

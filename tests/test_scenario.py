@@ -22,6 +22,7 @@ from abclab import (
     ScenarioParseError,
     ValidationError,
     boyer,
+    interferometry,
     load_scenario,
     parse_scenario,
     render_csv,
@@ -323,6 +324,12 @@ SHORT_STEP_MESSAGE = (
     "params.dt_s, params.start.vx_cm_per_s: a step moves x by |vx| * dt = {} cm, "
     "less than the float spacing 4.440892098500626e-16 cm at the mirrors, so it cannot leave a mirror plane"
 )
+# m (vx^2 + vy^2)/2 overflowed: mass_g 1e308 wrote NaN rows and FAILed every
+# check, and vx 1e300 exited 3 on an RK4 overflow that named no key
+KINETIC_ENERGY_MESSAGE = (
+    "params.neutron.mass_g, params.start.vx_cm_per_s, params.start.vy_cm_per_s: "
+    "the kinetic energy m (vx^2 + vy^2)/2 must be finite, got inf"
+)
 POLYLINE_DOC = f"""
 kind: ac-phase
 units: scaled-unity
@@ -360,10 +367,13 @@ params:
             BOUNCE_DOC, "vx_cm_per_s: -2.0", "vx_cm_per_s: 1.0e-300", ValidationError,
             re.escape(SHORT_STEP_MESSAGE.format("3.90625e-303")),
         ),
+        (BOUNCE_DOC, "mass_g: 1.0", "mass_g: 1.0e308", ValidationError, re.escape(KINETIC_ENERGY_MESSAGE)),
+        (BOUNCE_DOC, "vx_cm_per_s: -2.0", "vx_cm_per_s: -1.0e300", ValidationError, re.escape(KINETIC_ENERGY_MESSAGE)),
     ],
     ids=[
         "too_few_vertices", "open_polyline", "start_outside_mirrors",
         "step_under_spacing", "subnormal_dt", "outward_vx_under_spacing",
+        "kinetic_energy_of_mass", "kinetic_energy_of_vx",
     ],
 )
 def test_parse_loop_and_start_errors_name_the_key(tmp_path, text, old, new, error, message):
@@ -473,6 +483,31 @@ params:
     assert report.rows[0]["p_b"] == pytest.approx(1.0, abs=1e-12)
     names = [c.name for c in report.checks]
     assert "routes_to_B_at_pi_phase" in names
+
+
+def test_mzi_routing_row_takes_its_port_from_the_path_shift(tmp_path, monkeypatch, capsys):
+    # With twice the phase, half a wavelength lands at 2 pi and the routing row
+    # followed the phase to detector A and PASSed; the parity of
+    # 2*delta_l/wavelength expects B, so the wrong phase FAILs
+    monkeypatch.setattr(interferometry, "phase_from_path_shift", lambda dl, wl: 4.0 * math.pi * dl / wl)
+    path = tmp_path / "mzi.yaml"
+    path.write_text((SCENARIO_DIR / "mzi_half_wavelength.yaml").read_text())
+    assert cli_main(["run", str(path)]) == 1
+    assert "FAIL routes_to_B_at_pi_phase (actual=0.0, tol=1e-12)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "delta_l, routing",
+    [("0.5", ["routes_to_B_at_pi_phase"]), ("1.5", ["routes_to_B_at_pi_phase"]),
+     ("2.0", ["routes_to_A_at_zero_phase"]), ("0.500000000001", ["routes_to_B_at_pi_phase"]), ("5.0e14", [])],
+)
+def test_mzi_path_shift_routing_rows(delta_l, routing):
+    # the routing row appears where the phase lies within 1e-9 rad of 0 or pi,
+    # and 5e14 wavelengths' phase cannot resolve that window
+    doc = (SCENARIO_DIR / "mzi_half_wavelength.yaml").read_text().replace("delta_l_cm: 0.5", f"delta_l_cm: {delta_l}")
+    report = run_scenario(parse_scenario(doc))
+    assert [c.name for c in report.checks] == ["detector_probability_sum", *routing]
+    assert all(c.passed for c in report.checks)
 
 
 def test_mzi_requires_exactly_one_phase_spec():
@@ -1003,6 +1038,12 @@ params:
 
 
 MV_KEYS = "params.solenoid.M_g, params.solenoid.v_cm_per_s: h/(M*v)"  # the message named no key
+# the phase's message named no key; a flux that left the normal floats
+# FAILed factor4_identity or named no key either
+PATH_SHIFT_KEYS = "params.path_shift.delta_l_cm, params.path_shift.wavelength_cm: "
+FLUX_KEYS = "params.solenoid.r_cm, params.solenoid.L_cm, params.solenoid.Q_statC, params.solenoid.v_cm_per_s: "
+DELTA_X_KEYS = "params.solenoid.r_cm, params.solenoid.L_cm, params.solenoid.M_g, params.solenoid.Q_statC: "
+NOT_NORMAL = "must be 0.0 or a normal finite float, got "
 
 
 def _ab_unit_doc(**values: str) -> str:
@@ -1015,11 +1056,23 @@ def _ab_unit_doc(**values: str) -> str:
 @pytest.mark.parametrize(
     "doc, message",
     [
-        (MZI_OVERFLOW_DOC, "phase 2*pi*delta_l/wavelength must be finite, got inf"),
+        (MZI_OVERFLOW_DOC, PATH_SHIFT_KEYS + "phase 2*pi*delta_l/wavelength must be finite, got inf"),
+        (
+            MZI_OVERFLOW_DOC.replace("delta_l_cm: 1.0e300", "delta_l_cm: 0.5").replace("1.0e-300", "1.0e-308"),
+            PATH_SHIFT_KEYS + "phase 2*pi*delta_l/wavelength must be finite, got inf",
+        ),
         (_ab_unit_doc(M_g="1.0e200", v_cm_per_s="1.0e200"), f"{MV_KEYS} must be positive and finite, got 0.0 at M*v = inf"),
         (_ab_unit_doc(M_g="1.0e-200", v_cm_per_s="1.0e-200"), f"{MV_KEYS} must be positive and finite, got inf at M*v = 0.0"),
         (_ab_unit_doc(M_g="1.0e-308"), f"{MV_KEYS} must be positive and finite, got inf at M*v = 1e-308"),
-        (_ab_unit_doc(Q_statC="1.0e300", v_cm_per_s="1.0e300"), "phase must be finite, got inf"),
+        (_ab_unit_doc(Q_statC="1.0e300", v_cm_per_s="1.0e300"), FLUX_KEYS + "flux " + NOT_NORMAL + "inf"),
+        (_ab_unit_doc(L_cm="1.0e-308"), FLUX_KEYS + "flux " + NOT_NORMAL + "inf"),
+        (_ab_unit_doc(r_cm="5.0e-324"), FLUX_KEYS + "flux " + NOT_NORMAL + "6.4e-323"),
+        (_ab_unit_doc(Q_statC="5.0e-324"), FLUX_KEYS + "flux " + NOT_NORMAL + "6.4e-323"),
+        (_ab_unit_doc(Q_statC="1.0e-300", M_g="1.0e14"), DELTA_X_KEYS + "delta_x " + NOT_NORMAL + "3.141592654e-314"),
+        (
+            _ab_unit_doc(r_cm="1.0e-310").replace("units: scaled-unity", "units: gaussian-cgs"),
+            FLUX_KEYS + "flux " + NOT_NORMAL + "4.1917e-320",
+        ),
         (
             _ab_unit_doc(L_cm="1.0e-300", M_g="1.0e-30"),
             "u*Q*e*r/(c^2*M*R*L): its denominator underflows to 0.0",
@@ -1030,8 +1083,9 @@ def _ab_unit_doc(**values: str) -> str:
         ),
     ],
     ids=[
-        "mzi-phase", "ab-momentum-inf", "ab-momentum-zero", "ab-mass-tiny", "ab-phase", "ab-kick-underflow",
-        "ab-phase-underflow",
+        "mzi-phase", "mzi-wavelength", "ab-momentum-inf", "ab-momentum-zero", "ab-mass-tiny", "ab-phase",
+        "ab-length-tiny", "ab-radius-subnormal", "ab-charge-subnormal", "ab-shift-subnormal", "ab-flux-subnormal-cgs",
+        "ab-kick-underflow", "ab-phase-underflow",
     ],
 )
 def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
@@ -1047,19 +1101,29 @@ def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
     [
         (
             MZI_OVERFLOW_DOC + "sweep: {param: path_shift.delta_l_cm, from: 1.0, to: 1.0e300, steps: 3}\n",
-            "DomainError: phase 2*pi*delta_l/wavelength must be finite, got inf",
+            "DomainError: " + PATH_SHIFT_KEYS + "phase 2*pi*delta_l/wavelength must be finite, got inf",
         ),
         (
             _ab_unit_doc(M_g="1.0e200") + "sweep: {param: solenoid.v_cm_per_s, from: 1.0, to: 1.0e200, steps: 3}\n",
             f"DomainError: {MV_KEYS} must be positive and finite, got 0.0 at M*v = inf",
         ),
+        (
+            _ab_unit_doc() + "sweep: {param: solenoid.Q_statC, from: 1.0, to: 5.0e307, steps: 3}\n",
+            "DomainError: " + FLUX_KEYS + "flux " + NOT_NORMAL + "inf",
+        ),
+        (
+            BOUNCE_DOC.replace("n_bounces: 10", "n_bounces: 1")
+            + "sweep: {param: start.vx_cm_per_s, from: -2.0, to: -1.0e300, steps: 3}\n",
+            "ValidationError: " + KINETIC_ENERGY_MESSAGE,
+        ),
     ],
-    ids=["mzi-phase", "ab-momentum-inf"],
+    ids=["mzi-phase", "ab-momentum-inf", "ab-flux-inf", "bounce-kinetic-energy"],
 )
 def test_sweep_point_whose_arithmetic_overflows_is_an_error_row(tmp_path, doc, error):
     # the first point runs; the two that overflow become error rows
     report = run_scenario(parse_scenario(doc))
-    assert [row.get("error") for row in report.rows] == [None, error, error]
+    assert [row.get("error") for row in report.rows[-2:]] == [error, error]
+    assert not any("error" in row for row in report.rows[:-2])
     assert all(c.passed for c in report.checks)
     path = tmp_path / "overflow_sweep.yaml"
     path.write_text(doc)

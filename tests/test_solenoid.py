@@ -289,7 +289,7 @@ def test_visibility_pipeline_limits():
     visibilities = []
     for ratio in (0.05, 0.2, 1.0, 5.0, 50.0):
         sigma_p = ratio * kick
-        packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=K1.hbar / (2.0 * sigma_p), mass=s.M)
+        packet = GaussianPacket(x0=0.0, p0=0.0, sigma_x=K1.hbar / (2.0 * sigma_p))
         visibilities.append(visibility_from_overlap(packet_overlap(packet, 0.0, kick, K1.hbar)))
     assert all(b > a for a, b in zip(visibilities, visibilities[1:]))
     assert visibilities[0] < 1e-10
