@@ -569,12 +569,14 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants):
         raise DomainError(f"params.solenoid.M_g, params.solenoid.v_cm_per_s: {exc}") from None
     res = solenoid.local_model_phase(s, o, k)
     # factor4_identity is judged relative to the phase: a quantity of the chain
-    # that overflows or loses bits below the normal floats would FAIL it
+    # that overflows or loses bits below the normal floats would FAIL it.  Only
+    # Q = 0 makes one exactly 0.0 (flux, phase_ab and delta_x are proportional
+    # to Q, the other keys are positive); any other 0.0 has underflowed.
     for name, keys in _AB_CHAIN_KEYS.items():
         value = getattr(res, name)
-        if value != 0.0 and not sys.float_info.min <= abs(value) < math.inf:
+        if not (sys.float_info.min <= abs(value) < math.inf or value == 0.0 == s.Q):
             where = ", ".join(f"params.solenoid.{key}" for key in keys)
-            raise DomainError(f"{where}: {name} must be 0.0 or a normal finite float, got {value!r}")
+            raise DomainError(f"{where}: {name} must be a normal finite float, or 0.0 at Q = 0, got {value!r}")
     probs = interferometry.detector_probabilities(res.phase_ab, params["visibility"])
     residual = verify.factor4_residual(res)
     rows = [

@@ -1043,7 +1043,7 @@ MV_KEYS = "params.solenoid.M_g, params.solenoid.v_cm_per_s: h/(M*v)"  # the mess
 PATH_SHIFT_KEYS = "params.path_shift.delta_l_cm, params.path_shift.wavelength_cm: "
 FLUX_KEYS = "params.solenoid.r_cm, params.solenoid.L_cm, params.solenoid.Q_statC, params.solenoid.v_cm_per_s: "
 DELTA_X_KEYS = "params.solenoid.r_cm, params.solenoid.L_cm, params.solenoid.M_g, params.solenoid.Q_statC: "
-NOT_NORMAL = "must be 0.0 or a normal finite float, got "
+NOT_NORMAL = "must be a normal finite float, or 0.0 at Q = 0, got "
 
 
 def _ab_unit_doc(**values: str) -> str:
@@ -1069,6 +1069,7 @@ def _ab_unit_doc(**values: str) -> str:
         (_ab_unit_doc(r_cm="5.0e-324"), FLUX_KEYS + "flux " + NOT_NORMAL + "6.4e-323"),
         (_ab_unit_doc(Q_statC="5.0e-324"), FLUX_KEYS + "flux " + NOT_NORMAL + "6.4e-323"),
         (_ab_unit_doc(Q_statC="1.0e-300", M_g="1.0e14"), DELTA_X_KEYS + "delta_x " + NOT_NORMAL + "3.141592654e-314"),
+        (_ab_unit_doc(Q_statC="1.0e-300", M_g="1.0e25"), DELTA_X_KEYS + "delta_x " + NOT_NORMAL + "0.0"),
         (
             _ab_unit_doc(r_cm="1.0e-310").replace("units: scaled-unity", "units: gaussian-cgs"),
             FLUX_KEYS + "flux " + NOT_NORMAL + "4.1917e-320",
@@ -1084,7 +1085,8 @@ def _ab_unit_doc(**values: str) -> str:
     ],
     ids=[
         "mzi-phase", "mzi-wavelength", "ab-momentum-inf", "ab-momentum-zero", "ab-mass-tiny", "ab-phase",
-        "ab-length-tiny", "ab-radius-subnormal", "ab-charge-subnormal", "ab-shift-subnormal", "ab-flux-subnormal-cgs",
+        "ab-length-tiny", "ab-radius-subnormal", "ab-charge-subnormal", "ab-shift-subnormal", "ab-shift-zero",
+        "ab-flux-subnormal-cgs",
         "ab-kick-underflow", "ab-phase-underflow",
     ],
 )
@@ -1096,34 +1098,50 @@ def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("M_g", ["1.0", "1.0e25"])
+def test_ab_point_with_zero_charge_runs(tmp_path, M_g):
+    # Q = 0 makes flux, phase_ab and delta_x exactly 0.0, which the chain guard lets through
+    path = tmp_path / "zero_charge.yaml"
+    path.write_text(_ab_unit_doc(Q_statC="0.0", M_g=M_g))
+    assert cli_main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 0
+    report = run_scenario(parse_scenario(path.read_text()))
+    assert (report.rows[0]["flux"], report.rows[0]["phase_ab_rad"], report.rows[0]["delta_x_cm"]) == (0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize(
-    "doc, error",
+    "doc, first_point_rows, error",
     [
         (
             MZI_OVERFLOW_DOC + "sweep: {param: path_shift.delta_l_cm, from: 1.0, to: 1.0e300, steps: 3}\n",
+            1,
             "DomainError: " + PATH_SHIFT_KEYS + "phase 2*pi*delta_l/wavelength must be finite, got inf",
         ),
         (
             _ab_unit_doc(M_g="1.0e200") + "sweep: {param: solenoid.v_cm_per_s, from: 1.0, to: 1.0e200, steps: 3}\n",
+            1,
             f"DomainError: {MV_KEYS} must be positive and finite, got 0.0 at M*v = inf",
         ),
         (
             _ab_unit_doc() + "sweep: {param: solenoid.Q_statC, from: 1.0, to: 5.0e307, steps: 3}\n",
+            1,
             "DomainError: " + FLUX_KEYS + "flux " + NOT_NORMAL + "inf",
         ),
-        (
+        (  # one bounce row per law
             BOUNCE_DOC.replace("n_bounces: 10", "n_bounces: 1")
             + "sweep: {param: start.vx_cm_per_s, from: -2.0, to: -1.0e300, steps: 3}\n",
+            2,
             "ValidationError: " + KINETIC_ENERGY_MESSAGE,
         ),
     ],
     ids=["mzi-phase", "ab-momentum-inf", "ab-flux-inf", "bounce-kinetic-energy"],
 )
-def test_sweep_point_whose_arithmetic_overflows_is_an_error_row(tmp_path, doc, error):
+def test_sweep_point_whose_arithmetic_overflows_is_an_error_row(tmp_path, doc, first_point_rows, error):
     # the first point runs; the two that overflow become error rows
     report = run_scenario(parse_scenario(doc))
-    assert [row.get("error") for row in report.rows[-2:]] == [error, error]
-    assert not any("error" in row for row in report.rows[:-2])
+    assert [(row["sweep_index"], row.get("error")) for row in report.rows] == [(0, None)] * first_point_rows + [
+        (1, error),
+        (2, error),
+    ]
     assert all(c.passed for c in report.checks)
     path = tmp_path / "overflow_sweep.yaml"
     path.write_text(doc)
