@@ -146,14 +146,16 @@ def overlap_by_quadrature(
     x0, p0, sx = packet.x0, packet.p0, packet.sigma_x
     norm2 = 1.0 / math.sqrt(2.0 * math.pi * sx * sx)  # |chi|^2 normalization
 
+    # The terms that do not depend on x, formed once.  Each keeps the order
+    # of its operations, on which the overlap's last bits depend.
+    four_var = 4.0 * sx * sx
+    shift_phase = -p0 * delta_x / hbar
+    kick_phase = delta_p * delta_x / (2.0 * hbar)
+
     def integrand(x: float) -> complex:
         # conj(chi(x)) chi(x - dx) with the symmetric-ordering phase factors.
-        g = math.exp(-((x - x0) ** 2 + (x - delta_x - x0) ** 2) / (4.0 * sx * sx))
-        ph = (
-            -p0 * delta_x / hbar
-            + delta_p * x / hbar
-            - delta_p * delta_x / (2.0 * hbar)
-        )
+        g = math.exp(-((x - x0) ** 2 + (x - delta_x - x0) ** 2) / four_var)
+        ph = shift_phase + delta_p * x / hbar - kick_phase
         return norm2 * g * cmath.exp(1j * ph)
 
     center = x0 + 0.5 * delta_x
@@ -182,7 +184,7 @@ def overlap_by_quadrature(
             f"overlap window: the phase delta_p*x/hbar overflows at its end x = {far!r}, "
             f"delta_p = {delta_p!r}, hbar = {hbar!r}"
         )
-    if not abs(p0 * delta_x / hbar) < math.inf:
+    if not abs(shift_phase) < math.inf:
         raise DomainError(
             f"overlap phase: p0*delta_x/hbar overflows at p0 = {p0!r}, delta_x = {delta_x!r}, hbar = {hbar!r}"
         )

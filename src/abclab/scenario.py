@@ -552,12 +552,17 @@ def _point_mzi(params: dict, k: PhysicalConstants):
     return rows, checks
 
 
-# The params.solenoid keys that each quantity of the factor-4 chain reads.
+# The params keys that each quantity of the factor-4 chain reads, and the
+# inputs whose zero makes it exactly 0.0.
 _AB_CHAIN_KEYS = {
-    "flux": ("r_cm", "L_cm", "Q_statC", "v_cm_per_s"),
-    "phase_ab": ("r_cm", "L_cm", "Q_statC", "v_cm_per_s"),
-    "delta_x": ("r_cm", "L_cm", "M_g", "Q_statC"),
-    "lambda_db": ("M_g", "v_cm_per_s"),
+    "flux": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.Q_statC", "solenoid.v_cm_per_s"), ("Q",)),
+    "phase_ab": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.Q_statC", "solenoid.v_cm_per_s"), ("Q",)),
+    "delta_x": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.M_g", "solenoid.Q_statC"), ("Q",)),
+    "lambda_db": (("solenoid.M_g", "solenoid.v_cm_per_s"), ()),
+    "delta_v": (
+        ("solenoid.r_cm", "solenoid.L_cm", "solenoid.M_g", "solenoid.Q_statC", "orbit.R_cm", "orbit.u_cm_per_s"),
+        ("Q", "u"),
+    ),
 }
 
 
@@ -569,14 +574,19 @@ def _point_ab_solenoid(params: dict, k: PhysicalConstants):
         raise DomainError(f"params.solenoid.M_g, params.solenoid.v_cm_per_s: {exc}") from None
     res = solenoid.local_model_phase(s, o, k)
     # factor4_identity is judged relative to the phase: a quantity of the chain
-    # that overflows or loses bits below the normal floats would FAIL it.  Only
-    # Q = 0 makes one exactly 0.0 (flux, phase_ab and delta_x are proportional
-    # to Q, the other keys are positive); any other 0.0 has underflowed.
-    for name, keys in _AB_CHAIN_KEYS.items():
+    # that overflows or loses bits below the normal floats would FAIL it, and
+    # the row would print a delta_v that did.  Only Q = 0, or u = 0 for
+    # delta_v, makes one exactly 0.0 (each is proportional to them, the other
+    # keys are positive); any other 0.0 has underflowed.
+    inputs = {"Q": s.Q, "u": o.u}
+    for name, (keys, zero_at) in _AB_CHAIN_KEYS.items():
         value = getattr(res, name)
-        if not (sys.float_info.min <= abs(value) < math.inf or value == 0.0 == s.Q):
-            where = ", ".join(f"params.solenoid.{key}" for key in keys)
-            raise DomainError(f"{where}: {name} must be a normal finite float, or 0.0 at Q = 0, got {value!r}")
+        exact_zero = value == 0.0 and any(inputs[z] == 0.0 for z in zero_at)
+        if not (sys.float_info.min <= abs(value) < math.inf or exact_zero):
+            where = ", ".join(f"params.{key}" for key in keys)
+            exact = " or ".join(f"{z} = 0" for z in zero_at)
+            allowed = f"a normal finite float, or 0.0 at {exact}" if zero_at else "a normal finite float"
+            raise DomainError(f"{where}: {name} must be {allowed}, got {value!r}")
     probs = interferometry.detector_probabilities(res.phase_ab, params["visibility"])
     residual = verify.factor4_residual(res)
     rows = [

@@ -1043,6 +1043,8 @@ MV_KEYS = "params.solenoid.M_g, params.solenoid.v_cm_per_s: h/(M*v)"  # the mess
 PATH_SHIFT_KEYS = "params.path_shift.delta_l_cm, params.path_shift.wavelength_cm: "
 FLUX_KEYS = "params.solenoid.r_cm, params.solenoid.L_cm, params.solenoid.Q_statC, params.solenoid.v_cm_per_s: "
 DELTA_X_KEYS = "params.solenoid.r_cm, params.solenoid.L_cm, params.solenoid.M_g, params.solenoid.Q_statC: "
+DELTA_V_KEYS = DELTA_X_KEYS.replace(": ", ", params.orbit.R_cm, params.orbit.u_cm_per_s: ")
+DELTA_V_NOT_NORMAL = "delta_v must be a normal finite float, or 0.0 at Q = 0 or u = 0, got "
 NOT_NORMAL = "must be a normal finite float, or 0.0 at Q = 0, got "
 
 
@@ -1082,12 +1084,14 @@ def _ab_unit_doc(**values: str) -> str:
             _ab_unit_doc(L_cm="1.0e-320", M_g="1.0e-10").replace("units: scaled-unity", "units: gaussian-cgs"),
             "4*pi*e*Q*v*r/(c^2*L*hbar): its denominator underflows to 0.0",
         ),
+        # delta_v used to print inf in its column with both checks PASS
+        (_ab_unit_doc(u_cm_per_s="1.0e308", M_g="1.0e-10"), DELTA_V_KEYS + DELTA_V_NOT_NORMAL + "inf"),
     ],
     ids=[
         "mzi-phase", "mzi-wavelength", "ab-momentum-inf", "ab-momentum-zero", "ab-mass-tiny", "ab-phase",
         "ab-length-tiny", "ab-radius-subnormal", "ab-charge-subnormal", "ab-shift-subnormal", "ab-shift-zero",
         "ab-flux-subnormal-cgs",
-        "ab-kick-underflow", "ab-phase-underflow",
+        "ab-kick-underflow", "ab-phase-underflow", "ab-kick-inf",
     ],
 )
 def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
@@ -1100,12 +1104,21 @@ def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
 
 @pytest.mark.parametrize("M_g", ["1.0", "1.0e25"])
 def test_ab_point_with_zero_charge_runs(tmp_path, M_g):
-    # Q = 0 makes flux, phase_ab and delta_x exactly 0.0, which the chain guard lets through
+    # Q = 0 makes flux, phase_ab, delta_x and delta_v exactly 0.0, which the chain guard lets through
     path = tmp_path / "zero_charge.yaml"
     path.write_text(_ab_unit_doc(Q_statC="0.0", M_g=M_g))
     assert cli_main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 0
-    report = run_scenario(parse_scenario(path.read_text()))
-    assert (report.rows[0]["flux"], report.rows[0]["phase_ab_rad"], report.rows[0]["delta_x_cm"]) == (0.0, 0.0, 0.0)
+    [row] = run_scenario(parse_scenario(path.read_text())).rows
+    assert (row["flux"], row["phase_ab_rad"], row["delta_x_cm"], row["delta_v_cm_per_s"]) == (0.0,) * 4
+
+
+def test_ab_point_with_orbit_at_rest_runs(tmp_path):
+    # u = 0, the static limit, makes delta_v exactly 0.0, which the chain guard lets through
+    path = tmp_path / "static_orbit.yaml"
+    path.write_text(_ab_unit_doc(u_cm_per_s="0.0"))
+    assert cli_main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 0
+    [row] = run_scenario(parse_scenario(path.read_text())).rows
+    assert row["delta_v_cm_per_s"] == 0.0 and row["flux"] == 4.0 * math.pi
 
 
 @pytest.mark.parametrize(
@@ -1126,6 +1139,11 @@ def test_ab_point_with_zero_charge_runs(tmp_path, M_g):
             1,
             "DomainError: " + FLUX_KEYS + "flux " + NOT_NORMAL + "inf",
         ),
+        (
+            _ab_unit_doc(M_g="1.0e-10") + "sweep: {param: orbit.u_cm_per_s, from: 1.0, to: 1.0e300, steps: 3}\n",
+            1,
+            "DomainError: " + DELTA_V_KEYS + DELTA_V_NOT_NORMAL + "inf",
+        ),
         (  # one bounce row per law
             BOUNCE_DOC.replace("n_bounces: 10", "n_bounces: 1")
             + "sweep: {param: start.vx_cm_per_s, from: -2.0, to: -1.0e300, steps: 3}\n",
@@ -1133,7 +1151,7 @@ def test_ab_point_with_zero_charge_runs(tmp_path, M_g):
             "ValidationError: " + KINETIC_ENERGY_MESSAGE,
         ),
     ],
-    ids=["mzi-phase", "ab-momentum-inf", "ab-flux-inf", "bounce-kinetic-energy"],
+    ids=["mzi-phase", "ab-momentum-inf", "ab-flux-inf", "ab-kick-inf", "bounce-kinetic-energy"],
 )
 def test_sweep_point_whose_arithmetic_overflows_is_an_error_row(tmp_path, doc, first_point_rows, error):
     # the first point runs; the two that overflow become error rows

@@ -159,10 +159,32 @@ def test_full_law_bounce_row_reads_a_broken_full_law_at_either_step(monkeypatch)
 
     monkeypatch.setattr(boyer, "acceleration_law", off_by_1e_5)
     [coarse] = [c for c in run_verify_suite(42).checks if c.name == "energy_conserved_full_law"]
-    [fine] = verify.bounce_checks(verify._bounce(boyer.FULL_LAW, 1.0 / 256.0))
+    monkeypatch.setattr(verify, "_BOUNCE_DT", 1.0 / 256.0)
+    [fine] = verify._full_law_bounce(None)
     assert not coarse.passed and not fine.passed
     assert coarse.actual == pytest.approx(1.459461e-6, rel=1e-6)
     assert coarse.actual == pytest.approx(fine.actual, rel=1e-6)
+
+
+def test_naive_bounce_work_row_fails_a_second_order_work_rule(monkeypatch):
+    # at 1/32 s the truncation errors are large enough that a Simpson work
+    # rule whose midpoint is the chord midpoint, the mean of the step's start
+    # and RK4 end states, misses the kinetic energy gain (about 2.5e-5); at
+    # 1/256 s it reads about 3.9e-7 and passes.  The RK4 half-step midpoint
+    # keeps the rule fourth-order and passes, and so does the energy row.
+    growth, work = verify._naive_bounce(None)
+    assert growth.passed and work.passed
+
+    def chord_midpoint(accel, mass, start, h, a, power_start, power_end):
+        end = boyer.step_trajectory(accel, h, *start, a)
+        _, x, y, vx, vy = (0.5 * (p + q) for p, q in zip(start, end))
+        ax, ay = accel(x, y, vx, vy)
+        return h / 6.0 * (power_start + 4.0 * ((ax * vx + ay * vy) * mass) + power_end)
+
+    monkeypatch.setattr(boyer, "_work_over_substep", chord_midpoint)
+    growth, work = verify._naive_bounce(None)
+    assert growth.passed and not work.passed
+    assert work.actual == pytest.approx(2.48e-5, rel=1e-2)
 
 
 @pytest.mark.parametrize("seed", [0, 42])
