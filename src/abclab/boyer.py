@@ -54,11 +54,16 @@ loop phase never does, since its quadrature sums start from 0.0.
 stepper: it takes a state's five floats and returns the next five, checked
 one by one, so that a step that overflows raises NumericalError and every
 state it returns is finite.  A TrajectoryState is a validated tuple of five
-floats: building one from outside checks every component, and the bounce
-loop, whose states the stepper has checked, builds one by ``tuple.__new__``
-only for each state it keeps.  Each flight binds its law once: a bounce run
-on entry, and verify's free flights, force row and bounce flights through
-laws built at import or by the bounce run.  Every step goes through the
+floats, as every value type here is (``LineCharge``, ``NeutronModel``,
+``BounceConfig``, ``BounceResult`` and the loops; see ``units``): building
+one from outside checks every component, and the bounce loop, whose states
+the stepper has checked, builds one by ``tuple.__new__`` only for each state
+it keeps.  No loop reads a value's fields per step or quadrature node, where
+a tuple's field read costs about twice a slot's: a flight or a loop phase
+binds the floats it needs once, and the loop-phase integrands take 2 lambda,
+not the LineCharge.  Each flight binds its law once: a bounce run on entry,
+and verify's free flights, force row and bounce flights through laws built
+at import or by the bounce run.  Every step goes through the
 module attribute ``step_trajectory``, looked up at call time, whose calls
 the benchmark's tracer counts by caller name: the bounce loop's three
 functions, and verify's free flights as "other".
@@ -101,12 +106,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, NumericalError, SingularityError, ValidationError
 from .quadrature import refine_gauss_legendre, refine_periodic_trapezoid
-from .units import PhysicalConstants, Vec3
+from .units import PhysicalConstants, Vec3, _ValueTuple
 
 FULL_LAW = "full"
 NAIVE_LAW = "naive-boyer"
@@ -145,31 +149,39 @@ def _check_law(law: str):
         raise ValidationError(f"unknown law {law!r}; expected one of {LAWS}")
 
 
-@dataclass(frozen=True, slots=True)
-class LineCharge:
+class _LineFields(NamedTuple):
+    lambda_c: float
+
+
+class LineCharge(_ValueTuple, _LineFields):
     """Infinite straight line of charge along the z axis, density lambda_c
     (statC/cm).  Positions closer than AXIS_EPSILON to it are singular."""
 
-    lambda_c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.lambda_c):
-            raise ValidationError(f"lambda_c must be finite, got {self.lambda_c!r}")
+    def __new__(cls, lambda_c: float):
+        if not math.isfinite(lambda_c):
+            raise ValidationError(f"lambda_c must be finite, got {lambda_c!r}")
+        return tuple.__new__(cls, (lambda_c,))
 
 
-@dataclass(frozen=True, slots=True)
-class NeutronModel:
-    """Current-loop model of the neutron: mass (g) and magnetic moment mu_z
-    (erg/G) along the line axis."""
-
+class _NeutronFields(NamedTuple):
     mass: float
     mu_z: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise ValidationError(f"mass must be positive, got {self.mass!r}")
-        if not math.isfinite(self.mu_z):
-            raise ValidationError(f"mu_z must be finite, got {self.mu_z!r}")
+
+class NeutronModel(_ValueTuple, _NeutronFields):
+    """Current-loop model of the neutron: mass (g) and magnetic moment mu_z
+    (erg/G) along the line axis."""
+
+    __slots__ = ()
+
+    def __new__(cls, mass: float, mu_z: float):
+        if not (math.isfinite(mass) and mass > 0.0):
+            raise ValidationError(f"mass must be positive, got {mass!r}")
+        if not math.isfinite(mu_z):
+            raise ValidationError(f"mu_z must be finite, got {mu_z!r}")
+        return tuple.__new__(cls, (mass, mu_z))
 
 
 class _StateFields(NamedTuple):
@@ -180,16 +192,14 @@ class _StateFields(NamedTuple):
     vy: float
 
 
-class TrajectoryState(_StateFields):
+class TrajectoryState(_ValueTuple, _StateFields):
     """Integrator state: time t (s), position (x, y) (cm), kinetic velocity
     (vx, vy) (cm/s).
 
     A validated tuple: every way of building one (the constructor, ``_make``,
-    ``_replace``, copy and pickle) rejects a non-finite component, and
-    building one costs a single tuple allocation.  The bounce loop builds its
-    kept states by ``tuple.__new__`` from floats that ``step_trajectory`` has
-    checked.  It equals a plain tuple of the same floats, and it iterates,
-    unpacks, hashes and orders like one."""
+    ``_replace``, copy and pickle) rejects a non-finite component.  The bounce
+    loop builds its kept states by ``tuple.__new__`` from floats that
+    ``step_trajectory`` has checked."""
 
     __slots__ = ()
 
@@ -200,34 +210,31 @@ class TrajectoryState(_StateFields):
             raise ValidationError(f"state has non-finite components: {state!r}")
         return state
 
-    @classmethod
-    def _make(cls, iterable) -> TrajectoryState:
-        return cls(*iterable)
 
-    def __reduce__(self):
-        return type(self), tuple(self)
-
-
-@dataclass(frozen=True, slots=True)
-class BounceConfig:
-    """Mirror planes perpendicular to the x flight axis at mirror_a and
-    mirror_b (cm), number of reflections to simulate, RK4 step dt (s),
-    and the law of motion."""
-
+class _BounceConfigFields(NamedTuple):
     mirror_a: float
     mirror_b: float
     n_bounces: int
     dt: float
     law: str = FULL_LAW
 
-    def __post_init__(self):
-        if self.mirror_a == self.mirror_b:
+
+class BounceConfig(_ValueTuple, _BounceConfigFields):
+    """Mirror planes perpendicular to the x flight axis at mirror_a and
+    mirror_b (cm), number of reflections to simulate, RK4 step dt (s),
+    and the law of motion."""
+
+    __slots__ = ()
+
+    def __new__(cls, mirror_a: float, mirror_b: float, n_bounces: int, dt: float, law: str = FULL_LAW):
+        if mirror_a == mirror_b:
             raise ValidationError("mirror planes must be distinct")
-        if self.n_bounces < 1:
-            raise ValidationError(f"n_bounces must be >= 1, got {self.n_bounces!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        _check_law(self.law)
+        if n_bounces < 1:
+            raise ValidationError(f"n_bounces must be >= 1, got {n_bounces!r}")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValidationError(f"dt must be positive, got {dt!r}")
+        _check_law(law)
+        return tuple.__new__(cls, (mirror_a, mirror_b, n_bounces, dt, law))
 
     def check_start(self, x: float):
         """Reject a start position x (cm) outside the mirror planes."""
@@ -248,12 +255,13 @@ def _check_axis(x: float, y: float) -> float:
     return rho2
 
 
-def _hidden_momentum(lc: LineCharge, mu_z: float, inv_c: float, x: float, y: float) -> tuple[float, float]:
-    # (mu x E)/c.  One body, no helper calls: this is the loop-phase hot path.
-    # No axis check: a bounce state has passed _acceleration's, and ac_phase
-    # checks its loop's clearance before it integrates the loop, which may be
-    # scaled nearer to the line than AXIS_EPSILON.
-    s = 2.0 * lc.lambda_c / (x * x + y * y)
+def _hidden_momentum(two_lambda: float, mu_z: float, inv_c: float, x: float, y: float) -> tuple[float, float]:
+    # (mu x E)/c of the line of density two_lambda/2.  One body, no helper
+    # calls: this is the loop-phase hot path.  No axis check: a bounce state
+    # has passed _acceleration's, and ac_phase checks its loop's clearance
+    # before it integrates the loop, which may be scaled nearer to the line
+    # than AXIS_EPSILON.
+    s = two_lambda / (x * x + y * y)
     return (0.0 - mu_z * (s * y)) * inv_c, mu_z * (s * x) * inv_c
 
 
@@ -369,11 +377,7 @@ def kinetic_energy(n: NeutronModel, state: TrajectoryState) -> float:
     return 0.5 * n.mass * (state.vx * state.vx + state.vy * state.vy)
 
 
-@dataclass(frozen=True, slots=True)
-class BounceResult:
-    """One bounce run: the state after every step and every reflection, and
-    per leg the bounce time, kinetic energy, work integral and energy gain."""
-
+class _BounceResultFields(NamedTuple):
     law: str
     states: tuple[TrajectoryState, ...]
     bounce_times: tuple[float, ...]
@@ -382,6 +386,13 @@ class BounceResult:
     ke_gain_per_leg: tuple[float, ...]
     line: LineCharge
     neutron: NeutronModel
+
+
+class BounceResult(_ValueTuple, _BounceResultFields):
+    """One bounce run: the state after every step and every reflection, and
+    per leg the bounce time, kinetic energy, work integral and energy gain."""
+
+    __slots__ = ()
 
     @property
     def samples(self) -> tuple[TrajectoryState, ...]:
@@ -546,34 +557,42 @@ def simulate_bounce_experiment(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CircleLoop:
-    """Counterclockwise circle of given radius around (center.x, center.y);
-    center.z, the plane of the circle, does not enter the phase."""
-
+class _CircleFields(NamedTuple):
     center: Vec3
     radius: float
 
-    def __post_init__(self):
-        self.center.require_finite("center")
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
-            raise ValidationError(f"radius must be positive, got {self.radius!r}")
+
+class CircleLoop(_ValueTuple, _CircleFields):
+    """Counterclockwise circle of given radius around (center.x, center.y);
+    center.z, the plane of the circle, does not enter the phase."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: Vec3, radius: float):
+        center.require_finite("center")
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValidationError(f"radius must be positive, got {radius!r}")
+        return tuple.__new__(cls, (center, radius))
 
 
-@dataclass(frozen=True, slots=True)
-class PolylineLoop:
-    """Closed polyline; the last vertex must repeat the first."""
-
+class _PolylineFields(NamedTuple):
     vertices: tuple[Vec3, ...]
 
-    def __post_init__(self):
-        if len(self.vertices) < 4:
+
+class PolylineLoop(_ValueTuple, _PolylineFields):
+    """Closed polyline; the last vertex must repeat the first."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: tuple[Vec3, ...]):
+        if len(vertices) < 4:
             raise ValidationError("a closed polyline needs at least 3 distinct vertices")
-        for v in self.vertices:
+        for v in vertices:
             v.require_finite("vertex")
-        scale = max(1.0, max(abs(c) for v in self.vertices for c in v.as_tuple()))
-        if (self.vertices[0] - self.vertices[-1]).norm() > 1e-12 * scale:
+        scale = max(1.0, max(abs(c) for v in vertices for c in v))
+        if (vertices[0] - vertices[-1]).norm() > 1e-12 * scale:
             raise DomainError("open path: polyline must end at its starting vertex")
+        return tuple.__new__(cls, (vertices,))
 
 
 LoopPath = Union[CircleLoop, PolylineLoop]
@@ -665,8 +684,9 @@ def _loop_integrands(
     AXIS_EPSILON, underflow.  A side whose d is below the normal floats,
     where asinh(1/d) overflows and d e loses its digits, is cut about its foot
     (``_split_at_foot``), and each piece takes its own scale and map."""
+    two_lambda = 2.0 * lc.lambda_c
     if isinstance(loop, CircleLoop):
-        cx, cy, rad = loop.center.x, loop.center.y, loop.radius
+        (cx, cy, _), rad = loop
         scale = _loop_scale(max(abs(cx), abs(cy), rad))
         cx, cy, rad = cx * scale, cy * scale, rad * scale
         rc = math.hypot(cx, cy)
@@ -683,7 +703,7 @@ def _loop_integrands(
             aq = a * q
             x = nx + aq * (a * r2ux + b * r2uy)
             y = ny + aq * (a * r2uy - b * r2ux)
-            px, py = _hidden_momentum(lc, mu_z, inv_c, x, y)
+            px, py = _hidden_momentum(two_lambda, mu_z, inv_c, x, y)
             return (px * (cy - y) + py * (x - cx)) * (alpha2 * q)
 
         return [(circle, -0.5 * math.pi, 0.5 * math.pi)]
@@ -708,7 +728,7 @@ def _loop_integrands(
 
             def side(u: float, fx=fx, fy=fy, dex=dex, dey=dey, tx=(bx - ax) * d, ty=(by - ay) * d) -> float:
                 sh = sinh(u)
-                px, py = _hidden_momentum(lc, mu_z, inv_c, fx + sh * dex, fy + sh * dey)
+                px, py = _hidden_momentum(two_lambda, mu_z, inv_c, fx + sh * dex, fy + sh * dey)
                 return (px * tx + py * ty) * cosh(u)
 
             segments.append((side, asinh(-tau / d), asinh((1.0 - tau) / d)))

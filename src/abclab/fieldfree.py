@@ -12,44 +12,53 @@ the claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
-from .units import Vec3
+from .units import Vec3, _ValueTuple
 
 MIN_SEPARATION = 1e-12  # cm
 _NO_SCALE = 1 << 30  # above every separation's power of two
 
 
-@dataclass(frozen=True, slots=True)
-class PointCharge:
+class _ChargeFields(NamedTuple):
     q: float
     pos: Vec3
 
-    def __post_init__(self):
-        if not math.isfinite(self.q):
-            raise ValidationError(f"charge must be finite, got {self.q!r}")
-        self.pos.require_finite("charge position")
+
+class PointCharge(_ValueTuple, _ChargeFields):
+    """A point charge q (statC) at pos (cm)."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: float, pos: Vec3):
+        if not math.isfinite(q):
+            raise ValidationError(f"charge must be finite, got {q!r}")
+        pos.require_finite("charge position")
+        return tuple.__new__(cls, (q, pos))
 
 
-@dataclass(frozen=True, slots=True)
-class ChargeConfiguration:
+class _ConfigurationFields(NamedTuple):
     charges: tuple[PointCharge, ...]
 
-    def __post_init__(self):
-        if not self.charges:
+
+class ChargeConfiguration(_ValueTuple, _ConfigurationFields):
+    """Point charges at distinct positions; ``len(cfg.charges)`` counts them."""
+
+    __slots__ = ()
+
+    def __new__(cls, charges: tuple[PointCharge, ...]):
+        if not charges:
             raise ValidationError("configuration needs at least one charge")
         # each pair's |a - b| as Vec3.norm forms it, on the positions' floats
-        positions = [(c.pos.x, c.pos.y, c.pos.z) for c in self.charges]
+        positions = [pos for _, pos in charges]
         for i, (ax, ay, az) in enumerate(positions):
             for j in range(i + 1, len(positions)):
                 bx, by, bz = positions[j]
                 dx, dy, dz = ax - bx, ay - by, az - bz
                 if math.sqrt(dx * dx + dy * dy + dz * dz) <= MIN_SEPARATION:
                     raise ValidationError(f"charges {i} and {j} are closer than {MIN_SEPARATION:g} cm")
-
-    def __len__(self) -> int:
-        return len(self.charges)
+        return tuple.__new__(cls, (charges,))
 
 
 def _check_index(cfg: ChargeConfiguration, target_index: int):
@@ -73,20 +82,18 @@ def _scaled_terms(cfg: ChargeConfiguration, target_index: int) -> tuple[int, int
     The separations are formed on the positions' floats, with no Vec3 per
     pair."""
     _check_index(cfg, target_index)
-    target = cfg.charges[target_index].pos
-    tx, ty, tz = target.x, target.y, target.z
+    tx, ty, tz = cfg.charges[target_index].pos
     frexp, ldexp, sqrt = math.frexp, math.ldexp, math.sqrt
     terms = []
     near, top = _NO_SCALE, 0.0
-    for j, source in enumerate(cfg.charges):
+    for j, (q, (px, py, pz)) in enumerate(cfg.charges):
         if j == target_index:
             continue
-        pos, q = source.pos, source.q
-        sx, sy, sz = tx - pos.x, ty - pos.y, tz - pos.z
+        sx, sy, sz = tx - px, ty - py, tz - pz
         big = max(abs(sx), abs(sy), abs(sz))
         halved = big == math.inf
         if halved:
-            sx, sy, sz = 0.5 * tx - 0.5 * pos.x, 0.5 * ty - 0.5 * pos.y, 0.5 * tz - 0.5 * pos.z
+            sx, sy, sz = 0.5 * tx - 0.5 * px, 0.5 * ty - 0.5 * py, 0.5 * tz - 0.5 * pz
             big = max(abs(sx), abs(sy), abs(sz))
         k = frexp(big)[1]
         x, y, z = ldexp(sx, -k), ldexp(sy, -k), ldexp(sz, -k)

@@ -25,11 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError, ValidationError
 from .quadrature import adaptive_simpson  # noqa: F401  (perfbench's tracer patches this name)
 from .quadrature import refine_periodic_trapezoid
+from .units import _ValueTuple
 
 # Tolerated overflow of |overlap| above 1 before we declare the upstream
 # computation broken.
@@ -40,18 +41,21 @@ OVERLAP_MAGNITUDE_SLACK = 1e-9
 OVERLAP_QUADRATURE_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianPacket:
-    """1D Gaussian wave packet: center x0 (cm), mean momentum p0 (g cm/s),
-    position spread sigma_x (cm).  The overlaps need no mass: a packet is
-    displaced and kicked, never evolved."""
-
+class _PacketFields(NamedTuple):
     x0: float
     p0: float
     sigma_x: float
 
-    def __post_init__(self):
-        sx = self.sigma_x
+
+class GaussianPacket(_ValueTuple, _PacketFields):
+    """1D Gaussian wave packet: center x0 (cm), mean momentum p0 (g cm/s),
+    position spread sigma_x (cm).  The overlaps need no mass: a packet is
+    displaced and kicked, never evolved."""
+
+    __slots__ = ()
+
+    def __new__(cls, x0: float, p0: float, sigma_x: float):
+        sx = sigma_x
         if not (math.isfinite(sx) and sx > 0.0):
             raise ValidationError(f"sigma_x must be positive, got {sx!r}")
         # The overlap routes divide by sigma_x^2 times 2*pi, 4 or 8; each of
@@ -60,14 +64,20 @@ class GaussianPacket:
             raise ValidationError(
                 f"sigma_x^2 = {sx * sx!r} at sigma_x = {sx!r}: the overlap routes need it normal and 8*sigma_x^2 finite"
             )
-        if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
+        if not (math.isfinite(x0) and math.isfinite(p0)):
             raise ValidationError("packet center and momentum must be finite")
+        return tuple.__new__(cls, (x0, p0, sigma_x))
 
 
-@dataclass(frozen=True, slots=True)
-class DetectionProbabilities:
+class _ProbabilityFields(NamedTuple):
     p_a: float
     p_b: float
+
+
+class DetectionProbabilities(_ValueTuple, _ProbabilityFields):
+    """The probabilities of detectors A and B (``detector_probabilities``)."""
+
+    __slots__ = ()
 
 
 def detector_probabilities(phase: float, visibility: float = 1.0) -> DetectionProbabilities:
@@ -143,7 +153,7 @@ def overlap_by_quadrature(
     of the window, or p0*delta_x/hbar that overflows, is a DomainError as
     well.
     """
-    x0, p0, sx = packet.x0, packet.p0, packet.sigma_x
+    x0, p0, sx = packet
     norm2 = 1.0 / math.sqrt(2.0 * math.pi * sx * sx)  # |chi|^2 normalization
 
     # The terms that do not depend on x, formed once.  Each keeps the order

@@ -28,13 +28,14 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import yaml
 from yaml.composer import Composer
 
 from . import boyer, fieldfree, interferometry, solenoid, verify
 from .errors import AbclabError, DomainError, ScenarioParseError, ValidationError
-from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, make_constants
+from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, _ValueTuple, make_constants
 from .verify import CheckRow, RunReport, emit, render_csv, render_json  # report types and emission, re-exported
 
 KIND_MZI = "mzi"
@@ -116,20 +117,26 @@ class Scenario:
 # presence is REQUIRED, OMITTED (left out of the normalized dict when absent)
 # or the default used when absent; a default of None also reads null as None.
 # _walk validates a mapping against its table and builds the normalized dict
-# in table order; _CHECKS holds one function per kind for the rules that span
-# keys or need the physics objects, and _notes gives a point's report notes.
+# in table order; _CHECKS holds one function per kind, check(params, k), for
+# the rules that span keys or need the physics objects and the unit system's
+# constants k, and _notes gives a point's report notes.  A rule that reads
+# keys of two blocks names every key it reads.
 
 REQUIRED = object()
 OMITTED = object()
 _ROOT = "scenario"
 
 
-@dataclass(frozen=True)
-class _Tagged:
-    """A block whose ``tag`` key picks the table that validates it."""
-
+class _TaggedFields(NamedTuple):
     tag: str
     tables: dict
+
+
+class _Tagged(_ValueTuple, _TaggedFields):
+    """A block whose ``tag`` key picks the table that validates it.  It is a
+    tuple, so ``_field`` tells it from a tuple of allowed strings first."""
+
+    __slots__ = ()
 
 
 def _required(**kinds) -> dict:
@@ -314,7 +321,7 @@ def _build_ab_objects(params: dict):
     o = solenoid.OrbitParams(R=params["orbit"]["R_cm"], u=params["orbit"]["u_cm_per_s"])
     if o.R <= s.r:
         raise ValidationError(
-            f"params.orbit.R_cm: orbit radius {o.R!r} must exceed the solenoid radius {s.r!r}"
+            f"params.orbit.R_cm, params.solenoid.r_cm: orbit radius {o.R!r} must exceed the solenoid radius {s.r!r}"
         )
     return s, o
 
@@ -344,14 +351,15 @@ def _build_bounce_objects(params: dict):
     try:
         configs[0].check_start(initial.x)
     except ValidationError as exc:
-        raise ValidationError(f"params.start.x_cm: {exc}") from None
+        raise ValidationError(f"params.start.x_cm, params.mirrors.a_cm, params.mirrors.b_cm: {exc}") from None
     # a step under the float spacing leaves x on the mirror it starts at, and
     # every step would count as a bounce there
     step = abs(start["vx_cm_per_s"]) * params["dt_s"]
     spacing = math.ulp(max(abs(params["mirrors"]["a_cm"]), abs(params["mirrors"]["b_cm"])))
     if step < spacing:
         raise ValidationError(
-            f"params.dt_s, params.start.vx_cm_per_s: a step moves x by |vx| * dt = {step!r} cm, "
+            f"params.dt_s, params.start.vx_cm_per_s, params.mirrors.a_cm, params.mirrors.b_cm: "
+            f"a step moves x by |vx| * dt = {step!r} cm, "
             f"less than the float spacing {spacing!r} cm at the mirrors, so it cannot leave a mirror plane"
         )
     energy = boyer.kinetic_energy(n, initial)
@@ -363,14 +371,21 @@ def _build_bounce_objects(params: dict):
     return lc, n, initial, configs
 
 
-def _check_ac_phase(params: dict):
+def _check_ac_phase(params: dict, k: PhysicalConstants):
     if "second_radius_cm" in params and params["loop"]["kind"] != "circle":
         raise ValidationError("params.second_radius_cm: only valid with a circle loop")
-    _build_phase_objects(params)
+    _build_phase_objects(params, k)
 
 
-def _build_phase_objects(params: dict):
+def _build_phase_objects(params: dict, k: PhysicalConstants):
+    """(lc, mu_z, loop, unit): the line, the moment, the loop and the
+    per-winding phase 4*pi*mu_z*lambda/(hbar*c), which the loop phase's
+    residuals are judged in units of.  A per-winding phase below the normal
+    floats would FAIL them on its lost bits, and one that overflows stops the
+    quadrature on NaN, so it must be a normal finite float, or 0.0 exactly
+    where lambda or mu_z is 0."""
     lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
+    mu_z = params["mu_z_erg_per_G"]
     spec = params["loop"]
     if spec["kind"] == "circle":
         loop = boyer.CircleLoop(
@@ -382,15 +397,23 @@ def _build_phase_objects(params: dict):
             loop = boyer.PolylineLoop(tuple(Vec3(*v) for v in spec["vertices_cm"]))
         except (ValidationError, DomainError) as exc:
             raise type(exc)(f"params.loop.vertices_cm: {exc}") from None
-    return lc, params["mu_z_erg_per_G"], loop
+    unit = boyer.ac_phase_enclosed_value(lc, mu_z, k, 1)
+    exact_zero = unit == 0.0 and (lc.lambda_c == 0.0 or mu_z == 0.0)
+    if not (sys.float_info.min <= abs(unit) < math.inf or exact_zero):
+        raise DomainError(
+            "params.line.lambda_statC_per_cm, params.mu_z_erg_per_G: the per-winding phase "
+            "4*pi*mu_z*lambda/(hbar*c) must be a normal finite float, or 0.0 at lambda = 0 or mu_z = 0, "
+            f"got {unit!r}"
+        )
+    return lc, mu_z, loop, unit
 
 
 _CHECKS = {
-    KIND_MZI: _check_mzi,
-    KIND_AB_SOLENOID: _build_ab_objects,
-    KIND_AC_BOUNCE: _build_bounce_objects,
+    KIND_MZI: lambda params, k: _check_mzi(params),
+    KIND_AB_SOLENOID: lambda params, k: _build_ab_objects(params),
+    KIND_AC_BOUNCE: lambda params, k: _build_bounce_objects(params),
     KIND_AC_PHASE: _check_ac_phase,
-    KIND_FIELD_FREE: lambda params: fieldfree.make_three_charge(params["d_cm"], params["e_statC"]),
+    KIND_FIELD_FREE: lambda params, k: fieldfree.make_three_charge(params["d_cm"], params["e_statC"]),
 }
 
 
@@ -498,7 +521,7 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")
     s = _walk(_SCENARIO, doc, _ROOT)
-    _CHECKS[s["kind"]](s["params"])
+    _CHECKS[s["kind"]](s["params"], make_constants(s["units"]))
     sweep = None
     if s["sweep"] is not None:
         node = s["sweep"]
@@ -638,9 +661,9 @@ def _describe_loop(loop) -> str:
 
 
 def _point_ac_phase(params: dict, k: PhysicalConstants):
-    lc, mu_z, loop = _build_phase_objects(params)
+    lc, mu_z, loop, unit = _build_phase_objects(params, k)
     # residuals are in units of the per-winding phase, absolute when it is 0
-    unit = abs(boyer.ac_phase_enclosed_value(lc, mu_z, k, 1)) or 1.0
+    unit = abs(unit) or 1.0
 
     def measure(name: str, path) -> tuple[dict, CheckRow]:
         winding = boyer.loop_winding_number(path)
@@ -661,7 +684,7 @@ def _point_ac_phase(params: dict, k: PhysicalConstants):
 def _point_field_free(params: dict, k: PhysicalConstants):
     d, e = params["d_cm"], params["e_statC"]
     cfg = fieldfree.make_three_charge(d, e)
-    sums = [fieldfree.coulomb_at(cfg, i) for i in range(len(cfg))]
+    sums = [fieldfree.coulomb_at(cfg, i) for i in range(len(cfg.charges))]
     magnitudes = [field.norm() for field, _, _ in sums]
     residuals = [verify.field_residual(magnitude, d, e) for magnitude in magnitudes]
     rows = [

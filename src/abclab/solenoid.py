@@ -20,12 +20,12 @@ as ``de_broglie_wavelength`` does for h/(M*v), rather than dividing by zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
 from .quadrature import adaptive_simpson  # noqa: F401  (perfbench's tracer patches this name)
 from .quadrature import refine_gauss_legendre
-from .units import PhysicalConstants
+from .units import PhysicalConstants, _ValueTuple
 
 # r/L above this is outside the long-solenoid regime the flux formula assumes.
 LONG_SOLENOID_ASPECT = 0.1
@@ -50,8 +50,15 @@ def _require_positive(name: str, value: float, allow_zero: bool = False):
         raise ValidationError(f"{name} must be {kind} and finite, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class SolenoidParams:
+class _SolenoidFields(NamedTuple):
+    r: float
+    L: float
+    M: float
+    Q: float
+    v: float
+
+
+class SolenoidParams(_ValueTuple, _SolenoidFields):
     """Two-cylinder solenoid: radius r (cm), length L (cm), mass M (g),
     charge magnitude Q per cylinder (statC), surface speed v (cm/s).
 
@@ -59,40 +66,52 @@ class SolenoidParams:
     builds; ``long_solenoid_note`` says when r/L strains the flux formula.
     """
 
-    r: float
-    L: float
-    M: float
-    Q: float
-    v: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive("r", self.r)
-        _require_positive("L", self.L)
-        _require_positive("M", self.M)
-        _require_positive("Q", self.Q, allow_zero=True)
-        _require_positive("v", self.v)
+    def __new__(cls, r: float, L: float, M: float, Q: float, v: float):
+        isfinite = math.isfinite
+        if not (
+            isfinite(r) and r > 0.0 and isfinite(L) and L > 0.0 and isfinite(M) and M > 0.0
+            and isfinite(Q) and Q >= 0.0 and isfinite(v) and v > 0.0
+        ):  # name the first bad field
+            _require_positive("r", r)
+            _require_positive("L", L)
+            _require_positive("M", M)
+            _require_positive("Q", Q, allow_zero=True)
+            _require_positive("v", v)
+        return tuple.__new__(cls, (r, L, M, Q, v))
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitParams:
-    """Electron orbit: radius R (cm), speed u (cm/s).  u = 0 is the static limit."""
-
+class _OrbitFields(NamedTuple):
     R: float
     u: float
 
-    def __post_init__(self):
-        _require_positive("R", self.R)
-        _require_positive("u", self.u, allow_zero=True)
+
+class OrbitParams(_ValueTuple, _OrbitFields):
+    """Electron orbit: radius R (cm), speed u (cm/s).  u = 0 is the static limit."""
+
+    __slots__ = ()
+
+    def __new__(cls, R: float, u: float):
+        if not (math.isfinite(R) and R > 0.0 and math.isfinite(u) and u >= 0.0):  # name the first bad field
+            _require_positive("R", R)
+            _require_positive("u", u, allow_zero=True)
+        return tuple.__new__(cls, (R, u))
 
 
-@dataclass(frozen=True, slots=True)
-class ABResult:
+class _ABResultFields(NamedTuple):
     flux: float
     phase_ab: float
     delta_v: float
     delta_x: float
     lambda_db: float
     phase_local: float
+
+
+class ABResult(_ValueTuple, _ABResultFields):
+    """The local-model chain of one solenoid and orbit (``local_model_phase``)."""
+
+    __slots__ = ()
 
 
 def _quotient(name: str, numerator: float, denominator: float) -> float:
@@ -128,7 +147,18 @@ def electron_flux_at_angle(
     """
     if not (-math.pi / 2.0 <= theta <= math.pi / 2.0):
         raise DomainError(f"theta must lie in [-pi/2, pi/2], got {theta!r}")
-    return math.pi * s.r ** 2 * k.e * o.u * math.cos(theta) ** 3 / (k.c * o.R ** 2)
+    return _flux_profile(o, s, k)(theta)
+
+
+def _flux_profile(o: OrbitParams, s: SolenoidParams, k: PhysicalConstants):
+    # electron_flux_at_angle as a function of theta, unchecked, with
+    # pi*r^2*e*u (the product it forms first) and c*R^2 formed once
+    head, den, cos = math.pi * s.r ** 2 * k.e * o.u, k.c * o.R ** 2, math.cos
+
+    def profile(theta: float) -> float:
+        return head * cos(theta) ** 3 / den
+
+    return profile
 
 
 def velocity_kick_integrand(
@@ -137,13 +167,22 @@ def velocity_kick_integrand(
     """Angular integrand behind the cylinder velocity change, factor by factor:
     EMF flux profile ``electron_flux_at_angle``/c, per-circumference share,
     path stretch R/cos^2, full circumference, and charge per unit length."""
-    return (
-        electron_flux_at_angle(theta, o, s, k) / k.c
-        * (1.0 / (2.0 * math.pi * s.r))
-        * (o.R / math.cos(theta) ** 2)
-        * (2.0 * math.pi * s.r)
-        * (s.Q / (2.0 * math.pi * s.r * s.L))
-    )
+    return _kick_integrand(s, o, k)(theta)
+
+
+def _kick_integrand(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants):
+    # velocity_kick_integrand as a function of theta, its factors that do not
+    # depend on theta formed once, each as the product it multiplies in, so
+    # that no quadrature node reads a field
+    r, L, _, Q, _ = s
+    c, R = k.c, o.R
+    share, circumference, density = 1.0 / (2.0 * math.pi * r), 2.0 * math.pi * r, Q / (2.0 * math.pi * r * L)
+    flux, cos = _flux_profile(o, s, k), math.cos
+
+    def integrand(theta: float) -> float:
+        return flux(theta) / c * share * (R / cos(theta) ** 2) * circumference * density
+
+    return integrand
 
 
 def cylinder_velocity_change(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -> float:
@@ -159,12 +198,7 @@ def velocity_change_by_quadrature(s: SolenoidParams, o: OrbitParams, k: Physical
     panel.  The integrand, cos^3(theta) times the stretch R/cos^2(theta), is
     a fixed multiple of cos(theta), which one 10-point panel integrates to
     about 1e-20, so the refinement stops at two panels."""
-    integral = refine_gauss_legendre(
-        lambda theta: velocity_kick_integrand(theta, s, o, k),
-        -math.pi / 2.0,
-        math.pi / 2.0,
-        rel_tol=1e-12,
-    )
+    integral = refine_gauss_legendre(_kick_integrand(s, o, k), -math.pi / 2.0, math.pi / 2.0, rel_tol=1e-12)
     return integral / s.M
 
 

@@ -468,7 +468,7 @@ _UNIT_ORBIT = solenoid.OrbitParams(R=2.0, u=1.0)
 def _cross_antisymmetry(rng) -> float:
     a, b = _random_vec(rng, 10.0), _random_vec(rng, 10.0)
     residual = a.cross(b) + b.cross(a)
-    return _worst(abs(c) for c in residual.as_tuple())
+    return _worst(abs(c) for c in residual)
 
 
 @_claim("cross_orthogonality", 500)
@@ -613,7 +613,7 @@ def _flux_phase_linearity(rng) -> float:
         (solenoid.SolenoidParams(s.r, s.L, s.M, s.Q, s.v * factor), k, factor),
         (solenoid.SolenoidParams(s.r * factor, s.L, s.M, s.Q, s.v), k, factor),
         (solenoid.SolenoidParams(s.r, s.L * factor, s.M, s.Q, s.v), k, 1.0 / factor),
-        (s, dataclasses.replace(k, e=k.e * factor), factor),
+        (s, k._replace(e=k.e * factor), factor),
     )
     return _worst(_relative(solenoid.ab_phase_direct(s2, k2), base * expect) for s2, k2, expect in scaled)
 
@@ -808,7 +808,7 @@ def _random_configuration(rng, count: int) -> fieldfree.ChargeConfiguration:
         candidate = fieldfree.PointCharge(
             q=_uniform(rng, -2.0, 2.0), pos=_random_vec(rng, 1.0)
         )
-        x, y, z = candidate.pos.x, candidate.pos.y, candidate.pos.z
+        x, y, z = candidate.pos
         # each distance as (candidate.pos - c.pos).norm() forms it
         if all(math.sqrt((x - a) * (x - a) + (y - b) * (y - b) + (z - c) * (z - c)) > 0.05 for a, b, c in kept):
             charges.append(candidate)
@@ -838,7 +838,7 @@ def _field_covariance(rng) -> float:
     shift = _random_vec(rng, 5.0)
 
     def rotate(v: Vec3) -> Vec3:
-        x, y, z = v.x, v.y, v.z
+        x, y, z = v
         return Vec3(q00 * x + q01 * y + q02 * z, q10 * x + q11 * y + q12 * z, q20 * x + q21 * y + q22 * z)
 
     moved = fieldfree.ChargeConfiguration(

@@ -85,7 +85,7 @@ def _step(lc, n, state, dt, law, k):
 
 
 def _p_h(x, y, mu_z=MU_Z):
-    return boyer._hidden_momentum(LINE, mu_z, 1.0 / K1.c, x, y)
+    return boyer._hidden_momentum(2.0 * LINE.lambda_c, mu_z, 1.0 / K1.c, x, y)
 
 
 def test_induced_dipole_x_cross_z():
@@ -571,7 +571,7 @@ def test_bounce_samples_carry_hidden_momentum():
     # p_h at a kept state is the Vec3 reference's, bit for bit
     st = bounce(FULL_LAW, n_bounces=2).states[10]
     expected = _ref_hidden_momentum(BOUNCE_LINE, Vec3(st.x, st.y, 0.0), Vec3(0.0, 0.0, MU_Z), K1)
-    p_h = boyer._hidden_momentum(BOUNCE_LINE, MU_Z, 1.0 / K1.c, st.x, st.y)
+    p_h = boyer._hidden_momentum(2.0 * BOUNCE_LINE.lambda_c, MU_Z, 1.0 / K1.c, st.x, st.y)
     assert _bits(*p_h) == _bits(expected.x, expected.y)
 
 
@@ -751,7 +751,7 @@ def test_bounce_hidden_momentum_is_continuous_across_each_bounce(law):
     states, times = result.states, set(result.bounce_times)
     bounces = [i for i, s in enumerate(states) if s.t in times]
     assert len(bounces) == 4
-    p_h = [boyer._hidden_momentum(BOUNCE_LINE, MU_Z, 1.0 / K1.c, s.x, s.y) for s in states]
+    p_h = [boyer._hidden_momentum(2.0 * BOUNCE_LINE.lambda_c, MU_Z, 1.0 / K1.c, s.x, s.y) for s in states]
     jumps = [math.dist(a, b) for a, b in zip(p_h, p_h[1:])]
     in_leg = max(j for i, j in enumerate(jumps) if i + 1 not in bounces and i not in bounces)
     for i in bounces:

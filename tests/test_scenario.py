@@ -318,10 +318,12 @@ def test_parse_equal_mirrors_name_the_block():
 
 
 SQUARE = "[[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0], [1, 1, 0]]"
+# a rule that reads the mirrors names both keys, with those of the start
+MIRROR_KEYS = "params.mirrors.a_cm, params.mirrors.b_cm"
 # a step that cannot move x off the mirror it starts at counted as a bounce
 # each time, with zero work; at 5e-324 s it exited 2 naming no key
 SHORT_STEP_MESSAGE = (
-    "params.dt_s, params.start.vx_cm_per_s: a step moves x by |vx| * dt = {} cm, "
+    f"params.dt_s, params.start.vx_cm_per_s, {MIRROR_KEYS}: a step moves x by |vx| * dt = {{}} cm, "
     "less than the float spacing 4.440892098500626e-16 cm at the mirrors, so it cannot leave a mirror plane"
 )
 # m (vx^2 + vy^2)/2 overflowed: mass_g 1e308 wrote NaN rows and FAILed every
@@ -353,7 +355,7 @@ params:
         ),
         (
             BOUNCE_DOC, "x_cm: 3.0", "x_cm: 9.0", ValidationError,
-            r"params\.start\.x_cm: initial position x = 9\.0 lies outside the mirrors \[1\.5, 3\.0\]",
+            re.escape(f"params.start.x_cm, {MIRROR_KEYS}: initial position x = 9.0 lies outside the mirrors [1.5, 3.0]"),
         ),
         (
             BOUNCE_DOC, "dt_s: 0.00390625", "dt_s: 1.0e-17", ValidationError,
@@ -390,7 +392,7 @@ def test_swept_start_outside_the_mirrors_fails_per_point():
     doc = BOUNCE_DOC.replace("n_bounces: 10", "n_bounces: 1") + "sweep: {param: start.x_cm, from: 2.0, to: 4.0, steps: 3}\n"
     report = run_scenario(parse_scenario(doc))
     assert [row.get("error") for row in report.rows if row["sweep_index"] == 2] == [
-        "ValidationError: params.start.x_cm: initial position x = 4.0 lies outside the mirrors [1.5, 3.0]"
+        f"ValidationError: params.start.x_cm, {MIRROR_KEYS}: initial position x = 4.0 lies outside the mirrors [1.5, 3.0]"
     ]
     assert all("error" not in row for row in report.rows if row["sweep_index"] < 2)
 
@@ -406,8 +408,37 @@ def test_swept_step_too_short_to_leave_a_mirror_fails_per_point():
 
 
 def test_parse_orbit_must_clear_solenoid():
-    with pytest.raises(ValidationError, match="R_cm"):
+    message = "params.orbit.R_cm, params.solenoid.r_cm: orbit radius 0.5 must exceed the solenoid radius 1.0"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         parse_scenario(AB_UNIT_DOC.replace("R_cm: 2.0", "R_cm: 0.5"))
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        (
+            "ab_solenoid_unit.yaml", "r_cm: 1.0", "r_cm: 1.0e300",
+            "params.orbit.R_cm, params.solenoid.r_cm: orbit radius 2.0 must exceed the solenoid radius 1e+300",
+        ),
+        (
+            "ac_bounce.yaml", "b_cm: 3.0", "b_cm: 1.0e-300",
+            f"params.start.x_cm, {MIRROR_KEYS}: initial position x = 3.0 lies outside the mirrors [1e-300, 1.5]",
+        ),
+        (
+            "ac_bounce.yaml", "a_cm: 1.5", "a_cm: 1.0e300",
+            SHORT_STEP_MESSAGE.replace("4.440892098500626e-16", "1.487016908477783e+284").format("0.0078125"),
+        ),
+    ],
+    ids=["orbit-inside-huge-solenoid", "start-beyond-tiny-mirror", "step-under-huge-mirror-spacing"],
+)
+def test_rule_that_reads_two_blocks_names_every_key_it_reads(tmp_path, capsys, name, old, new, message):
+    # each message named the keys of one block only, though the set key was in the other
+    text = (SCENARIO_DIR / name).read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "bad.yaml"
+    path.write_text(text.replace(old, new))
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parse_sweep_validation():
@@ -1046,6 +1077,19 @@ DELTA_X_KEYS = "params.solenoid.r_cm, params.solenoid.L_cm, params.solenoid.M_g,
 DELTA_V_KEYS = DELTA_X_KEYS.replace(": ", ", params.orbit.R_cm, params.orbit.u_cm_per_s: ")
 DELTA_V_NOT_NORMAL = "delta_v must be a normal finite float, or 0.0 at Q = 0 or u = 0, got "
 NOT_NORMAL = "must be a normal finite float, or 0.0 at Q = 0, got "
+# a subnormal per-winding phase FAILed both loop rows (exit 1), and an
+# infinite one stopped the trapezoid rule on NaN, naming no key (exit 3)
+AC_PHASE_UNIT = (
+    "params.line.lambda_statC_per_cm, params.mu_z_erg_per_G: the per-winding phase 4*pi*mu_z*lambda/(hbar*c) "
+    "must be a normal finite float, or 0.0 at lambda = 0 or mu_z = 0, got "
+)
+
+
+def _ac_phase_circle_doc(**values: str) -> str:
+    doc = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text()
+    for key, value in values.items():
+        doc = doc.replace(f"{key}: 1.0\n", f"{key}: {value}\n")
+    return doc
 
 
 def _ab_unit_doc(**values: str) -> str:
@@ -1086,12 +1130,23 @@ def _ab_unit_doc(**values: str) -> str:
         ),
         # delta_v used to print inf in its column with both checks PASS
         (_ab_unit_doc(u_cm_per_s="1.0e308", M_g="1.0e-10"), DELTA_V_KEYS + DELTA_V_NOT_NORMAL + "inf"),
+        (_ac_phase_circle_doc(lambda_statC_per_cm="5.0e-324"), AC_PHASE_UNIT + "6.4e-323"),
+        (_ac_phase_circle_doc(mu_z_erg_per_G="5.0e-324"), AC_PHASE_UNIT + "6.4e-323"),
+        (_ac_phase_circle_doc(lambda_statC_per_cm="1.0e308"), AC_PHASE_UNIT + "inf"),
+        (_ac_phase_circle_doc(mu_z_erg_per_G="1.0e308"), AC_PHASE_UNIT + "inf"),
+        (
+            _ac_phase_circle_doc(lambda_statC_per_cm="1.0e-300", mu_z_erg_per_G="1.0e-40")
+            .replace("units: scaled-unity", "units: gaussian-cgs"),
+            AC_PHASE_UNIT + "0.0",
+        ),
     ],
     ids=[
         "mzi-phase", "mzi-wavelength", "ab-momentum-inf", "ab-momentum-zero", "ab-mass-tiny", "ab-phase",
         "ab-length-tiny", "ab-radius-subnormal", "ab-charge-subnormal", "ab-shift-subnormal", "ab-shift-zero",
         "ab-flux-subnormal-cgs",
         "ab-kick-underflow", "ab-phase-underflow", "ab-kick-inf",
+        "ac-phase-line-subnormal", "ac-phase-moment-subnormal", "ac-phase-line-inf", "ac-phase-moment-inf",
+        "ac-phase-underflow-cgs",
     ],
 )
 def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
@@ -1100,6 +1155,20 @@ def test_run_whose_arithmetic_overflows_exits_2(tmp_path, capsys, doc, message):
     path.write_text(doc)
     assert cli_main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_parse_refuses_an_ac_phase_whose_per_winding_phase_is_not_normal():
+    # refused with the document, before a loop is integrated; an exact 0.0 parses
+    with pytest.raises(DomainError, match="^" + re.escape(AC_PHASE_UNIT + "6.4e-323") + "$"):
+        parse_scenario(_ac_phase_circle_doc(lambda_statC_per_cm="5.0e-324"))
+    assert parse_scenario(_ac_phase_circle_doc(mu_z_erg_per_G="0.0")).params["mu_z_erg_per_G"] == 0.0
+
+
+@pytest.mark.parametrize("value", ["1.0e-308", "1.0e300"])
+def test_ac_phase_at_a_normal_per_winding_phase_runs(tmp_path, value):
+    path = tmp_path / "extreme_line.yaml"
+    path.write_text(_ac_phase_circle_doc(lambda_statC_per_cm=value))
+    assert cli_main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 0
 
 
 @pytest.mark.parametrize("M_g", ["1.0", "1.0e25"])
@@ -1150,8 +1219,13 @@ def test_ab_point_with_orbit_at_rest_runs(tmp_path):
             2,
             "ValidationError: " + KINETIC_ENERGY_MESSAGE,
         ),
+        (  # the circle and the second radius
+            _ac_phase_circle_doc() + "sweep: {param: mu_z_erg_per_G, from: 1.0, to: 5.0e307, steps: 3}\n",
+            2,
+            "DomainError: " + AC_PHASE_UNIT + "inf",
+        ),
     ],
-    ids=["mzi-phase", "ab-momentum-inf", "ab-flux-inf", "ab-kick-inf", "bounce-kinetic-energy"],
+    ids=["mzi-phase", "ab-momentum-inf", "ab-flux-inf", "ab-kick-inf", "bounce-kinetic-energy", "ac-phase-unit-inf"],
 )
 def test_sweep_point_whose_arithmetic_overflows_is_an_error_row(tmp_path, doc, first_point_rows, error):
     # the first point runs; the two that overflow become error rows
@@ -1475,19 +1549,22 @@ def test_cli_bounce_whose_step_overflows_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "old, new, estimate",
+    "changes, estimate",
     [
-        ("lambda_statC_per_cm: 1.0", "lambda_statC_per_cm: 1.0e308", "nan"),
+        # a finite per-winding phase, 1.3e301, on a circle 1e-5 cm from the line
+        ((("lambda_statC_per_cm: 1.0", "lambda_statC_per_cm: 1.0e300"), ("center_x_cm: 0.0", "center_x_cm: 0.80001")), "nan"),
     ],
     ids=["strong-line"],
 )
-def test_cli_ac_phase_whose_integrand_overflows_exits_3_at_once(tmp_path, capsys, old, new, estimate):
+def test_cli_ac_phase_whose_integrand_overflows_exits_3_at_once(tmp_path, capsys, changes, estimate):
     # the integrand is not finite from the first estimate on, so no doubling
     # can converge; the refinement stops there, not at 524,288 points
     text = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text()
-    assert old in text
+    for old, new in changes:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
     path = tmp_path / "overflowing_loop.yaml"
-    path.write_text(text.replace(old, new))
+    path.write_text(text)
     start = time.perf_counter()
     assert cli_main(["run", str(path)]) == 3
     assert time.perf_counter() - start < 1.0

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import warnings
@@ -240,7 +239,7 @@ def test_de_broglie_domain():
 )
 def test_closed_form_whose_denominator_underflows_names_its_quotient(formula, quotient):
     # a denominator of 0.0 used to raise ZeroDivisionError
-    k = dataclasses.replace(K1, c=1e-200)
+    k = K1._replace(c=1e-200)
     with pytest.raises(DomainError, match="^" + re.escape(quotient) + ": its denominator underflows to 0.0$"):
         formula(unit_solenoid(L=1e-200, M=1e-200), OrbitParams(R=1e-200, u=1.0), k)
 

@@ -60,11 +60,13 @@ def test_non_finite_flight_fails_its_row(monkeypatch, flight):
 
 
 def test_scaled_emf_flux_profile_fails_only_the_kick_quadrature(monkeypatch):
-    # the kick integrand is built from electron_flux_at_angle, so the
-    # quadrature row also judges the profile's magnitude; its shape rows are
-    # blind to a uniform scale
-    flux = solenoid.electron_flux_at_angle
-    monkeypatch.setattr(solenoid, "electron_flux_at_angle", lambda *args: flux(*args) * (1.0 + 1e-6))
+    # the kick integrand is built from the flux profile that
+    # electron_flux_at_angle evaluates, so the quadrature row also judges the
+    # profile's magnitude; its shape rows are blind to a uniform scale
+    profile = solenoid._flux_profile
+    monkeypatch.setattr(
+        solenoid, "_flux_profile", lambda *args: lambda theta, flux=profile(*args): flux(theta) * (1.0 + 1e-6)
+    )
     assert [c.name for c in run_verify_suite(42).checks if not c.passed] == ["velocity_kick_quadrature"]
 
 
