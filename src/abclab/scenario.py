@@ -34,7 +34,7 @@ import yaml
 from yaml.composer import Composer
 
 from . import boyer, fieldfree, interferometry, solenoid, verify
-from .errors import AbclabError, DomainError, ScenarioParseError, ValidationError
+from .errors import AbclabError, DomainError, NumericalError, ScenarioParseError, ValidationError
 from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, _ValueTuple, make_constants
 from .verify import CheckRow, RunReport, emit, render_csv, render_json  # report types and emission, re-exported
 
@@ -665,18 +665,22 @@ def _point_ac_phase(params: dict, k: PhysicalConstants):
     # residuals are in units of the per-winding phase, absolute when it is 0
     unit = abs(unit) or 1.0
 
-    def measure(name: str, path) -> tuple[dict, CheckRow]:
+    def measure(name: str, path, loop_keys: str) -> tuple[dict, CheckRow]:
         winding = boyer.loop_winding_number(path)
         expected = boyer.ac_phase_enclosed_value(lc, mu_z, k, winding)
-        phase = boyer.ac_phase(lc, mu_z, path, k)
+        try:  # the integrand turns on the line, the moment and the loop, so its error names them
+            phase = boyer.ac_phase(lc, mu_z, path, k)
+        except NumericalError as exc:
+            keys = f"params.line.lambda_statC_per_cm, params.mu_z_erg_per_G, {loop_keys}"
+            raise NumericalError(f"{keys}: {exc}") from None
         row = {"loop": _describe_loop(path), "winding": winding, "phase_rad": phase, "expected_rad": expected}
         return row, verify.claim_row(name, abs(phase - expected) / unit, expected, phase)
 
-    measured = [measure("ac_phase_loop_value", loop)]
+    measured = [measure("ac_phase_loop_value", loop, "params.loop")]
     if "second_radius_cm" in params:
         # judged against its own winding, which need not be the first circle's
         second = boyer.CircleLoop(center=loop.center, radius=params["second_radius_cm"])
-        measured.append(measure("ac_phase_radius_independent", second))
+        measured.append(measure("ac_phase_radius_independent", second, "params.loop, params.second_radius_cm"))
     rows, checks = zip(*measured)
     return list(rows), list(checks)
 
@@ -684,7 +688,7 @@ def _point_ac_phase(params: dict, k: PhysicalConstants):
 def _point_field_free(params: dict, k: PhysicalConstants):
     d, e = params["d_cm"], params["e_statC"]
     cfg = fieldfree.make_three_charge(d, e)
-    sums = [fieldfree.coulomb_at(cfg, i) for i in range(len(cfg.charges))]
+    sums = fieldfree.coulomb_all(cfg)
     magnitudes = [field.norm() for field, _, _ in sums]
     residuals = [verify.field_residual(magnitude, d, e) for magnitude in magnitudes]
     rows = [

@@ -242,11 +242,4 @@ def local_model_phase(s: SolenoidParams, o: OrbitParams, k: PhysicalConstants) -
     delta_x = cylinder_displacement(s, k)
     lambda_db = de_broglie_wavelength(s.M, s.v, k)
     term = 2.0 * math.pi * delta_x / lambda_db
-    return ABResult(
-        flux=flux,
-        phase_ab=phase_ab,
-        delta_v=delta_v,
-        delta_x=delta_x,
-        lambda_db=lambda_db,
-        phase_local=4.0 * term,
-    )
+    return ABResult(flux, phase_ab, delta_v, delta_x, lambda_db, 4.0 * term)

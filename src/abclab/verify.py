@@ -324,7 +324,7 @@ def three_charge_residual(field_residuals) -> float:
 
 def potential_residual(scaled: tuple[int, float], d: float, e: float) -> tuple[float, float, float]:
     """(residual, 8e/d, potential) of the electron's potential (charge 0 of
-    the triple), given as ``fieldfree.coulomb_at``'s (k, s), against 8e/d
+    the triple), given as its (k, s) from ``fieldfree.coulomb_all``, against 8e/d
     (formed as e/(d/8): d/8 is exact, and 8e cannot overflow), in the order
     of ``claim_row``.  With d = m 2^j and e = n 2^i, m and n in [0.5, 1), the
     residual compares s 2^(j-i-k) with 8n/m: equal to the bit to
@@ -432,7 +432,10 @@ _PARAMETER_LOG_SPAN = _log_span(1e-3, 1e3)  # the range of every random solenoid
 
 def _log_uniforms(rng: random.Random, n: int) -> list[float]:
     """n draws of ``_log_uniform(rng, 1e-3, 1e3)``, to the bit and in the
-    order that n calls make them."""
+    order that n calls make them.  Each claim draws these inputs in one
+    call, in the order of the fields it builds from them (a solenoid's r, L,
+    M, Q, v, an orbit's R, u, the constants' e, c, hbar, a triple's d, e),
+    and builds its values positionally."""
     (log_lo, width), exp, draw = _PARAMETER_LOG_SPAN, math.exp, rng.random
     draws = []
     for _ in range(n):
@@ -444,20 +447,6 @@ def _random_vec(rng: random.Random, scale: float = 1.0) -> Vec3:
     # three _uniform(rng, -scale, scale) draws: hi - lo is scale + scale
     lo, width, draw = -scale, scale + scale, rng.random
     return Vec3(lo + width * draw(), lo + width * draw(), lo + width * draw())
-
-
-def _random_constants(rng: random.Random) -> PhysicalConstants:
-    e, c, hbar = _log_uniforms(rng, 3)
-    return PhysicalConstants(e=e, c=c, hbar=hbar)
-
-
-def _random_solenoid(rng: random.Random) -> solenoid.SolenoidParams:
-    return solenoid.SolenoidParams(*_log_uniforms(rng, 5))
-
-
-def _random_orbit(rng: random.Random) -> solenoid.OrbitParams:
-    R, u = _log_uniforms(rng, 2)
-    return solenoid.OrbitParams(R=R, u=u)
 
 
 _UNIT_SOLENOID = solenoid.SolenoidParams(r=1.0, L=1.0, M=1.0, Q=1.0, v=1.0)
@@ -475,7 +464,9 @@ def _cross_antisymmetry(rng) -> float:
 def _cross_orthogonality(rng) -> float:
     a, b = _random_vec(rng, 10.0), _random_vec(rng, 10.0)
     c = a.cross(b)
-    return _worst(abs(c.dot(v)) / (c.norm() * v.norm()) for v in (a, b) if c.norm() * v.norm() > 0.0)
+    c_norm = c.norm()
+    scales = (c_norm * a.norm(), c_norm * b.norm())
+    return _worst(abs(c.dot(v)) / scale for v, scale in zip((a, b), scales) if scale > 0.0)
 
 
 @_check
@@ -560,17 +551,15 @@ _check(lambda rng: _overlap_monotone("overlap_monotone_in_kick", vary_shift=Fals
 
 @_claim("factor4_identity", 1000)
 def _factor4_identity(rng) -> float:
-    s = _random_solenoid(rng)
-    o = _random_orbit(rng)
-    k = _random_constants(rng)
-    return factor4_residual(solenoid.local_model_phase(s, o, k))
+    r, L, M, Q, v, R, u, e, c, hbar = _log_uniforms(rng, 10)
+    s, o = solenoid.SolenoidParams(r, L, M, Q, v), solenoid.OrbitParams(R, u)
+    return factor4_residual(solenoid.local_model_phase(s, o, PhysicalConstants(e, c, hbar)))
 
 
 @_claim("velocity_kick_quadrature", 100)
 def _velocity_kick_quadrature(rng) -> float:
-    s = _random_solenoid(rng)
-    o = _random_orbit(rng)
-    k = _random_constants(rng)
+    r, L, M, Q, v, R, u, e, c, hbar = _log_uniforms(rng, 10)
+    s, o, k = solenoid.SolenoidParams(r, L, M, Q, v), solenoid.OrbitParams(R, u), PhysicalConstants(e, c, hbar)
     return _relative(solenoid.velocity_change_by_quadrature(s, o, k), solenoid.cylinder_velocity_change(s, o, k))
 
 
@@ -592,9 +581,9 @@ def _flux_profile_shape(rng) -> CheckRow:
 
 @_claim("displacement_orbit_invariance", 100)
 def _displacement_invariance(rng) -> float:
-    s = _random_solenoid(rng)
-    k = _random_constants(rng)
-    o1, o2 = _random_orbit(rng), _random_orbit(rng)
+    r, L, M, Q, v, e, c, hbar, R1, u1, R2, u2 = _log_uniforms(rng, 12)
+    s, k = solenoid.SolenoidParams(r, L, M, Q, v), PhysicalConstants(e, c, hbar)
+    o1, o2 = solenoid.OrbitParams(R1, u1), solenoid.OrbitParams(R2, u2)
     direct = solenoid.cylinder_displacement(s, k)
     # the route through the kick, delta_v * (pi*R/u), against the orbit-free closed form
     return _worst(
@@ -604,24 +593,24 @@ def _displacement_invariance(rng) -> float:
 
 @_claim("flux_phase_linearity", 100)
 def _flux_phase_linearity(rng) -> float:
-    s = _random_solenoid(rng)
-    k = _random_constants(rng)
+    r, L, M, Q, v, e, c, hbar = _log_uniforms(rng, 8)
+    s, k = solenoid.SolenoidParams(r, L, M, Q, v), PhysicalConstants(e, c, hbar)
     factor = _log_uniform(rng, 0.1, 10.0)
     base = solenoid.ab_phase_direct(s, k)
     scaled = (
-        (solenoid.SolenoidParams(s.r, s.L, s.M, s.Q * factor, s.v), k, factor),
-        (solenoid.SolenoidParams(s.r, s.L, s.M, s.Q, s.v * factor), k, factor),
-        (solenoid.SolenoidParams(s.r * factor, s.L, s.M, s.Q, s.v), k, factor),
-        (solenoid.SolenoidParams(s.r, s.L * factor, s.M, s.Q, s.v), k, 1.0 / factor),
-        (s, k._replace(e=k.e * factor), factor),
+        (solenoid.SolenoidParams(r, L, M, Q * factor, v), k, factor),
+        (solenoid.SolenoidParams(r, L, M, Q, v * factor), k, factor),
+        (solenoid.SolenoidParams(r * factor, L, M, Q, v), k, factor),
+        (solenoid.SolenoidParams(r, L * factor, M, Q, v), k, 1.0 / factor),
+        (s, PhysicalConstants(e * factor, c, hbar), factor),
     )
     return _worst(_relative(solenoid.ab_phase_direct(s2, k2), base * expect) for s2, k2, expect in scaled)
 
 
 @_claim("flux_chain_consistency", 1000)
 def _flux_chain_consistency(rng) -> float:
-    s = _random_solenoid(rng)
-    k = _random_constants(rng)
+    r, L, M, Q, v, e, c, hbar = _log_uniforms(rng, 8)
+    s, k = solenoid.SolenoidParams(r, L, M, Q, v), PhysicalConstants(e, c, hbar)
     return flux_chain_residual(solenoid.solenoid_flux(s, k), solenoid.ab_phase_direct(s, k), k)
 
 
@@ -644,9 +633,13 @@ def _visibility_pipeline(rng) -> CheckRow:
     return claim_row("visibility_pipeline_monotone", verdict, "0 -> 1 with spread/kick", summary, at_most=True)
 
 
+_RHO_LOG_SPAN = _log_span(0.1, 10.0)  # the force row's distances from the line
+
+
 @_claim("boyer_force_equals_momentum_rate", 1000)
 def _force_equals_rate(rng) -> float:
-    rho = _log_uniform(rng, 0.1, 10.0)
+    log_lo, width = _RHO_LOG_SPAN
+    rho = math.exp(log_lo + width * rng.random())  # _log_uniform(rng, 0.1, 10.0)
     angle = _uniform(rng, 0.0, 2.0 * math.pi)
     x, y = rho * math.cos(angle), rho * math.sin(angle)
     _uniform(rng, -1.0, 1.0)  # a z, drawn to keep the stream in place; the line field does not depend on it
@@ -793,13 +786,13 @@ def _random_triple(rng) -> tuple[fieldfree.ChargeConfiguration, float, float]:
 @_claim("field_free_three_charge", 100)
 def _three_charge(rng) -> float:
     cfg, d, e = _random_triple(rng)
-    return three_charge_residual(field_residual(fieldfree.field_at(cfg, i).norm(), d, e) for i in range(3))
+    return three_charge_residual(field_residual(field.norm(), d, e) for field, _, _ in fieldfree.coulomb_all(cfg))
 
 
 @_claim("potential_at_electron", 100)
 def _three_charge_potential(rng) -> float:
     cfg, d, e = _random_triple(rng)
-    return potential_residual(fieldfree.coulomb_at(cfg, 0)[1:], d, e)[0]
+    return potential_residual(fieldfree.coulomb_all(cfg)[0][1:], d, e)[0]
 
 
 def _random_configuration(rng, count: int) -> fieldfree.ChargeConfiguration:
@@ -845,11 +838,10 @@ def _field_covariance(rng) -> float:
         tuple(fieldfree.PointCharge(c.q, rotate(c.pos) + shift) for c in cfg.charges)
     )
 
-    def miss(i: int) -> float:
-        original = fieldfree.field_at(cfg, i)
-        return (fieldfree.field_at(moved, i) - rotate(original)).norm() / max(original.norm(), 1e-300)
-
-    return _worst(miss(i) for i in range(len(cfg.charges)))
+    fields = zip(fieldfree.coulomb_all(cfg), fieldfree.coulomb_all(moved))
+    return _worst(
+        (field - rotate(original)).norm() / max(original.norm(), 1e-300) for (original, _, _), (field, _, _) in fields
+    )
 
 
 @_claim("newtons_third_law", 50)
@@ -857,8 +849,8 @@ def _newtons_third_law(rng) -> float:
     cfg = _random_configuration(rng, 5)
     total = Vec3(0.0, 0.0, 0.0)
     scale = 0.0
-    for i, charge in enumerate(cfg.charges):
-        force = fieldfree.field_at(cfg, i) * charge.q
+    for charge, (field, _, _) in zip(cfg.charges, fieldfree.coulomb_all(cfg)):
+        force = field * charge.q
         total = total + force
         scale = max(scale, force.norm())
     return total.norm() / max(scale, 1e-300)

@@ -199,12 +199,19 @@ def test_scaled_separation_keeps_every_bit_of_a_finite_one():
     for _ in range(500):
         a, b = point(), point()
         sep = a - b
-        # _scaled_terms reads only cfg.charges; a stand-in keeps the pairs
+        # coulomb_all reads only cfg.charges; a stand-in keeps the pairs
         # that ChargeConfiguration refuses as closer than MIN_SEPARATION
         pair = types.SimpleNamespace(charges=(PointCharge(1.0, a), PointCharge(1.0, b)))
-        _, _, [(_, k, x, y, z, _)] = fieldfree._scaled_terms(pair, 0)
-        assert k == math.frexp(max(abs(c) for c in sep))[1]
-        assert (math.ldexp(x, k), math.ldexp(y, k), math.ldexp(z, k)) == sep
+        (field, k, s), (reverse_field, reverse_k, reverse_s) = fieldfree.coulomb_all(pair)
+        assert k == reverse_k == math.frexp(max(abs(c) for c in sep))[1]
+        # the unit source's field and potential formed on sep 2^-k itself
+        x, y, z = (math.ldexp(c, -k) for c in sep)
+        r = math.sqrt(x * x + y * y + z * z)
+        scale = 1.0 / (r * r * r)
+        expected = [fieldfree._times_power_of_two(scale * c, -2 * k) for c in (x, y, z)]
+        assert [c.hex() for c in field] == [c.hex() for c in expected]
+        assert [c.hex() for c in reverse_field] == [(-c).hex() for c in expected]
+        assert s.hex() == reverse_s.hex() == (1.0 / r).hex()
 
 
 def test_field_free_triple_just_below_the_largest_float(tmp_path):
@@ -236,19 +243,21 @@ def test_field_free_triple_with_charges_near_the_largest_float(tmp_path):
 
 
 def test_field_free_point_makes_one_coulomb_pass_per_charge(monkeypatch):
-    # each charge's field and potential come from one pass of _scaled_terms;
-    # the point made 7 passes: field_at and potential_at at each charge and
-    # the electron's scaled potential once more
+    # every charge's field and potential come from one coulomb_all pass over
+    # the triple's pairs: one pass a point, not one a charge
     passes = []
-    scaled_terms = fieldfree._scaled_terms
+    coulomb_all = fieldfree.coulomb_all
 
-    def counted(cfg, target_index):
-        passes.append(target_index)
-        return scaled_terms(cfg, target_index)
+    def counted(cfg):
+        passes.append(len(cfg.charges))
+        return coulomb_all(cfg)
 
-    monkeypatch.setattr(fieldfree, "_scaled_terms", counted)
-    run_scenario(parse_scenario("kind: field-free\nunits: scaled-unity\nparams: {d_cm: 1.0, e_statC: 1.0}\n"))
-    assert passes == [0, 1, 2]
+    monkeypatch.setattr(fieldfree, "coulomb_all", counted)
+    doc = "kind: field-free\nunits: scaled-unity\nparams: {d_cm: 1.0, e_statC: 1.0}\n"
+    run_scenario(parse_scenario(doc))
+    assert passes == [3]
+    run_scenario(parse_scenario(doc + "sweep: {param: d_cm, from: 1.0, to: 2.0, steps: 4}\n"))
+    assert passes == [3] * 5
 
 
 def test_potential_below_the_least_normal_float_is_judged_at_the_separation_scale(tmp_path):
@@ -277,8 +286,9 @@ def test_potential_below_the_least_normal_float_is_judged_at_the_separation_scal
 
 
 # fieldfree's separations, fields and potentials as they were formed before
-# field_at and potential_at read the positions' floats in one pass: the
-# reference that the float routes must equal to the bit
+# coulomb_all read the positions' floats in one pass over the pairs: each
+# target's separations on Vec3s, every pair formed from both ends, the
+# reference that the float route must equal to the bit
 
 
 def _reference_scaled(a: Vec3, b: Vec3) -> tuple[int, float, float, float, float]:
@@ -293,13 +303,21 @@ def _reference_scaled(a: Vec3, b: Vec3) -> tuple[int, float, float, float, float
     return k + halved, x, y, z, math.sqrt(x * x + y * y + z * z)
 
 
+def _reference_charge_scale(cfg: ChargeConfiguration, target_index: int) -> int:
+    # c: q 2^-c brings the largest |q| among the target's sources inside
+    # 2^-1000..2^1000, 0 where it lies there already
+    top = max(abs(source.q) for j, source in enumerate(cfg.charges) if j != target_index)
+    e = math.frexp(top)[1]
+    return e - min(max(e, -1000), 1000)
+
+
 def _reference_field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
-    target = cfg.charges[target_index]
+    target, c = cfg.charges[target_index], _reference_charge_scale(cfg, target_index)
     terms = []
     for j, source in enumerate(cfg.charges):
         if j != target_index:
             k, x, y, z, dist = _reference_scaled(target.pos, source.pos)
-            scale = source.q / (dist * dist * dist)
+            scale = math.ldexp(source.q, -c) / (dist * dist * dist)
             terms.append((k, scale * x, scale * y, scale * z))
     near = min((term[0] for term in terms), default=0)
     ex = ey = ez = 0.0
@@ -308,38 +326,47 @@ def _reference_field_at(cfg: ChargeConfiguration, target_index: int) -> Vec3:
         ex += math.ldexp(x, shift)
         ey += math.ldexp(y, shift)
         ez += math.ldexp(z, shift)
-    return Vec3(*(fieldfree._times_power_of_two(c, -2 * near) for c in (ex, ey, ez)))
+    return Vec3(*(fieldfree._times_power_of_two(v, c - 2 * near) for v in (ex, ey, ez)))
 
 
 def _reference_potential_at(cfg: ChargeConfiguration, target_index: int) -> tuple[float, bool]:
     """(potential, normal): the potential summed term by term at full scale,
-    and whether every term and partial sum is 0 or a normal float both at
-    full scale and at the nearest source's scale, where potential_at sums.
-    Where one is not, each rounds on its own grid and the two may differ."""
-    target = cfg.charges[target_index]
+    and whether every term and partial sum is 0 or a finite normal float
+    both at full scale and at the nearest source's scale, where coulomb_all
+    sums.  Where one is not, each rounds on its own grid and the two may
+    differ."""
+    target, c = cfg.charges[target_index], _reference_charge_scale(cfg, target_index)
     terms = []
     for j, source in enumerate(cfg.charges):
         if j != target_index:
             k, _, _, _, dist = _reference_scaled(target.pos, source.pos)
-            terms.append((k, source.q / dist))
+            terms.append((k, math.ldexp(source.q, -c) / dist))
     near = min(k for k, _ in terms)
     total = scaled_total = 0.0
     values = []
     for k, term in terms:
-        unscaled, scaled = fieldfree._times_power_of_two(term, -k), math.ldexp(term, near - k)
+        unscaled, scaled = fieldfree._times_power_of_two(term, c - k), math.ldexp(term, near - k)
         total += unscaled
         scaled_total += scaled
         values += [(term, unscaled), (term, scaled), (total, total), (scaled_total, scaled_total)]
-    normal = all(value == 0.0 if exact == 0.0 else abs(value) >= sys.float_info.min for exact, value in values)
+    normal = all(
+        value == 0.0 if exact == 0.0 else sys.float_info.min <= abs(value) < math.inf for exact, value in values
+    )
     return total, normal
 
 
 _magnitude = st.floats(min_value=1e-300, max_value=1e300) | st.floats(min_value=8e307, max_value=1.7e308) | st.just(0.0)
 _coordinate = st.builds(lambda sign, magnitude: sign * magnitude, st.sampled_from([-1.0, 1.0]), _magnitude)
+# charges inside 2^-1000..2^1000 statC, and beyond it on both sides
+_charge_magnitude = (
+    st.floats(min_value=1e-3, max_value=1e3)
+    | st.floats(min_value=5e-324, max_value=1e-302)
+    | st.floats(min_value=1e302, max_value=1.7e308)
+)
 _charge = st.builds(
     lambda sign, q, x, y, z: PointCharge(sign * q, Vec3(x, y, z)),
     st.sampled_from([-1.0, 1.0]),
-    st.floats(min_value=1e-3, max_value=1e3),
+    _charge_magnitude,
     _coordinate,
     _coordinate,
     _coordinate,
@@ -350,12 +377,17 @@ _charge = st.builds(
 @given(st.lists(_charge, min_size=2, max_size=5))
 @example([PointCharge(q, Vec3(x, 0.0, 0.0)) for q, x in ((4.0, 1.5e308), (-1.0, 0.0), (4.0, -1.5e308))])
 @example([PointCharge(1.0, Vec3(1e-300, 2e300, 0.0)), PointCharge(-2.0, Vec3(-1e300, 0.0, 3e-300))])
+@example([PointCharge(q, Vec3(x, 0.0, 0.0)) for q, x in ((1.6e308, 1.7e308), (-4e307, 0.0), (1.6e308, -1.7e308))])
+@example([PointCharge(q, Vec3(x, 1.0, 0.0)) for q, x in ((4e-310, 1.7e308), (-1e-320, 0.0), (3e-302, -1.7e308))])
+@example([PointCharge(q, Vec3(x, 0.0, 0.0)) for q, x in ((1e308, 1.0), (-1e-3, 0.0), (1e-310, -1.0), (2.0, 3.0))])
 def test_float_fields_and_potentials_equal_the_vec3_reference(charges):
-    # one pass over the positions' floats forms every separation as the
-    # reference does, the halved route of separations past the largest float
-    # included, so each field keeps every bit; each potential does too
-    # wherever no term or partial sum leaves the normal floats.  The pair
-    # check refuses the configurations that Vec3.norm finds too close.
+    # one pass over the pairs forms every separation once, the reverse
+    # pair's as its negation, as the reference forms it from each end, the
+    # halved route of separations past the largest float and the scaling of
+    # charges outside 2^-1000..2^1000 statC included, so each charge's field
+    # keeps every bit; each potential does too wherever no term or partial
+    # sum leaves the finite normal floats.  The pair check refuses the
+    # configurations that Vec3.norm finds too close.
     too_close = any(
         (a.pos - b.pos).norm() <= fieldfree.MIN_SEPARATION for i, a in enumerate(charges) for b in charges[i + 1 :]
     )
@@ -365,9 +397,13 @@ def test_float_fields_and_potentials_equal_the_vec3_reference(charges):
         assert too_close
         assume(False)
     assert not too_close
-    for i in range(len(cfg.charges)):
-        field, reference_field = field_at(cfg, i), _reference_field_at(cfg, i)
+    sums = fieldfree.coulomb_all(cfg)
+    assert len(sums) == len(cfg.charges)
+    for i, (field, k, s) in enumerate(sums):
+        reference_field = _reference_field_at(cfg, i)
         assert [c.hex() for c in field] == [c.hex() for c in reference_field]
         reference, normal = _reference_potential_at(cfg, i)
+        potential = fieldfree._times_power_of_two(s, -k)
         if normal:
-            assert potential_at(cfg, i).hex() == reference.hex()
+            assert potential.hex() == reference.hex()
+        assert field_at(cfg, i) == field and potential_at(cfg, i) == potential

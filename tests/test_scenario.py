@@ -33,7 +33,7 @@ from abclab import (
     verify,
 )
 from abclab.cli import main as cli_main
-from abclab.errors import SingularityError
+from abclab.errors import NumericalError, SingularityError
 from abclab.units import Vec3
 from abclab.scenario import _ScenarioLoader, emit
 
@@ -1569,9 +1569,35 @@ def test_cli_ac_phase_whose_integrand_overflows_exits_3_at_once(tmp_path, capsys
     assert cli_main(["run", str(path)]) == 3
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
-        "error: periodic trapezoid refinement stopped on [-1.5707963267948966, 1.5707963267948966]: "
+        "error: params.line.lambda_statC_per_cm, params.mu_z_erg_per_G, params.loop: "
+        "periodic trapezoid refinement stopped on [-1.5707963267948966, 1.5707963267948966]: "
         f"the estimate at 8 points is {estimate}\n"
     )
+
+
+def test_loop_phase_whose_integrand_overflows_names_its_keys():
+    # a sweep point's error row carries the keys the loop phase reads, and
+    # the second circle's error names its radius too
+    text = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text().replace("center_x_cm: 0.0", "center_x_cm: 0.80001")
+    stop = (
+        "periodic trapezoid refinement stopped on [-1.5707963267948966, 1.5707963267948966]: "
+        "the estimate at 8 points is nan"
+    )
+    sweep = "sweep: {param: line.lambda_statC_per_cm, from: 1.0, to: 1.0e300, steps: 3, scale: log}\n"
+    report = run_scenario(parse_scenario(text + sweep))
+    assert [row.get("error") for row in report.rows] == [None] * 4 + [
+        f"NumericalError: params.line.lambda_statC_per_cm, params.mu_z_erg_per_G, params.loop: {stop}"
+    ]
+    assert all(c.passed for c in report.checks)
+    second = (
+        text.replace("lambda_statC_per_cm: 1.0", "lambda_statC_per_cm: 1.0e300")
+        .replace("radius_cm: 0.8", "radius_cm: 2.5")
+        .replace("second_radius_cm: 2.5", "second_radius_cm: 0.8")
+    )
+    keys = "params.line.lambda_statC_per_cm, params.mu_z_erg_per_G, params.loop, params.second_radius_cm"
+    with pytest.raises(NumericalError) as caught:
+        run_scenario(parse_scenario(second))
+    assert str(caught.value) == f"{keys}: {stop}"
 
 
 @pytest.mark.parametrize("radius", ["1.0e160", "1.0e308"])
