@@ -4,16 +4,21 @@ A scenario is a single YAML document.  All physical parameters carry their
 unit in the key name, which is the cheapest defence against unit mistakes in
 a Gaussian-units code base.
 
-The tables under "parsing" below are the schema reference: ``_SCENARIO``
-for the top level (kind, units, params, sweep, output), ``_PARAMS`` for the
-params block of each kind, ``_SWEEP`` and ``_OUTPUT`` for the optional
-blocks.  Each maps a key to its type, range included, and says whether it is
-required, defaulted or omitted when absent; ``_CHECKS`` adds, per kind, the
-rules that span keys or need the physics objects.  A sweep varies one float
-key of params, named by its dotted path (``solenoid.v_cm_per_s``), from
-``from`` to ``to`` in ``steps`` points; integer keys cannot be swept.  The
-parse resolves the path once and checks every point against the key's type;
-a point's params copy only the mappings on that path.
+The tables below are the schema reference: ``_SCENARIO`` for the top level
+(kind, units, params, sweep, output), ``_SWEEP`` and ``_OUTPUT`` for the
+optional blocks, and ``_KINDS``, one entry per kind, for the params block.
+Each table maps a key to its type, range included, and says whether it is
+required, defaulted or omitted when absent.  A kind's entry adds its
+``build``, which applies every rule that spans keys or needs the physics
+objects, and its ``measure``, which turns what ``build`` returns into rows
+and check rows.  The parse builds the document's own params, so they must
+pass every rule of their kind; a run builds each point again, so a swept
+point that breaks a rule becomes an error row with the same message.  A
+sweep varies one float key of params, named by its dotted path
+(``solenoid.v_cm_per_s``), from ``from`` to ``to`` in ``steps`` points;
+integer keys cannot be swept.  The parse resolves the path once and checks
+every point against the key's type; a point's params copy only the mappings
+on that path.
 
 Every check row is a ``verify.claim_row``; a sweep reports each check by the
 row of its worst point, kept whole.  Reports are deterministic: identical
@@ -28,13 +33,13 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import yaml
 from yaml.composer import Composer
 
 from . import boyer, fieldfree, interferometry, solenoid, verify
-from .errors import AbclabError, DomainError, NumericalError, ScenarioParseError, ValidationError
+from .errors import AbclabError, DomainError, NumericalError, ScenarioParseError, SingularityError, ValidationError
 from .units import GAUSSIAN_CGS, PhysicalConstants, UNIT_SYSTEMS, Vec3, _ValueTuple, make_constants
 from .verify import CheckRow, RunReport, emit, render_csv, render_json  # report types and emission, re-exported
 
@@ -117,10 +122,9 @@ class Scenario:
 # presence is REQUIRED, OMITTED (left out of the normalized dict when absent)
 # or the default used when absent; a default of None also reads null as None.
 # _walk validates a mapping against its table and builds the normalized dict
-# in table order; _CHECKS holds one function per kind, check(params, k), for
-# the rules that span keys or need the physics objects and the unit system's
-# constants k, and _notes gives a point's report notes.  A rule that reads
-# keys of two blocks names every key it reads.
+# in table order.  A rule that no table can state, because it spans keys or
+# needs the physics objects and the unit system's constants, is in its kind's
+# build (under "kinds"); it names every key it reads.
 
 REQUIRED = object()
 OMITTED = object()
@@ -196,21 +200,299 @@ _LINE = (_required(lambda_statC_per_cm=float), REQUIRED)
 _MAX_CHARGE_UNIT = sys.float_info.max / 4.0  # the field-free triple holds 4e, which must be a finite float
 _LOOP_KINDS = ("circle", "polyline")
 
-_PARAMS = {
-    KIND_MZI: {
-        "phase_rad": (float, OMITTED),  # or path_shift, exactly one (_check_mzi)
+
+# ---------------------------------------------------------------------------
+# kinds: one build and one measure each, tabled with the params in _KINDS.
+# parse_scenario builds the document's params and run_scenario builds and
+# measures every point, so a rule refuses both through the same code.
+
+
+def _keyed(keys: str, exc: AbclabError) -> AbclabError:
+    """``exc`` with its message prefixed by the params ``keys`` that set it.
+    It is raised from an ``except`` clause, which costs a point nothing
+    unless the point raises."""
+    return type(exc)(f"{keys}: {exc}")
+
+
+_ROUTING_WINDOW_RAD = 1e-9  # how near 0 or pi (mod 2 pi) the routing claims apply
+
+
+def _build_mzi(params: dict, k: PhysicalConstants):
+    """(phase, visibility, path_shift): the phase, given or formed from the
+    path shift, which is None when the phase is given."""
+    shift = params.get("path_shift")
+    if shift is not None and "phase_rad" in params:
+        raise ValidationError("params: give either phase_rad or path_shift, not both")
+    if shift is None:
+        if "phase_rad" not in params:
+            raise ValidationError("params.phase_rad: required field missing")
+        return params["phase_rad"], params["visibility"], None
+    try:  # the phase turns on these two keys alone, so its error names both
+        phase = interferometry.phase_from_path_shift(shift["delta_l_cm"], shift["wavelength_cm"])
+    except DomainError as exc:
+        raise _keyed("params.path_shift.delta_l_cm, params.path_shift.wavelength_cm", exc) from None
+    return phase, params["visibility"], shift
+
+
+def _measure_mzi(inputs, k: PhysicalConstants):
+    phase, vis, shift = inputs
+    probs = interferometry.detector_probabilities(phase, vis)
+    rows = [{"phase_rad": phase, "visibility": vis, "p_a": probs.p_a, "p_b": probs.p_b}]
+    residual = verify.detector_sum_residual(probs)
+    checks = [verify.claim_row("detector_probability_sum", residual, 1.0, probs.p_a + probs.p_b)]
+    wrapped = math.remainder(phase, 2.0 * math.pi)
+    near_zero = abs(wrapped) < _ROUTING_WINDOW_RAD
+    if vis == 1.0 and (near_zero or abs(abs(wrapped) - math.pi) < _ROUTING_WINDOW_RAD):
+        # A path shift's port is the parity of 2*delta_l/wavelength, taken
+        # from the inputs, so that a wrong phase formula FAILs the row.
+        to_a = near_zero if shift is None else round(2.0 * shift["delta_l_cm"] / shift["wavelength_cm"]) % 2 == 0
+        name, p = ("routes_to_A_at_zero_phase", probs.p_a) if to_a else ("routes_to_B_at_pi_phase", probs.p_b)
+        checks.append(verify.claim_row(name, abs(p - 1.0), 1.0, p))
+    return rows, checks
+
+
+# The params keys that each quantity of the factor-4 chain reads, and the
+# inputs whose zero makes it exactly 0.0.
+_AB_CHAIN_KEYS = {
+    "flux": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.Q_statC", "solenoid.v_cm_per_s"), ("Q",)),
+    "phase_ab": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.Q_statC", "solenoid.v_cm_per_s"), ("Q",)),
+    "delta_x": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.M_g", "solenoid.Q_statC"), ("Q",)),
+    "lambda_db": (("solenoid.M_g", "solenoid.v_cm_per_s"), ()),
+    "delta_v": (
+        ("solenoid.r_cm", "solenoid.L_cm", "solenoid.M_g", "solenoid.Q_statC", "orbit.R_cm", "orbit.u_cm_per_s"),
+        ("Q", "u"),
+    ),
+}
+
+# The params keys that the denominator of each quotient of the chain reads,
+# by the name its underflow error starts with (solenoid._quotient).
+_AB_DENOMINATOR_KEYS = {
+    "4*pi*Q*v*r/(c*L)": "params.solenoid.L_cm",
+    "4*pi*e*Q*v*r/(c^2*L*hbar)": "params.solenoid.L_cm",
+    "u*Q*e*r/(c^2*M*R*L)": "params.solenoid.L_cm, params.solenoid.M_g, params.orbit.R_cm",
+    "pi*Q*e*r/(c^2*M*L)": "params.solenoid.L_cm, params.solenoid.M_g",
+}
+
+
+def _build_ab(params: dict, k: PhysicalConstants):
+    """(chain, visibility): the ``solenoid.local_model_phase`` chain."""
+    sol, orbit = params["solenoid"], params["orbit"]
+    s = solenoid.SolenoidParams(r=sol["r_cm"], L=sol["L_cm"], M=sol["M_g"], Q=sol["Q_statC"], v=sol["v_cm_per_s"])
+    o = solenoid.OrbitParams(R=orbit["R_cm"], u=orbit["u_cm_per_s"])
+    if o.R <= s.r:
+        raise ValidationError(
+            f"params.orbit.R_cm, params.solenoid.r_cm: orbit radius {o.R!r} must exceed the solenoid radius {s.r!r}"
+        )
+    try:  # h/(M*v) turns on these two keys alone, so its error names both
+        solenoid.de_broglie_wavelength(s.M, s.v, k)
+    except DomainError as exc:
+        raise _keyed("params.solenoid.M_g, params.solenoid.v_cm_per_s", exc) from None
+    try:
+        res = solenoid.local_model_phase(s, o, k)
+    except DomainError as exc:  # a denominator underflows to 0.0
+        raise _keyed(_AB_DENOMINATOR_KEYS[str(exc).partition(":")[0]], exc) from None
+    # factor4_identity is judged relative to the phase: a quantity of the chain
+    # that overflows or loses bits below the normal floats would FAIL it, and
+    # the row would print a delta_v that did.  Only Q = 0, or u = 0 for
+    # delta_v, makes one exactly 0.0 (each is proportional to them, the other
+    # keys are positive); any other 0.0 has underflowed.
+    inputs = {"Q": s.Q, "u": o.u}
+    for name, (keys, zero_at) in _AB_CHAIN_KEYS.items():
+        value = getattr(res, name)
+        exact_zero = value == 0.0 and any(inputs[z] == 0.0 for z in zero_at)
+        if not (sys.float_info.min <= abs(value) < math.inf or exact_zero):
+            where = ", ".join(f"params.{key}" for key in keys)
+            exact = " or ".join(f"{z} = 0" for z in zero_at)
+            allowed = f"a normal finite float, or 0.0 at {exact}" if zero_at else "a normal finite float"
+            raise DomainError(f"{where}: {name} must be {allowed}, got {value!r}")
+    return res, params["visibility"]
+
+
+def _measure_ab(inputs, k: PhysicalConstants):
+    res, visibility = inputs
+    probs = interferometry.detector_probabilities(res.phase_ab, visibility)
+    residual = verify.factor4_residual(res)
+    rows = [{
+        "flux": res.flux, "phase_ab_rad": res.phase_ab, "delta_v_cm_per_s": res.delta_v, "delta_x_cm": res.delta_x,
+        "lambda_db_cm": res.lambda_db, "phase_local_rad": res.phase_local, "p_a": probs.p_a, "p_b": probs.p_b,
+        "identity_residual": residual,
+    }]
+    checks = [
+        verify.claim_row("factor4_identity", residual),
+        verify.claim_row("flux_chain_consistency", verify.flux_chain_residual(res.flux, res.phase_ab, k)),
+    ]
+    return rows, checks
+
+
+def _ab_notes(params: dict) -> list[str]:
+    """The long-solenoid strain of an ab-solenoid point, if r/L strains it."""
+    note = solenoid.long_solenoid_note(params["solenoid"]["r_cm"], params["solenoid"]["L_cm"])
+    return [note] if note else []
+
+
+def _build_bounce(params: dict, k: PhysicalConstants):
+    """(line, neutron, initial state, one BounceConfig per law).  The range
+    types leave four rules: distinct mirror planes (BounceConfig), a start
+    between them, a first step that moves x off a mirror plane and a finite
+    kinetic energy."""
+    lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
+    n = boyer.NeutronModel(mass=params["neutron"]["mass_g"], mu_z=params["neutron"]["mu_z_erg_per_G"])
+    start = params["start"]
+    initial = boyer.TrajectoryState(0.0, start["x_cm"], start["y_cm"], start["vx_cm_per_s"], start["vy_cm_per_s"])
+    laws = [params["law"]] if params["law"] != "both" else [boyer.FULL_LAW, boyer.NAIVE_LAW]
+    a, b, dt = params["mirrors"]["a_cm"], params["mirrors"]["b_cm"], params["dt_s"]
+    try:
+        configs = [boyer.BounceConfig(a, b, params["n_bounces"], dt, law) for law in laws]
+    except ValidationError as exc:
+        raise _keyed("params.mirrors", exc) from None
+    try:
+        configs[0].check_start(initial.x)
+    except ValidationError as exc:
+        raise _keyed("params.start.x_cm, params.mirrors.a_cm, params.mirrors.b_cm", exc) from None
+    # a step under the float spacing leaves x on the mirror it starts at, and
+    # every step would count as a bounce there
+    step = abs(initial.vx) * dt
+    spacing = math.ulp(max(abs(a), abs(b)))
+    if step < spacing:
+        raise ValidationError(
+            f"params.dt_s, params.start.vx_cm_per_s, params.mirrors.a_cm, params.mirrors.b_cm: "
+            f"a step moves x by |vx| * dt = {step!r} cm, "
+            f"less than the float spacing {spacing!r} cm at the mirrors, so it cannot leave a mirror plane"
+        )
+    energy = boyer.kinetic_energy(n, initial)
+    if not math.isfinite(energy):
+        raise ValidationError(
+            f"params.neutron.mass_g, params.start.vx_cm_per_s, params.start.vy_cm_per_s: "
+            f"the kinetic energy m (vx^2 + vy^2)/2 must be finite, got {energy!r}"
+        )
+    return lc, n, initial, configs
+
+
+def _measure_bounce(inputs, k: PhysicalConstants):
+    lc, n, initial, configs = inputs
+    rows, checks = [], []
+    for cfg in configs:
+        result = boyer.simulate_bounce_experiment(lc, n, cfg, initial, k)
+        legs = zip(result.bounce_times, result.bounce_kinetic_energies, result.work_per_leg, result.ke_gain_per_leg)
+        rows.extend(
+            {"law": cfg.law, "bounce_index": i, "t_s": t, "kinetic_energy_erg": ke, "leg_work_erg": work,
+             "leg_ke_gain_erg": gain}
+            for i, (t, ke, work, gain) in enumerate(legs, 1)
+        )
+        checks.extend(verify.bounce_checks(result))
+    return rows, checks
+
+
+def _build_ac_phase(params: dict, k: PhysicalConstants):
+    """(lc, mu_z, loops, unit): the line, the moment, each loop to integrate
+    as (check name, loop, the params keys that place it), and the unit the
+    loop phase's residuals are judged in, the per-winding phase
+    4*pi*mu_z*lambda/(hbar*c).  A per-winding phase below the normal floats
+    would FAIL them on its lost bits, and one that overflows stops the
+    quadrature on NaN, so it must be a normal finite float, or 0.0 exactly
+    where lambda or mu_z is 0."""
+    if "second_radius_cm" in params and params["loop"]["kind"] != "circle":
+        raise ValidationError("params.second_radius_cm: only valid with a circle loop")
+    lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
+    mu_z = params["mu_z_erg_per_G"]
+    spec = params["loop"]
+    if spec["kind"] == "circle":
+        loop = boyer.CircleLoop(Vec3(spec["center_x_cm"], spec["center_y_cm"], spec["z_cm"]), spec["radius_cm"])
+    else:
+        try:  # fewer than 3 distinct vertices, or an open path
+            loop = boyer.PolylineLoop(tuple(Vec3(*v) for v in spec["vertices_cm"]))
+        except (ValidationError, DomainError) as exc:
+            raise _keyed("params.loop.vertices_cm", exc) from None
+    unit = boyer.ac_phase_enclosed_value(lc, mu_z, k, 1)
+    exact_zero = unit == 0.0 and (lc.lambda_c == 0.0 or mu_z == 0.0)
+    if not (sys.float_info.min <= abs(unit) < math.inf or exact_zero):
+        raise DomainError(
+            "params.line.lambda_statC_per_cm, params.mu_z_erg_per_G: the per-winding phase "
+            "4*pi*mu_z*lambda/(hbar*c) must be a normal finite float, or 0.0 at lambda = 0 or mu_z = 0, "
+            f"got {unit!r}"
+        )
+    loops = [("ac_phase_loop_value", loop, "params.loop")]
+    if "second_radius_cm" in params:
+        # judged against its own winding, which need not be the first circle's
+        second = boyer.CircleLoop(center=loop.center, radius=params["second_radius_cm"])
+        loops.append(("ac_phase_radius_independent", second, "params.loop, params.second_radius_cm"))
+    # residuals are in units of the per-winding phase, absolute when it is 0
+    return lc, mu_z, loops, abs(unit) or 1.0
+
+
+def _describe_loop(loop) -> str:
+    if isinstance(loop, boyer.CircleLoop):
+        return f"circle r={loop.radius!r} at ({loop.center.x!r}, {loop.center.y!r})"
+    return f"polyline with {len(loop.vertices) - 1} segments"
+
+
+def _measure_ac_phase(inputs, k: PhysicalConstants):
+    lc, mu_z, loops, unit = inputs
+    rows, checks = [], []
+    for name, path, loop_keys in loops:
+        winding = boyer.loop_winding_number(path)
+        expected = boyer.ac_phase_enclosed_value(lc, mu_z, k, winding)
+        try:
+            phase = boyer.ac_phase(lc, mu_z, path, k)
+        except SingularityError as exc:  # the loop's clearance from the line turns on the loop alone
+            raise _keyed(loop_keys, exc) from None
+        except NumericalError as exc:  # the integrand turns on the line, the moment and the loop
+            raise _keyed(f"params.line.lambda_statC_per_cm, params.mu_z_erg_per_G, {loop_keys}", exc) from None
+        rows.append({"loop": _describe_loop(path), "winding": winding, "phase_rad": phase, "expected_rad": expected})
+        checks.append(verify.claim_row(name, abs(phase - expected) / unit, expected, phase))
+    return rows, checks
+
+
+def _build_field_free(params: dict, k: PhysicalConstants):
+    d, e = params["d_cm"], params["e_statC"]
+    return d, e, fieldfree.make_three_charge(d, e)
+
+
+def _measure_field_free(inputs, k: PhysicalConstants):
+    d, e, cfg = inputs
+    sums = fieldfree.coulomb_all(cfg)
+    magnitudes = [field.norm() for field, _, _ in sums]
+    residuals = [verify.field_residual(magnitude, d, e) for magnitude in magnitudes]
+    rows = [
+        {
+            "charge_index": i, "q_statC": charge.q, "x_cm": charge.pos.x, "y_cm": charge.pos.y, "z_cm": charge.pos.z,
+            "field_statV_per_cm": magnitude, "field_residual": residual,
+            "potential_statV": fieldfree._times_power_of_two(s, -power),
+        }
+        for i, (charge, magnitude, residual, (_, power, s)) in enumerate(zip(cfg.charges, magnitudes, residuals, sums))
+    ]
+    electron = verify.potential_residual(sums[0][1:], d, e)
+    checks = [
+        verify.claim_row("field_free_three_charge", verify.three_charge_residual(residuals)),
+        verify.claim_row("potential_at_electron", *electron),
+        # the corollary (no field at any particle, no phase): stated, not computed
+        verify.claim_row("field_free_zero_phase_claim", 0.0, at_most=True),
+    ]
+    return rows, checks
+
+
+class _Kind(NamedTuple):
+    build: Callable  # build(params, k) -> inputs
+    measure: Callable  # measure(inputs, k) -> (rows, checks)
+    params: dict  # the params table
+    notes: Callable = lambda params: []  # notes(params) -> a point's report notes
+
+
+_KINDS = {
+    KIND_MZI: _Kind(_build_mzi, _measure_mzi, {
+        "phase_rad": (float, OMITTED),  # or path_shift, exactly one (_build_mzi)
         "path_shift": (_required(delta_l_cm=float, wavelength_cm=_positive), OMITTED),
         "visibility": (_unit_interval, 1.0),
-    },
-    KIND_AB_SOLENOID: {
+    }),
+    KIND_AB_SOLENOID: _Kind(_build_ab, _measure_ab, {
         "solenoid": (
             _required(r_cm=_positive, L_cm=_positive, M_g=_positive, Q_statC=_non_negative, v_cm_per_s=_positive),
             REQUIRED,
         ),
         "orbit": (_required(R_cm=_positive, u_cm_per_s=_non_negative), REQUIRED),
         "visibility": (_unit_interval, 1.0),
-    },
-    KIND_AC_BOUNCE: {
+    }, notes=_ab_notes),
+    KIND_AC_BOUNCE: _Kind(_build_bounce, _measure_bounce, {
         "line": _LINE,
         "neutron": (_required(mass_g=_positive, mu_z_erg_per_G=float), REQUIRED),
         "start": ({**_required(x_cm=float, y_cm=float, vx_cm_per_s=float), "vy_cm_per_s": (float, 0.0)}, REQUIRED),
@@ -218,8 +500,8 @@ _PARAMS = {
         "n_bounces": (_bounded(lambda n: n >= 1, "be >= 1", _integer), REQUIRED),
         "dt_s": (_positive, REQUIRED),
         "law": ((boyer.FULL_LAW, boyer.NAIVE_LAW, "both"), "both"),
-    },
-    KIND_AC_PHASE: {
+    }),
+    KIND_AC_PHASE: _Kind(_build_ac_phase, _measure_ac_phase, {
         "line": _LINE,
         "mu_z_erg_per_G": (float, REQUIRED),
         "loop": (
@@ -235,12 +517,12 @@ _PARAMS = {
             }),
             REQUIRED,
         ),
-        "second_radius_cm": (_positive, OMITTED),  # circle loops only (_check_ac_phase)
-    },
-    KIND_FIELD_FREE: _required(
+        "second_radius_cm": (_positive, OMITTED),  # circle loops only (_build_ac_phase)
+    }),
+    KIND_FIELD_FREE: _Kind(_build_field_free, _measure_field_free, _required(
         d_cm=_bounded(lambda v: v > fieldfree.MIN_SEPARATION, f"exceed {fieldfree.MIN_SEPARATION:g}"),
         e_statC=_bounded(lambda v: 0.0 < v <= _MAX_CHARGE_UNIT, f"lie in (0, {_MAX_CHARGE_UNIT!r}]"),
-    ),
+    )),
 }
 
 _SWEEP = {
@@ -257,7 +539,7 @@ _SCENARIO = _Tagged("kind", {
     kind: {
         "kind": (KINDS, REQUIRED),
         "units": (UNIT_SYSTEMS, GAUSSIAN_CGS),
-        "params": (_PARAMS[kind], REQUIRED),
+        "params": (_KINDS[kind].params, REQUIRED),
         "sweep": (_SWEEP, None),
         "output": (_OUTPUT, None),
     }
@@ -306,123 +588,6 @@ def _field(node: dict, key: str, kind, presence, path: str):
     if kind is not str and value not in kind:
         raise ValidationError(f"{where}: must be one of {kind}, got {value!r}")
     return value
-
-
-def _check_mzi(params: dict):
-    if "path_shift" in params and "phase_rad" in params:
-        raise ValidationError("params: give either phase_rad or path_shift, not both")
-    if "path_shift" not in params and "phase_rad" not in params:
-        raise ValidationError("params.phase_rad: required field missing")
-
-
-def _build_ab_objects(params: dict):
-    sol = params["solenoid"]
-    s = solenoid.SolenoidParams(r=sol["r_cm"], L=sol["L_cm"], M=sol["M_g"], Q=sol["Q_statC"], v=sol["v_cm_per_s"])
-    o = solenoid.OrbitParams(R=params["orbit"]["R_cm"], u=params["orbit"]["u_cm_per_s"])
-    if o.R <= s.r:
-        raise ValidationError(
-            f"params.orbit.R_cm, params.solenoid.r_cm: orbit radius {o.R!r} must exceed the solenoid radius {s.r!r}"
-        )
-    return s, o
-
-
-def _build_bounce_objects(params: dict):
-    # The range types leave four rules: distinct mirror planes (BounceConfig),
-    # a start between them, a first step that moves x off a mirror plane and a
-    # finite kinetic energy.  Each swept point meets them again.
-    lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
-    n = boyer.NeutronModel(mass=params["neutron"]["mass_g"], mu_z=params["neutron"]["mu_z_erg_per_G"])
-    start = params["start"]
-    initial = boyer.TrajectoryState(0.0, start["x_cm"], start["y_cm"], start["vx_cm_per_s"], start["vy_cm_per_s"])
-    laws = [params["law"]] if params["law"] != "both" else [boyer.FULL_LAW, boyer.NAIVE_LAW]
-    try:
-        configs = [
-            boyer.BounceConfig(
-                mirror_a=params["mirrors"]["a_cm"],
-                mirror_b=params["mirrors"]["b_cm"],
-                n_bounces=params["n_bounces"],
-                dt=params["dt_s"],
-                law=law,
-            )
-            for law in laws
-        ]
-    except ValidationError as exc:
-        raise ValidationError(f"params.mirrors: {exc}") from None
-    try:
-        configs[0].check_start(initial.x)
-    except ValidationError as exc:
-        raise ValidationError(f"params.start.x_cm, params.mirrors.a_cm, params.mirrors.b_cm: {exc}") from None
-    # a step under the float spacing leaves x on the mirror it starts at, and
-    # every step would count as a bounce there
-    step = abs(start["vx_cm_per_s"]) * params["dt_s"]
-    spacing = math.ulp(max(abs(params["mirrors"]["a_cm"]), abs(params["mirrors"]["b_cm"])))
-    if step < spacing:
-        raise ValidationError(
-            f"params.dt_s, params.start.vx_cm_per_s, params.mirrors.a_cm, params.mirrors.b_cm: "
-            f"a step moves x by |vx| * dt = {step!r} cm, "
-            f"less than the float spacing {spacing!r} cm at the mirrors, so it cannot leave a mirror plane"
-        )
-    energy = boyer.kinetic_energy(n, initial)
-    if not math.isfinite(energy):
-        raise ValidationError(
-            f"params.neutron.mass_g, params.start.vx_cm_per_s, params.start.vy_cm_per_s: "
-            f"the kinetic energy m (vx^2 + vy^2)/2 must be finite, got {energy!r}"
-        )
-    return lc, n, initial, configs
-
-
-def _check_ac_phase(params: dict, k: PhysicalConstants):
-    if "second_radius_cm" in params and params["loop"]["kind"] != "circle":
-        raise ValidationError("params.second_radius_cm: only valid with a circle loop")
-    _build_phase_objects(params, k)
-
-
-def _build_phase_objects(params: dict, k: PhysicalConstants):
-    """(lc, mu_z, loop, unit): the line, the moment, the loop and the
-    per-winding phase 4*pi*mu_z*lambda/(hbar*c), which the loop phase's
-    residuals are judged in units of.  A per-winding phase below the normal
-    floats would FAIL them on its lost bits, and one that overflows stops the
-    quadrature on NaN, so it must be a normal finite float, or 0.0 exactly
-    where lambda or mu_z is 0."""
-    lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
-    mu_z = params["mu_z_erg_per_G"]
-    spec = params["loop"]
-    if spec["kind"] == "circle":
-        loop = boyer.CircleLoop(
-            center=Vec3(spec["center_x_cm"], spec["center_y_cm"], spec["z_cm"]),
-            radius=spec["radius_cm"],
-        )
-    else:
-        try:  # fewer than 3 distinct vertices, or an open path
-            loop = boyer.PolylineLoop(tuple(Vec3(*v) for v in spec["vertices_cm"]))
-        except (ValidationError, DomainError) as exc:
-            raise type(exc)(f"params.loop.vertices_cm: {exc}") from None
-    unit = boyer.ac_phase_enclosed_value(lc, mu_z, k, 1)
-    exact_zero = unit == 0.0 and (lc.lambda_c == 0.0 or mu_z == 0.0)
-    if not (sys.float_info.min <= abs(unit) < math.inf or exact_zero):
-        raise DomainError(
-            "params.line.lambda_statC_per_cm, params.mu_z_erg_per_G: the per-winding phase "
-            "4*pi*mu_z*lambda/(hbar*c) must be a normal finite float, or 0.0 at lambda = 0 or mu_z = 0, "
-            f"got {unit!r}"
-        )
-    return lc, mu_z, loop, unit
-
-
-_CHECKS = {
-    KIND_MZI: lambda params, k: _check_mzi(params),
-    KIND_AB_SOLENOID: lambda params, k: _build_ab_objects(params),
-    KIND_AC_BOUNCE: lambda params, k: _build_bounce_objects(params),
-    KIND_AC_PHASE: _check_ac_phase,
-    KIND_FIELD_FREE: lambda params, k: fieldfree.make_three_charge(params["d_cm"], params["e_statC"]),
-}
-
-
-def _notes(kind: str, params: dict) -> list[str]:
-    """The notes a point reports: the long-solenoid strain of an ab-solenoid point."""
-    if kind != KIND_AB_SOLENOID:
-        return []
-    note = solenoid.long_solenoid_note(params["solenoid"]["r_cm"], params["solenoid"]["L_cm"])
-    return [note] if note else []
 
 
 def _check_swept_key(params: dict, table: dict, sweep: SweepSpec):
@@ -521,7 +686,8 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioParseError("scenario document must be a mapping")
     s = _walk(_SCENARIO, doc, _ROOT)
-    _CHECKS[s["kind"]](s["params"], make_constants(s["units"]))
+    kind = _KINDS[s["kind"]]
+    kind.build(s["params"], make_constants(s["units"]))
     sweep = None
     if s["sweep"] is not None:
         node = s["sweep"]
@@ -529,9 +695,9 @@ def parse_scenario(text: str) -> Scenario:
         if sweep.scale == "log" and (sweep.start <= 0.0 or sweep.stop <= 0.0):
             raise ValidationError("sweep: log scale requires positive 'from' and 'to'")
         _check_sweep_span(sweep)
-        _check_swept_key(s["params"], _PARAMS[s["kind"]], sweep)
+        _check_swept_key(s["params"], kind.params, sweep)
     output = OutputSpec(**(s["output"] or {}))
-    return Scenario(s["kind"], s["units"], s["params"], sweep, output, warnings=_notes(s["kind"], s["params"]))
+    return Scenario(s["kind"], s["units"], s["params"], sweep, output, warnings=kind.notes(s["params"]))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -547,183 +713,6 @@ def load_scenario(path: str) -> Scenario:
 # execution
 
 
-_ROUTING_WINDOW_RAD = 1e-9  # how near 0 or pi (mod 2 pi) the routing claims apply
-
-
-def _point_mzi(params: dict, k: PhysicalConstants):
-    if "path_shift" in params:
-        delta_l, wavelength = params["path_shift"]["delta_l_cm"], params["path_shift"]["wavelength_cm"]
-        try:  # the phase turns on these two keys alone, so its error names both
-            phase = interferometry.phase_from_path_shift(delta_l, wavelength)
-        except DomainError as exc:
-            raise DomainError(f"params.path_shift.delta_l_cm, params.path_shift.wavelength_cm: {exc}") from None
-    else:
-        phase = params["phase_rad"]
-    vis = params["visibility"]
-    probs = interferometry.detector_probabilities(phase, vis)
-    rows = [{"phase_rad": phase, "visibility": vis, "p_a": probs.p_a, "p_b": probs.p_b}]
-    residual = verify.detector_sum_residual(probs)
-    checks = [verify.claim_row("detector_probability_sum", residual, 1.0, probs.p_a + probs.p_b)]
-    wrapped = math.remainder(phase, 2.0 * math.pi)
-    near_zero = abs(wrapped) < _ROUTING_WINDOW_RAD
-    if vis == 1.0 and (near_zero or abs(abs(wrapped) - math.pi) < _ROUTING_WINDOW_RAD):
-        # A path shift's port is the parity of 2*delta_l/wavelength, taken
-        # from the inputs, so that a wrong phase formula FAILs the row.
-        to_a = near_zero if "path_shift" not in params else round(2.0 * delta_l / wavelength) % 2 == 0
-        name, p = ("routes_to_A_at_zero_phase", probs.p_a) if to_a else ("routes_to_B_at_pi_phase", probs.p_b)
-        checks.append(verify.claim_row(name, abs(p - 1.0), 1.0, p))
-    return rows, checks
-
-
-# The params keys that each quantity of the factor-4 chain reads, and the
-# inputs whose zero makes it exactly 0.0.
-_AB_CHAIN_KEYS = {
-    "flux": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.Q_statC", "solenoid.v_cm_per_s"), ("Q",)),
-    "phase_ab": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.Q_statC", "solenoid.v_cm_per_s"), ("Q",)),
-    "delta_x": (("solenoid.r_cm", "solenoid.L_cm", "solenoid.M_g", "solenoid.Q_statC"), ("Q",)),
-    "lambda_db": (("solenoid.M_g", "solenoid.v_cm_per_s"), ()),
-    "delta_v": (
-        ("solenoid.r_cm", "solenoid.L_cm", "solenoid.M_g", "solenoid.Q_statC", "orbit.R_cm", "orbit.u_cm_per_s"),
-        ("Q", "u"),
-    ),
-}
-
-
-def _point_ab_solenoid(params: dict, k: PhysicalConstants):
-    s, o = _build_ab_objects(params)
-    try:  # h/(M*v) turns on these two keys alone, so its error names both
-        solenoid.de_broglie_wavelength(s.M, s.v, k)
-    except DomainError as exc:
-        raise DomainError(f"params.solenoid.M_g, params.solenoid.v_cm_per_s: {exc}") from None
-    res = solenoid.local_model_phase(s, o, k)
-    # factor4_identity is judged relative to the phase: a quantity of the chain
-    # that overflows or loses bits below the normal floats would FAIL it, and
-    # the row would print a delta_v that did.  Only Q = 0, or u = 0 for
-    # delta_v, makes one exactly 0.0 (each is proportional to them, the other
-    # keys are positive); any other 0.0 has underflowed.
-    inputs = {"Q": s.Q, "u": o.u}
-    for name, (keys, zero_at) in _AB_CHAIN_KEYS.items():
-        value = getattr(res, name)
-        exact_zero = value == 0.0 and any(inputs[z] == 0.0 for z in zero_at)
-        if not (sys.float_info.min <= abs(value) < math.inf or exact_zero):
-            where = ", ".join(f"params.{key}" for key in keys)
-            exact = " or ".join(f"{z} = 0" for z in zero_at)
-            allowed = f"a normal finite float, or 0.0 at {exact}" if zero_at else "a normal finite float"
-            raise DomainError(f"{where}: {name} must be {allowed}, got {value!r}")
-    probs = interferometry.detector_probabilities(res.phase_ab, params["visibility"])
-    residual = verify.factor4_residual(res)
-    rows = [
-        {
-            "flux": res.flux,
-            "phase_ab_rad": res.phase_ab,
-            "delta_v_cm_per_s": res.delta_v,
-            "delta_x_cm": res.delta_x,
-            "lambda_db_cm": res.lambda_db,
-            "phase_local_rad": res.phase_local,
-            "p_a": probs.p_a,
-            "p_b": probs.p_b,
-            "identity_residual": residual,
-        }
-    ]
-    checks = [
-        verify.claim_row("factor4_identity", residual),
-        verify.claim_row("flux_chain_consistency", verify.flux_chain_residual(res.flux, res.phase_ab, k)),
-    ]
-    return rows, checks
-
-
-def _point_ac_bounce(params: dict, k: PhysicalConstants):
-    lc, n, initial, configs = _build_bounce_objects(params)
-    rows, checks = [], []
-    for cfg in configs:
-        result = boyer.simulate_bounce_experiment(lc, n, cfg, initial, k)
-        for i, (t, ke, work, gain) in enumerate(
-            zip(result.bounce_times, result.bounce_kinetic_energies, result.work_per_leg, result.ke_gain_per_leg)
-        ):
-            rows.append(
-                {
-                    "law": cfg.law,
-                    "bounce_index": i + 1,
-                    "t_s": t,
-                    "kinetic_energy_erg": ke,
-                    "leg_work_erg": work,
-                    "leg_ke_gain_erg": gain,
-                }
-            )
-        checks.extend(verify.bounce_checks(result))
-    return rows, checks
-
-
-def _describe_loop(loop) -> str:
-    if isinstance(loop, boyer.CircleLoop):
-        return f"circle r={loop.radius!r} at ({loop.center.x!r}, {loop.center.y!r})"
-    return f"polyline with {len(loop.vertices) - 1} segments"
-
-
-def _point_ac_phase(params: dict, k: PhysicalConstants):
-    lc, mu_z, loop, unit = _build_phase_objects(params, k)
-    # residuals are in units of the per-winding phase, absolute when it is 0
-    unit = abs(unit) or 1.0
-
-    def measure(name: str, path, loop_keys: str) -> tuple[dict, CheckRow]:
-        winding = boyer.loop_winding_number(path)
-        expected = boyer.ac_phase_enclosed_value(lc, mu_z, k, winding)
-        try:  # the integrand turns on the line, the moment and the loop, so its error names them
-            phase = boyer.ac_phase(lc, mu_z, path, k)
-        except NumericalError as exc:
-            keys = f"params.line.lambda_statC_per_cm, params.mu_z_erg_per_G, {loop_keys}"
-            raise NumericalError(f"{keys}: {exc}") from None
-        row = {"loop": _describe_loop(path), "winding": winding, "phase_rad": phase, "expected_rad": expected}
-        return row, verify.claim_row(name, abs(phase - expected) / unit, expected, phase)
-
-    measured = [measure("ac_phase_loop_value", loop, "params.loop")]
-    if "second_radius_cm" in params:
-        # judged against its own winding, which need not be the first circle's
-        second = boyer.CircleLoop(center=loop.center, radius=params["second_radius_cm"])
-        measured.append(measure("ac_phase_radius_independent", second, "params.loop, params.second_radius_cm"))
-    rows, checks = zip(*measured)
-    return list(rows), list(checks)
-
-
-def _point_field_free(params: dict, k: PhysicalConstants):
-    d, e = params["d_cm"], params["e_statC"]
-    cfg = fieldfree.make_three_charge(d, e)
-    sums = fieldfree.coulomb_all(cfg)
-    magnitudes = [field.norm() for field, _, _ in sums]
-    residuals = [verify.field_residual(magnitude, d, e) for magnitude in magnitudes]
-    rows = [
-        {
-            "charge_index": i,
-            "q_statC": charge.q,
-            "x_cm": charge.pos.x,
-            "y_cm": charge.pos.y,
-            "z_cm": charge.pos.z,
-            "field_statV_per_cm": magnitude,
-            "field_residual": residual,
-            "potential_statV": fieldfree._times_power_of_two(s, -power),
-        }
-        for i, (charge, magnitude, residual, (_, power, s)) in enumerate(zip(cfg.charges, magnitudes, residuals, sums))
-    ]
-    electron = verify.potential_residual(sums[0][1:], d, e)
-    checks = [
-        verify.claim_row("field_free_three_charge", verify.three_charge_residual(residuals)),
-        verify.claim_row("potential_at_electron", *electron),
-        # the corollary (no field at any particle, no phase): stated, not computed
-        verify.claim_row("field_free_zero_phase_claim", 0.0, at_most=True),
-    ]
-    return rows, checks
-
-
-# point(params, k) -> (rows, checks)
-_POINT_RUNNERS = {
-    KIND_MZI: _point_mzi,
-    KIND_AB_SOLENOID: _point_ab_solenoid,
-    KIND_AC_BOUNCE: _point_ac_bounce,
-    KIND_AC_PHASE: _point_ac_phase,
-    KIND_FIELD_FREE: _point_field_free,
-}
-
-
 def _merge_checks(into: dict, new: list[CheckRow]):
     """Keep each check's row from its worst point so far (``verify.worse``),
     whole.  Every point judges a check against the same tolerance, so the
@@ -737,7 +726,7 @@ def _merge_checks(into: dict, new: list[CheckRow]):
 def _with_value(params: dict, keys: list[str], value: float) -> dict:
     """``params`` with the key at the path ``keys`` set to ``value``.  Only the
     mappings on the path are copied; the rest is shared with ``params``, which
-    is safe because point runners only read their params."""
+    is safe because builds only read their params."""
     top = node = dict(params)
     for key in keys[:-1]:
         node[key] = dict(node[key])
@@ -749,13 +738,14 @@ def _with_value(params: dict, keys: list[str], value: float) -> dict:
 def run_scenario(s: Scenario) -> RunReport:
     """Execute a scenario (single point or sweep) into a deterministic report."""
     k = make_constants(s.units)
-    point_fn = _POINT_RUNNERS[s.kind]
+    kind = _KINDS[s.kind]
+    build, measure, notes = kind.build, kind.measure, kind.notes
     rows: list[dict] = []
     merged: dict[str, CheckRow] = {}
     scenario = s.to_dict()
 
     if s.sweep is None:
-        prows, pchecks = point_fn(s.params, k)
+        prows, pchecks = measure(build(s.params, k), k)
         rows.extend({"sweep_index": 0, **row} for row in prows)
         _merge_checks(merged, pchecks)
     else:
@@ -763,7 +753,7 @@ def run_scenario(s: Scenario) -> RunReport:
         for index, value in enumerate(s.sweep.values()):
             point_params = _with_value(s.params, keys, value)
             try:
-                prows, pchecks = point_fn(point_params, k)
+                prows, pchecks = measure(build(point_params, k), k)
             except AbclabError as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 rows.append({"sweep_index": index, s.sweep.param: value, "error": error})
@@ -772,7 +762,5 @@ def run_scenario(s: Scenario) -> RunReport:
                 rows.extend({"sweep_index": index, s.sweep.param: value, **row} for row in prows)
                 _merge_checks(merged, pchecks)
             # a point's note that the parse already reported is not repeated
-            notes = _notes(s.kind, point_params)
-            scenario["warnings"].extend(f"sweep_index {index}: {w}" for w in notes if w not in s.warnings)
+            scenario["warnings"].extend(f"sweep_index {index}: {w}" for w in notes(point_params) if w not in s.warnings)
     return RunReport(scenario=scenario, rows=rows, checks=list(merged.values()))
-

@@ -1077,6 +1077,8 @@ DELTA_X_KEYS = "params.solenoid.r_cm, params.solenoid.L_cm, params.solenoid.M_g,
 DELTA_V_KEYS = DELTA_X_KEYS.replace(": ", ", params.orbit.R_cm, params.orbit.u_cm_per_s: ")
 DELTA_V_NOT_NORMAL = "delta_v must be a normal finite float, or 0.0 at Q = 0 or u = 0, got "
 NOT_NORMAL = "must be a normal finite float, or 0.0 at Q = 0, got "
+# an underflowing denominator named no key; it names those it reads
+KICK_DENOMINATOR_KEYS = "params.solenoid.L_cm, params.solenoid.M_g, params.orbit.R_cm: "
 # a subnormal per-winding phase FAILed both loop rows (exit 1), and an
 # infinite one stopped the trapezoid rule on NaN, naming no key (exit 3)
 AC_PHASE_UNIT = (
@@ -1122,11 +1124,11 @@ def _ab_unit_doc(**values: str) -> str:
         ),
         (
             _ab_unit_doc(L_cm="1.0e-300", M_g="1.0e-30"),
-            "u*Q*e*r/(c^2*M*R*L): its denominator underflows to 0.0",
+            KICK_DENOMINATOR_KEYS + "u*Q*e*r/(c^2*M*R*L): its denominator underflows to 0.0",
         ),
         (
             _ab_unit_doc(L_cm="1.0e-320", M_g="1.0e-10").replace("units: scaled-unity", "units: gaussian-cgs"),
-            "4*pi*e*Q*v*r/(c^2*L*hbar): its denominator underflows to 0.0",
+            "params.solenoid.L_cm: 4*pi*e*Q*v*r/(c^2*L*hbar): its denominator underflows to 0.0",
         ),
         # delta_v used to print inf in its column with both checks PASS
         (_ab_unit_doc(u_cm_per_s="1.0e308", M_g="1.0e-10"), DELTA_V_KEYS + DELTA_V_NOT_NORMAL + "inf"),
@@ -1193,8 +1195,9 @@ def test_ab_point_with_orbit_at_rest_runs(tmp_path):
 @pytest.mark.parametrize(
     "doc, first_point_rows, error",
     [
-        (
-            MZI_OVERFLOW_DOC + "sweep: {param: path_shift.delta_l_cm, from: 1.0, to: 1.0e300, steps: 3}\n",
+        (  # from a base that passes, since the parse builds the phase of the document's params
+            MZI_OVERFLOW_DOC.replace("delta_l_cm: 1.0e300", "delta_l_cm: 1.0")
+            + "sweep: {param: path_shift.delta_l_cm, from: 1.0, to: 1.0e300, steps: 3}\n",
             1,
             "DomainError: " + PATH_SHIFT_KEYS + "phase 2*pi*delta_l/wavelength must be finite, got inf",
         ),
@@ -1247,12 +1250,80 @@ def test_sweep_point_whose_denominator_underflows_is_an_error_row(tmp_path):
     assert [row.get("error") for row in report.rows] == [
         None,
         None,
-        "DomainError: u*Q*e*r/(c^2*M*R*L): its denominator underflows to 0.0",
+        "DomainError: " + KICK_DENOMINATOR_KEYS + "u*Q*e*r/(c^2*M*R*L): its denominator underflows to 0.0",
     ]
     assert all(c.passed for c in report.checks)
     path = tmp_path / "underflow_sweep.yaml"
     path.write_text(doc)
     assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+
+
+def _set(doc: dict, path: str, value: float) -> dict:
+    node = doc["params"]
+    *blocks, key = path.split(".")
+    for block in blocks:
+        node = node[block]
+    node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, path, bad",
+    [
+        ("mzi_half_wavelength.yaml", "path_shift.delta_l_cm", 1.0e308),  # the phase overflows
+        ("ab_solenoid_unit.yaml", "orbit.R_cm", 0.5),  # inside the solenoid
+        ("ab_solenoid_unit.yaml", "solenoid.M_g", 1.0e-308),  # h/(M*v) overflows
+        ("ab_solenoid_unit.yaml", "solenoid.Q_statC", 5.0e307),  # the chain's flux overflows
+        ("ab_solenoid_unit.yaml", "solenoid.L_cm", 1.0e-300),  # the kick's denominator underflows (M = 1e-30)
+        ("ac_bounce.yaml", "mirrors.a_cm", 3.0),  # on mirror b
+        ("ac_bounce.yaml", "start.x_cm", 4.0),  # beyond mirror b
+        ("ac_bounce.yaml", "dt_s", 1.0e-17),  # a step cannot leave a mirror
+        ("ac_bounce.yaml", "neutron.mass_g", 1.0e308),  # the kinetic energy overflows
+        ("ac_phase_circle.yaml", "line.lambda_statC_per_cm", 1.0e308),  # the per-winding phase overflows
+    ],
+    ids=["mzi-phase", "ab-orbit", "ab-momentum", "ab-chain", "ab-denominator", "bounce-mirrors", "bounce-start",
+         "bounce-step", "bounce-energy", "ac-phase-unit"],
+)
+def test_a_rule_refuses_a_document_and_a_swept_point_with_one_message(name, path, bad):
+    # the parse and each sweep point run the kind's one build
+    base = yaml.safe_load((SCENARIO_DIR / name).read_text())
+    if path == "solenoid.L_cm":  # c^2*M*R*L underflows where M*v does not
+        _set(base, "solenoid.M_g", 1.0e-30)
+    with pytest.raises(abclab.AbclabError) as refused:
+        parse_scenario(yaml.safe_dump(_set(copy.deepcopy(base), path, bad)))
+    good = parse_scenario(yaml.safe_dump(base)).params
+    for key in path.split("."):
+        good = good[key]
+    scale = "log" if 0.0 < bad < good else "linear"  # either reaches bad exactly
+    base["sweep"] = {"param": path, "from": good, "to": bad, "steps": 2, "scale": scale}
+    report = run_scenario(parse_scenario(yaml.safe_dump(base)))
+    [point] = [row for row in report.rows if row["sweep_index"] == 1]
+    assert point == {"sweep_index": 1, path: bad, "error": f"{type(refused.value).__name__}: {refused.value}"}
+
+
+@pytest.mark.parametrize(
+    "name, old, new, sweep, key",
+    [
+        (
+            "mzi_half_wavelength.yaml", "delta_l_cm: 0.5", "delta_l_cm: 1.0e308",
+            "path_shift.delta_l_cm, from: 0.0, to: 1.0", "delta_l_cm",
+        ),
+        ("ab_solenoid_unit.yaml", "M_g: 1.0", "M_g: 1.0e-308", "solenoid.M_g, from: 1.0, to: 2.0", "M_g"),
+        ("ab_solenoid_unit.yaml", "R_cm: 2.0", "R_cm: 0.5", "orbit.R_cm, from: 2.0, to: 3.0", "R_cm"),
+    ],
+    ids=["mzi-phase", "ab-momentum", "ab-orbit"],
+)
+def test_sweep_whose_base_params_break_a_rule_exits_2_at_parse(tmp_path, capsys, name, old, new, sweep, key):
+    # the document's own params must pass every rule of their kind, even
+    # where the sweep replaces the key that breaks it; the first two ran
+    text = (SCENARIO_DIR / name).read_text()
+    assert old in text
+    path = tmp_path / "bad_base.yaml"
+    path.write_text(text.replace(old, new) + f"sweep: {{param: {sweep}, steps: 2}}\n")
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: params.") and key in err.splitlines()[0]
+    assert not (tmp_path / "out.csv").exists()
 
 
 FIELD_FREE_DOC = "kind: field-free\nunits: scaled-unity\nparams: {d_cm: %s, e_statC: %s}\n"
@@ -1598,6 +1669,41 @@ def test_loop_phase_whose_integrand_overflows_names_its_keys():
     with pytest.raises(NumericalError) as caught:
         run_scenario(parse_scenario(second))
     assert str(caught.value) == f"{keys}: {stop}"
+
+
+CLEARANCE_STOP = "loop path comes within 0.000e+00 cm of the charged line (minimum clearance 1e-09 cm)"
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"center_x_cm: 0.0": "center_x_cm: 0.8"}, "params.loop: " + CLEARANCE_STOP),
+        (
+            {"center_x_cm: 0.0": "center_x_cm: 1.0", "second_radius_cm: 2.5": "second_radius_cm: 1.0"},
+            "params.loop, params.second_radius_cm: " + CLEARANCE_STOP,
+        ),
+    ],
+    ids=["loop", "second-circle"],
+)
+def test_loop_through_the_line_names_the_loop_keys(tmp_path, capsys, values, message):
+    # the clearance turns on the loop alone, so lambda and mu_z are not
+    # named; the message used to name no key
+    text = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text()
+    for old, new in values.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "through_the_line.yaml"
+    path.write_text(text)
+    assert cli_main(["run", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_swept_loop_through_the_line_is_an_error_row_that_names_the_loop():
+    text = (SCENARIO_DIR / "ac_phase_circle.yaml").read_text()
+    text += "sweep: {param: loop.center_x_cm, from: 0.0, to: 0.8, steps: 2}\n"
+    report = run_scenario(parse_scenario(text))
+    error = "SingularityError: params.loop: " + CLEARANCE_STOP
+    assert report.rows[-1] == {"sweep_index": 1, "loop.center_x_cm": 0.8, "error": error}
 
 
 @pytest.mark.parametrize("radius", ["1.0e160", "1.0e308"])
