@@ -746,19 +746,9 @@ def path_axis_clearance(loop: LoopPath) -> float:
     return min(_side_foot(ax, ay, bx, by)[5] / scale for scale, ax, ay, bx, by in sides)
 
 
-def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) -> float:
-    """Phase (1/hbar) contour_integral (mu x E)/c . dl around a closed path.
-
-    Each segment is integrated on its map about its point nearest the line
-    (``_loop_integrands``) to AC_PHASE_REL_TOL, a circle by the point-doubling
-    periodic trapezoid rule and each polyline side by panel-doubling
-    composite Gauss-Legendre.  The absolute floor, for loops that enclose no
-    charge, is AC_PHASE_REL_TOL * 1e-3 * 2 pi * 2|lambda mu_z|/c, capped at the
-    largest float: p_h . dl = (2 lambda mu_z/c) dphi exactly, phi the azimuth
-    about the line, so no segment's |integrand| integrates past that bound,
-    whatever its clearance.  A loop closer to the line than AXIS_EPSILON, or a
-    circle closer than CIRCLE_AXIS_RATIO of its radius, is a SingularityError.
-    """
+def check_loop_clearance(loop: LoopPath) -> None:
+    """Refuse, as a SingularityError, a loop closer to the line than
+    AXIS_EPSILON, or a circle closer than CIRCLE_AXIS_RATIO of its radius."""
     clearance = path_axis_clearance(loop)
     if clearance < AXIS_EPSILON:
         raise SingularityError(
@@ -770,6 +760,23 @@ def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) 
             f"circle of radius {loop.radius:.3e} cm comes within {clearance:.3e} cm of the charged line "
             f"(minimum clearance {CIRCLE_AXIS_RATIO:g} R)"
         )
+
+
+def ac_phase(lc: LineCharge, mu_z: float, loop: LoopPath, k: PhysicalConstants) -> float:
+    """Phase (1/hbar) contour_integral (mu x E)/c . dl around a closed path.
+
+    Each segment is integrated on its map about its point nearest the line
+    (``_loop_integrands``) to AC_PHASE_REL_TOL, a circle by the point-doubling
+    periodic trapezoid rule and each polyline side by panel-doubling
+    composite Gauss-Legendre.  The absolute floor, for loops that enclose no
+    charge, is AC_PHASE_REL_TOL * 1e-3 * 2 pi * 2|lambda mu_z|/c, capped at the
+    largest float: p_h . dl = (2 lambda mu_z/c) dphi exactly, phi the azimuth
+    about the line, so no segment's |integrand| integrates past that bound,
+    whatever its clearance.  A loop that ``check_loop_clearance`` refuses is
+    a SingularityError; scenario builds make the same check first, so that a
+    document or a swept point is refused before any loop is integrated.
+    """
+    check_loop_clearance(loop)
     inv_c = 1.0 / k.c
     bound = 2.0 * math.pi * abs(2.0 * lc.lambda_c * mu_z * inv_c)
     abs_floor = AC_PHASE_REL_TOL * min(bound, math.nextafter(math.inf, 0.0)) * 1e-3

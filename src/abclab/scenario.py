@@ -332,9 +332,10 @@ def _ab_notes(params: dict) -> list[str]:
 
 def _build_bounce(params: dict, k: PhysicalConstants):
     """(line, neutron, initial state, one BounceConfig per law).  The range
-    types leave four rules: distinct mirror planes (BounceConfig), a start
-    between them, a first step that moves x off a mirror plane and a finite
-    kinetic energy."""
+    types leave five rules: distinct mirror planes (BounceConfig), a start
+    between them, a first step that moves x off a mirror plane, a finite
+    kinetic energy and a start outside the line's neighbourhood (a
+    SingularityError, exit 3, as the flight would raise)."""
     lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
     n = boyer.NeutronModel(mass=params["neutron"]["mass_g"], mu_z=params["neutron"]["mu_z_erg_per_G"])
     start = params["start"]
@@ -365,6 +366,10 @@ def _build_bounce(params: dict, k: PhysicalConstants):
             f"params.neutron.mass_g, params.start.vx_cm_per_s, params.start.vy_cm_per_s: "
             f"the kinetic energy m (vx^2 + vy^2)/2 must be finite, got {energy!r}"
         )
+    try:
+        boyer._check_axis(initial.x, initial.y)
+    except SingularityError as exc:
+        raise _keyed("params.start.x_cm, params.start.y_cm", exc) from None
     return lc, n, initial, configs
 
 
@@ -390,7 +395,8 @@ def _build_ac_phase(params: dict, k: PhysicalConstants):
     4*pi*mu_z*lambda/(hbar*c).  A per-winding phase below the normal floats
     would FAIL them on its lost bits, and one that overflows stops the
     quadrature on NaN, so it must be a normal finite float, or 0.0 exactly
-    where lambda or mu_z is 0."""
+    where lambda or mu_z is 0.  Each loop must clear the line
+    (``boyer.check_loop_clearance``, a SingularityError)."""
     if "second_radius_cm" in params and params["loop"]["kind"] != "circle":
         raise ValidationError("params.second_radius_cm: only valid with a circle loop")
     lc = boyer.LineCharge(lambda_c=params["line"]["lambda_statC_per_cm"])
@@ -416,6 +422,11 @@ def _build_ac_phase(params: dict, k: PhysicalConstants):
         # judged against its own winding, which need not be the first circle's
         second = boyer.CircleLoop(center=loop.center, radius=params["second_radius_cm"])
         loops.append(("ac_phase_radius_independent", second, "params.loop, params.second_radius_cm"))
+    for _, path, loop_keys in loops:
+        try:
+            boyer.check_loop_clearance(path)
+        except SingularityError as exc:  # the loop's clearance from the line turns on the loop alone
+            raise _keyed(loop_keys, exc) from None
     # residuals are in units of the per-winding phase, absolute when it is 0
     return lc, mu_z, loops, abs(unit) or 1.0
 
@@ -434,8 +445,6 @@ def _measure_ac_phase(inputs, k: PhysicalConstants):
         expected = boyer.ac_phase_enclosed_value(lc, mu_z, k, winding)
         try:
             phase = boyer.ac_phase(lc, mu_z, path, k)
-        except SingularityError as exc:  # the loop's clearance from the line turns on the loop alone
-            raise _keyed(loop_keys, exc) from None
         except NumericalError as exc:  # the integrand turns on the line, the moment and the loop
             raise _keyed(f"params.line.lambda_statC_per_cm, params.mu_z_erg_per_G, {loop_keys}", exc) from None
         rows.append({"loop": _describe_loop(path), "winding": winding, "phase_rad": phase, "expected_rad": expected})

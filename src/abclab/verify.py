@@ -395,6 +395,22 @@ def _claim(name: str, draws: int, expected: object = 0.0):
     return register
 
 
+def _claims(names: tuple[str, ...], draws: int):
+    """Register ``residuals(rng)``, one random draw's residual under each of
+    the claims ``names``, as one check whose draws the claims share: a row
+    per claim, its worst residual over ``draws`` draws."""
+
+    def register(residuals):
+        def check(rng) -> list[CheckRow]:
+            columns = zip(*(residuals(rng) for _ in range(draws)))
+            return [claim_row(name, _worst(column)) for name, column in zip(names, columns)]
+
+        _CHECKS.append(check)
+        return residuals
+
+    return register
+
+
 _K1 = make_constants(SCALED_UNITY)
 _UNIT_LINE = boyer.LineCharge(lambda_c=1.0)
 _UNIT_NEUTRON = boyer.NeutronModel(mass=1.0, mu_z=1.0)
@@ -778,29 +794,19 @@ def _ac_phase_linearity(rng) -> float:
     )
 
 
-def _random_triple(rng) -> tuple[fieldfree.ChargeConfiguration, float, float]:
+@_claims(("field_free_three_charge", "potential_at_electron"), 100)
+def _three_charge(rng) -> tuple[float, float]:
+    # one Coulomb pass a triple feeds both claims
     d, e = _log_uniforms(rng, 2)
-    return fieldfree.make_three_charge(d, e), d, e
+    sums = fieldfree.coulomb_all(fieldfree.make_three_charge(d, e))
+    fields = three_charge_residual(field_residual(field.norm(), d, e) for field, _, _ in sums)
+    return fields, potential_residual(sums[0][1:], d, e)[0]
 
 
-@_claim("field_free_three_charge", 100)
-def _three_charge(rng) -> float:
-    cfg, d, e = _random_triple(rng)
-    return three_charge_residual(field_residual(field.norm(), d, e) for field, _, _ in fieldfree.coulomb_all(cfg))
-
-
-@_claim("potential_at_electron", 100)
-def _three_charge_potential(rng) -> float:
-    cfg, d, e = _random_triple(rng)
-    return potential_residual(fieldfree.coulomb_all(cfg)[0][1:], d, e)[0]
-
-
-def _random_configuration(rng, count: int) -> fieldfree.ChargeConfiguration:
+def _random_configuration(rng) -> fieldfree.ChargeConfiguration:
     charges, kept = [], []  # kept: the charges' positions as floats
-    while len(charges) < count:
-        candidate = fieldfree.PointCharge(
-            q=_uniform(rng, -2.0, 2.0), pos=_random_vec(rng, 1.0)
-        )
+    while len(charges) < 4:
+        candidate = fieldfree.PointCharge(q=_uniform(rng, -2.0, 2.0), pos=_random_vec(rng, 1.0))
         x, y, z = candidate.pos
         # each distance as (candidate.pos - c.pos).norm() forms it
         if all(math.sqrt((x - a) * (x - a) + (y - b) * (y - b) + (z - c) * (z - c)) > 0.05 for a, b, c in kept):
@@ -824,9 +830,10 @@ def _random_rotation(rng: random.Random) -> tuple[tuple[float, float, float], ..
     )
 
 
-@_claim("coulomb_field_rigid_covariance", 50)
-def _field_covariance(rng) -> float:
-    cfg = _random_configuration(rng, 4)
+@_claims(("coulomb_field_rigid_covariance", "newtons_third_law"), 50)
+def _coulomb_sums(rng) -> tuple[float, float]:
+    # the original configuration's one Coulomb pass feeds both claims
+    cfg = _random_configuration(rng)
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = _random_rotation(rng)
     shift = _random_vec(rng, 5.0)
 
@@ -838,22 +845,14 @@ def _field_covariance(rng) -> float:
         tuple(fieldfree.PointCharge(c.q, rotate(c.pos) + shift) for c in cfg.charges)
     )
 
-    fields = zip(fieldfree.coulomb_all(cfg), fieldfree.coulomb_all(moved))
-    return _worst(
-        (field - rotate(original)).norm() / max(original.norm(), 1e-300) for (original, _, _), (field, _, _) in fields
+    sums = fieldfree.coulomb_all(cfg)
+    covariance = _worst(
+        (field - rotate(original)).norm() / max(original.norm(), 1e-300)
+        for (original, _, _), (field, _, _) in zip(sums, fieldfree.coulomb_all(moved))
     )
-
-
-@_claim("newtons_third_law", 50)
-def _newtons_third_law(rng) -> float:
-    cfg = _random_configuration(rng, 5)
-    total = Vec3(0.0, 0.0, 0.0)
-    scale = 0.0
-    for charge, (field, _, _) in zip(cfg.charges, fieldfree.coulomb_all(cfg)):
-        force = field * charge.q
-        total = total + force
-        scale = max(scale, force.norm())
-    return total.norm() / max(scale, 1e-300)
+    forces = [field * charge.q for charge, (field, _, _) in zip(cfg.charges, sums)]
+    scale = _worst(force.norm() for force in forces)
+    return covariance, sum(forces, Vec3(0.0, 0.0, 0.0)).norm() / max(scale, 1e-300)
 
 
 def run_verify_suite(seed: int = 42) -> RunReport:

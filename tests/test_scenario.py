@@ -1280,9 +1280,10 @@ def _set(doc: dict, path: str, value: float) -> dict:
         ("ac_bounce.yaml", "dt_s", 1.0e-17),  # a step cannot leave a mirror
         ("ac_bounce.yaml", "neutron.mass_g", 1.0e308),  # the kinetic energy overflows
         ("ac_phase_circle.yaml", "line.lambda_statC_per_cm", 1.0e308),  # the per-winding phase overflows
+        ("ac_phase_circle.yaml", "loop.center_x_cm", 0.8),  # the circle passes through the line
     ],
     ids=["mzi-phase", "ab-orbit", "ab-momentum", "ab-chain", "ab-denominator", "bounce-mirrors", "bounce-start",
-         "bounce-step", "bounce-energy", "ac-phase-unit"],
+         "bounce-step", "bounce-energy", "ac-phase-unit", "ac-phase-clearance"],
 )
 def test_a_rule_refuses_a_document_and_a_swept_point_with_one_message(name, path, bad):
     # the parse and each sweep point run the kind's one build
@@ -1323,6 +1324,37 @@ def test_sweep_whose_base_params_break_a_rule_exits_2_at_parse(tmp_path, capsys,
     assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: params.") and key in err.splitlines()[0]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, edits, sweep, key",
+    [
+        (
+            "ac_phase_circle.yaml", {"loop.center_x_cm": 0.8}, "loop.radius_cm, from: 1.0, to: 2.0",
+            "params.loop",
+        ),
+        (
+            "ac_bounce.yaml", {"mirrors.a_cm": -1.0, "mirrors.b_cm": 1.0, "start.x_cm": 0.0, "start.y_cm": 0.0},
+            "dt_s, from: 0.00390625, to: 0.0078125", "params.start.y_cm",
+        ),
+    ],
+    ids=["loop-through-line", "bounce-start-on-line"],
+)
+def test_sweep_whose_base_params_touch_the_line_exits_3_at_parse(tmp_path, capsys, name, edits, sweep, key):
+    # a loop through the line, or a bounce that starts on it, is refused when
+    # the document is built, not when a point is flown or integrated: the
+    # loop's sweep used to run and PASS, and the bounce's wrote an error row
+    # per point naming no key
+    doc = yaml.safe_load((SCENARIO_DIR / name).read_text())
+    doc["params"].pop("second_radius_cm", None)
+    for path, value in edits.items():
+        _set(doc, path, value)
+    path = tmp_path / "on_line.yaml"
+    path.write_text(yaml.safe_dump(doc) + f"sweep: {{param: {sweep}, steps: 2}}\n")
+    assert cli_main(["sweep", str(path), "--output", str(tmp_path / "out.csv")]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: params.") and key in line.split(": ")[1] and "charged line" in line
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -1749,12 +1781,11 @@ def test_ac_phase_loop_value_passes_at_every_power_of_two_scale(shape, j, units)
     loop, text = _scaled_loop(_LOOP_SHAPES[shape], 2.0**j)
     doc = (f"kind: ac-phase\nunits: {units}\nparams:\n  line: {{lambda_statC_per_cm: 1.0}}\n"
            f"  mu_z_erg_per_G: 1.0\n  loop: {text}\n")
-    scenario = parse_scenario(doc)
     if boyer.path_axis_clearance(loop) < boyer.AXIS_EPSILON:
         with pytest.raises(SingularityError):
-            run_scenario(scenario)
+            parse_scenario(doc)
     else:
-        [check] = run_scenario(scenario).checks
+        [check] = run_scenario(parse_scenario(doc)).checks
         assert (check.name, check.passed) == ("ac_phase_loop_value", True)
 
 

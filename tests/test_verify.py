@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from abclab import boyer, interferometry, render_csv, render_json, run_verify_suite, solenoid, verify
+from abclab import boyer, fieldfree, interferometry, render_csv, render_json, run_verify_suite, solenoid, verify
 
 
 def test_uniform_draw_is_generator_uniform_bit_for_bit():
@@ -84,6 +84,30 @@ def test_quadrature_row_fails_a_closed_form_off_by_1e_10(monkeypatch, module, cl
     monkeypatch.setattr(module, closed_form, lambda *args: closed(*args) * (1.0 + 1e-10))
     [check] = [c for c in run_verify_suite(42).checks if c.name == row]
     assert not check.passed and check.actual == pytest.approx(1e-10, rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "broken, row, off",
+    [
+        (lambda field, k, s: (field * (1.0 + 1e-9), k, s), "newtons_third_law", 1e-9),
+        (lambda field, k, s: (field, k, s * (1.0 + 1e-12)), "potential_at_electron", 1e-12),
+    ],
+    ids=["field", "potential"],
+)
+def test_coulomb_rows_fail_a_pass_off_at_charge_0(monkeypatch, broken, row, off):
+    # each Coulomb pass feeds two rows; a pass whose field or potential at
+    # charge 0 is off by a factor FAILs the one row that reads it there: the
+    # triple's electron feels no field to scale, and a rigid motion moves
+    # both configurations' sums alike
+    coulomb_all = fieldfree.coulomb_all
+
+    def broken_pass(cfg):
+        first, *rest = coulomb_all(cfg)
+        return [broken(*first), *rest]
+
+    monkeypatch.setattr(fieldfree, "coulomb_all", broken_pass)
+    [check] = [c for c in run_verify_suite(42).checks if not c.passed]
+    assert check.name == row and check.actual == pytest.approx(off, rel=1e-3)
 
 
 def test_force_equals_rate_row_fails_a_full_law_off_by_1e_11(monkeypatch):
